@@ -225,24 +225,44 @@ def _classify_slots(
     window_ps: float,
     ref_ps: float,
 ):
-    """Assign each event a (cycle, slot) pair; residuals beyond window/2 from
-    every slot center are unclassified.
+    """Assign each event the slot center nearest its phase in the clock
+    period (centers at 0, spacing and 2 * spacing; ties go to the earlier
+    slot, and past the midpoint between the late slot and the period an
+    event belongs to the next cycle's early slot).  Events farther than
+    window/2 from that center are unclassified.
 
-    Returns (cycle, slot, classified_mask).
+    Returns (cycle, slot, classified_mask), with cycle and slot for the
+    classified events only.
     """
     period_ps = clock_period_ns * 1e3
     spacing_ps = slot_spacing_ns * 1e3
+    if not 2 * spacing_ps < period_ps:
+        raise ValueError("the three slots must fit in one clock period (2 * spacing < period)")
     rel = np.asarray(times_ps, dtype=float) - ref_ps
     phase = np.mod(rel, period_ps)
-    centers = np.array([0.0, spacing_ps, 2 * spacing_ps])
-    # circular distance to each slot center within the clock period
-    diff = phase[:, None] - centers[None, :]
-    diff -= period_ps * np.round(diff / period_ps)
-    slot = np.argmin(np.abs(diff), axis=1)
-    resid = np.take_along_axis(diff, slot[:, None], axis=1)[:, 0]
-    ok = np.abs(resid) <= window_ps / 2.0
-    cycle = np.round((rel - centers[slot]) / period_ps).astype(np.int64)
-    return cycle, slot, ok
+    twice = 2 * phase
+    wraps = twice >= period_ps + 2 * spacing_ps
+    slot = np.add(twice > spacing_ps, twice > 3 * spacing_ps, dtype=np.int64)
+    slot *= ~wraps
+    center = slot * spacing_ps
+    ok = np.abs(phase - np.where(wraps, period_ps, center)) <= window_ps / 2.0
+    cycle = np.round((rel[ok] - center[ok]) / period_ps).astype(np.int64)
+    return cycle, slot[ok], ok
+
+
+def _checked_ports(ports) -> np.ndarray:
+    ports = np.asarray(ports, dtype=np.int64)
+    if ports.size and (ports.min() < 0 or ports.max() > 1):
+        raise ValueError("ports must be 0 or 1 (port k has index k - 1)")
+    return ports
+
+
+def _same_cycle_pairs(query_cycles: np.ndarray, table_cycles: np.ndarray):
+    """Index pairs (query, table) of every two events in the same cycle;
+    ``table_cycles`` must be sorted."""
+    lo = np.searchsorted(table_cycles, query_cycles, side="left")
+    hi = np.searchsorted(table_cycles, query_cycles, side="right")
+    return _expand_matches(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -279,41 +299,46 @@ def threefold_counts(
     clock-referenced short-short arrival; the per-side reference absorbs any
     fixed path or storage delay).  Events in the same clock cycle are paired
     and tallied per (slot, port) cell.
+
+    Events may come in any order.  Time-sorted streams (what ``detect``
+    returns) are the linear-time case: their cycle indices are already
+    sorted, so the stable sorts below cost one pass.
     """
-    i_cycle, i_slot, i_ok = _classify_slots(
+    ic, isl, i_ok = _classify_slots(
         idler_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps, idler_ref_ps
     )
-    s_cycle, s_slot, s_ok = _classify_slots(
+    sc, ssl, s_ok = _classify_slots(
         signal_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps, signal_ref_ps
     )
-    i_port = np.asarray(idler_ports, dtype=np.int64)
-    s_port = np.asarray(signal_ports, dtype=np.int64)
-
-    counts = np.zeros((3, 3, 2, 2), dtype=np.int64)
-    ic, isl, ip = i_cycle[i_ok], i_slot[i_ok], i_port[i_ok]
-    sc, ssl, sp = s_cycle[s_ok], s_slot[s_ok], s_port[s_ok]
+    # flat index of counts[idler_slot, signal_slot, idler_port, signal_port],
+    # split into its idler and signal parts
+    i_cell = isl * 12 + _checked_ports(idler_ports)[i_ok] * 2
+    s_cell = ssl * 4 + _checked_ports(signal_ports)[s_ok]
 
     order_i = np.argsort(ic, kind="stable")
-    ic, isl, ip = ic[order_i], isl[order_i], ip[order_i]
+    ic, i_cell = ic[order_i], i_cell[order_i]
     order_s = np.argsort(sc, kind="stable")
-    sc, ssl, sp = sc[order_s], ssl[order_s], sp[order_s]
+    sc, s_cell = sc[order_s], s_cell[order_s]
 
-    # pair every idler event with every signal event in the same cycle
-    left = np.searchsorted(sc, ic, side="left")
-    right = np.searchsorted(sc, ic, side="right")
-    i_idx, s_idx = _expand_matches(left, right)
-    np.add.at(counts, (isl[i_idx], ssl[s_idx], ip[i_idx], sp[s_idx]), 1)
+    # pair every idler event with every signal event in the same cycle,
+    # searching the smaller side into the larger so the expansion runs over
+    # the fewer events
+    if sc.size <= ic.size:
+        s_idx, i_idx = _same_cycle_pairs(sc, ic)
+    else:
+        i_idx, s_idx = _same_cycle_pairs(ic, sc)
+    counts = np.bincount(i_cell[i_idx] + s_cell[s_idx], minlength=36).reshape(3, 3, 2, 2)
 
     if n_cycles is None:
         top = 0
-        for arr in (i_cycle[i_ok], s_cycle[s_ok]):
+        for arr in (ic, sc):
             if arr.size:
-                top = max(top, int(arr.max()) + 1)
+                top = max(top, int(arr[-1]) + 1)
         n_cycles = top
     return ThreefoldCounts(
         counts=counts,
-        unclassified_idler=int(np.sum(~i_ok)),
-        unclassified_signal=int(np.sum(~s_ok)),
+        unclassified_idler=int(i_ok.size - np.count_nonzero(i_ok)),
+        unclassified_signal=int(s_ok.size - np.count_nonzero(s_ok)),
         n_cycles=n_cycles,
     )
 
@@ -341,6 +366,10 @@ def g2_tallies(
     An event counts toward its cycle when it lies within the coincidence
     window of the clock-referenced arrival time; a coincidence is a cycle
     with both a signal and an idler event.
+
+    Events may come in any order.  Time-sorted streams (what ``detect``
+    returns) are the linear-time case: their cycle indices are already
+    sorted, so the stable sort costs one pass.
     """
     period_ps = clock_period_ns * 1e3
 
@@ -348,13 +377,19 @@ def g2_tallies(
         rel = np.asarray(times, dtype=float) - ref
         phase = np.mod(rel + period_ps / 2, period_ps) - period_ps / 2
         ok = np.abs(phase) <= cfg.window_ps / 2.0
-        return np.unique(np.round((rel[ok] - phase[ok]) / period_ps).astype(np.int64))
+        cycles = np.round((rel[ok] - phase[ok]) / period_ps).astype(np.int64)
+        cycles = np.sort(cycles, kind="stable")
+        first = np.ones(cycles.size, dtype=bool)
+        first[1:] = cycles[1:] != cycles[:-1]
+        return cycles[first]
 
     s_cycles = occupied(signal_times_ps, signal_ref_ps)
     i_cycles = occupied(idler_times_ps, idler_ref_ps)
-    both = np.intersect1d(s_cycles, i_cycles, assume_unique=True)
+    in_both = np.searchsorted(i_cycles, s_cycles, side="right") > np.searchsorted(
+        i_cycles, s_cycles, side="left"
+    )
     return G2Tallies(
-        coincidences=int(both.size),
+        coincidences=int(np.count_nonzero(in_both)),
         signal_singles=int(s_cycles.size),
         idler_singles=int(i_cycles.size),
         n_cycles=n_cycles,

@@ -50,7 +50,6 @@ __all__ = [
     "run_chsh",
     "run_fringe",
     "run_tomography_counts",
-    "run_tomography",
     "tomography_pair_with_errors",
     "analytic_mm_counts",
     "channel_report",
@@ -449,16 +448,6 @@ def tomography_pair_with_errors(
         vals = np.array([t[key] for t in trials])
         summary[key] = {"value": float(value), "sigma": float(vals.std(ddof=1))}
     return rho_in, rho_out, summary
-
-
-def run_tomography(cfg: ExperimentConfig, channel: int, stored: bool):
-    """Single-stage tomography with error bars (used by golden-data paths)."""
-    record, _ = run_tomography_counts(cfg, channel, stored)
-    seed = int(derive_rng(cfg.seed, "tomo-mc", channel, stored).integers(2**31))
-    base, summary = tom.reconstruct_with_errors(
-        record, n_trials=cfg.desk_scale.mc_trials, seed=seed
-    )
-    return record, base, summary
 
 
 def analytic_mm_counts(

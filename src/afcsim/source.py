@@ -52,8 +52,9 @@ class PumpConfig:
     phase_jitter_sigma_rad: float = 0.0
 
     def __post_init__(self):
-        if not self.pulse_interval_ns < self.period_ns:
-            raise ValueError("pulse interval must be shorter than the pump period")
+        # the early, middle and late arrival slots sit at 0, 1 and 2 intervals
+        if not 2 * self.pulse_interval_ns < self.period_ns:
+            raise ValueError("two pulse intervals must be shorter than the pump period")
         if not self.pulse_width_fwhm_ps / 1000.0 < self.pulse_interval_ns:
             raise ValueError("pulse width must be shorter than the pulse interval")
         if not self.extinction_ratio_db > 0:

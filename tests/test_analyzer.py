@@ -227,6 +227,124 @@ class TestG2:
             an.g2_cross(t)
 
 
+def _reference_slot(t, period_ps, spacing_ps, window_ps, ref_ps):
+    """Per-event nearest-slot rule: circular distance to each of the three
+    slot centers, first minimum wins.  Returns (cycle, slot, classified)."""
+    rel = t - ref_ps
+    phase = rel % period_ps
+    dist = []
+    for k in range(3):
+        d = phase - k * spacing_ps
+        dist.append(d - period_ps * round(d / period_ps))
+    slot = min(range(3), key=lambda k: abs(dist[k]))
+    return round((rel - slot * spacing_ps) / period_ps), slot, abs(dist[slot]) <= window_ps / 2
+
+
+def _reference_threefold(i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, i_ref, s_ref):
+    def classify(times, ports, ref):
+        events, unclassified = [], 0
+        for t, port in zip(times, ports):
+            cycle, slot, ok = _reference_slot(t, period_ns * 1e3, spacing_ns * 1e3, window_ps, ref)
+            if ok:
+                events.append((cycle, slot, port))
+            else:
+                unclassified += 1
+        return events, unclassified
+
+    idler, un_i = classify(i_times, i_ports, i_ref)
+    signal, un_s = classify(s_times, s_ports, s_ref)
+    counts = np.zeros((3, 3, 2, 2), dtype=np.int64)
+    for ic, isl, ip in idler:
+        for sc, ssl, sp in signal:
+            if ic == sc:
+                counts[isl, ssl, ip, sp] += 1
+    n_cycles = max([0] + [c + 1 for c, _, _ in idler + signal])
+    return counts, un_i, un_s, n_cycles
+
+
+def _reference_g2(s_times, i_times, period_ns, window_ps, s_ref, i_ref):
+    period_ps = period_ns * 1e3
+
+    def occupied(times, ref):
+        cycles = set()
+        for t in times:
+            rel = t - ref
+            phase = (rel + period_ps / 2) % period_ps - period_ps / 2
+            if abs(phase) <= window_ps / 2:
+                cycles.add(round((rel - phase) / period_ps))
+        return cycles
+
+    s, i = occupied(s_times, s_ref), occupied(i_times, i_ref)
+    return len(s & i), len(s), len(i)
+
+
+@hst.composite
+def _counting_case(draw):
+    """Unsorted event times (possibly none) spread over a few cycles, placed
+    at slot centers, at +-window/2 from them, at slot midpoints, just below
+    a full clock period, and anywhere; references may lie after the event."""
+    period_ns, spacing_ns = draw(hst.sampled_from([(16.0, 1.25), (12.5, 2.5)]))
+    window_ps = draw(hst.sampled_from([600.0, 100.0, 1250.0, 2500.0]) | hst.floats(50.0, 3000.0))
+    period_ps, spacing_ps = period_ns * 1e3, spacing_ns * 1e3
+    special = [
+        k * spacing_ps + side * window_ps / 2 for k in range(3) for side in (-1, 0, 1)
+    ] + [spacing_ps / 2, 1.5 * spacing_ps, (period_ps + 2 * spacing_ps) / 2, period_ps - 1e-9, period_ps]
+    offset = hst.sampled_from(special) | hst.floats(0.0, period_ps)
+    refs = hst.sampled_from([0.0, 152_000.0]) | hst.floats(-5e4, 2e5)
+
+    def stream():
+        times = draw(hst.lists(hst.tuples(hst.integers(-3, 12), offset), max_size=25))
+        ref = draw(refs)
+        return np.array([c * period_ps + off + ref for c, off in times]), ref
+
+    i_times, i_ref = stream()
+    s_times, s_ref = stream()
+    i_ports = np.array(draw(hst.lists(hst.integers(0, 1), min_size=i_times.size, max_size=i_times.size)), dtype=int)
+    s_ports = np.array(draw(hst.lists(hst.integers(0, 1), min_size=s_times.size, max_size=s_times.size)), dtype=int)
+    # a negative relative time: the reference lies after some events
+    i_ref += draw(hst.sampled_from([0.0, period_ps]))
+    return period_ns, spacing_ns, window_ps, i_times, i_ports, i_ref, s_times, s_ports, s_ref
+
+
+class TestCountingMatchesReference:
+    @given(_counting_case())
+    @settings(max_examples=300, deadline=None)
+    def test_threefold_counts(self, case):
+        period_ns, spacing_ns, window_ps, i_times, i_ports, i_ref, s_times, s_ports, s_ref = case
+        cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
+        res = an.threefold_counts(
+            i_times, i_ports, s_times, s_ports, period_ns, cfg,
+            slot_spacing_ns=spacing_ns, idler_ref_ps=i_ref, signal_ref_ps=s_ref,
+        )
+        counts, un_i, un_s, n_cycles = _reference_threefold(
+            i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, i_ref, s_ref
+        )
+        np.testing.assert_array_equal(res.counts, counts)
+        assert (res.unclassified_idler, res.unclassified_signal, res.n_cycles) == (un_i, un_s, n_cycles)
+
+    @given(_counting_case())
+    @settings(max_examples=300, deadline=None)
+    def test_g2_tallies(self, case):
+        period_ns, _, window_ps, i_times, _, i_ref, s_times, _, s_ref = case
+        cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
+        t = an.g2_tallies(s_times, i_times, period_ns, cfg, 100, signal_ref_ps=s_ref, idler_ref_ps=i_ref)
+        expected = _reference_g2(s_times, i_times, period_ns, window_ps, s_ref, i_ref)
+        assert (t.coincidences, t.signal_singles, t.idler_singles) == expected
+
+    def test_slots_must_fit_in_the_period(self):
+        with pytest.raises(ValueError, match="clock period"):
+            an.threefold_counts(
+                np.array([0.0]), np.array([0]), np.array([]), np.array([], int), 2.0,
+                an.CoincidenceConfig(), slot_spacing_ns=1.0,
+            )
+
+    def test_ports_must_be_0_or_1(self):
+        with pytest.raises(ValueError, match="ports"):
+            an.threefold_counts(
+                np.array([0.0]), np.array([2]), np.array([0.0]), np.array([0]), 16.0, an.CoincidenceConfig()
+            )
+
+
 class TestEventTextIO:
     def test_round_trip(self):
         streams = {"A1": np.array([1.0, 2.5]), "B2": np.array([7.0])}

@@ -39,6 +39,8 @@ class TestPumpConfigValidation:
     def test_interval_must_fit_period(self):
         with pytest.raises(ValueError):
             PumpConfig(period_ns=1.0, pulse_interval_ns=1.25)
+        with pytest.raises(ValueError, match="two pulse intervals"):
+            PumpConfig(period_ns=2.5, pulse_interval_ns=1.25)
 
     def test_width_must_fit_interval(self):
         with pytest.raises(ValueError):
