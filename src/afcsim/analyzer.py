@@ -320,13 +320,10 @@ def threefold_counts(
     order_s = np.argsort(sc, kind="stable")
     sc, s_cell = sc[order_s], s_cell[order_s]
 
-    # pair every idler event with every signal event in the same cycle,
-    # searching the smaller side into the larger so the expansion runs over
-    # the fewer events
-    if sc.size <= ic.size:
-        s_idx, i_idx = _same_cycle_pairs(sc, ic)
-    else:
-        i_idx, s_idx = _same_cycle_pairs(ic, sc)
+    # pair every idler event with every signal event in the same cycle; the
+    # signal side (narrower band, thinned by storage) is the smaller one, so
+    # the expansion runs over signal events
+    s_idx, i_idx = _same_cycle_pairs(sc, ic)
     counts = np.bincount(i_cell[i_idx] + s_cell[s_idx], minlength=36).reshape(3, 3, 2, 2)
 
     if n_cycles is None:
