@@ -47,6 +47,11 @@ __all__ = [
 SLOT_EARLY, SLOT_MIDDLE, SLOT_LATE = 0, 1, 2
 SLOT_NAMES = ("early", "middle", "late")
 
+# (idler_port, idler_slot, signal_port, signal_slot) of each flat index
+# into the (2, 3, 2, 3) Born-rule table; indexing these is cheaper than
+# ``np.unravel_index`` on every sampled outcome.
+_OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
+
 
 @dataclass(frozen=True)
 class UmziConfig:
@@ -147,7 +152,7 @@ def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np
     cum = np.cumsum(probs)
     cum /= cum[-1]
     flat = np.searchsorted(cum, rng.random(n), side="right")
-    return np.unravel_index(flat, table.shape)
+    return tuple(index[flat] for index in _OUTCOME_INDEX)
 
 
 def detect(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,6 +176,10 @@ def monte_carlo_errors(counts, statistic, n_trials: int = 100, seed: int = 0):
     value, the statistic is recomputed per trial, and the sample standard
     deviation is returned (matching the statistic's shape).  Deterministic
     per seed.
+
+    A trial whose statistic is not finite everywhere (a fit that failed, a
+    ratio with a zero denominator) is dropped with a ``RuntimeWarning`` that
+    gives the count; fewer than two finite trials raise ``ValueError``.
     """
     if n_trials < 2:
         raise ValueError("need at least two trials")
@@ -182,8 +187,25 @@ def monte_carlo_errors(counts, statistic, n_trials: int = 100, seed: int = 0):
     if np.any(base < 0):
         raise ValueError("counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    samples = [np.asarray(statistic(rng.poisson(base))) for _ in range(n_trials)]
-    return np.std(np.stack(samples), axis=0, ddof=1)
+    # One draw of all trials gives the same Poisson stream as a per-trial
+    # loop: the generator fills the (trial, *count) array in C order.
+    draws = rng.poisson(base, size=(n_trials, *base.shape))
+    samples = np.stack([np.asarray(statistic(d)) for d in draws])
+    finite = np.isfinite(samples).reshape(n_trials, -1).all(axis=1)
+    if not finite.all():
+        n_finite = int(finite.sum())
+        if n_finite < 2:
+            raise ValueError(
+                f"only {n_finite} of {n_trials} Monte-Carlo trials gave a finite statistic"
+            )
+        warnings.warn(
+            f"dropped {n_trials - n_finite} of {n_trials} Monte-Carlo trials "
+            "with a non-finite statistic",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        samples = samples[finite]
+    return np.std(samples, axis=0, ddof=1)
 
 
 def bell_violation_sigmas(result: ChshResult) -> float:
@@ -208,20 +230,32 @@ def _fringe_model(beta, amplitude, visibility, phi0, alpha, sign):
 
 
 def _fit_single(beta, counts, alpha, sign):
-    """Linear solve on the (1, cos, sin) basis, then bounded refinement."""
+    """Exact least-squares fit of (A, V, phi0); returns (params, converged).
+
+    The model is linear in (c0, c1, c2) on the (1, cos beta, sin beta)
+    basis, with A = c0, V = hypot(c1, c2) / c0 and phi0 from atan2, so the
+    linear solution is the optimum whenever it lies in the box A > 0,
+    V <= 1.  The box is a convex cone in (c0, c1, c2) and the objective is
+    convex there, so a solution outside it moves the optimum onto the
+    V = 1 face: only then does a bounded ``least_squares`` run, over
+    (A, phi0) at V = 1.
+    """
     design = np.column_stack([np.ones_like(beta), np.cos(beta), np.sin(beta)])
     coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    a0 = max(coef[0], 1e-9)
-    v0 = min(np.hypot(coef[1], coef[2]) / a0, 1.0)
     phi0 = math.atan2(-coef[2] * sign, coef[1] * sign) - alpha
     phi0 = (phi0 + math.pi) % (2 * math.pi) - math.pi
+    amplitude = coef[0]
+    if amplitude > 0:
+        visibility = math.hypot(coef[1], coef[2]) / amplitude
+        if visibility <= 1.0:
+            return np.array([amplitude, visibility, phi0]), True
 
     res = optimize.least_squares(
-        lambda p: _fringe_model(beta, p[0], p[1], p[2], alpha, sign) - counts,
-        x0=[a0, v0, phi0],
-        bounds=([0.0, 0.0, -2 * math.pi], [np.inf, 1.0, 2 * math.pi]),
+        lambda p: _fringe_model(beta, p[0], 1.0, p[1], alpha, sign) - counts,
+        x0=[max(amplitude, 1e-9), phi0],
+        bounds=([0.0, -2 * math.pi], [np.inf, 2 * math.pi]),
     )
-    return res.x, bool(res.success)
+    return np.array([res.x[0], 1.0, res.x[1]]), bool(res.success)
 
 
 def fit_visibility(
@@ -233,11 +267,12 @@ def fit_visibility(
     """Least-squares Franson fringe fit for one port combination.
 
     Fits counts = A (1 + (-1)^(i+j) V cos(alpha + beta + phi0)) over
-    (A, V, phi0) with V clamped to [0, 1]; the starting point comes from the
-    exact linear solution on the known fringe period.  sigma_V is a Poisson
-    Monte-Carlo error.  Insufficient data (fewer than 5 phases or a span
-    under pi) raises ValueError; optimizer failure is reported through the
-    ``converged`` flag instead.
+    (A, V, phi0) with A >= 0 and V clamped to [0, 1].  On the known fringe
+    period the fit is exact and linear; a bounded optimizer runs only when
+    the linear solution has A <= 0 or V > 1.  sigma_V is a Poisson
+    Monte-Carlo error over the same fit.  Insufficient data (fewer than 5
+    phases or a span under pi) raises ValueError; optimizer failure is
+    reported through the ``converged`` flag instead.
     """
     k = COMBO_LABELS.index(combo) if isinstance(combo, str) else int(combo)
     beta = scan.beta_rad

@@ -1,5 +1,13 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci fixes the examples and prints the blob that
+# replays a failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Reference density matrices for channel 1 before/after storage, as printed
 # in the bundled golden fixture (3-decimal rounding, trace 0.999).

@@ -90,6 +90,18 @@ class TestProjectPair:
             if expected > 25:
                 assert abs(cell - expected) < 5 * np.sqrt(expected)
 
+    def test_sampling_matches_unravel_index(self):
+        rho = st.werner_state(0.8)
+        n = 10_000
+        got = an.sample_pair_outcomes(rho, 0.4, -1.2, n, np.random.default_rng(9))
+        table = an.project_pair(rho, 0.4, -1.2)
+        cum = np.cumsum(np.clip(table.reshape(-1), 0.0, None))
+        cum /= cum[-1]
+        flat = np.searchsorted(cum, np.random.default_rng(9).random(n), side="right")
+        for g, e in zip(got, np.unravel_index(flat, table.shape), strict=True):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+
 
 class TestDetect:
     def test_identity_when_perfect(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy import optimize
 
 from afcsim import bell
 from afcsim import states as st
@@ -124,6 +125,44 @@ class TestMonteCarloErrors:
         sig = bell.monte_carlo_errors(base, lambda c: c.sum(axis=1), seed=2)
         assert sig.shape == (4,)
 
+    def test_stream_matches_per_trial_draws(self):
+        chsh = np.array([
+            [412.0, 61.0, 55.0, 398.0],
+            [47.0, 405.0, 420.0, 52.0],
+            [395.0, 58.0, 66.0, 410.0],
+            [401.0, 49.0, 61.0, 388.0],
+        ])
+        n_cycles = 1e7
+
+        def g2(counts):
+            c, s, i = counts
+            return (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
+
+        for base, stat in ((chsh, bell._s_from_count_matrix), (np.array([85.0, 4.2e4, 3.9e5]), g2)):
+            for seed in (0, 11):
+                # reference: one Poisson draw per trial, in trial order
+                rng = np.random.default_rng(seed)
+                samples = [np.asarray(stat(rng.poisson(base))) for _ in range(100)]
+                expected = np.std(np.stack(samples), axis=0, ddof=1)
+                assert bell.monte_carlo_errors(base, stat, n_trials=100, seed=seed) == expected
+
+    def test_non_finite_trial_dropped_with_warning(self):
+        base = np.array([120.0, 80.0, 200.0])
+        calls = []
+
+        def stat(c):
+            calls.append(c.copy())
+            return np.nan if len(calls) == 3 else c[0] / c.sum()
+
+        with pytest.warns(RuntimeWarning, match="dropped 1 of 50"):
+            sigma = bell.monte_carlo_errors(base, stat, n_trials=50, seed=4)
+        kept = [c[0] / c.sum() for k, c in enumerate(calls) if k != 2]
+        assert sigma == np.std(kept, ddof=1)
+
+    def test_all_non_finite_trials_raise(self):
+        with pytest.raises(ValueError, match="0 of 20"):
+            bell.monte_carlo_errors(np.full(3, 50.0), lambda c: np.full(2, np.nan), n_trials=20)
+
 
 class TestFitVisibility:
     def test_exact_round_trip(self):
@@ -157,6 +196,77 @@ class TestFitVisibility:
         small = bell.fit_visibility(synthetic_scan(amplitude=200, rng=rng), 0, n_trials=150, seed=5)
         big = bell.fit_visibility(synthetic_scan(amplitude=20000, rng=rng), 0, n_trials=150, seed=5)
         assert big.sigma_visibility < small.sigma_visibility / 5
+
+    @staticmethod
+    def _bounded_reference(beta, counts, alpha, sign):
+        # tight-tolerance bounded fit over (A, V, phi0), best of four
+        # starting phases so that one start lies within pi/4 of the optimum
+        best = None
+        for start in np.linspace(-math.pi, math.pi, 4, endpoint=False):
+            res = optimize.least_squares(
+                lambda p: bell._fringe_model(beta, p[0], p[1], p[2], alpha, sign) - counts,
+                x0=[max(counts.mean(), 1e-9), 0.5, start],
+                bounds=([0.0, 0.0, -2 * math.pi], [np.inf, 1.0, 2 * math.pi]),
+                xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            )
+            if best is None or res.cost < best.cost:
+                best = res
+        return best.x
+
+    @given(
+        v=hst.floats(min_value=0.0, max_value=0.99),
+        phi0=hst.floats(min_value=-math.pi, max_value=math.pi),
+        alpha=hst.floats(min_value=-math.pi, max_value=math.pi),
+        amplitude=hst.floats(min_value=20.0, max_value=1e5),
+        combo=hst.integers(min_value=0, max_value=3),
+        noise_seed=hst.one_of(hst.none(), hst.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bounded_reference(self, v, phi0, alpha, amplitude, combo, noise_seed):
+        rng = None if noise_seed is None else np.random.default_rng(noise_seed)
+        scan = synthetic_scan(alpha=alpha, v=v, amplitude=amplitude, phi0=phi0, rng=rng)
+        fit = bell.fit_visibility(scan, combo, n_trials=2, seed=0)
+        ref = self._bounded_reference(
+            scan.beta_rad, scan.counts[:, combo], alpha, bell.COMBO_SIGNS[combo]
+        )
+        assert fit.converged
+        assert fit.visibility == pytest.approx(ref[1], abs=1e-8)
+        # phi0 is compared through the complex visibility V exp(i phi0): the
+        # cost is flat in phi0 as V -> 0, so the reference optimizer stops
+        # with a phase error of order (rounding) / V that the exact
+        # solution does not have.
+        z_fit = fit.visibility * np.exp(1j * fit.phase_offset_rad)
+        assert abs(z_fit - ref[1] * np.exp(1j * ref[2])) <= 1e-8
+
+    def test_outside_box_takes_bounded_path(self, monkeypatch):
+        calls = []
+        real = bell.optimize.least_squares
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bell.optimize, "least_squares", spy)
+        # a noiseless V = 1.05 fringe goes negative, which FringeScan
+        # rejects, so the fit routine is called directly
+        beta = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+        counts = 300.0 * (1 - 1.05 * np.cos(0.3 + beta + 0.4))
+        params, ok = bell._fit_single(beta, counts, 0.3, -1.0)
+        assert calls
+        assert ok
+        assert params[1] == 1.0
+        assert params[2] == pytest.approx(0.4, abs=1e-6)
+
+    def test_in_box_data_never_reach_the_optimizer(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bounded optimizer called on in-box data")
+
+        monkeypatch.setattr(bell.optimize, "least_squares", forbidden)
+        rng = np.random.default_rng(21)
+        for scan in (synthetic_scan(v=0.9), synthetic_scan(v=0.85, phi0=1.1, amplitude=400.0, rng=rng)):
+            for k in range(4):
+                fit = bell.fit_visibility(scan, k, n_trials=100, seed=k)
+                assert fit.converged and np.isfinite(fit.sigma_visibility)
 
     def test_bad_data_rejected(self):
         beta = np.linspace(0, 1.0, 4)
