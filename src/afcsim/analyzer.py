@@ -26,7 +26,6 @@ __all__ = [
     "UmziConfig",
     "DetectorConfig",
     "CoincidenceConfig",
-    "DetectionEvent",
     "SLOT_EARLY",
     "SLOT_MIDDLE",
     "SLOT_LATE",
@@ -40,8 +39,6 @@ __all__ = [
     "G2Tallies",
     "g2_tallies",
     "g2_cross",
-    "events_to_text",
-    "events_from_text",
 ]
 
 SLOT_EARLY, SLOT_MIDDLE, SLOT_LATE = 0, 1, 2
@@ -55,16 +52,11 @@ _OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
 
 @dataclass(frozen=True)
 class UmziConfig:
-    """One unbalanced Mach-Zehnder analyzer; ``phase_rad`` is alpha on the
-    idler side, beta on the signal side."""
+    """One unbalanced Mach-Zehnder analyzer.  Its phase (alpha on the idler
+    side, beta on the signal side) is a per-acquisition setting, not
+    configuration."""
 
     arm_delay_ns: float = 1.25
-    phase_rad: float = 0.0
-    splitting_ratio: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.splitting_ratio < 1:
-            raise ValueError("splitting ratio must be in (0, 1)")
 
     def check_matches_source(self, pulse_interval_ns: float) -> None:
         # indistinguishability condition: arm delay = time-bin separation
@@ -96,12 +88,6 @@ class CoincidenceConfig:
     def __post_init__(self):
         if not self.window_ps >= self.histogram_bin_ps > 0:
             raise ValueError("require window >= histogram bin > 0")
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    detector_id: str  # one of A1, A2 (idler) / B1, B2 (signal)
-    timestamp_ps: float
 
 
 def umzi_povm(phase_rad: float) -> np.ndarray:
@@ -408,26 +394,3 @@ def g2_cross(tallies: G2Tallies) -> float:
     p_s = tallies.signal_singles / n
     p_i = tallies.idler_singles / n
     return p_si / (p_s * p_i)
-
-
-# --- columnar text I/O ---------------------------------------------------
-
-
-def events_to_text(streams: dict[str, np.ndarray]) -> str:
-    """Serialize detection streams as 'detector_id timestamp_ps' lines."""
-    lines = ["# detector_id timestamp_ps"]
-    for name in sorted(streams):
-        for t in streams[name]:
-            lines.append(f"{name} {t:.1f}")
-    return "\n".join(lines) + "\n"
-
-
-def events_from_text(text: str) -> dict[str, np.ndarray]:
-    streams: dict[str, list[float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, t = line.split()
-        streams.setdefault(name, []).append(float(t))
-    return {k: np.array(v) for k, v in streams.items()}

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from afcsim.analyzer import SLOT_MIDDLE, project_pair
 
@@ -249,6 +248,8 @@ def _fit_single(beta, counts, alpha, sign):
         visibility = math.hypot(coef[1], coef[2]) / amplitude
         if visibility <= 1.0:
             return np.array([amplitude, visibility, phi0]), True
+
+    from scipy import optimize
 
     res = optimize.least_squares(
         lambda p: _fringe_model(beta, p[0], 1.0, p[1], alpha, sign) - counts,

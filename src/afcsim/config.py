@@ -1,26 +1,26 @@
 """Experiment configuration: a single nested JSON file drives a full run.
 
 Sections mirror the model types (source, memory, analyzers, detectors,
-coincidence, duty cycle, desk-scale sampling).  Unknown keys anywhere are
-hard errors with the offending JSON path, so a typo cannot silently
+coincidence, duty cycle, desk-scale sampling): a section's keys, their
+types and their defaults are the fields of its dataclass, so each default
+is written once.  Unknown keys and values of the wrong JSON type are hard
+errors with the offending JSON path, so a typo cannot silently
 mis-calibrate a run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from afcsim.analyzer import CoincidenceConfig, DetectorConfig, UmziConfig
-from afcsim.memory import (
-    CHANNEL_OFFSETS_GHZ,
-    AfcChannel,
-    MemoryBank,
-    wavelength_for_offset,
-)
-from afcsim.source import PumpConfig, SourceModel
+from afcsim.memory import CHANNEL_OFFSETS_GHZ, AfcChannel, MemoryBank, wavelength_for_offset
+from afcsim.source import SourceModel
 
 __all__ = [
     "ConfigError",
@@ -110,35 +110,59 @@ class DeskScale:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: SourceModel
     bank: MemoryBank
-    idler_analyzer: UmziConfig
-    signal_analyzer: UmziConfig
-    detectors: DetectorConfig
-    coincidence: CoincidenceConfig
+    source: SourceModel = field(default_factory=SourceModel)
+    idler_analyzer: UmziConfig = field(default_factory=UmziConfig)
+    signal_analyzer: UmziConfig = field(default_factory=UmziConfig)
+    detectors: DetectorConfig = field(default_factory=DetectorConfig)
+    coincidence: CoincidenceConfig = field(default_factory=CoincidenceConfig)
     duty_cycle: DutyCycle = field(default_factory=DutyCycle)
     filters: Filters = field(default_factory=Filters)
     desk_scale: DeskScale = field(default_factory=DeskScale)
     seed: int = 0
-    run_duration_s: float = 60.0
 
     def __post_init__(self):
         for side in (self.idler_analyzer, self.signal_analyzer):
             side.check_matches_source(self.source.pump.pulse_interval_ns)
-        if self.run_duration_s <= 0:
-            raise ConfigError("run_duration_s must be positive")
 
     @property
     def clock_period_ns(self) -> float:
         return self.source.pump.period_ns
 
 
-def _take(section: dict, path: str, known: dict):
-    """Pop known keys with defaults; reject unknown ones."""
+# JSON sections that do not mirror one dataclass: ``memory`` builds the
+# MemoryBank and its five AfcChannels, ``analyzers`` the two UmziConfigs.
+_MEMORY_KEYS = ("transmission_efficiency", "noise_rate_hz")  # MemoryBank fields
+_CHANNEL_KEYS = ("d1", "finesse", "d0")  # AfcChannel fields set per channel
+_ANALYZER_FIELDS = {"idler": "idler_analyzer", "signal": "signal_analyzer"}
+
+_JSON_TYPE_NAMES = {
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+    type(None): "null",
+}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # Python's json accepts NaN and Infinity
+    return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def _expect_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {_json_type(value)}")
+    return value
+
+
+def _reject_unknown(section: dict, path: str, known) -> None:
     extra = set(section) - set(known)
     if extra:
         raise ConfigError(f"{path}: unknown key(s) {sorted(extra)}")
-    return {k: section.get(k, v) for k, v in known.items() if k in section or v is not ...}
 
 
 def _require(section: dict, path: str, key: str):
@@ -147,183 +171,98 @@ def _require(section: dict, path: str, key: str):
     return section[key]
 
 
-def _build_pump(data: dict) -> PumpConfig:
-    kwargs = _take(
-        data,
-        "source.pump",
-        {
-            "period_ns": 16.0,
-            "pulse_interval_ns": 1.25,
-            "pulse_width_fwhm_ps": 300.0,
-            "extinction_ratio_db": 25.0,
-            "intensity_imbalance": 1.0,
-            "phase_jitter_sigma_rad": 0.0,
-        },
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotation of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _value(kind, value, path: str):
+    """Check one JSON value against a field's type: int fields take only
+    integers, float fields any finite number, dataclass fields an object."""
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, path)
+    number = (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     )
+    if kind is int and not (number and isinstance(value, int)):
+        raise ConfigError(f"{path}: expected an integer, got {_json_type(value)}")
+    if kind is float and not number:
+        raise ConfigError(f"{path}: expected a number, got {_json_type(value)}")
+    return value
+
+
+def _build(cls, data, path: str, keys=None, **fixed):
+    """Instantiate config dataclass ``cls`` from the JSON object ``data``.
+
+    Accepted keys are the dataclass fields (or ``keys``, a subset of them),
+    each checked against its field type; omitted keys take the dataclass
+    defaults.  ``fixed`` supplies fields that do not come from this object.
+    """
+    _expect_object(data, path)
+    types = _field_types(cls)
+    _reject_unknown(data, path, types if keys is None else keys)
+    kwargs = {key: _value(types[key], value, f"{path}.{key}") for key, value in data.items()}
     try:
-        return PumpConfig(**kwargs)
+        return cls(**kwargs, **fixed)
     except ValueError as err:
-        raise ConfigError(f"source.pump: {err}") from err
+        raise ConfigError(f"{path}: {err}") from err
 
 
-def _build_source(data: dict) -> SourceModel:
-    kwargs = _take(
-        data,
-        "source",
-        {
-            "pump": {},
-            "pair_emission_probability_per_cycle": 0.05,
-            "white_noise_fraction": 0.0,
-            "signal_center_wavelength_nm": 1531.93,
-            "idler_center_wavelength_nm": 1549.37,
-            "pair_bandwidth_ghz": 100.0,
-        },
-    )
-    pump = _build_pump(kwargs.pop("pump", {}))
-    try:
-        return SourceModel(pump=pump, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"source: {err}") from err
-
-
-def _build_bank(data: dict, reference_nm: float) -> MemoryBank:
-    kwargs = _take(
-        data,
-        "memory",
-        {
-            "channel_spacing_ghz": 15.0,
-            "transmission_efficiency": 0.26,
-            "noise_rate_hz": 0.0,
-            "teeth_spacing_mhz": 6.58,
-            "channel_bandwidth_ghz": 4.0,
-            "channels": ...,
-        },
-    )
-    channel_specs = _require(data, "memory", "channels")
-    if len(channel_specs) != 5:
-        raise ConfigError("memory.channels: exactly five channels required")
+def _build_bank(data) -> MemoryBank:
+    """The memory section: bank-wide keys, one teeth spacing for all five
+    channels, and per-channel comb shapes; the channel centers are fixed
+    on the 15 GHz grid."""
+    _expect_object(data, "memory")
+    _reject_unknown(data, "memory", (*_MEMORY_KEYS, "teeth_spacing_mhz", "channels"))
+    specs = _require(data, "memory", "channels")
+    if not isinstance(specs, list) or len(specs) != 5:
+        raise ConfigError("memory.channels: a list of exactly five channels required")
+    shared = {}
+    if "teeth_spacing_mhz" in data:
+        spacing = _value(float, data["teeth_spacing_mhz"], "memory.teeth_spacing_mhz")
+        shared["teeth_spacing_mhz"] = spacing
     channels = []
-    for i, (spec, off) in enumerate(zip(channel_specs, CHANNEL_OFFSETS_GHZ)):
-        ch_kwargs = _take(
-            spec,
-            f"memory.channels[{i}]",
-            {"d1": ..., "finesse": 2.0, "d0": 1.7},
-        )
-        try:
-            channels.append(
-                AfcChannel(
-                    center_wavelength_nm=wavelength_for_offset(off, reference_nm),
-                    teeth_spacing_mhz=kwargs["teeth_spacing_mhz"],
-                    bandwidth_ghz=kwargs["channel_bandwidth_ghz"],
-                    d1=_require(spec, f"memory.channels[{i}]", "d1"),
-                    finesse=ch_kwargs.get("finesse", 2.0),
-                    d0=ch_kwargs.get("d0", 1.7),
-                )
+    for i, (spec, off) in enumerate(zip(specs, CHANNEL_OFFSETS_GHZ)):
+        path = f"memory.channels[{i}]"
+        _require(_expect_object(spec, path), path, "d1")
+        channels.append(
+            _build(
+                AfcChannel,
+                spec,
+                path,
+                _CHANNEL_KEYS,
+                center_wavelength_nm=wavelength_for_offset(off),
+                **shared,
             )
-        except ValueError as err:
-            raise ConfigError(f"memory.channels[{i}]: {err}") from err
-    try:
-        return MemoryBank(
-            channels=tuple(channels),
-            channel_spacing_ghz=kwargs["channel_spacing_ghz"],
-            transmission_efficiency=kwargs["transmission_efficiency"],
-            noise_rate_hz=kwargs["noise_rate_hz"],
-            reference_wavelength_nm=reference_nm,
         )
-    except ValueError as err:
-        raise ConfigError(f"memory: {err}") from err
+    bank = {key: data[key] for key in _MEMORY_KEYS if key in data}
+    return _build(MemoryBank, bank, "memory", _MEMORY_KEYS, channels=tuple(channels))
 
 
-def _build_umzi(data: dict, path: str) -> UmziConfig:
-    kwargs = _take(data, path, {"arm_delay_ns": 1.25, "splitting_ratio": 0.5})
-    try:
-        return UmziConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+def config_from_dict(raw) -> ExperimentConfig:
+    """Build the experiment configuration from parsed JSON.
 
-
-def _simple(data: dict, path: str, cls, defaults: dict):
-    kwargs = _take(data, path, defaults)
-    try:
-        return cls(**kwargs)
-    except (ValueError, ConfigError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    top_known = {
-        "source": {},
-        "memory": ...,
-        "analyzers": {},
-        "detectors": {},
-        "coincidence": {},
-        "duty_cycle": {},
-        "filters": {},
-        "desk_scale": {},
-        "seed": 0,
-        "run_duration_s": 60.0,
+    Top-level keys are the ExperimentConfig fields, except that ``memory``
+    holds the bank and ``analyzers`` the idler/signal UMZI sections.
+    """
+    _expect_object(raw, "<root>")
+    types = _field_types(ExperimentConfig)
+    renamed = {"bank", *_ANALYZER_FIELDS.values()}
+    _reject_unknown(raw, "<root>", (set(types) - renamed) | {"memory", "analyzers"})
+    kwargs = {
+        key: _value(types[key], value, key)
+        for key, value in raw.items()
+        if key not in ("memory", "analyzers")
     }
-    top = _take(raw, "<root>", top_known)
-    source = _build_source(top.get("source", {}))
-    bank = _build_bank(_require(raw, "<root>", "memory"), source.signal_center_wavelength_nm)
-    analyzers = top.get("analyzers", {})
-    extra = set(analyzers) - {"idler", "signal"}
-    if extra:
-        raise ConfigError(f"analyzers: unknown key(s) {sorted(extra)}")
-    idler = _build_umzi(analyzers.get("idler", {}), "analyzers.idler")
-    signal = _build_umzi(analyzers.get("signal", {}), "analyzers.signal")
-    detectors = _simple(
-        top.get("detectors", {}),
-        "detectors",
-        DetectorConfig,
-        {"efficiency": 0.70, "dark_count_rate_hz": 10.0, "jitter_sigma_ps": 40.0},
-    )
-    coincidence = _simple(
-        top.get("coincidence", {}),
-        "coincidence",
-        CoincidenceConfig,
-        {"window_ps": 600.0, "histogram_bin_ps": 100.0},
-    )
-    duty = _simple(
-        top.get("duty_cycle", {}),
-        "duty_cycle",
-        DutyCycle,
-        {"prepare_ms": 200.0, "wait_ms": 20.0, "measure_ms": 280.0, "period_ms": 500.0},
-    )
-    filters = _simple(
-        top.get("filters", {}),
-        "filters",
-        Filters,
-        {"signal_bandwidth_ghz": 4.0, "idler_bandwidth_ghz": 6.2},
-    )
-    desk = _simple(
-        top.get("desk_scale", {}),
-        "desk_scale",
-        DeskScale,
-        {
-            "efficiency_boost": 100.0,
-            "chsh_cycles_per_setting": 10_000_000,
-            "fringe_points": 13,
-            "fringe_cycles_per_point": 2_000_000,
-            "tomography_cycles_per_setting": 5_000_000,
-            "g2_cycles": 6_000_000,
-            "mc_trials": 100,
-        },
-    )
+    analyzers = _expect_object(raw.get("analyzers", {}), "analyzers")
+    _reject_unknown(analyzers, "analyzers", _ANALYZER_FIELDS)
+    for side, name in _ANALYZER_FIELDS.items():
+        if side in analyzers:
+            kwargs[name] = _build(UmziConfig, analyzers[side], f"analyzers.{side}")
+    kwargs["bank"] = _build_bank(_require(raw, "<root>", "memory"))
     try:
-        return ExperimentConfig(
-            source=source,
-            bank=bank,
-            idler_analyzer=idler,
-            signal_analyzer=signal,
-            detectors=detectors,
-            coincidence=coincidence,
-            duty_cycle=duty,
-            filters=filters,
-            desk_scale=desk,
-            seed=int(top.get("seed", 0)),
-            run_duration_s=float(top.get("run_duration_s", 60.0)),
-        )
+        return ExperimentConfig(**kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -333,8 +272,6 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
     return config_from_dict(raw)
 
 

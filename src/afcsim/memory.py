@@ -1,9 +1,10 @@
 """Five-channel atomic-frequency-comb memory.
 
 Covers the AFC efficiency law, the teeth-spacing/storage-time mapping, the
-15 GHz spectral channel grid, the event-level storage transformation
-(recall thinning + fixed delay + noise floor), and the storage-time decay
-model fitted to the bundled efficiency grid.
+15 GHz spectral channel grid, the per-channel recall survival, and the
+storage-time decay model fitted to the bundled efficiency grid.  Storage
+itself (recall thinning, the fixed 1/Delta delay and the noise floor) is
+applied to the sampled arrays in :mod:`afcsim.pipeline`.
 
 Frequencies are handled internally as GHz offsets from the grid reference
 (channel 3); wavelengths appear only at the configuration boundary.
@@ -12,22 +13,16 @@ Frequencies are handled internally as GHz offsets from the grid reference
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-
-from afcsim.source import EmissionRecord
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "AfcChannel",
     "MemoryBank",
-    "RecalledEvent",
     "storage_time_ns",
     "afc_efficiency",
-    "channel_for_offset",
-    "apply_storage",
     "storage_survival",
     "default_bank",
     "DecayFit",
@@ -140,100 +135,9 @@ def default_bank(noise_rate_hz: float = 0.0, teeth_spacing_mhz: float = 6.58) ->
     return MemoryBank(channels=channels, noise_rate_hz=noise_rate_hz)
 
 
-def channel_for_offset(bank: MemoryBank, frequency_offset_ghz: float):
-    """Index of the channel whose passband contains the offset, else None.
-
-    Channels are 0-indexed here; reports label them 1..5.  Offsets outside
-    the +-50 GHz pair band are errors, not misses.
-    """
-    if abs(frequency_offset_ghz) > 50.0:
-        raise ValueError(f"offset {frequency_offset_ghz} GHz outside the pair band")
-    for i, center in enumerate(bank.channel_offsets_ghz):
-        if abs(frequency_offset_ghz - center) <= bank.channels[i].bandwidth_ghz / 2.0:
-            return i
-    return None
-
-
 def storage_survival(bank: MemoryBank, channel_index: int) -> float:
     """End-to-end recall probability: internal AFC efficiency x transmission."""
     return bank.channels[channel_index].efficiency * bank.transmission_efficiency
-
-
-@dataclass(frozen=True)
-class RecalledEvent:
-    """A signal photon leaving the memory (recalled pair photon or noise)."""
-
-    cycle_index: int
-    channel_index: int
-    delay_ns: float
-    temporal_mode: str
-    amp_early: complex
-    amp_late: complex
-    signal_frequency_offset_ghz: float
-    pair_phase_rad: float
-    is_noise: bool = False
-
-
-def apply_storage(
-    bank: MemoryBank,
-    emissions: list[EmissionRecord],
-    seed: int,
-    *,
-    clock_period_ns: float = 16.0,
-    duration_ns: float | None = None,
-) -> list[RecalledEvent]:
-    """Store-and-recall transformation of an emission stream.
-
-    Each in-passband photon is recalled with probability
-    afc_efficiency(channel) * transmission, delayed by 1/Delta of its
-    channel; photons between passbands are absorbed by the background.
-    The temporal-mode content passes through unchanged (the AFC recall is
-    phase preserving).  Memory noise clicks are injected at the bank noise
-    rate, uniformly over the run duration (inferred from the last emission
-    cycle when not given).
-    """
-    rng = np.random.default_rng(seed)
-    recalled: list[RecalledEvent] = []
-    for em in emissions:
-        idx = channel_for_offset(bank, em.signal_frequency_offset_ghz)
-        if idx is None:
-            continue
-        if rng.random() >= storage_survival(bank, idx):
-            continue
-        recalled.append(
-            RecalledEvent(
-                cycle_index=em.cycle_index,
-                channel_index=idx,
-                delay_ns=bank.channels[idx].storage_time_ns,
-                temporal_mode=em.temporal_mode,
-                amp_early=em.amp_early,
-                amp_late=em.amp_late,
-                signal_frequency_offset_ghz=em.signal_frequency_offset_ghz,
-                pair_phase_rad=em.pair_phase_rad,
-            )
-        )
-    if bank.noise_rate_hz > 0:
-        if duration_ns is None:
-            last = max((em.cycle_index for em in emissions), default=0)
-            duration_ns = (last + 1) * clock_period_ns
-        n_noise = rng.poisson(bank.noise_rate_hz * duration_ns * 1e-9)
-        times = np.sort(rng.uniform(0.0, duration_ns, size=n_noise))
-        noise_channels = rng.integers(0, len(bank.channels), size=n_noise)
-        for t, ch in zip(times, noise_channels):
-            recalled.append(
-                RecalledEvent(
-                    cycle_index=int(t // clock_period_ns),
-                    channel_index=int(ch),
-                    delay_ns=float(t % clock_period_ns),
-                    temporal_mode="noise",
-                    amp_early=0.0,
-                    amp_late=0.0,
-                    signal_frequency_offset_ghz=float(bank.channel_offsets_ghz[ch]),
-                    pair_phase_rad=0.0,
-                    is_noise=True,
-                )
-            )
-    return recalled
 
 
 def time_bandwidth_product(bank: MemoryBank) -> float:
@@ -293,6 +197,8 @@ def fit_decay_model(
     t_fit, v_fit = times[keep], vals[keep]
     if len(t_fit) < 3:
         raise ValueError("need at least three rows to fit the decay model")
+    from scipy import optimize
+
     scale = math.exp(-7.0 / finesse**2) * math.exp(-d0)
 
     def model(params, t):

@@ -130,7 +130,7 @@ def acquire_threefold(
     det_seed = int(derive_rng(cfg.seed, *tags, "detector").integers(2**31))
 
     band = channel_band(cfg, channel, cfg.filters.idler_bandwidth_ghz)
-    cycles, offsets, _ = emission_arrays(cfg.source, n_cycles, rng_em, band)
+    cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
     rho = analytic_state(cfg.source)
     i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
         rho, alpha_rad, beta_rad, len(cycles), rng_out
@@ -220,7 +220,7 @@ def acquire_g2(
 
     rng_sig = derive_rng(cfg.seed, *tags, "sig-emission")
     sig_band = channel_band(cfg, signal_channel, cfg.filters.signal_bandwidth_ghz)
-    sig_cycles, _, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band)
+    sig_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band)
 
     if idler_channel == signal_channel:
         # idlers of the same pairs, plus the wider-filter fringe around them
@@ -232,13 +232,13 @@ def acquire_g2(
             lo = (full[0], sig_band[0])
             hi = (sig_band[1], full[1])
             for b in (lo, hi):
-                c, _, _ = emission_arrays(cfg.source, n_cycles, rng_extra, b)
+                c, _ = emission_arrays(cfg.source, n_cycles, rng_extra, b)
                 idl_cycles.append(c)
         idl_cycles = np.sort(np.concatenate(idl_cycles))
     else:
         rng_idl = derive_rng(cfg.seed, *tags, "idl-emission")
         idl_band = channel_band(cfg, idler_channel, cfg.filters.idler_bandwidth_ghz)
-        idl_cycles, _, _ = emission_arrays(cfg.source, n_cycles, rng_idl, idl_band)
+        idl_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_idl, idl_band)
 
     idler_t = idl_cycles.astype(float) * period_ps
 
@@ -577,7 +577,6 @@ def run_report(cfg: ExperimentConfig, channels=None) -> dict:
             ),
         },
         "timing": {
-            "nominal_run_duration_s": cfg.run_duration_s,
             "measure_window_time_per_stage_s": measure_time,
             "wall_clock_time_per_stage_s": measure_time / cfg.duty_cycle.measure_fraction,
             "duty_measure_fraction": cfg.duty_cycle.measure_fraction,

@@ -357,14 +357,6 @@ class TestCountingMatchesReference:
             )
 
 
-class TestEventTextIO:
-    def test_round_trip(self):
-        streams = {"A1": np.array([1.0, 2.5]), "B2": np.array([7.0])}
-        back = an.events_from_text(an.events_to_text(streams))
-        for k in streams:
-            np.testing.assert_allclose(back[k], streams[k])
-
-
 class TestUmziConfigValidation:
     def test_arm_delay_must_match_source(self):
         cfg = an.UmziConfig(arm_delay_ns=1.25)

@@ -240,13 +240,13 @@ class TestFitVisibility:
 
     def test_outside_box_takes_bounded_path(self, monkeypatch):
         calls = []
-        real = bell.optimize.least_squares
+        real = optimize.least_squares
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bell.optimize, "least_squares", spy)
+        monkeypatch.setattr(optimize, "least_squares", spy)
         # a noiseless V = 1.05 fringe goes negative, which FringeScan
         # rejects, so the fit routine is called directly
         beta = np.linspace(0, 2 * math.pi, 12, endpoint=False)
@@ -261,7 +261,7 @@ class TestFitVisibility:
         def forbidden(*args, **kwargs):
             raise AssertionError("bounded optimizer called on in-box data")
 
-        monkeypatch.setattr(bell.optimize, "least_squares", forbidden)
+        monkeypatch.setattr(optimize, "least_squares", forbidden)
         rng = np.random.default_rng(21)
         for scan in (synthetic_scan(v=0.9), synthetic_scan(v=0.85, phi0=1.1, amplitude=400.0, rng=rng)):
             for k in range(4):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +53,51 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"detectors": {"efficiency": "0.7"}}, "detectors.efficiency"),
+            ({"coincidence": {"window_ps": None}}, "coincidence.window_ps"),
+            ({"memory": {"channels": [{"d1": "1.1"}] * 5}}, "memory.channels[0].d1"),
+            ({"seed": [1]}, "seed"),
+            ({"seed": 1.9}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"source": []}, "source"),
+            ({"desk_scale": {"fringe_points": 13.5}}, "desk_scale.fringe_points"),
+        ],
+    )
+    def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, overrides, path):
+        raw = {"memory": {"channels": [{"d1": 1.1}] * 5}}
+        raw.update(overrides)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {path}: expected" in capsys.readouterr().err
+
     def test_bad_channel_label_exit_2(self, tmp_path, fast_config_file):
         code = cli.main(
             ["simulate", "--config", fast_config_file, "--out", str(tmp_path / "o"),
              "--channels", "9"]
         )
         assert code == 2
+
+
+def test_setup_does_not_import_scipy_optimize():
+    # the optimizers are imported where they are called, so start-up
+    # (import, shipped config, fixture checksums) does not pay for them
+    code = (
+        "import sys, afcsim.cli\n"
+        "from afcsim.config import reference_calibration_config\n"
+        "from afcsim.datasets import verify_checksums\n"
+        "reference_calibration_config()\n"
+        "verify_checksums()\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestAnalyzeGolden:

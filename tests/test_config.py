@@ -2,16 +2,22 @@
 
 import dataclasses
 import json
+import operator
 
 import pytest
 
+from afcsim.analyzer import CoincidenceConfig, DetectorConfig, UmziConfig
 from afcsim.config import (
     ConfigError,
+    DeskScale,
     DutyCycle,
+    Filters,
     config_from_dict,
     load_config,
     reference_calibration_config,
 )
+from afcsim.memory import CHANNEL_OFFSETS_GHZ, AfcChannel, MemoryBank, wavelength_for_offset
+from afcsim.source import PumpConfig, SourceModel
 
 
 def minimal_dict(**overrides):
@@ -22,6 +28,13 @@ def minimal_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def nested(path, value):
+    """{"a": {"b": value}} for the dotted path "a.b"."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
 
 
 class TestLoading:
@@ -101,3 +114,108 @@ class TestInvariants:
         cfg = reference_calibration_config()
         cfg2 = dataclasses.replace(cfg, seed=123)
         assert cfg2.seed == 123
+
+
+class TestSchema:
+    @pytest.mark.parametrize(
+        "section, attribute, cls",
+        [
+            ("source", "source", SourceModel),
+            ("source.pump", "source.pump", PumpConfig),
+            ("analyzers.idler", "idler_analyzer", UmziConfig),
+            ("analyzers.signal", "signal_analyzer", UmziConfig),
+            ("detectors", "detectors", DetectorConfig),
+            ("coincidence", "coincidence", CoincidenceConfig),
+            ("duty_cycle", "duty_cycle", DutyCycle),
+            ("filters", "filters", Filters),
+            ("desk_scale", "desk_scale", DeskScale),
+        ],
+    )
+    def test_section_keys_are_the_dataclass_fields(self, section, attribute, cls):
+        # every field loads under its own name and round-trips its default
+        raw = minimal_dict(**nested(section, dataclasses.asdict(cls())))
+        assert operator.attrgetter(attribute)(config_from_dict(raw)) == cls()
+        with pytest.raises(ConfigError, match="unknown key.*not_a_field"):
+            config_from_dict(minimal_dict(**nested(f"{section}.not_a_field", 1.0)))
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        cfg = config_from_dict(minimal_dict())
+        assert cfg.source == SourceModel()
+        assert cfg.source.pump == PumpConfig()
+        assert cfg.idler_analyzer == cfg.signal_analyzer == UmziConfig()
+        assert cfg.detectors == DetectorConfig()
+        assert cfg.coincidence == CoincidenceConfig()
+        assert cfg.duty_cycle == DutyCycle()
+        assert cfg.filters == Filters()
+        assert cfg.desk_scale == DeskScale()
+        assert cfg.seed == 0
+        channels = tuple(
+            AfcChannel(center_wavelength_nm=wavelength_for_offset(off), d1=1.1)
+            for off in CHANNEL_OFFSETS_GHZ
+        )
+        assert cfg.bank == MemoryBank(channels=channels)
+
+    def test_teeth_spacing_applies_to_all_channels(self):
+        raw = minimal_dict()
+        raw["memory"]["teeth_spacing_mhz"] = 5.0
+        cfg = config_from_dict(raw)
+        assert {ch.teeth_spacing_mhz for ch in cfg.bank.channels} == {5.0}
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("source.pump.pulse_width_fwhm_ps", 300.0),
+            ("source.signal_center_wavelength_nm", 1531.93),
+            ("source.idler_center_wavelength_nm", 1549.37),
+            ("analyzers.idler.splitting_ratio", 0.5),
+            ("analyzers.signal.splitting_ratio", 0.5),
+            ("memory.channel_spacing_ghz", 15.0),
+            ("memory.channel_bandwidth_ghz", 4.0),
+            ("run_duration_s", 60.0),
+        ],
+    )
+    def test_knobs_that_reach_no_statistic_are_rejected(self, tmp_path, path, value):
+        raw = minimal_dict()
+        if path.startswith("memory."):
+            raw["memory"][path.split(".")[1]] = value
+        else:
+            raw.update(nested(path, value))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=path.rsplit(".", 1)[-1]):
+            load_config(cfg_path)
+
+
+class TestValueTypes:
+    # the cases probed through the CLI are in test_cli.py
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"detectors": {"efficiency": True}}, r"detectors\.efficiency: expected a number, got boolean"),
+            ({"source": {"pump": 16.0}}, r"source\.pump: expected an object, got number"),
+            ({"analyzers": {"idler": None}}, r"analyzers\.idler: expected an object, got null"),
+            ({"detectors": {"dark_count_rate_hz": float("nan")}}, "expected a number, got nan"),
+            ({"source": {"pair_bandwidth_ghz": float("inf")}}, "expected a number, got inf"),
+        ],
+    )
+    def test_wrong_json_type_names_its_path(self, overrides, where):
+        with pytest.raises(ConfigError, match=where):
+            config_from_dict(minimal_dict(**overrides))
+
+    @pytest.mark.parametrize(
+        "memory, where",
+        [
+            ({"channels": {"d1": 1.1}}, r"memory\.channels: a list of exactly five"),
+            ({"channels": [[1.1]] * 5}, r"memory\.channels\[0\]: expected an object"),
+            ({"channels": [{"d1": 1.1}] * 5, "noise_rate_hz": "0"}, r"memory\.noise_rate_hz"),
+            ({"channels": [{"d1": 1.1}] * 5, "teeth_spacing_mhz": None}, r"memory\.teeth_spacing_mhz"),
+        ],
+    )
+    def test_wrong_memory_types_name_their_path(self, memory, where):
+        with pytest.raises(ConfigError, match=where):
+            config_from_dict({"memory": memory})
+
+    def test_integer_accepted_for_float_field(self):
+        cfg = config_from_dict(minimal_dict(detectors={"dark_count_rate_hz": 0}, seed=7))
+        assert cfg.detectors.dark_count_rate_hz == 0
+        assert cfg.seed == 7

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from afcsim import datasets as ds
-from afcsim import source as src
 
 
 class TestChecksums:
@@ -59,22 +58,3 @@ class TestLoaders:
         ))
         with pytest.raises(ds.FixtureError, match="inconsistent"):
             ds.read_counts_csv(bad)
-
-
-class TestEmissionText:
-    def test_round_trip(self):
-        model = src.SourceModel(
-            pump=src.PumpConfig(intensity_imbalance=1.2, phase_jitter_sigma_rad=0.3),
-            pair_emission_probability_per_cycle=0.2,
-        )
-        records = src.sample_emissions(model, 5000, seed=11)
-        text = src.emissions_to_text(records)
-        back = src.emissions_from_text(text, model)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a.cycle_index == b.cycle_index
-            assert a.temporal_mode == b.temporal_mode
-            assert a.signal_frequency_offset_ghz == pytest.approx(
-                b.signal_frequency_offset_ghz, abs=1e-6
-            )
-            assert abs(a.amp_late - b.amp_late) < 1e-6

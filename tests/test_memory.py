@@ -6,14 +6,6 @@ from hypothesis import given, settings, strategies as hst
 
 from afcsim import memory as mem
 from afcsim.datasets import load_efficiency_grid
-from afcsim.source import EmissionRecord
-
-
-def make_emissions(offsets, cycle_step=1):
-    return [
-        EmissionRecord(i * cycle_step, "both", 2**-0.5, 2**-0.5, float(off), 0.0)
-        for i, off in enumerate(offsets)
-    ]
 
 
 class TestStorageTime:
@@ -65,24 +57,6 @@ class TestChannelGrid:
     def test_center_channel_wavelength(self):
         bank = mem.default_bank()
         assert bank.channels[2].center_wavelength_nm == pytest.approx(1531.93, abs=1e-6)
-        assert mem.channel_for_offset(bank, 0.0) == 2
-
-    def test_adjacent_channel(self):
-        bank = mem.default_bank()
-        assert mem.channel_for_offset(bank, 15.0) == 1
-
-    def test_between_passbands(self):
-        bank = mem.default_bank()
-        assert mem.channel_for_offset(bank, 7.5) is None
-
-    def test_band_edges(self):
-        bank = mem.default_bank()
-        assert mem.channel_for_offset(bank, 31.9) == 0
-        assert mem.channel_for_offset(bank, 32.5) is None
-
-    def test_outside_pair_band_raises(self):
-        with pytest.raises(ValueError):
-            mem.channel_for_offset(mem.default_bank(), 60.0)
 
     def test_default_efficiencies_match_grid(self):
         # channel comb depths are calibrated to the 152 ns efficiency row
@@ -94,61 +68,6 @@ class TestChannelGrid:
 
     def test_time_bandwidth_product(self):
         assert mem.time_bandwidth_product(mem.default_bank()) >= 3000.0
-
-
-class TestApplyStorage:
-    def test_perfect_bank_recalls_everything(self):
-        channels = tuple(
-            mem.AfcChannel(
-                center_wavelength_nm=mem.wavelength_for_offset(off),
-                d1=2.0,  # d1/F = 1 is not unity efficiency; override below
-            )
-            for off in mem.CHANNEL_OFFSETS_GHZ
-        )
-        bank = mem.MemoryBank(channels=channels, transmission_efficiency=1.0)
-        # force unit survival by monkeypatching is ugly; instead check the
-        # recall count against the exact survival probability with 0 noise
-        emissions = make_emissions(np.zeros(2000))
-        out = mem.apply_storage(bank, emissions, seed=1)
-        p = mem.storage_survival(bank, 2)
-        n = len(out)
-        assert abs(n - 2000 * p) < 4 * np.sqrt(2000 * p * (1 - p))
-        assert all(ev.delay_ns == pytest.approx(mem.storage_time_ns(6.58)) for ev in out)
-
-    def test_out_of_band_lost(self):
-        bank = mem.default_bank()
-        out = mem.apply_storage(bank, make_emissions([7.5, -7.5, 40.0]), seed=2)
-        assert out == []
-
-    def test_no_crosstalk(self):
-        bank = mem.default_bank()
-        offsets = np.concatenate([np.full(3000, 30.0), np.full(3000, -15.0)])
-        out = mem.apply_storage(bank, make_emissions(offsets), seed=3)
-        assert out
-        for ev in out:
-            expected = mem.channel_for_offset(bank, ev.signal_frequency_offset_ghz)
-            assert ev.channel_index == expected
-
-    def test_binomial_recall_count(self):
-        bank = mem.default_bank()
-        n = 200_000
-        out = mem.apply_storage(bank, make_emissions(np.zeros(n)), seed=4)
-        p = mem.storage_survival(bank, 2)
-        assert abs(len(out) - n * p) < 4 * np.sqrt(n * p * (1 - p))
-
-    def test_deterministic(self):
-        bank = mem.default_bank(noise_rate_hz=100.0)
-        ems = make_emissions(np.full(5000, 15.0))
-        a = mem.apply_storage(bank, ems, seed=9)
-        b = mem.apply_storage(bank, ems, seed=9)
-        assert a == b
-
-    def test_noise_injection(self):
-        bank = mem.default_bank(noise_rate_hz=1e6)
-        ems = make_emissions([0.0], cycle_step=62500)  # ~1 ms span
-        out = mem.apply_storage(bank, ems, seed=5, duration_ns=1e6)
-        noise = [ev for ev in out if ev.is_noise]
-        assert abs(len(noise) - 1000) < 4 * np.sqrt(1000)
 
 
 @pytest.fixture(scope="module")

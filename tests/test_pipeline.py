@@ -105,6 +105,30 @@ class TestAnalyticConsistency:
         assert abs(result.s_value - s_exact) < 5 * result.sigma_s
 
 
+class TestMemoryNoise:
+    def test_noise_clicks_track_the_boosted_rate(self):
+        # no pairs and no dark counts: every signal click is memory noise,
+        # injected at noise_rate x efficiency_boost and thinned by the
+        # detector efficiency
+        raw = {
+            "source": {"pair_emission_probability_per_cycle": 0.0},
+            "memory": {"noise_rate_hz": 1e4, "channels": [{"d1": 1.1} for _ in range(5)]},
+            "detectors": {"dark_count_rate_hz": 0.0},
+        }
+        cfg = config_from_dict(raw)
+        acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 1_000_000, ("noise",), True, keep_streams=True)
+        assert acq.n_pairs_sampled == 0
+        expected = (
+            cfg.bank.noise_rate_hz
+            * cfg.desk_scale.efficiency_boost
+            * acq.measure_time_s
+            * cfg.detectors.efficiency
+        )
+        clicks = acq.streams["B1"].size + acq.streams["B2"].size
+        assert abs(clicks - expected) < 4 * np.sqrt(expected)
+        assert acq.streams["A1"].size == acq.streams["A2"].size == 0
+
+
 class TestG2Structure:
     def test_correlated_tracks_pair_rate(self):
         # g2 ~ 1 + 1/lambda with lambda the idler-band pair rate

@@ -7,13 +7,12 @@ from scipy import stats
 
 from afcsim import states as st
 from afcsim.source import (
-    EmissionRecord,
     PumpConfig,
     SourceModel,
     analytic_state,
     calibrate_source,
+    emission_arrays,
     pair_rate_per_cycle,
-    sample_emissions,
 )
 
 BELL = st.projector(st.bell_psi_plus())
@@ -41,10 +40,6 @@ class TestPumpConfigValidation:
             PumpConfig(period_ns=1.0, pulse_interval_ns=1.25)
         with pytest.raises(ValueError, match="two pulse intervals"):
             PumpConfig(period_ns=2.5, pulse_interval_ns=1.25)
-
-    def test_width_must_fit_interval(self):
-        with pytest.raises(ValueError):
-            PumpConfig(pulse_width_fwhm_ps=2000.0)
 
     def test_extinction_positive(self):
         with pytest.raises(ValueError):
@@ -130,55 +125,54 @@ class TestCalibration:
             calibrate_source(0.99, 0.5)
 
 
+def sample(m, n_cycles, seed, band_ghz=None):
+    return emission_arrays(m, n_cycles, np.random.default_rng(seed), band_ghz)
+
+
 class TestSampleEmissions:
+    """Pair-emission sampling on the array path, ``emission_arrays``."""
+
     def test_zero_probability_empty(self):
-        assert sample_emissions(model(p=0.0), 1000, seed=1) == []
+        cycles, offsets = sample(model(p=0.0), 1000, seed=1)
+        assert cycles.size == 0 and offsets.size == 0
 
     def test_deterministic_per_seed(self):
-        a = sample_emissions(model(p=0.05), 20000, seed=42)
-        b = sample_emissions(model(p=0.05), 20000, seed=42)
-        assert a == b
-        c = sample_emissions(model(p=0.05), 20000, seed=43)
-        assert a != c
+        a = sample(model(p=0.05), 20000, seed=42)
+        b = sample(model(p=0.05), 20000, seed=42)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+        c = sample(model(p=0.05), 20000, seed=43)
+        assert not np.array_equal(a[0], c[0])
 
     def test_emitting_cycle_count_binomial(self):
         # p = 0.01, n = 1e6: cycles with >= 1 emission ~ Binomial(n, p)
         n = 1_000_000
-        records = sample_emissions(model(p=0.01), n, seed=7)
-        n_emitting = len({r.cycle_index for r in records})
+        cycles, _ = sample(model(p=0.01), n, seed=7)
+        n_emitting = np.unique(cycles).size
         sigma = np.sqrt(n * 0.01 * 0.99)
         assert abs(n_emitting - n * 0.01) < 4 * sigma
 
     def test_offsets_uniform_ks(self):
-        records = sample_emissions(model(p=0.2), 600_000, seed=3)
-        offsets = np.array([r.signal_frequency_offset_ghz for r in records])
+        _, offsets = sample(model(p=0.2), 600_000, seed=3)
         n = len(offsets)
         assert n > 100_000
         stat = stats.kstest(offsets[:100_000], stats.uniform(loc=-50, scale=100).cdf).statistic
         assert stat < 1.628 / np.sqrt(100_000)  # 1% critical value
 
     def test_band_restriction(self):
-        records = sample_emissions(model(p=0.3), 50_000, seed=5, band_ghz=(13.0, 17.0))
-        assert records
-        for r in records:
-            assert 13.0 <= r.signal_frequency_offset_ghz <= 17.0
+        _, offsets = sample(model(p=0.3), 50_000, seed=5, band_ghz=(13.0, 17.0))
+        assert offsets.size
+        assert np.all((13.0 <= offsets) & (offsets <= 17.0))
+        with pytest.raises(ValueError, match="pair band"):
+            sample(model(p=0.3), 1000, seed=5, band_ghz=(48.0, 52.0))
 
     def test_band_rate_matches_fraction(self):
         # a 4 GHz band out of 100 GHz carries 4% of the pair rate
         n = 200_000
         m = model(p=0.4)
-        full = sample_emissions(m, n, seed=9)
-        band = sample_emissions(m, n, seed=10, band_ghz=(-2.0, 2.0))
+        _, full = sample(m, n, seed=9)
+        band, _ = sample(m, n, seed=10, band_ghz=(-2.0, 2.0))
         expected = pair_rate_per_cycle(m) * n * 0.04
         assert abs(len(band) - expected) < 4 * np.sqrt(expected)
-        in_band = sum(1 for r in full if -2 <= r.signal_frequency_offset_ghz <= 2)
+        in_band = np.count_nonzero((-2 <= full) & (full <= 2))
         assert abs(in_band - expected) < 4 * np.sqrt(expected)
-
-    def test_single_mode_records(self):
-        records = sample_emissions(model(p=0.1), 10_000, seed=2, temporal_mode="early")
-        assert all(r.temporal_mode == "early" and r.amp_early == 1.0 for r in records)
-
-    def test_coherent_amplitudes_normalized(self):
-        records = sample_emissions(model(p=0.1, imbalance=1.3), 5_000, seed=8)
-        for r in records[:100]:
-            assert abs(r.amp_early) ** 2 + abs(r.amp_late) ** 2 == pytest.approx(1.0, abs=1e-12)
