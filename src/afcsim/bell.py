@@ -137,8 +137,10 @@ def chsh_s(e_values) -> float:
     return float(abs(e[0] - e[1] + e[2] + e[3]))
 
 
-def _s_from_count_matrix(counts: np.ndarray) -> float:
-    return chsh_s([correlation_e(row) for row in counts.reshape(4, 4)])
+def _e_and_s_from_count_matrix(counts: np.ndarray) -> np.ndarray:
+    """[E0, E1, E2, E3, S] of a (4, 4) count matrix."""
+    e = [correlation_e(row) for row in counts.reshape(4, 4)]
+    return np.array([*e, chsh_s(e)])
 
 
 def chsh_from_counts(
@@ -154,17 +156,13 @@ def chsh_from_counts(
     """
     c = np.asarray(counts, dtype=float).reshape(4, 4)
     e_vals = tuple(correlation_e(row) for row in c)
-    sigma_s = monte_carlo_errors(c, _s_from_count_matrix, n_trials=n_trials, seed=seed)
-    e_sig = monte_carlo_errors(
-        c, lambda m: np.array([correlation_e(r) for r in m.reshape(4, 4)]),
-        n_trials=n_trials, seed=seed,
-    )
+    sig = monte_carlo_errors(c, _e_and_s_from_count_matrix, n_trials=n_trials, seed=seed)
     return ChshResult(
         s_value=chsh_s(e_vals),
-        sigma_s=float(sigma_s),
+        sigma_s=float(sig[4]),
         settings=tuple(settings),
         e_values=e_vals,
-        e_sigmas=tuple(float(x) for x in e_sig),
+        e_sigmas=tuple(float(x) for x in sig[:4]),
     )
 
 

@@ -59,8 +59,9 @@ class DutyCycle:
 
 @dataclass(frozen=True)
 class Filters:
-    """Per-side selection bandwidths; the recalled signal is limited by the
-    4 GHz memory passband regardless of its grating."""
+    """Per-side selection bandwidths.  The signal band is the band of every
+    acquisition, stored or not; ``ExperimentConfig`` rejects one wider than
+    a memory channel's passband."""
 
     signal_bandwidth_ghz: float = 4.0
     idler_bandwidth_ghz: float = 6.2
@@ -124,6 +125,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for side in (self.idler_analyzer, self.signal_analyzer):
             side.check_matches_source(self.source.pump.pulse_interval_ns)
+        passband = min(ch.bandwidth_ghz for ch in self.bank.channels)
+        if self.filters.signal_bandwidth_ghz > passband:
+            raise ConfigError(
+                f"filters.signal_bandwidth_ghz: {self.filters.signal_bandwidth_ghz} GHz is "
+                f"wider than the {passband} GHz memory passband"
+            )
 
     @property
     def clock_period_ns(self) -> float:

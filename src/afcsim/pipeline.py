@@ -410,8 +410,9 @@ def tomography_pair_with_errors(
 ):
     """Joint Monte-Carlo over the before/after count records.
 
-    Reconstructs both, then Poisson-resamples both records per trial to give
-    error bars on every metric including the input/output fidelity.
+    Reconstructs both, then Poisson-resamples both records per trial
+    (:func:`afcsim.bell.monte_carlo_errors`) to give error bars on every
+    metric including the input/output fidelity.
     """
     bell_proj = st.projector(st.bell_psi_plus())
 
@@ -429,24 +430,24 @@ def tomography_pair_with_errors(
             "fidelity_in_out": st.fidelity(rho_in, rho_out),
         }
 
+    unmeasured = np.isnan(record_in.per_setting)  # one pattern for every CountRecord
+
+    def statistic(both):
+        recs = [tom.CountRecord(per_setting=np.where(unmeasured, np.nan, ps)) for ps in both]
+        return np.array(list(metrics(*map(reconstruct, recs)).values()))
+
     rho_in, rho_out = reconstruct(record_in), reconstruct(record_out)
-    central = metrics(rho_in, rho_out)
-
-    rng = np.random.default_rng(seed)
-    trials = []
-    for _ in range(cfg.desk_scale.mc_trials):
-        res = []
-        for rec in (record_in, record_out):
-            resampled = np.where(
-                np.isnan(rec.per_setting), np.nan, rng.poisson(np.nan_to_num(rec.per_setting))
-            )
-            res.append(reconstruct(tom.CountRecord(per_setting=resampled)))
-        trials.append(metrics(*res))
-
-    summary = {}
-    for key, value in central.items():
-        vals = np.array([t[key] for t in trials])
-        summary[key] = {"value": float(value), "sigma": float(vals.std(ddof=1))}
+    # One (2, 4, 16) base draws each trial's before and after counts in turn.
+    sigmas = bell.monte_carlo_errors(
+        np.nan_to_num([record_in.per_setting, record_out.per_setting]),
+        statistic,
+        n_trials=cfg.desk_scale.mc_trials,
+        seed=seed,
+    )
+    summary = {
+        key: {"value": float(value), "sigma": float(sigma)}
+        for (key, value), sigma in zip(metrics(rho_in, rho_out).items(), sigmas)
+    }
     return rho_in, rho_out, summary
 
 

@@ -88,6 +88,27 @@ class TestChshFromCounts:
         assert result.sigma_s < 0.01
         assert bell.bell_violation_sigmas(result) > 50
 
+    def test_one_resampling_gives_both_error_bars(self):
+        counts = np.array([
+            [412.0, 61.0, 55.0, 398.0],
+            [47.0, 405.0, 420.0, 52.0],
+            [350.0, 110.0, 120.0, 340.0],
+            [330.0, 120.0, 130.0, 320.0],
+        ])
+        result = bell.chsh_from_counts(counts, n_trials=60, seed=8)
+        # one Monte-Carlo call per statistic, on the same seed
+        def e_values(m):
+            return np.array([bell.correlation_e(r) for r in m])
+
+        e_sigmas = bell.monte_carlo_errors(counts, e_values, n_trials=60, seed=8)
+        sigma_s = bell.monte_carlo_errors(
+            counts, lambda m: bell.chsh_s(e_values(m)), n_trials=60, seed=8
+        )
+        assert result.e_sigmas == tuple(e_sigmas)
+        # np.std sums a column of the (trials, 5) samples in another order
+        # than a 1-D array: the last bits of sigma_S may differ
+        assert result.sigma_s == pytest.approx(sigma_s, rel=1e-15, abs=0)
+
     def test_violation_sigmas_arithmetic(self):
         r = bell.ChshResult(2.549, 0.020, bell.DEFAULT_CHSH_PHASES, (0.9, -0.9, 0.9, 0.9), (0.01,) * 4)
         assert bell.bell_violation_sigmas(r) == pytest.approx(27.45, abs=0.01)
@@ -138,13 +159,14 @@ class TestMonteCarloErrors:
             c, s, i = counts
             return (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
 
-        for base, stat in ((chsh, bell._s_from_count_matrix), (np.array([85.0, 4.2e4, 3.9e5]), g2)):
+        for base, stat in ((chsh, bell._e_and_s_from_count_matrix), (np.array([85.0, 4.2e4, 3.9e5]), g2)):
             for seed in (0, 11):
                 # reference: one Poisson draw per trial, in trial order
                 rng = np.random.default_rng(seed)
                 samples = [np.asarray(stat(rng.poisson(base))) for _ in range(100)]
                 expected = np.std(np.stack(samples), axis=0, ddof=1)
-                assert bell.monte_carlo_errors(base, stat, n_trials=100, seed=seed) == expected
+                sigma = bell.monte_carlo_errors(base, stat, n_trials=100, seed=seed)
+                assert np.array_equal(sigma, expected)
 
     def test_non_finite_trial_dropped_with_warning(self):
         base = np.array([120.0, 80.0, 200.0])

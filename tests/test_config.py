@@ -105,6 +105,13 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="filters"):
             config_from_dict(raw)
 
+    def test_signal_filter_fits_memory_passband(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(minimal_dict(filters={"signal_bandwidth_ghz": 6.0})))
+        match = r"filters\.signal_bandwidth_ghz.*4\.0 GHz memory passband"
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
     def test_boost_at_least_one(self):
         raw = minimal_dict(desk_scale={"efficiency_boost": 0.5})
         with pytest.raises(ConfigError, match="efficiency_boost"):

@@ -11,7 +11,9 @@ import pytest
 from afcsim import bell
 from afcsim import pipeline as pl
 from afcsim import states as st
+from afcsim import tomography as tom
 from afcsim.config import config_from_dict, reference_calibration_config
+from afcsim.datasets import load_tomography_counts
 
 
 def fast_config(**desk_overrides):
@@ -218,3 +220,46 @@ class TestChannelReport:
         assert report["timing"]["wall_clock_time_per_stage_s"] > (
             report["timing"]["measure_window_time_per_stage_s"]
         )
+
+
+class TestTomographyPairErrors:
+    def test_pair_error_bars_match_per_trial_resampling(self, monkeypatch):
+        # a fixed solver (the MLE's starting point) isolates the resampling
+        # stream from the optimizer
+        def linear_solver(counts, exposures):
+            start = tom.params_from_rho(tom._linear_inversion(counts.n_v, exposures))
+            rho = st.nearest_psd(tom.rho_from_params(start))
+            return tom.ReconstructionResult(rho, log_likelihood=0.0, iterations=0, converged=True)
+
+        monkeypatch.setattr(tom, "mle_reconstruct", linear_solver)
+        golden = load_tomography_counts().per_setting
+        record_in = tom.CountRecord(per_setting=golden)
+        record_out = tom.CountRecord(per_setting=np.round(0.6 * golden))
+        cfg = fast_config(mc_trials=15)
+        _, _, summary = pl.tomography_pair_with_errors(cfg, record_in, record_out, seed=31)
+
+        bell_proj = st.projector(st.bell_psi_plus())
+        rng = np.random.default_rng(31)
+        trials = []
+        for _ in range(15):
+            rhos = []
+            for rec in (record_in, record_out):
+                resampled = np.where(
+                    np.isnan(rec.per_setting), np.nan, rng.poisson(np.nan_to_num(rec.per_setting))
+                )
+                trial = tom.CountRecord(per_setting=resampled)
+                rhos.append(linear_solver(trial, tom.basis_exposures(trial)).rho.matrix)
+            rho_in, rho_out = rhos
+            trials.append({
+                "fidelity_bell_in": st.fidelity(rho_in, bell_proj),
+                "fidelity_bell_out": st.fidelity(rho_out, bell_proj),
+                "purity_in": st.purity(rho_in),
+                "purity_out": st.purity(rho_out),
+                "eof_in": st.entanglement_of_formation(rho_in),
+                "eof_out": st.entanglement_of_formation(rho_out),
+                "fidelity_in_out": st.fidelity(rho_in, rho_out),
+            })
+        assert list(summary) == list(trials[0])
+        for key, entry in summary.items():
+            expected = np.std([t[key] for t in trials], ddof=1)
+            assert entry["sigma"] == pytest.approx(expected, rel=0, abs=1e-15)

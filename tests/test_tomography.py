@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy import stats as sps
 
 from afcsim import states as st
@@ -210,6 +211,31 @@ class TestMleReconstruct:
         )
         assert st.purity(rho) == pytest.approx(0.7751, abs=3 * 0.0239)
         assert st.entanglement_of_formation(rho) == pytest.approx(0.6594, abs=3 * 0.0294)
+
+    def test_resampled_fits_reach_the_optimum(self, golden_record):
+        # independent reference: BFGS at gtol 1e-12 on the same likelihood,
+        # started from the maximally mixed state
+        measured = ~np.isnan(golden_record.per_setting)
+        rng = np.random.default_rng(2001)
+        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(50, 4, 16))
+        for draw in draws:
+            rec = tom.CountRecord(per_setting=np.where(measured, draw, np.nan))
+            exposures = tom.basis_exposures(rec)
+            scale = rec.n_v.sum() / 4096.0
+            n, c = rec.n_v / scale, exposures / scale
+
+            def negated(x):
+                f, grad = tom.log_likelihood_and_gradient(x, n, c)
+                return -f, -grad
+
+            ref = optimize.minimize(
+                negated, tom.params_from_rho(np.eye(4) / 4), jac=True, method="BFGS",
+                options={"gtol": 1e-12},
+            )
+            rho_ref = st.nearest_psd(tom.rho_from_params(ref.x)).matrix
+            res = tom.mle_reconstruct(rec, exposures)
+            assert res.converged
+            assert st.trace_distance(res.rho.matrix, rho_ref) < 1e-5
 
     def test_nonpositive_exposures_rejected(self, golden_record):
         bad = tom.basis_exposures(golden_record)
