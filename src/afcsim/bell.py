@@ -138,9 +138,14 @@ def chsh_s(e_values) -> float:
 
 
 def _e_and_s_from_count_matrix(counts: np.ndarray) -> np.ndarray:
-    """[E0, E1, E2, E3, S] of a (4, 4) count matrix."""
-    e = [correlation_e(row) for row in counts.reshape(4, 4)]
-    return np.array([*e, chsh_s(e)])
+    """[E0, E1, E2, E3, S] of each (4, 4) count matrix in a ``(..., 4, 4)``
+    stack, as :func:`correlation_e` and :func:`chsh_s` compute them; a
+    setting with no counts gives NaN instead of raising."""
+    c = np.asarray(counts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / c.sum(axis=-1)
+    s = np.abs(e[..., 0] - e[..., 1] + e[..., 2] + e[..., 3])
+    return np.concatenate([e, s[..., None]], axis=-1)
 
 
 def chsh_from_counts(
@@ -170,12 +175,13 @@ def monte_carlo_errors(counts, statistic, n_trials: int = 100, seed: int = 0):
     """Standard deviation of a statistic under Poisson count resampling.
 
     Every raw count is resampled as Poisson with mean equal to the observed
-    value, the statistic is recomputed per trial, and the sample standard
-    deviation is returned (matching the statistic's shape).  Deterministic
-    per seed.
+    value, ``n_trials`` times in one draw.  ``statistic`` receives the whole
+    ``(n_trials, *counts.shape)`` array and returns one row per trial,
+    ``(n_trials,)`` or ``(n_trials, k)``; the sample standard deviation over
+    trials is returned (shape ``()`` or ``(k,)``).  Deterministic per seed.
 
-    A trial whose statistic is not finite everywhere (a fit that failed, a
-    ratio with a zero denominator) is dropped with a ``RuntimeWarning`` that
+    A trial whose row is not finite everywhere (a fit that failed, a ratio
+    with a zero denominator) is dropped with a ``RuntimeWarning`` that
     gives the count; fewer than two finite trials raise ``ValueError``.
     """
     if n_trials < 2:
@@ -184,10 +190,14 @@ def monte_carlo_errors(counts, statistic, n_trials: int = 100, seed: int = 0):
     if np.any(base < 0):
         raise ValueError("counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    # One draw of all trials gives the same Poisson stream as a per-trial
-    # loop: the generator fills the (trial, *count) array in C order.
+    # The generator fills the (trial, *count) array in C order, so trial k
+    # gets the k-th of n_trials successive draws of the count array.
     draws = rng.poisson(base, size=(n_trials, *base.shape))
-    samples = np.stack([np.asarray(statistic(d)) for d in draws])
+    samples = np.asarray(statistic(draws), dtype=float)
+    if samples.ndim not in (1, 2) or len(samples) != n_trials:
+        raise ValueError(
+            f"statistic must return ({n_trials},) or ({n_trials}, k), got {samples.shape}"
+        )
     finite = np.isfinite(samples).reshape(n_trials, -1).all(axis=1)
     if not finite.all():
         n_finite = int(finite.sum())
@@ -226,6 +236,10 @@ def _fringe_model(beta, amplitude, visibility, phi0, alpha, sign):
     return amplitude * (1.0 + sign * visibility * np.cos(alpha + beta + phi0))
 
 
+def _fringe_design(beta):
+    return np.column_stack([np.ones_like(beta), np.cos(beta), np.sin(beta)])
+
+
 def _fit_single(beta, counts, alpha, sign):
     """Exact least-squares fit of (A, V, phi0); returns (params, converged).
 
@@ -237,8 +251,7 @@ def _fit_single(beta, counts, alpha, sign):
     V = 1 face: only then does a bounded ``least_squares`` run, over
     (A, phi0) at V = 1.
     """
-    design = np.column_stack([np.ones_like(beta), np.cos(beta), np.sin(beta)])
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    coef, *_ = np.linalg.lstsq(_fringe_design(beta), counts, rcond=None)
     phi0 = math.atan2(-coef[2] * sign, coef[1] * sign) - alpha
     phi0 = (phi0 + math.pi) % (2 * math.pi) - math.pi
     amplitude = coef[0]
@@ -255,6 +268,24 @@ def _fit_single(beta, counts, alpha, sign):
         bounds=([0.0, -2 * math.pi], [np.inf, 2 * math.pi]),
     )
     return np.array([res.x[0], 1.0, res.x[1]]), bool(res.success)
+
+
+def _visibilities(beta, counts, alpha, sign):
+    """Fitted V of every row of a ``(rows, n_beta)`` count stack.
+
+    One multi-right-hand-side least-squares solve gives every row's linear
+    solution; only rows outside the box A > 0, V <= 1 go through
+    :func:`_fit_single`'s bounded fallback.  A fallback that fails gives
+    NaN.
+    """
+    coef, *_ = np.linalg.lstsq(_fringe_design(beta), counts.T, rcond=None)
+    amplitude = coef[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        visibility = np.hypot(coef[1], coef[2]) / amplitude
+    for row in np.flatnonzero(~((amplitude > 0) & (visibility <= 1.0))):
+        params, ok = _fit_single(beta, counts[row], alpha, sign)
+        visibility[row] = params[1] if ok else np.nan
+    return visibility
 
 
 def fit_visibility(
@@ -282,11 +313,12 @@ def fit_visibility(
 
     params, ok = _fit_single(beta, counts, scan.alpha_rad, sign)
 
-    def trial_stat(resampled):
-        p, ok_trial = _fit_single(beta, resampled, scan.alpha_rad, sign)
-        return p[1] if ok_trial else np.nan
-
-    sigma_v = monte_carlo_errors(counts, trial_stat, n_trials=n_trials, seed=seed)
+    sigma_v = monte_carlo_errors(
+        counts,
+        lambda draws: _visibilities(beta, draws, scan.alpha_rad, sign),
+        n_trials=n_trials,
+        seed=seed,
+    )
     return VisibilityFit(
         visibility=float(params[1]),
         phase_offset_rad=float(params[2]),

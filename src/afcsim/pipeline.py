@@ -270,11 +270,11 @@ def acquire_g2(
     )
     value = g2_cross(tallies)
 
-    def stat(counts):
-        c, s, i = counts
-        if s <= 0 or i <= 0:
-            return np.nan
-        return (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
+    def stat(draws):
+        c, s, i = draws.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
+        return np.where((s > 0) & (i > 0), ratio, np.nan)
 
     sigma = bell.monte_carlo_errors(
         np.array([tallies.coincidences, tallies.signal_singles, tallies.idler_singles], dtype=float),
@@ -411,8 +411,10 @@ def tomography_pair_with_errors(
     """Joint Monte-Carlo over the before/after count records.
 
     Reconstructs both, then Poisson-resamples both records per trial
-    (:func:`afcsim.bell.monte_carlo_errors`) to give error bars on every
-    metric including the input/output fidelity.
+    (:func:`afcsim.bell.monte_carlo_errors`) and fits every resampled
+    record in one :func:`afcsim.tomography.mle_reconstruct_batch` solve, to
+    give error bars on every metric including the input/output fidelity.
+    A trial with a fit that does not converge is dropped, with a warning.
     """
     bell_proj = st.projector(st.bell_psi_plus())
 
@@ -430,11 +432,14 @@ def tomography_pair_with_errors(
             "fidelity_in_out": st.fidelity(rho_in, rho_out),
         }
 
-    unmeasured = np.isnan(record_in.per_setting)  # one pattern for every CountRecord
-
-    def statistic(both):
-        recs = [tom.CountRecord(per_setting=np.where(unmeasured, np.nan, ps)) for ps in both]
-        return np.array(list(metrics(*map(reconstruct, recs)).values()))
+    def statistic(draws):
+        # (trials, 2, 4, 16) -> one (2 * trials, 16) solve, before/after rows interleaved
+        per_setting = draws.reshape(-1, 4, 16)
+        fits = tom.mle_reconstruct_batch(per_setting.sum(axis=1), tom.basis_exposures(per_setting))
+        pairs = list(zip(fits[::2], fits[1::2]))
+        out = np.array([list(metrics(a.rho.matrix, b.rho.matrix).values()) for a, b in pairs])
+        out[[not (a.converged and b.converged) for a, b in pairs]] = np.nan
+        return out
 
     rho_in, rho_out = reconstruct(record_in), reconstruct(record_out)
     # One (2, 4, 16) base draws each trial's before and after counts in turn.

@@ -226,8 +226,10 @@ def test_criterion_12_monte_carlo_error_scaling():
         ]
     )
 
-    def s_stat(counts):
-        return bell.chsh_s([bell.correlation_e(row) for row in counts.reshape(4, 4)])
+    def s_stat(draws):
+        return np.array(
+            [bell.chsh_s([bell.correlation_e(row) for row in counts.reshape(4, 4)]) for counts in draws]
+        )
 
     start = time.time()
     sigma_1 = bell.monte_carlo_errors(base, s_stat, n_trials=400, seed=3)

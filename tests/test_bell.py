@@ -96,13 +96,14 @@ class TestChshFromCounts:
             [330.0, 120.0, 130.0, 320.0],
         ])
         result = bell.chsh_from_counts(counts, n_trials=60, seed=8)
-        # one Monte-Carlo call per statistic, on the same seed
-        def e_values(m):
-            return np.array([bell.correlation_e(r) for r in m])
+        # one Monte-Carlo call per statistic, on the same seed, through the
+        # scalar per-trial functions
+        def e_values(draws):
+            return np.array([[bell.correlation_e(r) for r in m] for m in draws])
 
         e_sigmas = bell.monte_carlo_errors(counts, e_values, n_trials=60, seed=8)
         sigma_s = bell.monte_carlo_errors(
-            counts, lambda m: bell.chsh_s(e_values(m)), n_trials=60, seed=8
+            counts, lambda d: np.array([bell.chsh_s(e) for e in e_values(d)]), n_trials=60, seed=8
         )
         assert result.e_sigmas == tuple(e_sigmas)
         # np.std sums a column of the (trials, 5) samples in another order
@@ -122,13 +123,13 @@ class TestChshFromCounts:
 
 class TestMonteCarloErrors:
     def test_zero_counts_zero_spread(self):
-        sigma = bell.monte_carlo_errors(np.zeros(8), lambda c: c.sum(), seed=3)
+        sigma = bell.monte_carlo_errors(np.zeros(8), lambda d: d.sum(axis=1), seed=3)
         assert sigma == 0.0
 
     def test_poisson_scaling(self):
         # sigma of a mean-like statistic shrinks as 1/sqrt(k) under count scaling
         base = np.full(16, 200.0)
-        stat = lambda c: c.sum() / c.size
+        stat = lambda d: d.sum(axis=1) / d.shape[1]
         sigmas = []
         for k in (1, 4, 16):
             sigmas.append(bell.monte_carlo_errors(base * k, stat, n_trials=400, seed=5) / k)
@@ -137,14 +138,19 @@ class TestMonteCarloErrors:
 
     def test_deterministic(self):
         base = np.array([100.0, 50.0, 25.0, 200.0])
-        a = bell.monte_carlo_errors(base, bell.correlation_e, seed=9)
-        b = bell.monte_carlo_errors(base, bell.correlation_e, seed=9)
+        stat = lambda d: np.array([bell.correlation_e(c) for c in d])
+        a = bell.monte_carlo_errors(base, stat, seed=9)
+        b = bell.monte_carlo_errors(base, stat, seed=9)
         assert a == b
 
     def test_structure_preserving(self):
         base = np.full((4, 4), 100.0)
-        sig = bell.monte_carlo_errors(base, lambda c: c.sum(axis=1), seed=2)
+        sig = bell.monte_carlo_errors(base, lambda d: d.sum(axis=2), seed=2)
         assert sig.shape == (4,)
+
+    def test_statistic_must_return_one_row_per_trial(self):
+        with pytest.raises(ValueError, match=r"\(20,\) or \(20, k\)"):
+            bell.monte_carlo_errors(np.full(3, 50.0), lambda d: d.sum(), n_trials=20)
 
     def test_stream_matches_per_trial_draws(self):
         chsh = np.array([
@@ -155,35 +161,62 @@ class TestMonteCarloErrors:
         ])
         n_cycles = 1e7
 
-        def g2(counts):
+        def chsh_per_trial(counts):
+            e = [bell.correlation_e(row) for row in counts]
+            return np.array([*e, bell.chsh_s(e)])
+
+        def g2_per_trial(counts):
             c, s, i = counts
             return (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
 
-        for base, stat in ((chsh, bell._e_and_s_from_count_matrix), (np.array([85.0, 4.2e4, 3.9e5]), g2)):
+        def g2_batched(draws):
+            c, s, i = draws.T
+            return (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
+
+        cases = (
+            (chsh, chsh_per_trial, bell._e_and_s_from_count_matrix),
+            (np.array([85.0, 4.2e4, 3.9e5]), g2_per_trial, g2_batched),
+        )
+        for base, per_trial, batched in cases:
             for seed in (0, 11):
                 # reference: one Poisson draw per trial, in trial order
                 rng = np.random.default_rng(seed)
-                samples = [np.asarray(stat(rng.poisson(base))) for _ in range(100)]
+                samples = [np.asarray(per_trial(rng.poisson(base))) for _ in range(100)]
                 expected = np.std(np.stack(samples), axis=0, ddof=1)
-                sigma = bell.monte_carlo_errors(base, stat, n_trials=100, seed=seed)
+                sigma = bell.monte_carlo_errors(base, batched, n_trials=100, seed=seed)
                 assert np.array_equal(sigma, expected)
 
     def test_non_finite_trial_dropped_with_warning(self):
         base = np.array([120.0, 80.0, 200.0])
         calls = []
 
-        def stat(c):
-            calls.append(c.copy())
-            return np.nan if len(calls) == 3 else c[0] / c.sum()
+        def stat(draws):
+            calls.append(draws.copy())
+            out = draws[:, 0] / draws.sum(axis=1)
+            out[2] = np.nan
+            return out
 
         with pytest.warns(RuntimeWarning, match="dropped 1 of 50"):
             sigma = bell.monte_carlo_errors(base, stat, n_trials=50, seed=4)
-        kept = [c[0] / c.sum() for k, c in enumerate(calls) if k != 2]
+        assert len(calls) == 1
+        kept = [c[0] / c.sum() for k, c in enumerate(calls[0]) if k != 2]
         assert sigma == np.std(kept, ddof=1)
 
     def test_all_non_finite_trials_raise(self):
         with pytest.raises(ValueError, match="0 of 20"):
-            bell.monte_carlo_errors(np.full(3, 50.0), lambda c: np.full(2, np.nan), n_trials=20)
+            bell.monte_carlo_errors(
+                np.full(3, 50.0), lambda d: np.full((len(d), 2), np.nan), n_trials=20
+            )
+
+    def test_empty_chsh_setting_is_a_dropped_trial(self):
+        # a resampled setting with no counts has no correlation: that trial
+        # is dropped with a warning instead of failing the error bar
+        counts = np.array([[1.0, 0.0, 0.0, 0.0], [50.0] * 4, [60.0] * 4, [70.0] * 4])
+        with pytest.warns(RuntimeWarning, match="non-finite"):
+            sigma = bell.monte_carlo_errors(
+                counts, bell._e_and_s_from_count_matrix, n_trials=200, seed=1
+            )
+        assert np.isfinite(sigma).all()
 
 
 class TestFitVisibility:
@@ -289,6 +322,19 @@ class TestFitVisibility:
             for k in range(4):
                 fit = bell.fit_visibility(scan, k, n_trials=100, seed=k)
                 assert fit.converged and np.isfinite(fit.sigma_visibility)
+
+    def test_batched_trial_fits_match_per_row_fits(self):
+        # one multi-right-hand-side solve against one fit per row, with
+        # rows on both sides of the V = 1 face
+        rng = np.random.default_rng(5)
+        scan = synthetic_scan(v=0.99, amplitude=30.0)
+        draws = rng.poisson(scan.counts[:, 2], size=(60, scan.beta_rad.size))
+        per_row = np.array(
+            [bell._fit_single(scan.beta_rad, row, 0.0, -1.0)[0][1] for row in draws]
+        )
+        assert 0 < np.sum(per_row == 1.0) < len(draws)
+        batched = bell._visibilities(scan.beta_rad, draws, 0.0, -1.0)
+        np.testing.assert_allclose(batched, per_row, rtol=1e-12, atol=0)
 
     def test_bad_data_rejected(self):
         beta = np.linspace(0, 1.0, 4)

@@ -100,6 +100,36 @@ def test_setup_does_not_import_scipy_optimize():
     assert result.returncode == 0, result.stderr
 
 
+def test_simulate_does_not_import_scipy_optimize(tmp_path):
+    # the tomography fits are numpy only; the fringe counts are high enough
+    # that no fit takes the bounded (scipy) fallback
+    cfg = json.loads(
+        (Path(__file__).resolve().parent.parent / "src/afcsim/data/reference_calibration.json")
+        .read_text()
+    )
+    cfg["desk_scale"].update(
+        chsh_cycles_per_setting=300_000,
+        fringe_points=9,
+        fringe_cycles_per_point=1_500_000,
+        tomography_cycles_per_setting=250_000,
+        g2_cycles=300_000,
+    )
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from afcsim import cli\n"
+        f"argv = ['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r},\n"
+        "        '--channels', '1', '--trials', '3']\n"
+        "assert cli.main(argv) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestAnalyzeGolden:
     def test_table4(self, tmp_path):
         code = cli.main(["analyze-golden", "table4", "--out", str(tmp_path)])

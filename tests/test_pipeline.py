@@ -224,14 +224,20 @@ class TestChannelReport:
 
 class TestTomographyPairErrors:
     def test_pair_error_bars_match_per_trial_resampling(self, monkeypatch):
-        # a fixed solver (the MLE's starting point) isolates the resampling
-        # stream from the optimizer
-        def linear_solver(counts, exposures):
-            start = tom.params_from_rho(tom._linear_inversion(counts.n_v, exposures))
-            rho = st.nearest_psd(tom.rho_from_params(start))
-            return tom.ReconstructionResult(rho, log_likelihood=0.0, iterations=0, converged=True)
+        # a fixed solver (the MLE's starting point) in place of the batched
+        # one isolates the resampling stream from the optimizer; it solves
+        # row by row, so a row's result does not depend on its batch
+        def linear_solver(counts, exposures, init=None):
+            fits = []
+            for n, c in zip(counts, exposures):
+                start = tom.params_from_rho(tom._linear_inversion(n, c))
+                rho = st.nearest_psd(tom.rho_from_params(start))
+                fits.append(
+                    tom.ReconstructionResult(rho, log_likelihood=0.0, iterations=0, converged=True)
+                )
+            return fits
 
-        monkeypatch.setattr(tom, "mle_reconstruct", linear_solver)
+        monkeypatch.setattr(tom, "mle_reconstruct_batch", linear_solver)
         golden = load_tomography_counts().per_setting
         record_in = tom.CountRecord(per_setting=golden)
         record_out = tom.CountRecord(per_setting=np.round(0.6 * golden))
@@ -248,7 +254,8 @@ class TestTomographyPairErrors:
                     np.isnan(rec.per_setting), np.nan, rng.poisson(np.nan_to_num(rec.per_setting))
                 )
                 trial = tom.CountRecord(per_setting=resampled)
-                rhos.append(linear_solver(trial, tom.basis_exposures(trial)).rho.matrix)
+                fit = linear_solver(trial.n_v[None], tom.basis_exposures(trial)[None])[0]
+                rhos.append(fit.rho.matrix)
             rho_in, rho_out = rhos
             trials.append({
                 "fidelity_bell_in": st.fidelity(rho_in, bell_proj),

@@ -166,6 +166,47 @@ class TestGradient:
                 assert grad[k] == pytest.approx(num, rel=1e-5, abs=1e-7)
 
 
+    def test_batched_gradient_matches_finite_differences(self):
+        # a (B, 16) stack against central differences of the batched
+        # likelihood, one parameter at a time for all rows at once
+        rng = np.random.default_rng(14)
+        n = rng.poisson(np.full((12, 16), 400.0)).astype(float)
+        c = rng.uniform(800.0, 2500.0, size=(12, 16))
+        x = rng.normal(size=(12, 16))
+        ll, grad = tom.log_likelihood_and_gradient(x, n, c)
+        assert ll.shape == (12,) and grad.shape == (12, 16)
+        h = 1e-6
+        for k in range(16):
+            step = np.zeros(16)
+            step[k] = h
+            num = (
+                tom.log_likelihood_and_gradient(x + step, n, c)[0]
+                - tom.log_likelihood_and_gradient(x - step, n, c)[0]
+            ) / (2 * h)
+            np.testing.assert_allclose(grad[:, k], num, rtol=1e-5, atol=1e-7)
+        for row in range(12):
+            f, g = tom.log_likelihood_and_gradient(x[row], n[row], c[row])
+            assert isinstance(f, float)
+            assert f == pytest.approx(ll[row], rel=1e-14)
+            np.testing.assert_allclose(g, grad[row], rtol=1e-12, atol=1e-12)
+
+    def test_hessian_matches_differences_of_the_gradient(self):
+        rng = np.random.default_rng(15)
+        n = rng.poisson(np.full(16, 400.0)).astype(float)
+        c = np.full(16, 1500.0)
+        x = rng.normal(size=(8, 16))
+        _, _, hess = tom._likelihood(x, n, c, order=2)
+        h = 1e-6
+        for k in range(16):
+            step = np.zeros(16)
+            step[k] = h
+            num = (
+                tom.log_likelihood_and_gradient(x + step, n, c)[1]
+                - tom.log_likelihood_and_gradient(x - step, n, c)[1]
+            ) / (2 * h)
+            np.testing.assert_allclose(hess[:, :, k], num, rtol=1e-5, atol=1e-6)
+
+
 class TestMleReconstruct:
     def test_noiseless_bell_round_trip(self):
         c = np.full(16, 4000.0) * tom.basis_weights()
@@ -236,6 +277,65 @@ class TestMleReconstruct:
             res = tom.mle_reconstruct(rec, exposures)
             assert res.converged
             assert st.trace_distance(res.rho.matrix, rho_ref) < 1e-5
+
+    def test_resampled_fits_reach_the_optimum_in_one_batch(self, golden_record):
+        # the same 50 draws and BFGS reference, solved as one (50, 16) batch
+        measured = ~np.isnan(golden_record.per_setting)
+        rng = np.random.default_rng(2001)
+        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(50, 4, 16))
+        fits = tom.mle_reconstruct_batch(draws.sum(axis=1), tom.basis_exposures(draws))
+        assert len(fits) == 50
+        for draw, res in zip(draws, fits):
+            rec = tom.CountRecord(per_setting=np.where(measured, draw, np.nan))
+            exposures = tom.basis_exposures(rec)
+            scale = rec.n_v.sum() / 4096.0
+            n, c = rec.n_v / scale, exposures / scale
+
+            def negated(x):
+                f, grad = tom.log_likelihood_and_gradient(x, n, c)
+                return -f, -grad
+
+            ref = optimize.minimize(
+                negated, tom.params_from_rho(np.eye(4) / 4), jac=True, method="BFGS",
+                options={"gtol": 1e-12},
+            )
+            rho_ref = st.nearest_psd(tom.rho_from_params(ref.x)).matrix
+            assert res.converged
+            assert st.trace_distance(res.rho.matrix, rho_ref) < 1e-5
+
+    def test_batched_and_single_solves_agree(self, golden_record):
+        rng = np.random.default_rng(9)
+        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(30, 4, 16))
+        n, c = draws.sum(axis=1), tom.basis_exposures(draws)
+        fits = tom.mle_reconstruct_batch(n, c)
+        for k, res in enumerate(fits):
+            single = tom.mle_reconstruct(n[k], c[k])
+            assert single.converged and res.converged
+            assert st.trace_distance(res.rho.matrix, single.rho.matrix) < 1e-10
+            assert res.log_likelihood == pytest.approx(single.log_likelihood, rel=1e-12)
+
+    def test_uncertified_fit_is_reported_and_dropped(self, golden_record, monkeypatch):
+        # with the step cap at 7, some resampled fits do not certify: they
+        # report converged=False and leave the error bars with a warning
+        monkeypatch.setattr(tom, "_MAX_NEWTON", 7)
+        rng = np.random.default_rng(3)
+        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(30, 4, 16))
+        fits = tom.mle_reconstruct_batch(draws.sum(axis=1), tom.basis_exposures(draws))
+        flags = [f.converged for f in fits]
+        assert 2 <= sum(flags) < len(flags)
+        assert all(f.iterations == 7 for f in fits if not f.converged)
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            _, summary = tom.reconstruct_with_errors(golden_record, n_trials=30, seed=3)
+        assert all(np.isfinite(m["sigma"]) for m in summary.values())
+
+    def test_batch_rejects_bad_rows(self, golden_record):
+        n = np.tile(golden_record.n_v, (3, 1))
+        c = np.tile(tom.basis_exposures(golden_record), (3, 1))
+        n[1] = 0.0
+        with pytest.raises(ValueError, match="no counts"):
+            tom.mle_reconstruct_batch(n, c)
+        with pytest.raises(ValueError, match=r"\(B, 16\)"):
+            tom.mle_reconstruct_batch(n[0], c[0])
 
     def test_nonpositive_exposures_rejected(self, golden_record):
         bad = tom.basis_exposures(golden_record)
