@@ -304,7 +304,7 @@ def _likelihood(t, n, c, order: int):
     With q_v = tr(T^dag T Pi_v) and tau = tr(T^dag T) = |t|^2 the model
     probability p_v = q_v / tau is a ratio of quadratic forms, so
     dp_v = (dq_v - 2 p_v t) / tau and
-    d2p_v = 2 (Q_v - p_v I - t dp_v^T - dp_v t^T) / tau.
+    d2p_v = 2 (Q_v - p_v I - t dp_v^T - dp_v t^T) / tau, Q_v = _T_GRAMS[v].
     """
     u = np.einsum("vak,...k->...va", _T_KETS, t)
     tau = np.einsum("...k,...k->...", t, t)
