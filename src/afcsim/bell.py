@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class FringeScan:
     alpha_rad: float
     beta_rad: np.ndarray
     counts: np.ndarray
-    integration_time_per_point_s: float = 250.0
 
     def __post_init__(self):
         beta = np.asarray(self.beta_rad, dtype=float)
@@ -73,22 +71,6 @@ class FringeScan:
             writer.writerow(["beta_rad", "c11", "c12", "c21", "c22"])
             for b, row in zip(self.beta_rad, self.counts):
                 writer.writerow([f"{b:.10g}"] + [int(c) for c in row])
-
-    @classmethod
-    def from_csv(cls, path, alpha_rad: float, integration_time_per_point_s: float = 250.0):
-        beta, counts = [], []
-        with open(path, newline="") as f:
-            for rec in csv.reader(f):
-                if not rec or rec[0].startswith("#") or rec[0] == "beta_rad":
-                    continue
-                beta.append(float(rec[0]))
-                counts.append([float(x) for x in rec[1:5]])
-        return cls(
-            alpha_rad=alpha_rad,
-            beta_rad=np.array(beta),
-            counts=np.array(counts),
-            integration_time_per_point_s=integration_time_per_point_s,
-        )
 
 
 @dataclass(frozen=True)
@@ -240,52 +222,38 @@ def _fringe_design(beta):
     return np.column_stack([np.ones_like(beta), np.cos(beta), np.sin(beta)])
 
 
-def _fit_single(beta, counts, alpha, sign):
-    """Exact least-squares fit of (A, V, phi0); returns (params, converged).
+def _fit_rows(beta, counts, alpha, sign):
+    """Exact least-squares fit of (A, V, phi0) to every row of a
+    ``(rows, n_beta)`` count stack; returns ``(rows, 3)`` params and a
+    ``(rows,)`` converged flag.
 
     The model is linear in (c0, c1, c2) on the (1, cos beta, sin beta)
-    basis, with A = c0, V = hypot(c1, c2) / c0 and phi0 from atan2, so the
-    linear solution is the optimum whenever it lies in the box A > 0,
-    V <= 1.  The box is a convex cone in (c0, c1, c2) and the objective is
-    convex there, so a solution outside it moves the optimum onto the
-    V = 1 face: only then does a bounded ``least_squares`` run, over
-    (A, phi0) at V = 1.
-    """
-    coef, *_ = np.linalg.lstsq(_fringe_design(beta), counts, rcond=None)
-    phi0 = math.atan2(-coef[2] * sign, coef[1] * sign) - alpha
-    phi0 = (phi0 + math.pi) % (2 * math.pi) - math.pi
-    amplitude = coef[0]
-    if amplitude > 0:
-        visibility = math.hypot(coef[1], coef[2]) / amplitude
-        if visibility <= 1.0:
-            return np.array([amplitude, visibility, phi0]), True
-
-    from scipy import optimize
-
-    res = optimize.least_squares(
-        lambda p: _fringe_model(beta, p[0], 1.0, p[1], alpha, sign) - counts,
-        x0=[max(amplitude, 1e-9), phi0],
-        bounds=([0.0, -2 * math.pi], [np.inf, 2 * math.pi]),
-    )
-    return np.array([res.x[0], 1.0, res.x[1]]), bool(res.success)
-
-
-def _visibilities(beta, counts, alpha, sign):
-    """Fitted V of every row of a ``(rows, n_beta)`` count stack.
-
-    One multi-right-hand-side least-squares solve gives every row's linear
-    solution; only rows outside the box A > 0, V <= 1 go through
-    :func:`_fit_single`'s bounded fallback.  A fallback that fails gives
-    NaN.
+    basis, with A = c0, V = hypot(c1, c2) / c0 and phi0 from atan2, so one
+    multi-right-hand-side solve gives every row's optimum whenever it lies
+    in the box A > 0, V <= 1.  The box is a convex cone in (c0, c1, c2) and
+    the objective is convex there, so a solution outside it moves the
+    optimum onto the V = 1 face: only such rows go through a bounded
+    ``least_squares`` over (A, phi0) at V = 1.
     """
     coef, *_ = np.linalg.lstsq(_fringe_design(beta), counts.T, rcond=None)
     amplitude = coef[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         visibility = np.hypot(coef[1], coef[2]) / amplitude
+    phi0 = np.arctan2(-coef[2] * sign, coef[1] * sign) - alpha
+    phi0 = (phi0 + math.pi) % (2 * math.pi) - math.pi
+    params = np.column_stack([amplitude, visibility, phi0])
+    converged = np.ones(len(params), dtype=bool)
     for row in np.flatnonzero(~((amplitude > 0) & (visibility <= 1.0))):
-        params, ok = _fit_single(beta, counts[row], alpha, sign)
-        visibility[row] = params[1] if ok else np.nan
-    return visibility
+        from scipy import optimize
+
+        res = optimize.least_squares(
+            lambda p: _fringe_model(beta, p[0], 1.0, p[1], alpha, sign) - counts[row],
+            x0=[max(amplitude[row], 1e-9), phi0[row]],
+            bounds=([0.0, -2 * math.pi], [np.inf, 2 * math.pi]),
+        )
+        params[row] = res.x[0], 1.0, res.x[1]
+        converged[row] = res.success
+    return params, converged
 
 
 def fit_visibility(
@@ -311,20 +279,20 @@ def fit_visibility(
     counts = scan.counts[:, k]
     sign = COMBO_SIGNS[k]
 
-    params, ok = _fit_single(beta, counts, scan.alpha_rad, sign)
+    (params,), (ok,) = _fit_rows(beta, counts[None], scan.alpha_rad, sign)
 
-    sigma_v = monte_carlo_errors(
-        counts,
-        lambda draws: _visibilities(beta, draws, scan.alpha_rad, sign),
-        n_trials=n_trials,
-        seed=seed,
-    )
+    def visibilities(draws):
+        # a trial whose bounded fit fails is NaN, which drops it
+        fits, converged = _fit_rows(beta, draws, scan.alpha_rad, sign)
+        return np.where(converged, fits[:, 1], np.nan)
+
+    sigma_v = monte_carlo_errors(counts, visibilities, n_trials=n_trials, seed=seed)
     return VisibilityFit(
         visibility=float(params[1]),
         phase_offset_rad=float(params[2]),
         amplitude=float(params[0]),
         sigma_visibility=float(sigma_v),
-        converged=ok,
+        converged=bool(ok),
     )
 
 

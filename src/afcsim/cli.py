@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -32,6 +31,8 @@ def _parse_channels(text: str | None):
         channels = sorted({int(tok) - 1 for tok in text.split(",") if tok.strip()})
     except ValueError as err:
         raise ConfigError(f"--channels: {err}") from err
+    if not channels:
+        raise ConfigError("--channels: no channel labels given")
     if any(not 0 <= c < 5 for c in channels):
         raise ConfigError("--channels: channel labels run 1..5")
     return channels
@@ -63,11 +64,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze_golden(args) -> int:
+    trials = 100 if args.trials is None else args.trials
+    if trials < 2:
+        # the rule desk_scale.mc_trials follows for the other verbs
+        raise ConfigError("--trials: Monte-Carlo error bars need at least 2 trials")
     out = _out_dir(args)
     if args.dataset == "table4":
         summary, ok = reports.analyze_table4(out)
     elif args.dataset == "table3":
-        summary, ok = reports.analyze_table3(out, mc_trials=args.trials or 100, seed=args.seed or 0)
+        summary, ok = reports.analyze_table3(out, mc_trials=trials, seed=args.seed or 0)
     else:
         summary, ok = reports.analyze_table2(out)
     print(f"analyze-golden {args.dataset}: {'PASS' if ok else 'FAIL'} -> {out}")

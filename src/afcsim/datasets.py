@@ -147,11 +147,3 @@ def load_density_matrices(verify: bool = True) -> tuple[np.ndarray, np.ndarray]:
     before = parse_density_matrix(fixture_path("density_before_storage.txt").read_text())
     after = parse_density_matrix(fixture_path("density_after_storage.txt").read_text())
     return before, after
-
-
-def write_checksum_manifest() -> Path:
-    """Regenerate the checksum manifest (used when fixtures change)."""
-    manifest = {name: _sha256(fixture_path(name)) for name in _DATA_FILES}
-    path = fixture_path("checksums.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path

@@ -27,7 +27,6 @@ __all__ = [
     "default_bank",
     "DecayFit",
     "fit_decay_model",
-    "efficiency_table",
     "non_monotone_rows",
     "wavelength_for_offset",
     "time_bandwidth_product",
@@ -224,16 +223,3 @@ def fit_decay_model(
         fitted_times_ns=tuple(float(t) for t in t_fit),
         excluded_times_ns=tuple(float(t) for t in times[~keep]),
     )
-
-
-def efficiency_table(bank: MemoryBank, storage_times_ns, decay_fits: list[DecayFit]) -> np.ndarray:
-    """Per-channel efficiencies (%) at the requested storage times.
-
-    Shape (len(times), 5); evaluates each channel's fitted decay model.
-    """
-    times = np.asarray(storage_times_ns, dtype=float)
-    if np.any(times <= 0):
-        raise ValueError("storage times must be achievable by positive teeth spacings")
-    if len(decay_fits) != len(bank.channels):
-        raise ValueError("one decay fit per channel required")
-    return np.column_stack([fit.efficiency_pct(times) for fit in decay_fits])

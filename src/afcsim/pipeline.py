@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from afcsim import bell
-from afcsim import states as st
 from afcsim import tomography as tom
 from afcsim.analyzer import (
     SLOT_MIDDLE,
     ThreefoldCounts,
-    coincidence_histogram,
     detect,
     g2_cross,
     g2_tallies,
@@ -50,7 +48,6 @@ __all__ = [
     "run_chsh",
     "run_fringe",
     "run_tomography_counts",
-    "tomography_pair_with_errors",
     "analytic_mm_counts",
     "channel_report",
     "run_report",
@@ -348,13 +345,7 @@ def run_fringe(
             stored,
         )
         counts[n] = acq.middle_middle.reshape(-1)
-    point_time = cfg.desk_scale.fringe_cycles_per_point * cfg.clock_period_ns * 1e-9
-    scan = bell.FringeScan(
-        alpha_rad=alpha_rad,
-        beta_rad=betas,
-        counts=counts,
-        integration_time_per_point_s=point_time,
-    )
+    scan = bell.FringeScan(alpha_rad=alpha_rad, beta_rad=betas, counts=counts)
     fits = [
         bell.fit_visibility(
             scan,
@@ -400,60 +391,6 @@ def run_tomography_counts(
         grids[label] = acq.threefold.counts[:, :, 1, 1].T
         acqs[label] = acq
     return tom.assemble_counts(grids), acqs
-
-
-def tomography_pair_with_errors(
-    cfg: ExperimentConfig,
-    record_in: tom.CountRecord,
-    record_out: tom.CountRecord,
-    seed: int,
-):
-    """Joint Monte-Carlo over the before/after count records.
-
-    Reconstructs both, then Poisson-resamples both records per trial
-    (:func:`afcsim.bell.monte_carlo_errors`) and fits every resampled
-    record in one :func:`afcsim.tomography.mle_reconstruct_batch` solve, to
-    give error bars on every metric including the input/output fidelity.
-    A trial with a fit that does not converge is dropped, with a warning.
-    """
-    bell_proj = st.projector(st.bell_psi_plus())
-
-    def reconstruct(rec):
-        return tom.mle_reconstruct(rec, tom.basis_exposures(rec)).rho.matrix
-
-    def metrics(rho_in, rho_out):
-        return {
-            "fidelity_bell_in": st.fidelity(rho_in, bell_proj),
-            "fidelity_bell_out": st.fidelity(rho_out, bell_proj),
-            "purity_in": st.purity(rho_in),
-            "purity_out": st.purity(rho_out),
-            "eof_in": st.entanglement_of_formation(rho_in),
-            "eof_out": st.entanglement_of_formation(rho_out),
-            "fidelity_in_out": st.fidelity(rho_in, rho_out),
-        }
-
-    def statistic(draws):
-        # (trials, 2, 4, 16) -> one (2 * trials, 16) solve, before/after rows interleaved
-        per_setting = draws.reshape(-1, 4, 16)
-        fits = tom.mle_reconstruct_batch(per_setting.sum(axis=1), tom.basis_exposures(per_setting))
-        pairs = list(zip(fits[::2], fits[1::2]))
-        out = np.array([list(metrics(a.rho.matrix, b.rho.matrix).values()) for a, b in pairs])
-        out[[not (a.converged and b.converged) for a, b in pairs]] = np.nan
-        return out
-
-    rho_in, rho_out = reconstruct(record_in), reconstruct(record_out)
-    # One (2, 4, 16) base draws each trial's before and after counts in turn.
-    sigmas = bell.monte_carlo_errors(
-        np.nan_to_num([record_in.per_setting, record_out.per_setting]),
-        statistic,
-        n_trials=cfg.desk_scale.mc_trials,
-        seed=seed,
-    )
-    summary = {
-        key: {"value": float(value), "sigma": float(sigma)}
-        for (key, value), sigma in zip(metrics(rho_in, rho_out).items(), sigmas)
-    }
-    return rho_in, rho_out, summary
 
 
 def analytic_mm_counts(
@@ -546,13 +483,15 @@ def channel_report(cfg: ExperimentConfig, channel: int) -> dict:
     }
 
     seed = int(derive_rng(cfg.seed, "tomo-pair", channel).integers(2**31))
-    rho_in, rho_out, tomo = tomography_pair_with_errors(
-        cfg, records["before"], records["after"], seed
+    fits, tomo = tom.reconstruct_with_errors(
+        [records["before"], records["after"]],
+        tom.storage_pair_metrics,
+        n_trials=cfg.desk_scale.mc_trials,
+        seed=seed,
     )
     report["tomography"] = tomo
     report["density_matrices"] = {
-        "before": _matrix_to_lists(rho_in),
-        "after": _matrix_to_lists(rho_out),
+        stage: _matrix_to_lists(fit.rho.matrix) for stage, fit in zip(("before", "after"), fits)
     }
     return report
 

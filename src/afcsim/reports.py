@@ -99,8 +99,8 @@ def analyze_table3(out_dir: Path, mc_trials: int = 100, seed: int = 0) -> tuple[
     table = load_tomography_counts()
     record = tom.CountRecord(per_setting=table.per_setting)
     _, after = load_density_matrices()
-    result, summary = tom.reconstruct_with_errors(
-        record, n_trials=mc_trials, seed=seed, reference=after
+    (result,), summary = tom.reconstruct_with_errors(
+        [record], lambda rho: tom.state_metrics(rho, reference=after), n_trials=mc_trials, seed=seed
     )
     st.save_density_matrix(out_dir / "table3_reconstruction.txt", result.rho.matrix)
     checks = {

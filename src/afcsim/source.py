@@ -19,11 +19,9 @@ Imperfections are reduced to three knobs plus a leakage term:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from afcsim.states import bell_psi_plus, fidelity, projector, purity
 
 __all__ = [
     "PumpConfig",
@@ -31,7 +29,6 @@ __all__ = [
     "analytic_state",
     "emission_arrays",
     "pair_rate_per_cycle",
-    "calibrate_source",
 ]
 
 
@@ -145,46 +142,3 @@ def emission_arrays(
     cycles = np.sort(rng.integers(0, n_cycles, size=n_pairs))
     offsets = rng.uniform(lo, hi, size=n_pairs)
     return cycles, offsets
-
-
-def calibrate_source(
-    target_fidelity: float,
-    target_purity: float,
-    pump: PumpConfig | None = None,
-    pair_probability: float = 0.05,
-) -> SourceModel:
-    """Solve (white noise fraction, phase jitter) so the analytic state hits
-    the requested fidelity to |Psi+> and purity.
-
-    Uses the closed analytic forms through a 2-parameter root solve; raises
-    if no physical solution exists.
-    """
-    from scipy import optimize
-
-    pump = pump or PumpConfig()
-
-    def model(w: float, sigma: float) -> SourceModel:
-        return SourceModel(
-            pump=replace(pump, phase_jitter_sigma_rad=sigma),
-            pair_emission_probability_per_cycle=pair_probability,
-            white_noise_fraction=w,
-        )
-
-    def residuals(x):
-        w, sigma = x
-        rho = analytic_state(model(min(max(w, 0.0), 1.0), abs(sigma)))
-        return [
-            fidelity(rho, projector(bell_psi_plus())) - target_fidelity,
-            purity(rho) - target_purity,
-        ]
-
-    sol = optimize.least_squares(
-        residuals, x0=[0.03, 0.3], bounds=([0.0, 0.0], [0.5, 2.0]), xtol=1e-14, ftol=1e-14
-    )
-    if not sol.success or np.max(np.abs(sol.fun)) > 1e-6:
-        raise ValueError(
-            f"no source parameters reach fidelity={target_fidelity}, purity={target_purity} "
-            f"(residual {sol.fun})"
-        )
-    w, sigma = sol.x
-    return model(float(w), float(sigma))

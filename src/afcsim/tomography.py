@@ -62,6 +62,8 @@ __all__ = [
     "log_likelihood_and_gradient",
     "mle_reconstruct",
     "mle_reconstruct_batch",
+    "state_metrics",
+    "storage_pair_metrics",
     "reconstruct_with_errors",
     "gram_condition_number",
     "rho_from_params",
@@ -538,46 +540,78 @@ def mle_reconstruct(
     return mle_reconstruct_batch(n_raw[None], c_raw[None], init=rho0)[0]
 
 
-def reconstruct_with_errors(
-    record: CountRecord,
-    n_trials: int = 100,
-    seed: int = 0,
-    reference: np.ndarray | None = None,
-):
-    """MLE reconstruction with Poisson Monte-Carlo error bars.
+_BELL_PROJECTOR = projector(bell_psi_plus())
 
-    Resamples every per-setting count as Poisson with mean equal to the
-    observation (:func:`afcsim.bell.monte_carlo_errors`), re-estimates
-    exposures, reconstructs all trials in one :func:`mle_reconstruct_batch`
-    solve, and reports the central value and sigma of the derived metrics
-    (fidelity to |Psi+>, purity, entanglement of formation, and fidelity to
-    ``reference`` when given).  A trial whose fit does not converge is
-    dropped, with a warning, from the error bars.
+
+def state_metrics(rho, reference=None) -> dict:
+    """The golden Table 3 metrics of one reconstructed state: fidelity to
+    |Psi+>, purity, entanglement of formation, and fidelity to
+    ``reference`` when given."""
+    out = {
+        "fidelity_bell": fidelity(rho, _BELL_PROJECTOR),
+        "purity": purity(rho),
+        "entanglement_of_formation": entanglement_of_formation(rho),
+    }
+    if reference is not None:
+        out["fidelity_reference"] = fidelity(rho, reference)
+    return out
+
+
+def storage_pair_metrics(rho_in, rho_out) -> dict:
+    """The Table 1 metrics of a before/after-storage pair: each state's
+    fidelity to |Psi+>, purity and entanglement of formation, and the
+    input/output fidelity."""
+    return {
+        "fidelity_bell_in": fidelity(rho_in, _BELL_PROJECTOR),
+        "fidelity_bell_out": fidelity(rho_out, _BELL_PROJECTOR),
+        "purity_in": purity(rho_in),
+        "purity_out": purity(rho_out),
+        "eof_in": entanglement_of_formation(rho_in),
+        "eof_out": entanglement_of_formation(rho_out),
+        "fidelity_in_out": fidelity(rho_in, rho_out),
+    }
+
+
+def reconstruct_with_errors(records, metrics, n_trials: int = 100, seed: int = 0):
+    """MLE reconstruction of R count records with joint Poisson Monte-Carlo
+    error bars on ``metrics``.
+
+    ``metrics(*rhos)`` maps the R reconstructed density matrices to a dict
+    of scalars: :func:`state_metrics` for one record,
+    :func:`storage_pair_metrics` for a before/after pair.  Each record is
+    fitted on its own for the central values.  For the error bars every
+    count of the ``(R, 4, 16)`` per-setting stack is resampled as Poisson
+    with mean equal to the observation
+    (:func:`afcsim.bell.monte_carlo_errors`), exposures are re-estimated,
+    and all R x ``n_trials`` resampled records are fitted in one
+    :func:`mle_reconstruct_batch` solve.  A trial with any fit that does
+    not converge is dropped, with a warning.
+
+    Returns (one ReconstructionResult per record,
+    {metric: {"value": ..., "sigma": ...}}).
     """
-    bell_proj = projector(bell_psi_plus())
-    base = mle_reconstruct(record, basis_exposures(record))
-
-    def metrics(rho) -> dict:
-        out = {
-            "fidelity_bell": fidelity(rho, bell_proj),
-            "purity": purity(rho),
-            "entanglement_of_formation": entanglement_of_formation(rho),
-        }
-        if reference is not None:
-            out["fidelity_reference"] = fidelity(rho, reference)
-        return out
+    fits = [mle_reconstruct(rec, basis_exposures(rec)) for rec in records]
+    n_records = len(fits)
 
     def statistic(draws):
-        fits = mle_reconstruct_batch(draws.sum(axis=1), basis_exposures(draws))
-        out = np.array([list(metrics(f.rho).values()) for f in fits])
-        out[[not f.converged for f in fits]] = np.nan
+        # (trials, R, 4, 16) -> one (trials * R, 16) solve, each trial's R rows adjacent
+        stack = draws.reshape(-1, 4, 16)
+        trial_fits = mle_reconstruct_batch(stack.sum(axis=1), basis_exposures(stack))
+        rhos = np.array([f.rho.matrix for f in trial_fits]).reshape(-1, n_records, 4, 4)
+        converged = np.array([f.converged for f in trial_fits]).reshape(-1, n_records)
+        out = np.array([list(metrics(*trial).values()) for trial in rhos])
+        out[~converged.all(axis=1)] = np.nan
         return out
 
     sigmas = bell.monte_carlo_errors(
-        np.nan_to_num(record.per_setting), statistic, n_trials=n_trials, seed=seed
+        np.nan_to_num([rec.per_setting for rec in records]),
+        statistic,
+        n_trials=n_trials,
+        seed=seed,
     )
+    values = metrics(*(f.rho.matrix for f in fits))
     summary = {
-        key: {"value": value, "sigma": float(sigma)}
-        for (key, value), sigma in zip(metrics(base.rho).items(), sigmas)
+        key: {"value": float(value), "sigma": float(sigma)}
+        for (key, value), sigma in zip(values.items(), sigmas)
     }
-    return base, summary
+    return fits, summary

@@ -1,17 +1,14 @@
 """CLI surface tests: verbs, artifacts, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from afcsim import cli
-from afcsim.config import reference_calibration_config
 
 
 @pytest.fixture()
@@ -82,6 +79,14 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("verb", [["simulate"], ["reproduce", "fig3"]])
+    @pytest.mark.parametrize("channels", ["", ","])
+    def test_empty_channel_list_exit_2(self, tmp_path, capsys, fast_config_file, verb, channels):
+        argv = verb + ["--config", fast_config_file, "--out", str(tmp_path / "o"), "--channels", channels]
+        assert cli.main(argv) == 2
+        assert "error: --channels: no channel labels" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
 
 def test_setup_does_not_import_scipy_optimize():
     # the optimizers are imported where they are called, so start-up
@@ -151,6 +156,13 @@ class TestAnalyzeGolden:
         assert code == 0
         summary = json.loads((tmp_path / "table3_reconstruction.json").read_text())
         assert summary["checks"]["fidelity_to_reference"]
+
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_table3_too_few_trials_exit_2(self, tmp_path, capsys, trials):
+        code = cli.main(["analyze-golden", "table3", "--out", str(tmp_path), "--trials", trials])
+        assert code == 2
+        assert "error: --trials" in capsys.readouterr().err
+        assert not (tmp_path / "table3_reconstruction.json").exists()
 
 
 class TestReproduce:

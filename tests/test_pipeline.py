@@ -222,8 +222,38 @@ class TestChannelReport:
         )
 
 
+BELL = st.projector(st.bell_psi_plus())
+
+
+def _state_reference(rho):
+    return {
+        "fidelity_bell": st.fidelity(rho, BELL),
+        "purity": st.purity(rho),
+        "entanglement_of_formation": st.entanglement_of_formation(rho),
+    }
+
+
+def _pair_reference(rho_in, rho_out):
+    return {
+        "fidelity_bell_in": st.fidelity(rho_in, BELL),
+        "fidelity_bell_out": st.fidelity(rho_out, BELL),
+        "purity_in": st.purity(rho_in),
+        "purity_out": st.purity(rho_out),
+        "eof_in": st.entanglement_of_formation(rho_in),
+        "eof_out": st.entanglement_of_formation(rho_out),
+        "fidelity_in_out": st.fidelity(rho_in, rho_out),
+    }
+
+
 class TestTomographyPairErrors:
-    def test_pair_error_bars_match_per_trial_resampling(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_records, metrics, reference",
+        [(1, tom.state_metrics, _state_reference), (2, tom.storage_pair_metrics, _pair_reference)],
+        ids=["one-record", "two-records"],
+    )
+    def test_pair_error_bars_match_per_trial_resampling(
+        self, monkeypatch, n_records, metrics, reference
+    ):
         # a fixed solver (the MLE's starting point) in place of the batched
         # one isolates the resampling stream from the optimizer; it solves
         # row by row, so a row's result does not depend on its batch
@@ -239,33 +269,24 @@ class TestTomographyPairErrors:
 
         monkeypatch.setattr(tom, "mle_reconstruct_batch", linear_solver)
         golden = load_tomography_counts().per_setting
-        record_in = tom.CountRecord(per_setting=golden)
-        record_out = tom.CountRecord(per_setting=np.round(0.6 * golden))
-        cfg = fast_config(mc_trials=15)
-        _, _, summary = pl.tomography_pair_with_errors(cfg, record_in, record_out, seed=31)
+        records = [
+            tom.CountRecord(per_setting=golden),
+            tom.CountRecord(per_setting=np.round(0.6 * golden)),
+        ][:n_records]
+        _, summary = tom.reconstruct_with_errors(records, metrics, n_trials=15, seed=31)
 
-        bell_proj = st.projector(st.bell_psi_plus())
         rng = np.random.default_rng(31)
         trials = []
         for _ in range(15):
             rhos = []
-            for rec in (record_in, record_out):
+            for rec in records:
                 resampled = np.where(
                     np.isnan(rec.per_setting), np.nan, rng.poisson(np.nan_to_num(rec.per_setting))
                 )
                 trial = tom.CountRecord(per_setting=resampled)
                 fit = linear_solver(trial.n_v[None], tom.basis_exposures(trial)[None])[0]
                 rhos.append(fit.rho.matrix)
-            rho_in, rho_out = rhos
-            trials.append({
-                "fidelity_bell_in": st.fidelity(rho_in, bell_proj),
-                "fidelity_bell_out": st.fidelity(rho_out, bell_proj),
-                "purity_in": st.purity(rho_in),
-                "purity_out": st.purity(rho_out),
-                "eof_in": st.entanglement_of_formation(rho_in),
-                "eof_out": st.entanglement_of_formation(rho_out),
-                "fidelity_in_out": st.fidelity(rho_in, rho_out),
-            })
+            trials.append(reference(*rhos))
         assert list(summary) == list(trials[0])
         for key, entry in summary.items():
             expected = np.std([t[key] for t in trials], ddof=1)

@@ -10,7 +10,6 @@ from afcsim.source import (
     PumpConfig,
     SourceModel,
     analytic_state,
-    calibrate_source,
     emission_arrays,
     pair_rate_per_cycle,
 )
@@ -103,12 +102,6 @@ class TestAnalyticState:
 
 
 class TestCalibration:
-    def test_hits_both_targets(self):
-        m = calibrate_source(0.9133, 0.84)
-        rho = analytic_state(m)
-        assert st.fidelity(rho, BELL) == pytest.approx(0.9133, abs=1e-6)
-        assert st.purity(rho) == pytest.approx(0.84, abs=1e-6)
-
     def test_fidelity_family_pins_purity(self):
         # any (w, sigma) pair reaching F = 0.9133 lands purity in 0.84 +- 0.02
         for w in np.linspace(0.0, 0.11, 8):
@@ -119,10 +112,6 @@ class TestCalibration:
             rho = analytic_state(model(w=w, sigma=sigma))
             assert st.fidelity(rho, BELL) == pytest.approx(0.9133, abs=1e-9)
             assert abs(st.purity(rho) - 0.84) < 0.02
-
-    def test_unreachable_targets_raise(self):
-        with pytest.raises(ValueError):
-            calibrate_source(0.99, 0.5)
 
 
 def sample(m, n_cycles, seed, band_ghz=None):

@@ -6,8 +6,6 @@ eigenvalue route for the concurrence); the library itself uses
 eigh-based matrix square roots, so the two paths are independent.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst

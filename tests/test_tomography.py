@@ -325,7 +325,7 @@ class TestMleReconstruct:
         assert 2 <= sum(flags) < len(flags)
         assert all(f.iterations == 7 for f in fits if not f.converged)
         with pytest.warns(RuntimeWarning, match="dropped"):
-            _, summary = tom.reconstruct_with_errors(golden_record, n_trials=30, seed=3)
+            _, summary = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=30, seed=3)
         assert all(np.isfinite(m["sigma"]) for m in summary.values())
 
     def test_batch_rejects_bad_rows(self, golden_record):
@@ -346,22 +346,25 @@ class TestMleReconstruct:
 
 class TestReconstructWithErrors:
     def test_error_bars_scale(self, golden_record):
-        base, summary = tom.reconstruct_with_errors(golden_record, n_trials=40, seed=1)
+        _, summary = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=40, seed=1)
         sigma = summary["fidelity_bell"]["sigma"]
         assert 0.003 < sigma < 0.04  # published scale: ~1.3 percentage points
 
         scaled = tom.CountRecord(per_setting=golden_record.per_setting * 100.0)
-        _, summary_big = tom.reconstruct_with_errors(scaled, n_trials=40, seed=1)
+        _, summary_big = tom.reconstruct_with_errors([scaled], tom.state_metrics, n_trials=40, seed=1)
         ratio = sigma / summary_big["fidelity_bell"]["sigma"]
         assert ratio == pytest.approx(10.0, rel=0.5)
 
     def test_deterministic(self, golden_record):
-        _, a = tom.reconstruct_with_errors(golden_record, n_trials=10, seed=7)
-        _, b = tom.reconstruct_with_errors(golden_record, n_trials=10, seed=7)
+        _, a = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=10, seed=7)
+        _, b = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=10, seed=7)
         assert a == b
 
     def test_reference_metric_included(self, golden_record, reference_after):
         _, summary = tom.reconstruct_with_errors(
-            golden_record, n_trials=5, seed=2, reference=reference_after
+            [golden_record],
+            lambda rho: tom.state_metrics(rho, reference=reference_after),
+            n_trials=5,
+            seed=2,
         )
         assert summary["fidelity_reference"]["value"] >= 0.97
