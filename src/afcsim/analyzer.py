@@ -2,9 +2,14 @@
 model, and two-/three-fold coincidence counting.
 
 Each analyzer is an unbalanced Mach-Zehnder interferometer whose arm
-imbalance equals the time-bin separation, followed by two detectors (ports
-1 and 2).  A photon lands in one of three arrival slots: early (short arm,
-early bin), late (long arm, late bin), or the interfering middle slot.  The
+imbalance equals the time-bin separation (the source pulse interval),
+followed by two detectors (ports 1 and 2).  That match is the Franson
+condition for the middle slot to interfere; ``umzi_povm`` assumes it, so
+the arm delay is not a setting.  The phase (alpha on the idler side, beta
+on the signal side) is a per-acquisition setting, not configuration.
+
+A photon lands in one of three arrival slots: early (short arm, early
+bin), late (long arm, late bin), or the interfering middle slot.  The
 six (port, slot) outcomes form a complete POVM:
 
     E(port, early)  = 1/4 |e><e|
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "UmziConfig",
     "DetectorConfig",
     "CoincidenceConfig",
     "SLOT_EARLY",
@@ -48,23 +52,6 @@ SLOT_NAMES = ("early", "middle", "late")
 # into the (2, 3, 2, 3) Born-rule table; indexing these is cheaper than
 # ``np.unravel_index`` on every sampled outcome.
 _OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
-
-
-@dataclass(frozen=True)
-class UmziConfig:
-    """One unbalanced Mach-Zehnder analyzer.  Its phase (alpha on the idler
-    side, beta on the signal side) is a per-acquisition setting, not
-    configuration."""
-
-    arm_delay_ns: float = 1.25
-
-    def check_matches_source(self, pulse_interval_ns: float) -> None:
-        # indistinguishability condition: arm delay = time-bin separation
-        if abs(self.arm_delay_ns - pulse_interval_ns) > 1e-3:
-            raise ValueError(
-                f"UMZI arm delay {self.arm_delay_ns} ns must equal the source "
-                f"pulse interval {pulse_interval_ns} ns within 1 ps"
-            )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ Three verbs:
 * ``reproduce``      — regenerate a figure/table analysis
                        (fig3 | fig4 | fig5 | fig7 | table1 | table2).
 
+Each artifact takes only the options it reads (``_READS``); any other
+option is a configuration error, as is more than one ``--channels`` label
+for a single-channel figure (fig4, fig5, fig7).
+
 Exit codes: 0 success, 1 a tolerance check failed, 2 configuration error.
 """
 
@@ -22,6 +26,31 @@ from pathlib import Path
 from afcsim import reports
 from afcsim.config import ConfigError, ExperimentConfig, load_config, reference_calibration_config
 from afcsim.datasets import FixtureError
+
+_RUN_OPTIONS = ("config", "seed", "channels", "trials")
+
+# The options each artifact reads, keyed by (verb, artifact).  fig5 and fig7
+# draw no Monte-Carlo error bar; the golden tables other than table3 are
+# fixed datasets with no random draw.
+_READS = {
+    ("analyze-golden", "table2"): (),
+    ("analyze-golden", "table3"): ("seed", "trials"),
+    ("analyze-golden", "table4"): (),
+    ("reproduce", "fig3"): _RUN_OPTIONS,
+    ("reproduce", "fig4"): _RUN_OPTIONS,
+    ("reproduce", "fig5"): ("config", "seed", "channels"),
+    ("reproduce", "fig7"): ("config", "seed", "channels"),
+    ("reproduce", "table1"): _RUN_OPTIONS,
+    ("reproduce", "table2"): (),
+}
+
+
+def _reject_unread(args, artifact: str) -> None:
+    reads = _READS[(args.command, artifact)]
+    given = [name for name in _RUN_OPTIONS if getattr(args, name, None) is not None]
+    unread = [f"--{name}" for name in given if name not in reads]
+    if unread:
+        raise ConfigError(f"{args.command} {artifact} does not read {', '.join(unread)}")
 
 
 def _parse_channels(text: str | None):
@@ -64,6 +93,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze_golden(args) -> int:
+    _reject_unread(args, args.dataset)
     trials = 100 if args.trials is None else args.trials
     if trials < 2:
         # the rule desk_scale.mc_trials follows for the other verbs
@@ -80,12 +110,15 @@ def cmd_analyze_golden(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    _reject_unread(args, args.figure)
+    channels = _parse_channels(args.channels)
+    if args.figure in ("fig4", "fig5", "fig7") and channels is not None and len(channels) > 1:
+        raise ConfigError(f"--channels: {args.figure} is a single-channel figure; give one label")
     out = _out_dir(args)
     if args.figure == "table2":
         summary, ok = reports.analyze_table2(out)
     else:
         cfg = _load(args)
-        channels = _parse_channels(args.channels)
         first = (channels or [0])[0]
         if args.figure == "fig3":
             summary, ok = reports.reproduce_fig3(cfg, out, channels)

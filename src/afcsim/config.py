@@ -1,11 +1,14 @@
 """Experiment configuration: a single nested JSON file drives a full run.
 
-Sections mirror the model types (source, memory, analyzers, detectors,
-coincidence, duty cycle, desk-scale sampling): a section's keys, their
-types and their defaults are the fields of its dataclass, so each default
-is written once.  Unknown keys and values of the wrong JSON type are hard
-errors with the offending JSON path, so a typo cannot silently
-mis-calibrate a run.
+Sections mirror the model types (source, memory, detectors, coincidence,
+duty cycle, filters, desk-scale sampling): a section's keys, their types
+and their defaults are the fields of its dataclass, so each default is
+written once.  What the model fixes is not configuration: the channel
+grid and passband are :mod:`afcsim.memory` constants, and the analyzers'
+arm delay is the source pulse interval (:mod:`afcsim.analyzer`), so there
+is no ``analyzers`` section.  Unknown keys and values of the wrong JSON
+type are hard errors with the offending JSON path, so a typo cannot
+silently mis-calibrate a run.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from afcsim.analyzer import CoincidenceConfig, DetectorConfig, UmziConfig
-from afcsim.memory import CHANNEL_OFFSETS_GHZ, AfcChannel, MemoryBank, wavelength_for_offset
+from afcsim.analyzer import CoincidenceConfig, DetectorConfig
+from afcsim.memory import CHANNEL_BANDWIDTH_GHZ, AfcChannel, MemoryBank
 from afcsim.source import SourceModel
 
 __all__ = [
@@ -39,17 +42,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DutyCycle:
-    prepare_ms: float = 200.0
-    wait_ms: float = 20.0
+    """The memory's preparation cycle: photons are measured for
+    ``measure_ms`` of every ``period_ms``; the rest of the period (comb
+    preparation and the wait after it) only scales wall-clock times."""
+
     measure_ms: float = 280.0
     period_ms: float = 500.0
 
     def __post_init__(self):
-        total = self.prepare_ms + self.wait_ms + self.measure_ms
-        if abs(total - self.period_ms) > 1e-9:
+        if not 0 < self.measure_ms <= self.period_ms:
             raise ConfigError(
-                f"duty_cycle: prepare+wait+measure = {total} ms must equal period "
-                f"{self.period_ms} ms"
+                f"duty_cycle.measure_ms: {self.measure_ms} ms must lie in "
+                f"(0, period_ms = {self.period_ms} ms]"
             )
 
     @property
@@ -60,8 +64,8 @@ class DutyCycle:
 @dataclass(frozen=True)
 class Filters:
     """Per-side selection bandwidths.  The signal band is the band of every
-    acquisition, stored or not; ``ExperimentConfig`` rejects one wider than
-    a memory channel's passband."""
+    acquisition, stored or not, so it must fit in a memory channel's
+    passband."""
 
     signal_bandwidth_ghz: float = 4.0
     idler_bandwidth_ghz: float = 6.2
@@ -71,6 +75,11 @@ class Filters:
             raise ConfigError("filters: bandwidths must be positive")
         if self.idler_bandwidth_ghz < self.signal_bandwidth_ghz:
             raise ConfigError("filters: idler bandwidth must cover the signal band")
+        if self.signal_bandwidth_ghz > CHANNEL_BANDWIDTH_GHZ:
+            raise ConfigError(
+                f"filters.signal_bandwidth_ghz: {self.signal_bandwidth_ghz} GHz is "
+                f"wider than the {CHANNEL_BANDWIDTH_GHZ} GHz memory passband"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,6 @@ class DeskScale:
 class ExperimentConfig:
     bank: MemoryBank
     source: SourceModel = field(default_factory=SourceModel)
-    idler_analyzer: UmziConfig = field(default_factory=UmziConfig)
-    signal_analyzer: UmziConfig = field(default_factory=UmziConfig)
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
     coincidence: CoincidenceConfig = field(default_factory=CoincidenceConfig)
     duty_cycle: DutyCycle = field(default_factory=DutyCycle)
@@ -122,26 +129,15 @@ class ExperimentConfig:
     desk_scale: DeskScale = field(default_factory=DeskScale)
     seed: int = 0
 
-    def __post_init__(self):
-        for side in (self.idler_analyzer, self.signal_analyzer):
-            side.check_matches_source(self.source.pump.pulse_interval_ns)
-        passband = min(ch.bandwidth_ghz for ch in self.bank.channels)
-        if self.filters.signal_bandwidth_ghz > passband:
-            raise ConfigError(
-                f"filters.signal_bandwidth_ghz: {self.filters.signal_bandwidth_ghz} GHz is "
-                f"wider than the {passband} GHz memory passband"
-            )
-
     @property
     def clock_period_ns(self) -> float:
         return self.source.pump.period_ns
 
 
-# JSON sections that do not mirror one dataclass: ``memory`` builds the
-# MemoryBank and its five AfcChannels, ``analyzers`` the two UmziConfigs.
+# The JSON section that does not mirror one dataclass: ``memory`` builds
+# the MemoryBank and its five AfcChannels.
 _MEMORY_KEYS = ("transmission_efficiency", "noise_rate_hz")  # MemoryBank fields
 _CHANNEL_KEYS = ("d1", "finesse", "d0")  # AfcChannel fields set per channel
-_ANALYZER_FIELDS = {"idler": "idler_analyzer", "signal": "signal_analyzer"}
 
 _JSON_TYPE_NAMES = {
     bool: "boolean",
@@ -212,14 +208,16 @@ def _build(cls, data, path: str, keys=None, **fixed):
     kwargs = {key: _value(types[key], value, f"{path}.{key}") for key, value in data.items()}
     try:
         return cls(**kwargs, **fixed)
+    except ConfigError:
+        raise  # already names its section
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
 def _build_bank(data) -> MemoryBank:
     """The memory section: bank-wide keys, one teeth spacing for all five
-    channels, and per-channel comb shapes; the channel centers are fixed
-    on the 15 GHz grid."""
+    channels, and per-channel comb shapes.  The channel grid is not here:
+    it is a constant of the memory model."""
     _expect_object(data, "memory")
     _reject_unknown(data, "memory", (*_MEMORY_KEYS, "teeth_spacing_mhz", "channels"))
     specs = _require(data, "memory", "channels")
@@ -230,19 +228,10 @@ def _build_bank(data) -> MemoryBank:
         spacing = _value(float, data["teeth_spacing_mhz"], "memory.teeth_spacing_mhz")
         shared["teeth_spacing_mhz"] = spacing
     channels = []
-    for i, (spec, off) in enumerate(zip(specs, CHANNEL_OFFSETS_GHZ)):
+    for i, spec in enumerate(specs):
         path = f"memory.channels[{i}]"
         _require(_expect_object(spec, path), path, "d1")
-        channels.append(
-            _build(
-                AfcChannel,
-                spec,
-                path,
-                _CHANNEL_KEYS,
-                center_wavelength_nm=wavelength_for_offset(off),
-                **shared,
-            )
-        )
+        channels.append(_build(AfcChannel, spec, path, _CHANNEL_KEYS, **shared))
     bank = {key: data[key] for key in _MEMORY_KEYS if key in data}
     return _build(MemoryBank, bank, "memory", _MEMORY_KEYS, channels=tuple(channels))
 
@@ -251,27 +240,14 @@ def config_from_dict(raw) -> ExperimentConfig:
     """Build the experiment configuration from parsed JSON.
 
     Top-level keys are the ExperimentConfig fields, except that ``memory``
-    holds the bank and ``analyzers`` the idler/signal UMZI sections.
+    holds the bank.
     """
     _expect_object(raw, "<root>")
     types = _field_types(ExperimentConfig)
-    renamed = {"bank", *_ANALYZER_FIELDS.values()}
-    _reject_unknown(raw, "<root>", (set(types) - renamed) | {"memory", "analyzers"})
-    kwargs = {
-        key: _value(types[key], value, key)
-        for key, value in raw.items()
-        if key not in ("memory", "analyzers")
-    }
-    analyzers = _expect_object(raw.get("analyzers", {}), "analyzers")
-    _reject_unknown(analyzers, "analyzers", _ANALYZER_FIELDS)
-    for side, name in _ANALYZER_FIELDS.items():
-        if side in analyzers:
-            kwargs[name] = _build(UmziConfig, analyzers[side], f"analyzers.{side}")
+    _reject_unknown(raw, "<root>", (set(types) - {"bank"}) | {"memory"})
+    kwargs = {key: _value(types[key], value, key) for key, value in raw.items() if key != "memory"}
     kwargs["bank"] = _build_bank(_require(raw, "<root>", "memory"))
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -6,8 +6,10 @@ storage-time decay model fitted to the bundled efficiency grid.  Storage
 itself (recall thinning, the fixed 1/Delta delay and the noise floor) is
 applied to the sampled arrays in :mod:`afcsim.pipeline`.
 
-Frequencies are handled internally as GHz offsets from the grid reference
-(channel 3); wavelengths appear only at the configuration boundary.
+The channel grid is a constant of the model, not configuration: channel
+centers are GHz offsets from the grid reference (channel 3) and every
+channel has the same 4 GHz passband, so wavelengths no longer appear, not
+even at the configuration boundary.
 """
 
 from __future__ import annotations
@@ -18,36 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SPEED_OF_LIGHT",
+    "CHANNEL_OFFSETS_GHZ",
+    "CHANNEL_BANDWIDTH_GHZ",
     "AfcChannel",
     "MemoryBank",
     "storage_time_ns",
     "afc_efficiency",
     "storage_survival",
-    "default_bank",
     "DecayFit",
     "fit_decay_model",
     "non_monotone_rows",
-    "wavelength_for_offset",
-    "time_bandwidth_product",
 ]
-
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 # Channel grid: five 4 GHz passbands on a 15 GHz grid.  Channel 1 sits at
 # +30 GHz (shortest wavelength), channel 5 at -30 GHz.
 CHANNEL_OFFSETS_GHZ = (30.0, 15.0, 0.0, -15.0, -30.0)
-REFERENCE_WAVELENGTH_NM = 1531.93
-
-# Comb depths reproducing the measured 152 ns internal efficiencies
-# (0.56, 0.55, 0.56, 0.60, 0.66) % with finesse 2 and background 1.7.
-DEFAULT_D1 = (1.108148, 1.094456, 1.108148, 1.162830, 1.244853)
-
-
-def wavelength_for_offset(offset_ghz: float, reference_nm: float = REFERENCE_WAVELENGTH_NM) -> float:
-    """Vacuum wavelength (nm) of a frequency offset from the grid reference."""
-    f_ref = SPEED_OF_LIGHT / (reference_nm * 1e-9)
-    return SPEED_OF_LIGHT / (f_ref + offset_ghz * 1e9) * 1e9
+CHANNEL_BANDWIDTH_GHZ = 4.0
 
 
 def storage_time_ns(teeth_spacing_mhz: float) -> float:
@@ -67,9 +55,7 @@ def afc_efficiency(d1: float, finesse: float, d0: float) -> float:
 
 @dataclass(frozen=True)
 class AfcChannel:
-    center_wavelength_nm: float
     teeth_spacing_mhz: float = 6.58
-    bandwidth_ghz: float = 4.0
     d1: float = 1.1
     finesse: float = 2.0
     d0: float = 1.7
@@ -79,8 +65,8 @@ class AfcChannel:
             raise ValueError("absorption depths must be nonnegative")
         if self.finesse < 1:
             raise ValueError("finesse must be >= 1")
-        if self.teeth_spacing_mhz <= 0 or self.bandwidth_ghz <= 0:
-            raise ValueError("teeth spacing and bandwidth must be positive")
+        if self.teeth_spacing_mhz <= 0:
+            raise ValueError("teeth spacing must be positive")
 
     @property
     def efficiency(self) -> float:
@@ -94,54 +80,21 @@ class AfcChannel:
 @dataclass(frozen=True)
 class MemoryBank:
     channels: tuple[AfcChannel, ...]
-    channel_spacing_ghz: float = 15.0
     transmission_efficiency: float = 0.26
     noise_rate_hz: float = 0.0
-    reference_wavelength_nm: float = REFERENCE_WAVELENGTH_NM
 
     def __post_init__(self):
-        if len(self.channels) != 5:
+        if len(self.channels) != len(CHANNEL_OFFSETS_GHZ):
             raise ValueError("a memory bank has exactly five channels")
         if not 0 < self.transmission_efficiency <= 1:
             raise ValueError("transmission efficiency must be in (0, 1]")
         if self.noise_rate_hz < 0:
             raise ValueError("noise rate must be nonnegative")
-        offs = self.channel_offsets_ghz
-        for a, b, ch in zip(offs, offs[1:], self.channels):
-            if abs((a - b) - self.channel_spacing_ghz) > 0.5:
-                raise ValueError("adjacent channel centers must sit on the spacing grid")
-            if ch.bandwidth_ghz >= self.channel_spacing_ghz:
-                raise ValueError("channel passbands must be disjoint (bandwidth < spacing)")
-
-    @property
-    def channel_offsets_ghz(self) -> tuple[float, ...]:
-        f_ref = SPEED_OF_LIGHT / (self.reference_wavelength_nm * 1e-9)
-        return tuple(
-            (SPEED_OF_LIGHT / (ch.center_wavelength_nm * 1e-9) - f_ref) / 1e9
-            for ch in self.channels
-        )
-
-
-def default_bank(noise_rate_hz: float = 0.0, teeth_spacing_mhz: float = 6.58) -> MemoryBank:
-    channels = tuple(
-        AfcChannel(
-            center_wavelength_nm=wavelength_for_offset(off),
-            teeth_spacing_mhz=teeth_spacing_mhz,
-            d1=d1,
-        )
-        for off, d1 in zip(CHANNEL_OFFSETS_GHZ, DEFAULT_D1)
-    )
-    return MemoryBank(channels=channels, noise_rate_hz=noise_rate_hz)
 
 
 def storage_survival(bank: MemoryBank, channel_index: int) -> float:
     """End-to-end recall probability: internal AFC efficiency x transmission."""
     return bank.channels[channel_index].efficiency * bank.transmission_efficiency
-
-
-def time_bandwidth_product(bank: MemoryBank) -> float:
-    """Sum over channels of acceptance bandwidth x storage time."""
-    return sum(ch.bandwidth_ghz * ch.storage_time_ns for ch in bank.channels)
 
 
 # --- storage-time dependence -------------------------------------------

@@ -34,7 +34,7 @@ from afcsim.analyzer import (
     threefold_counts,
 )
 from afcsim.config import ExperimentConfig
-from afcsim.memory import storage_survival
+from afcsim.memory import CHANNEL_OFFSETS_GHZ, storage_survival
 from afcsim.source import analytic_state, emission_arrays
 
 __all__ = [
@@ -64,7 +64,7 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 
 
 def channel_band(cfg: ExperimentConfig, channel: int, bandwidth_ghz: float):
-    center = cfg.bank.channel_offsets_ghz[channel]
+    center = CHANNEL_OFFSETS_GHZ[channel]
     return (center - bandwidth_ghz / 2.0, center + bandwidth_ghz / 2.0)
 
 
@@ -139,7 +139,7 @@ def acquire_threefold(
 
     idler_t = cycles * period_ps + i_slot * spacing_ps
 
-    center = cfg.bank.channel_offsets_ghz[channel]
+    center = CHANNEL_OFFSETS_GHZ[channel]
     in_signal_band = np.abs(offsets - center) <= cfg.filters.signal_bandwidth_ghz / 2.0
     delay_ps = 0.0
     if stored:

@@ -23,8 +23,6 @@ __all__ = [
     "KET_D",
     "KET_R",
     "TwoQubitState",
-    "time_bin_ket",
-    "two_qubit_ket",
     "bell_psi_plus",
     "projector",
     "werner_state",
@@ -50,8 +48,6 @@ KET_L = np.array([0.0, 1.0], dtype=complex)
 KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_R = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 
-_KET_NORM_ATOL = 1e-12
-
 # Validation tolerances for a well-formed state.
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -65,24 +61,6 @@ _REPAIR_EIG_FLOOR = -0.05
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-def time_bin_ket(a: complex, b: complex) -> np.ndarray:
-    """Normalized single-qubit ket a|e> + b|l>."""
-    ket = np.array([a, b], dtype=complex)
-    norm_sq = float(np.vdot(ket, ket).real)
-    if abs(norm_sq - 1.0) > _KET_NORM_ATOL:
-        raise ValueError(f"time-bin ket not normalized: |a|^2+|b|^2 = {norm_sq}")
-    return ket
-
-
-def two_qubit_ket(amplitudes) -> np.ndarray:
-    """Normalized two-qubit ket over (|ee>, |el>, |le>, |ll>)."""
-    ket = np.asarray(amplitudes, dtype=complex).reshape(4)
-    norm_sq = float(np.vdot(ket, ket).real)
-    if abs(norm_sq - 1.0) > _KET_NORM_ATOL:
-        raise ValueError(f"two-qubit ket not normalized: squared norm = {norm_sq}")
-    return ket
 
 
 def bell_psi_plus() -> np.ndarray:

@@ -65,7 +65,6 @@ __all__ = [
     "state_metrics",
     "storage_pair_metrics",
     "reconstruct_with_errors",
-    "gram_condition_number",
     "rho_from_params",
     "params_from_rho",
 ]
@@ -225,17 +224,6 @@ def expected_counts(rho, exposures) -> np.ndarray:
         raise ValueError("exposures must be positive")
     probs = np.einsum("vij,ji->v", _PROJECTORS, m).real
     return c * probs
-
-
-def gram_condition_number() -> float:
-    """Informational-completeness guard for the 16-projector set.
-
-    Returns the condition number (singular-value ratio) of the design
-    matrix whose rows are the vectorized projectors; its Gram is the
-    overlap matrix tr(Pi_v Pi_w).  This is the conditioning that governs
-    the stability of linear inversion; about 10.4 for this basis set.
-    """
-    return float(np.linalg.cond(_PROJECTORS.reshape(16, 16)))
 
 
 # --- T-parameterization ---------------------------------------------------

@@ -355,11 +355,3 @@ class TestCountingMatchesReference:
             an.threefold_counts(
                 np.array([0.0]), np.array([2]), np.array([0.0]), np.array([0]), 16.0, an.CoincidenceConfig()
             )
-
-
-class TestUmziConfigValidation:
-    def test_arm_delay_must_match_source(self):
-        cfg = an.UmziConfig(arm_delay_ns=1.25)
-        cfg.check_matches_source(1.25)
-        with pytest.raises(ValueError, match="arm delay"):
-            cfg.check_matches_source(1.30)

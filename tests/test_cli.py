@@ -72,6 +72,29 @@ class TestSimulate:
         assert code == 2
         assert f"error: {path}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"analyzers": {"idler": {"arm_delay_ns": 1.25}, "signal": {"arm_delay_ns": 1.25}}},
+                "<root>: unknown key(s) ['analyzers']",
+            ),
+            ({"duty_cycle": {"prepare_ms": 200.0}}, "duty_cycle: unknown key(s) ['prepare_ms']"),
+            ({"duty_cycle": {"wait_ms": 20.0}}, "duty_cycle: unknown key(s) ['wait_ms']"),
+            ({"duty_cycle": {"measure_ms": 0}}, "duty_cycle.measure_ms: 0 ms"),
+        ],
+    )
+    def test_model_constants_and_empty_measure_window_exit_2(
+        self, tmp_path, capsys, overrides, message
+    ):
+        raw = {"memory": {"channels": [{"d1": 1.1}] * 5}}
+        raw.update(overrides)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bad_channel_label_exit_2(self, tmp_path, fast_config_file):
         code = cli.main(
             ["simulate", "--config", fast_config_file, "--out", str(tmp_path / "o"),
@@ -190,6 +213,35 @@ class TestReproduce:
         code = cli.main(["reproduce", "table2", "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig7"])
+    def test_single_channel_figure_rejects_several_channels(self, tmp_path, capsys, figure):
+        code = cli.main(["reproduce", figure, "--out", str(tmp_path / "o"), "--channels", "2,3"])
+        assert code == 2
+        assert f"error: --channels: {figure} is a single-channel figure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["reproduce", "fig9", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze-golden", "table2", "--seed", "3"], "--seed"),
+        (["analyze-golden", "table2", "--trials", "50"], "--trials"),
+        (["analyze-golden", "table4", "--seed", "3"], "--seed"),
+        (["analyze-golden", "table4", "--trials", "50"], "--trials"),
+        (["reproduce", "table2", "--config", "cfg.json"], "--config"),
+        (["reproduce", "table2", "--seed", "3"], "--seed"),
+        (["reproduce", "table2", "--channels", "1"], "--channels"),
+        (["reproduce", "table2", "--trials", "50"], "--trials"),
+        (["reproduce", "fig5", "--trials", "50"], "--trials"),
+        (["reproduce", "fig7", "--trials", "50"], "--trials"),
+    ],
+)
+def test_option_the_artifact_never_reads_exit_2(tmp_path, capsys, argv, flag):
+    code = cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {argv[0]} {argv[1]} does not read {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -6,7 +6,7 @@ import operator
 
 import pytest
 
-from afcsim.analyzer import CoincidenceConfig, DetectorConfig, UmziConfig
+from afcsim.analyzer import CoincidenceConfig, DetectorConfig
 from afcsim.config import (
     ConfigError,
     DeskScale,
@@ -16,7 +16,7 @@ from afcsim.config import (
     load_config,
     reference_calibration_config,
 )
-from afcsim.memory import CHANNEL_OFFSETS_GHZ, AfcChannel, MemoryBank, wavelength_for_offset
+from afcsim.memory import AfcChannel, MemoryBank
 from afcsim.source import PumpConfig, SourceModel
 
 
@@ -42,7 +42,6 @@ class TestLoading:
         cfg = config_from_dict(minimal_dict())
         assert cfg.source.pump.period_ns == 16.0
         assert len(cfg.bank.channels) == 5
-        assert cfg.bank.channels[2].center_wavelength_nm == pytest.approx(1531.93, abs=1e-6)
 
     def test_shipped_config_valid(self):
         cfg = reference_calibration_config()
@@ -81,14 +80,16 @@ class TestStrictKeys:
 
 
 class TestInvariants:
-    def test_duty_cycle_must_sum(self):
+    @pytest.mark.parametrize("measure_ms", [0, -20.0, 500.5])
+    def test_duty_cycle_measure_window_in_range(self, measure_ms):
+        # 0 < measure_ms <= period_ms (500 ms by default)
+        with pytest.raises(ConfigError, match=r"duty_cycle\.measure_ms"):
+            config_from_dict(minimal_dict(duty_cycle={"measure_ms": measure_ms}))
         with pytest.raises(ConfigError, match="duty_cycle"):
-            DutyCycle(prepare_ms=100.0, wait_ms=20.0, measure_ms=280.0, period_ms=500.0)
+            DutyCycle(measure_ms=measure_ms, period_ms=500.0)
 
-    def test_arm_delay_matches_pulse_interval(self):
-        raw = minimal_dict(analyzers={"idler": {"arm_delay_ns": 1.5}})
-        with pytest.raises(ConfigError, match="arm delay"):
-            config_from_dict(raw)
+    def test_duty_cycle_measure_window_may_fill_the_period(self):
+        assert DutyCycle(measure_ms=500.0, period_ms=500.0).measure_fraction == 1.0
 
     def test_five_channels_required(self):
         raw = {"memory": {"channels": [{"d1": 1.0}] * 4}}
@@ -129,8 +130,6 @@ class TestSchema:
         [
             ("source", "source", SourceModel),
             ("source.pump", "source.pump", PumpConfig),
-            ("analyzers.idler", "idler_analyzer", UmziConfig),
-            ("analyzers.signal", "signal_analyzer", UmziConfig),
             ("detectors", "detectors", DetectorConfig),
             ("coincidence", "coincidence", CoincidenceConfig),
             ("duty_cycle", "duty_cycle", DutyCycle),
@@ -149,18 +148,13 @@ class TestSchema:
         cfg = config_from_dict(minimal_dict())
         assert cfg.source == SourceModel()
         assert cfg.source.pump == PumpConfig()
-        assert cfg.idler_analyzer == cfg.signal_analyzer == UmziConfig()
         assert cfg.detectors == DetectorConfig()
         assert cfg.coincidence == CoincidenceConfig()
         assert cfg.duty_cycle == DutyCycle()
         assert cfg.filters == Filters()
         assert cfg.desk_scale == DeskScale()
         assert cfg.seed == 0
-        channels = tuple(
-            AfcChannel(center_wavelength_nm=wavelength_for_offset(off), d1=1.1)
-            for off in CHANNEL_OFFSETS_GHZ
-        )
-        assert cfg.bank == MemoryBank(channels=channels)
+        assert cfg.bank == MemoryBank(channels=(AfcChannel(d1=1.1),) * 5)
 
     def test_teeth_spacing_applies_to_all_channels(self):
         raw = minimal_dict()
@@ -174,8 +168,13 @@ class TestSchema:
             ("source.pump.pulse_width_fwhm_ps", 300.0),
             ("source.signal_center_wavelength_nm", 1531.93),
             ("source.idler_center_wavelength_nm", 1549.37),
-            ("analyzers.idler.splitting_ratio", 0.5),
-            ("analyzers.signal.splitting_ratio", 0.5),
+            pytest.param(
+                "analyzers",
+                {"idler": {"arm_delay_ns": 1.25}, "signal": {"arm_delay_ns": 1.25}},
+                id="analyzers-shipped_section",
+            ),
+            ("duty_cycle.prepare_ms", 200.0),
+            ("duty_cycle.wait_ms", 20.0),
             ("memory.channel_spacing_ghz", 15.0),
             ("memory.channel_bandwidth_ghz", 4.0),
             ("run_duration_s", 60.0),
@@ -200,7 +199,7 @@ class TestValueTypes:
         [
             ({"detectors": {"efficiency": True}}, r"detectors\.efficiency: expected a number, got boolean"),
             ({"source": {"pump": 16.0}}, r"source\.pump: expected an object, got number"),
-            ({"analyzers": {"idler": None}}, r"analyzers\.idler: expected an object, got null"),
+            ({"desk_scale": None}, r"desk_scale: expected an object, got null"),
             ({"detectors": {"dark_count_rate_hz": float("nan")}}, "expected a number, got nan"),
             ({"source": {"pair_bandwidth_ghz": float("inf")}}, "expected a number, got inf"),
         ],

@@ -46,11 +46,6 @@ class TestBasisProjectors:
         assert tom.basis_states(5).signal_state == "l"
         assert tom.basis_states(5).idler_state == "e"
 
-    def test_gram_condition(self):
-        cond = tom.gram_condition_number()
-        assert np.isfinite(cond)
-        assert cond < 100.0
-
 
 class TestMeasuredMask:
     def test_matches_fixture_dash_pattern(self, golden_record):
