@@ -11,6 +11,7 @@ from afcsim.config import (
     ConfigError,
     DeskScale,
     DutyCycle,
+    ExperimentConfig,
     Filters,
     config_from_dict,
     load_config,
@@ -168,6 +169,8 @@ class TestSchema:
             ("source.pump.pulse_width_fwhm_ps", 300.0),
             ("source.signal_center_wavelength_nm", 1531.93),
             ("source.idler_center_wavelength_nm", 1549.37),
+            ("analyzers.idler.splitting_ratio", 0.5),
+            ("analyzers.signal.splitting_ratio", 0.5),
             pytest.param(
                 "analyzers",
                 {"idler": {"arm_delay_ns": 1.25}, "signal": {"arm_delay_ns": 1.25}},
@@ -188,7 +191,11 @@ class TestSchema:
             raw.update(nested(path, value))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError, match=path.rsplit(".", 1)[-1]):
+        # a deleted section is rejected whole, a deleted knob by its own name
+        top = path.split(".")[0]
+        top_keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"memory"}
+        rejected = path.rsplit(".", 1)[-1] if top in top_keys else top
+        with pytest.raises(ConfigError, match=rejected):
             load_config(cfg_path)
 
 
