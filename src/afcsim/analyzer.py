@@ -35,6 +35,7 @@ __all__ = [
     "SLOT_LATE",
     "umzi_povm",
     "project_pair",
+    "middle_middle",
     "sample_pair_outcomes",
     "detect",
     "coincidence_histogram",
@@ -49,7 +50,8 @@ SLOT_EARLY, SLOT_MIDDLE, SLOT_LATE = 0, 1, 2
 SLOT_NAMES = ("early", "middle", "late")
 
 # (idler_port, idler_slot, signal_port, signal_slot) of each flat index
-# into the (2, 3, 2, 3) Born-rule table; indexing these is cheaper than
+# into a (2, 3, 2, 3) outcome table, the layout shared by the Born-rule
+# probabilities and the threefold counts; indexing these is cheaper than
 # ``np.unravel_index`` on every sampled outcome.
 _OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
 
@@ -113,6 +115,14 @@ def project_pair(rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
                     op = np.kron(e_signal[sp, ssl], e_idler[ip, isl])
                     table[ip, isl, sp, ssl] = np.trace(m @ op).real
     return table
+
+
+def middle_middle(table) -> np.ndarray:
+    """The four interfering (middle, middle) cells of a ``(..., 2, 3, 2, 3)``
+    outcome table, counts or probabilities, as ``(..., 2, 2)`` over
+    (idler_port, signal_port): reshaped to 4 they follow (A1B1, A1B2, A2B1,
+    A2B2)."""
+    return np.asarray(table)[..., :, SLOT_MIDDLE, :, SLOT_MIDDLE]
 
 
 def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator):
@@ -245,10 +255,11 @@ def _same_cycle_pairs(query_cycles: np.ndarray, table_cycles: np.ndarray):
 
 @dataclass(frozen=True)
 class ThreefoldCounts:
-    """Clock-triggered coincidence counts resolved by slot and port.
+    """Clock-triggered coincidence counts resolved by port and slot.
 
-    ``counts[idler_slot, signal_slot, idler_port, signal_port]``; events that
-    fall outside every slot window are tallied in ``unclassified``.
+    ``counts[idler_port, idler_slot, signal_port, signal_slot]``, the layout
+    of :func:`project_pair`; events that fall outside every slot window are
+    tallied in ``unclassified``.
     """
 
     counts: np.ndarray
@@ -288,10 +299,10 @@ def threefold_counts(
     sc, ssl, s_ok = _classify_slots(
         signal_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps, signal_ref_ps
     )
-    # flat index of counts[idler_slot, signal_slot, idler_port, signal_port],
+    # flat index of counts[idler_port, idler_slot, signal_port, signal_slot],
     # split into its idler and signal parts
-    i_cell = isl * 12 + _checked_ports(idler_ports)[i_ok] * 2
-    s_cell = ssl * 4 + _checked_ports(signal_ports)[s_ok]
+    i_cell = _checked_ports(idler_ports)[i_ok] * 18 + isl * 6
+    s_cell = _checked_ports(signal_ports)[s_ok] * 3 + ssl
 
     order_i = np.argsort(ic, kind="stable")
     ic, i_cell = ic[order_i], i_cell[order_i]
@@ -302,7 +313,7 @@ def threefold_counts(
     # signal side (narrower band, thinned by storage) is the smaller one, so
     # the expansion runs over signal events
     s_idx, i_idx = _same_cycle_pairs(sc, ic)
-    counts = np.bincount(i_cell[i_idx] + s_cell[s_idx], minlength=36).reshape(3, 3, 2, 2)
+    counts = np.bincount(i_cell[i_idx] + s_cell[s_idx], minlength=36).reshape(2, 3, 2, 3)
 
     if n_cycles is None:
         top = 0

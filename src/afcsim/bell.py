@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from afcsim.analyzer import SLOT_MIDDLE, project_pair
+from afcsim.analyzer import middle_middle, project_pair
 
 __all__ = [
     "COMBO_LABELS",
@@ -33,7 +33,6 @@ __all__ = [
     "bell_violation_sigmas",
     "analytic_correlation",
     "analytic_chsh",
-    "middle_middle_probabilities",
 ]
 
 COMBO_LABELS = ("A1B1", "A1B2", "A2B1", "A2B2")
@@ -299,17 +298,9 @@ def fit_visibility(
 # --- analytic (infinite statistics) path ---------------------------------
 
 
-def middle_middle_probabilities(rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
-    """Joint middle-slot probabilities for the four port combinations,
-    ordered as COMBO_LABELS."""
-    table = project_pair(rho, alpha_rad, beta_rad)
-    mm = table[:, SLOT_MIDDLE, :, SLOT_MIDDLE]
-    return np.array([mm[0, 0], mm[0, 1], mm[1, 0], mm[1, 1]])
-
-
 def analytic_correlation(rho, alpha_rad: float, beta_rad: float) -> float:
     """Correlation coefficient of the exact Born-rule rates."""
-    return correlation_e(middle_middle_probabilities(rho, alpha_rad, beta_rad))
+    return correlation_e(middle_middle(project_pair(rho, alpha_rad, beta_rad)))
 
 
 def analytic_chsh(rho, phases=DEFAULT_CHSH_PHASES) -> float:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from afcsim.states import parse_density_matrix
+from afcsim.tomography import CountRecord, basis_states
 
 __all__ = [
     "FixtureError",
@@ -34,7 +35,6 @@ __all__ = [
     "load_tomography_counts",
     "load_density_matrices",
     "EfficiencyGrid",
-    "TomographyTable",
 ]
 
 
@@ -80,9 +80,8 @@ class EfficiencyGrid:
     sigma_pct: float = 0.01
 
 
-def load_efficiency_grid(verify: bool = True) -> EfficiencyGrid:
-    if verify:
-        verify_checksums()
+def load_efficiency_grid() -> EfficiencyGrid:
+    verify_checksums()
     path = fixture_path("storage_efficiency_grid.csv")
     times, rows = [], []
     with open(path, newline="") as f:
@@ -94,56 +93,48 @@ def load_efficiency_grid(verify: bool = True) -> EfficiencyGrid:
     return EfficiencyGrid(times_ns=np.array(times), efficiency_pct=np.array(rows))
 
 
-@dataclass(frozen=True)
-class TomographyTable:
-    signal_states: tuple[str, ...]        # per basis v = 1..16
-    idler_states: tuple[str, ...]
-    setting_labels: tuple[str, ...]       # ("DD", "DR", "RD", "RR")
-    per_setting: np.ndarray               # (4, 16), NaN where not measured
-    n_v: np.ndarray                       # (16,)
-
-
-def read_counts_csv(path) -> TomographyTable:
+def read_counts_csv(path) -> CountRecord:
     """Parse a 16-basis count table in the fixture layout:
-    v, photon1, photon2, DD, DR, RD, RR, n_v with '-' for unmeasured cells."""
-    signal, idler = [], []
+    v, photon1, photon2, DD, DR, RD, RR, n_v with '-' for unmeasured cells.
+
+    photon1/photon2 must name basis v's signal/idler states, and the
+    measured cells must follow the settings' pattern."""
     per_setting = np.full((4, 16), np.nan)
     n_v = np.zeros(16)
-    labels = ("DD", "DR", "RD", "RR")
+    states = {}
     with open(path, newline="") as f:
         for rec in csv.reader(f):
             if not rec or rec[0].startswith("#") or rec[0] == "v":
                 continue
             v = int(rec[0]) - 1
-            signal.append(rec[1])
-            idler.append(rec[2])
+            states[v + 1] = (rec[1], rec[2])
             for s, tok in enumerate(rec[3:7]):
                 if tok.strip() != "-":
                     per_setting[s, v] = float(tok)
             n_v[v] = float(rec[7])
-    table = TomographyTable(
-        signal_states=tuple(signal),
-        idler_states=tuple(idler),
-        setting_labels=labels,
-        per_setting=per_setting,
-        n_v=n_v,
-    )
-    sums = np.nansum(table.per_setting, axis=0)
-    if not np.allclose(sums, table.n_v):
+    if not np.allclose(np.nansum(per_setting, axis=0), n_v):
         raise FixtureError(f"{path}: inconsistent table (n_v != setting sum)")
-    return table
+    for v, labeled in states.items():
+        basis = basis_states(v)
+        if labeled != (basis.signal_state, basis.idler_state):
+            raise FixtureError(
+                f"{path}: basis {v} labeled {labeled}, expected "
+                f"{(basis.signal_state, basis.idler_state)}"
+            )
+    try:
+        return CountRecord(per_setting=per_setting)
+    except ValueError as err:
+        raise FixtureError(f"{path}: {err}") from None
 
 
-def load_tomography_counts(verify: bool = True) -> TomographyTable:
-    if verify:
-        verify_checksums()
+def load_tomography_counts() -> CountRecord:
+    verify_checksums()
     return read_counts_csv(fixture_path("tomography_counts.csv"))
 
 
-def load_density_matrices(verify: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def load_density_matrices() -> tuple[np.ndarray, np.ndarray]:
     """(before, after) reference density matrices, raw as printed."""
-    if verify:
-        verify_checksums()
+    verify_checksums()
     before = parse_density_matrix(fixture_path("density_before_storage.txt").read_text())
     after = parse_density_matrix(fixture_path("density_after_storage.txt").read_text())
     return before, after

@@ -101,26 +101,29 @@ def storage_survival(bank: MemoryBank, channel_index: int) -> float:
 #
 # The efficiency grid is tabulated, not modeled; we fit an effective comb
 # contrast decay d1(t) = d1_0 exp(-t / tau) per channel as a calibration
-# artifact.  The grid itself stays the ground truth.
+# artifact.  The grid itself stays the ground truth.  The fit holds the
+# finesse and d0 of the default AfcChannel fixed.
+
+_DECAY_COMB = AfcChannel()
+_DECAY_SCALE = math.exp(-7.0 / _DECAY_COMB.finesse**2) * math.exp(-_DECAY_COMB.d0)
+
+
+def _decay_efficiency_pct(d1_0, tau_ns, t_ns):
+    """Efficiency (%) of the default comb with d1(t) = d1_0 exp(-t / tau)."""
+    x = d1_0 * np.exp(-np.asarray(t_ns, dtype=float) / tau_ns) / _DECAY_COMB.finesse
+    return 100.0 * x * x * np.exp(-x) * _DECAY_SCALE
 
 
 @dataclass(frozen=True)
 class DecayFit:
     d1_0: float
     tau_ns: float
-    finesse: float
-    d0: float
     max_residual_pct: float
     fitted_times_ns: tuple[float, ...]
     excluded_times_ns: tuple[float, ...]
 
-    def d1_at(self, t_ns):
-        return self.d1_0 * np.exp(-np.asarray(t_ns, dtype=float) / self.tau_ns)
-
     def efficiency_pct(self, t_ns):
-        x = self.d1_at(t_ns) / self.finesse
-        scale = math.exp(-7.0 / self.finesse**2) * math.exp(-self.d0)
-        return 100.0 * x * x * np.exp(-x) * scale
+        return _decay_efficiency_pct(self.d1_0, self.tau_ns, t_ns)
 
 
 def non_monotone_rows(times_ns, efficiencies_pct) -> list[int]:
@@ -129,50 +132,37 @@ def non_monotone_rows(times_ns, efficiencies_pct) -> list[int]:
     return [i for i in range(1, len(vals)) if vals[i] > vals[i - 1]]
 
 
-def fit_decay_model(
-    times_ns,
-    efficiencies_pct,
-    finesse: float = 2.0,
-    d0: float = 1.7,
-    exclude: list[int] | None = None,
-) -> DecayFit:
+def fit_decay_model(times_ns, efficiencies_pct) -> DecayFit:
     """Fit (d1_0, tau) to a storage-time/efficiency column.
 
     Least-squares fit followed by a minimax (Chebyshev) polish on the
-    absolute residual in percentage points; non-monotone rows can be
-    excluded (they cannot be represented by a decay law).
+    absolute residual in percentage points; non-monotone rows are excluded
+    (they cannot be represented by a decay law).
     """
     times = np.asarray(times_ns, dtype=float)
     vals = np.asarray(efficiencies_pct, dtype=float)
-    exclude = exclude if exclude is not None else non_monotone_rows(times, vals)
-    keep = np.array([i not in exclude for i in range(len(times))])
+    keep = np.ones(len(times), dtype=bool)
+    keep[non_monotone_rows(times, vals)] = False
     t_fit, v_fit = times[keep], vals[keep]
     if len(t_fit) < 3:
         raise ValueError("need at least three rows to fit the decay model")
     from scipy import optimize
 
-    scale = math.exp(-7.0 / finesse**2) * math.exp(-d0)
+    def residual(params):
+        return _decay_efficiency_pct(params[0], params[1], t_fit) - v_fit
 
-    def model(params, t):
-        x = params[0] * np.exp(-t / params[1]) / finesse
-        return 100.0 * x * x * np.exp(-x) * scale
-
-    lsq = optimize.least_squares(
-        lambda p: model(p, t_fit) - v_fit, x0=[2.5, 200.0], bounds=([0.1, 10.0], [10.0, 5000.0])
-    )
+    lsq = optimize.least_squares(residual, x0=[2.5, 200.0], bounds=([0.1, 10.0], [10.0, 5000.0]))
     cheb = optimize.minimize(
-        lambda p: np.max(np.abs(model(p, t_fit) - v_fit)),
+        lambda p: np.max(np.abs(residual(p))),
         lsq.x,
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
     )
-    params = cheb.x if cheb.fun <= np.max(np.abs(model(lsq.x, t_fit) - v_fit)) else lsq.x
+    params = cheb.x if cheb.fun <= np.max(np.abs(residual(lsq.x))) else lsq.x
     return DecayFit(
         d1_0=float(params[0]),
         tau_ns=float(params[1]),
-        finesse=finesse,
-        d0=d0,
-        max_residual_pct=float(np.max(np.abs(model(params, t_fit) - v_fit))),
+        max_residual_pct=float(np.max(np.abs(residual(params)))),
         fitted_times_ns=tuple(float(t) for t in t_fit),
         excluded_times_ns=tuple(float(t) for t in times[~keep]),
     )

@@ -29,6 +29,7 @@ from afcsim.analyzer import (
     detect,
     g2_cross,
     g2_tallies,
+    middle_middle,
     project_pair,
     sample_pair_outcomes,
     threefold_counts,
@@ -48,6 +49,7 @@ __all__ = [
     "run_chsh",
     "run_fringe",
     "run_tomography_counts",
+    "dd_tomography_acquisition",
     "analytic_mm_counts",
     "channel_report",
     "run_report",
@@ -63,7 +65,12 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def channel_band(cfg: ExperimentConfig, channel: int, bandwidth_ghz: float):
+def _seed(cfg: ExperimentConfig, *tags) -> int:
+    """Integer seed drawn from the (config seed, tag...) path."""
+    return int(derive_rng(cfg.seed, *tags).integers(2**31))
+
+
+def channel_band(channel: int, bandwidth_ghz: float):
     center = CHANNEL_OFFSETS_GHZ[channel]
     return (center - bandwidth_ghz / 2.0, center + bandwidth_ghz / 2.0)
 
@@ -72,6 +79,32 @@ def boosted_survival(cfg: ExperimentConfig, channel: int) -> float:
     """Signal-chain survival through the memory with the desk-scale boost,
     capped below 1."""
     return min(storage_survival(cfg.bank, channel) * cfg.desk_scale.efficiency_boost, 0.95)
+
+
+def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bool, duration_ps):
+    """The memory step of the signal chain.
+
+    Returns (keep, delay_ps, noise_times_ps, noise_ports): which of the
+    ``n_signal`` signal photons the boosted recall survival keeps, the fixed
+    1/Delta recall delay, and the memory-noise arrivals injected at the
+    boosted noise rate.  A bypassed memory (``stored=False``) keeps every
+    photon, adds no delay and no noise.
+    """
+    no_noise = np.empty(0), np.empty(0, dtype=np.int64)
+    if not stored:
+        return np.ones(n_signal, dtype=bool), 0.0, *no_noise
+    rng_store = derive_rng(cfg.seed, *tags, "storage")
+    keep = rng_store.random(n_signal) < boosted_survival(cfg, channel)
+    delay_ps = cfg.bank.channels[channel].storage_time_ns * 1e3
+    if cfg.bank.noise_rate_hz <= 0:
+        return keep, delay_ps, *no_noise
+    rng_noise = derive_rng(cfg.seed, *tags, "memnoise")
+    rate_hz = cfg.bank.noise_rate_hz * cfg.desk_scale.efficiency_boost
+    n_noise = rng_noise.poisson(rate_hz * duration_ps * 1e-12)
+    # the ports come after the times from this stream, which feeds nothing
+    # else, so a caller that ignores them sees the same times
+    noise_t = rng_noise.uniform(0, duration_ps, n_noise)
+    return keep, delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
 
 
 def _merge_ports(streams: dict[str, np.ndarray], names: tuple[str, str]):
@@ -85,7 +118,7 @@ def _merge_ports(streams: dict[str, np.ndarray], names: tuple[str, str]):
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One analyzer acquisition: slot/port-resolved threefold counts plus
+    """One analyzer acquisition: port/slot-resolved threefold counts plus
     bookkeeping, and optionally the raw detection streams."""
 
     threefold: ThreefoldCounts
@@ -94,12 +127,6 @@ class Acquisition:
     measure_time_s: float
     delay_ps: float
     streams: dict[str, np.ndarray] | None = None
-
-    @property
-    def middle_middle(self) -> np.ndarray:
-        """(2, 2) counts over (idler_port, signal_port) in the interfering
-        slots, ordered so that .reshape(-1) follows (A1B1, A1B2, A2B1, A2B2)."""
-        return self.threefold.counts[SLOT_MIDDLE, SLOT_MIDDLE]
 
 
 def acquire_threefold(
@@ -122,11 +149,8 @@ def acquire_threefold(
     """
     rng_em = derive_rng(cfg.seed, *tags, "emission")
     rng_out = derive_rng(cfg.seed, *tags, "outcome")
-    rng_store = derive_rng(cfg.seed, *tags, "storage")
-    rng_noise = derive_rng(cfg.seed, *tags, "memnoise")
-    det_seed = int(derive_rng(cfg.seed, *tags, "detector").integers(2**31))
 
-    band = channel_band(cfg, channel, cfg.filters.idler_bandwidth_ghz)
+    band = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
     cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
     rho = analytic_state(cfg.source)
     i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
@@ -141,20 +165,15 @@ def acquire_threefold(
 
     center = CHANNEL_OFFSETS_GHZ[channel]
     in_signal_band = np.abs(offsets - center) <= cfg.filters.signal_bandwidth_ghz / 2.0
-    delay_ps = 0.0
-    if stored:
-        keep = in_signal_band & (rng_store.random(len(cycles)) < boosted_survival(cfg, channel))
-        delay_ps = cfg.bank.channels[channel].storage_time_ns * 1e3
-    else:
-        keep = in_signal_band
+    recalled, delay_ps, noise_t, noise_port = _recall(
+        cfg, channel, tags, len(cycles), stored, duration_ps
+    )
+    keep = in_signal_band & recalled
     signal_t = cycles[keep] * period_ps + delay_ps + s_slot[keep] * spacing_ps
     signal_port = s_port[keep]
-
-    if stored and cfg.bank.noise_rate_hz > 0:
-        rate_hz = cfg.bank.noise_rate_hz * cfg.desk_scale.efficiency_boost
-        n_noise = rng_noise.poisson(rate_hz * duration_ps * 1e-12)
-        signal_t = np.concatenate([signal_t, rng_noise.uniform(0, duration_ps, n_noise)])
-        signal_port = np.concatenate([signal_port, rng_noise.integers(0, 2, n_noise)])
+    if noise_t.size:
+        signal_t = np.concatenate([signal_t, noise_t])
+        signal_port = np.concatenate([signal_port, noise_port])
 
     arrivals = {
         "A1": idler_t[i_port == 0],
@@ -162,6 +181,7 @@ def acquire_threefold(
         "B1": signal_t[signal_port == 0],
         "B2": signal_t[signal_port == 1],
     }
+    det_seed = _seed(cfg, *tags, "detector")
     streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, det_seed)
     it, ip = _merge_ports(streams, _IDLER_DETECTORS)
     stt, sp = _merge_ports(streams, _SIGNAL_DETECTORS)
@@ -216,13 +236,13 @@ def acquire_g2(
     duration_ps = n_cycles * period_ps
 
     rng_sig = derive_rng(cfg.seed, *tags, "sig-emission")
-    sig_band = channel_band(cfg, signal_channel, cfg.filters.signal_bandwidth_ghz)
+    sig_band = channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
     sig_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band)
 
     if idler_channel == signal_channel:
         # idlers of the same pairs, plus the wider-filter fringe around them
         rng_extra = derive_rng(cfg.seed, *tags, "idl-fringe")
-        full = channel_band(cfg, idler_channel, cfg.filters.idler_bandwidth_ghz)
+        full = channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
         extra_width = cfg.filters.idler_bandwidth_ghz - cfg.filters.signal_bandwidth_ghz
         idl_cycles = [sig_cycles]
         if extra_width > 0:
@@ -234,26 +254,17 @@ def acquire_g2(
         idl_cycles = np.sort(np.concatenate(idl_cycles))
     else:
         rng_idl = derive_rng(cfg.seed, *tags, "idl-emission")
-        idl_band = channel_band(cfg, idler_channel, cfg.filters.idler_bandwidth_ghz)
+        idl_band = channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
         idl_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_idl, idl_band)
 
     idler_t = idl_cycles.astype(float) * period_ps
 
-    delay_ps = 0.0
-    if stored:
-        rng_store = derive_rng(cfg.seed, *tags, "storage")
-        keep = rng_store.random(len(sig_cycles)) < boosted_survival(cfg, signal_channel)
-        sig_cycles = sig_cycles[keep]
-        delay_ps = cfg.bank.channels[signal_channel].storage_time_ns * 1e3
-    signal_t = sig_cycles.astype(float) * period_ps + delay_ps
+    keep, delay_ps, noise_t, _ = _recall(
+        cfg, signal_channel, tags, len(sig_cycles), stored, duration_ps
+    )
+    signal_t = np.sort(np.concatenate([sig_cycles[keep] * period_ps + delay_ps, noise_t]))
 
-    if stored and cfg.bank.noise_rate_hz > 0:
-        rng_noise = derive_rng(cfg.seed, *tags, "memnoise")
-        rate_hz = cfg.bank.noise_rate_hz * cfg.desk_scale.efficiency_boost
-        n_noise = rng_noise.poisson(rate_hz * duration_ps * 1e-12)
-        signal_t = np.sort(np.concatenate([signal_t, rng_noise.uniform(0, duration_ps, n_noise)]))
-
-    det_seed = int(derive_rng(cfg.seed, *tags, "detector").integers(2**31))
+    det_seed = _seed(cfg, *tags, "detector")
     streams = detect(
         {"A": idler_t, "B": signal_t}, cfg.detectors, duration_ps * 1e-12, det_seed
     )
@@ -277,7 +288,7 @@ def acquire_g2(
         np.array([tallies.coincidences, tallies.signal_singles, tallies.idler_singles], dtype=float),
         stat,
         n_trials=cfg.desk_scale.mc_trials,
-        seed=int(derive_rng(cfg.seed, *tags, "mc").integers(2**31)),
+        seed=_seed(cfg, *tags, "mc"),
     )
     return G2Run(
         g2=value,
@@ -286,6 +297,28 @@ def acquire_g2(
         signal_singles=tallies.signal_singles,
         idler_singles=tallies.idler_singles,
         n_cycles=n_cycles,
+    )
+
+
+def _stage(stored: bool) -> str:
+    return "after" if stored else "before"
+
+
+def _acquire_setting(cfg, channel, stored, kind, key, alpha, beta, n_cycles, keep_streams=False):
+    """:func:`acquire_threefold` at one setting of a scan, tagged
+    ``(kind, channel, stage, *key)``."""
+    tags = (kind, channel, _stage(stored), *key)
+    return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored, keep_streams)
+
+
+def _scan(cfg: ExperimentConfig, channel: int, stored: bool, kind: str, settings, n_cycles: int):
+    """One acquisition per ``(key, alpha, beta)`` setting; returns the
+    ``(settings, 2, 3, 2, 3)`` stack of their threefold counts."""
+    return np.array(
+        [
+            _acquire_setting(cfg, channel, stored, kind, *setting, n_cycles).threefold.counts
+            for setting in settings
+        ]
     )
 
 
@@ -298,27 +331,19 @@ def run_chsh(
     """Fixed-setting CHSH test: four acquisitions at the setting pairs
     ((a,b), (a',b), (a,b'), (a',b')), middle-middle counts only."""
     a, ap, b, bp = phases
-    stage = "after" if stored else "before"
-    rows = []
-    for label, (alpha, beta) in zip(
-        ("ab", "apb", "abp", "apbp"), ((a, b), (ap, b), (a, bp), (ap, bp))
-    ):
-        acq = acquire_threefold(
-            cfg,
-            channel,
-            alpha,
-            beta,
-            cfg.desk_scale.chsh_cycles_per_setting,
-            ("chsh", channel, stage, label),
-            stored,
+    settings = [
+        ((label,), alpha, beta)
+        for label, (alpha, beta) in zip(
+            ("ab", "apb", "abp", "apbp"), ((a, b), (ap, b), (a, bp), (ap, bp))
         )
-        rows.append(acq.middle_middle.reshape(-1))
-    counts = np.array(rows, dtype=float)
+    ]
+    stack = _scan(cfg, channel, stored, "chsh", settings, cfg.desk_scale.chsh_cycles_per_setting)
+    counts = middle_middle(stack).reshape(-1, 4).astype(float)
     result = bell.chsh_from_counts(
         counts,
         settings=phases,
         n_trials=cfg.desk_scale.mc_trials,
-        seed=int(derive_rng(cfg.seed, "chsh-mc", channel, stage).integers(2**31)),
+        seed=_seed(cfg, "chsh-mc", channel, _stage(stored)),
     )
     return result, counts
 
@@ -331,66 +356,49 @@ def run_fringe(
 ) -> tuple[bell.FringeScan, list[bell.VisibilityFit]]:
     """Franson fringe scan over beta at fixed alpha, with the four
     per-combination visibility fits."""
-    stage = "after" if stored else "before"
     betas = np.linspace(0.0, 2.0 * math.pi, cfg.desk_scale.fringe_points, endpoint=False)
-    counts = np.zeros((betas.size, 4))
-    for n, beta in enumerate(betas):
-        acq = acquire_threefold(
-            cfg,
-            channel,
-            alpha_rad,
-            float(beta),
-            cfg.desk_scale.fringe_cycles_per_point,
-            ("fringe", channel, stage, round(alpha_rad, 9), n),
-            stored,
-        )
-        counts[n] = acq.middle_middle.reshape(-1)
+    settings = [((round(alpha_rad, 9), n), alpha_rad, float(beta)) for n, beta in enumerate(betas)]
+    stack = _scan(cfg, channel, stored, "fringe", settings, cfg.desk_scale.fringe_cycles_per_point)
+    counts = middle_middle(stack).reshape(-1, 4)
     scan = bell.FringeScan(alpha_rad=alpha_rad, beta_rad=betas, counts=counts)
     fits = [
         bell.fit_visibility(
             scan,
             k,
             n_trials=cfg.desk_scale.mc_trials,
-            seed=int(derive_rng(cfg.seed, "fringe-mc", channel, stage, k).integers(2**31)),
+            seed=_seed(cfg, "fringe-mc", channel, _stage(stored), k),
         )
         for k in range(4)
     ]
     return scan, fits
 
 
-def run_tomography_counts(
-    cfg: ExperimentConfig,
-    channel: int,
-    stored: bool,
-    keep_streams: bool = False,
-):
+def _tomography_setting(label: str):
+    """``(key, alpha, beta)`` of a tomography setting, labeled by its
+    (signal, idler) middle-slot states: beta is the signal-side phase."""
+    return (label,), tom.SETTING_PHASES[label[1]], tom.SETTING_PHASES[label[0]]
+
+
+def run_tomography_counts(cfg: ExperimentConfig, channel: int, stored: bool) -> tom.CountRecord:
     """The four energy-basis tomography acquisitions for one channel.
 
-    Returns (CountRecord, acquisitions-by-setting).  Settings are labeled by
-    the (signal, idler) middle-slot states; counts enter the record from the
-    port-2/port-2 detector pair, slot-resolved into the nine measurable
-    bases per setting.
+    Counts enter the record from the port-2/port-2 detector pair,
+    slot-resolved into the nine measurable bases per setting.
     """
-    stage = "after" if stored else "before"
-    grids = {}
-    acqs = {}
-    for label in tom.SETTING_LABELS:
-        beta = tom.SETTING_PHASES[label[0]]  # signal-side phase
-        alpha = tom.SETTING_PHASES[label[1]]  # idler-side phase
-        acq = acquire_threefold(
-            cfg,
-            channel,
-            alpha,
-            beta,
-            cfg.desk_scale.tomography_cycles_per_setting,
-            ("tomo", channel, stage, label),
-            stored,
-            keep_streams=keep_streams,
-        )
-        # counts[slot_i, slot_s, port_i=2, port_s=2] -> grid[slot_s, slot_i]
-        grids[label] = acq.threefold.counts[:, :, 1, 1].T
-        acqs[label] = acq
-    return tom.assemble_counts(grids), acqs
+    settings = [_tomography_setting(label) for label in tom.SETTING_LABELS]
+    n_cycles = cfg.desk_scale.tomography_cycles_per_setting
+    stack = _scan(cfg, channel, stored, "tomo", settings, n_cycles)
+    # counts[port_i=2, slot_i, port_s=2, slot_s] -> grid[slot_s, slot_i]
+    grids = stack[:, 1, :, 1, :].transpose(0, 2, 1)
+    return tom.assemble_counts(dict(zip(tom.SETTING_LABELS, grids)))
+
+
+def dd_tomography_acquisition(cfg: ExperimentConfig, channel: int) -> Acquisition:
+    """The after-storage DD acquisition of :func:`run_tomography_counts`,
+    with its detection streams."""
+    n_cycles = cfg.desk_scale.tomography_cycles_per_setting
+    setting = _tomography_setting("DD")
+    return _acquire_setting(cfg, channel, True, "tomo", *setting, n_cycles, keep_streams=True)
 
 
 def analytic_mm_counts(
@@ -416,19 +424,11 @@ def analytic_mm_counts(
     ci = eff
 
     table = project_pair(analytic_state(cfg.source), alpha_rad, beta_rad)
-    mm = table[:, SLOT_MIDDLE, :, SLOT_MIDDLE]  # (idler_port, signal_port)
     p_i_mid = table[:, SLOT_MIDDLE].sum(axis=(1, 2))  # marginal per idler port
     p_s_mid = table[:, :, :, SLOT_MIDDLE].sum(axis=(0, 1))  # per signal port
-
-    out = np.empty(4)
-    k = 0
-    for ip in range(2):
-        for sp in range(2):
-            true = lam_sig * cs * ci * mm[ip, sp]
-            acc = (lam_sig * cs * p_s_mid[sp]) * (lam_idl * ci * p_i_mid[ip])
-            out[k] = n_cycles * (true + acc)
-            k += 1
-    return out
+    true = lam_sig * cs * ci * middle_middle(table)
+    acc = np.outer(lam_idl * ci * p_i_mid, lam_sig * cs * p_s_mid)
+    return (n_cycles * (true + acc)).reshape(-1)
 
 
 # --- reports --------------------------------------------------------------
@@ -449,11 +449,10 @@ def channel_report(cfg: ExperimentConfig, channel: int) -> dict:
     report: dict = {"channel": channel + 1}
     records = {}
     for stored in (False, True):
-        stage = "after" if stored else "before"
+        stage = _stage(stored)
         chsh, chsh_counts = run_chsh(cfg, channel, stored)
         scan, fits = run_fringe(cfg, channel, 0.0, stored)
-        record, _ = run_tomography_counts(cfg, channel, stored)
-        records[stage] = record
+        records[stage] = run_tomography_counts(cfg, channel, stored)
         g2_corr = acquire_g2(
             cfg, channel, channel, cfg.desk_scale.g2_cycles, ("g2", channel, stage), stored
         )
@@ -482,12 +481,11 @@ def channel_report(cfg: ExperimentConfig, channel: int) -> dict:
         "sigma": g2_uncorr.sigma_g2,
     }
 
-    seed = int(derive_rng(cfg.seed, "tomo-pair", channel).integers(2**31))
     fits, tomo = tom.reconstruct_with_errors(
         [records["before"], records["after"]],
         tom.storage_pair_metrics,
         n_trials=cfg.desk_scale.mc_trials,
-        seed=seed,
+        seed=_seed(cfg, "tomo-pair", channel),
     )
     report["tomography"] = tomo
     report["density_matrices"] = {

@@ -25,7 +25,6 @@ from afcsim.datasets import (
     load_density_matrices,
     load_efficiency_grid,
     load_tomography_counts,
-    verify_checksums,
 )
 
 __all__ = [
@@ -71,7 +70,6 @@ def _within(value: float, target: float, sigma: float, n_sigma: float = 3.0) -> 
 
 def analyze_table4(out_dir: Path) -> tuple[dict, bool]:
     """Recompute every scalar metric from the bundled density matrices."""
-    verify_checksums()
     before, after = load_density_matrices()
     bell_proj = st.projector(st.bell_psi_plus())
     summary = {
@@ -95,9 +93,7 @@ def analyze_table4(out_dir: Path) -> tuple[dict, bool]:
 
 def analyze_table3(out_dir: Path, mc_trials: int = 100, seed: int = 0) -> tuple[dict, bool]:
     """MLE reconstruction from the bundled tomography counts."""
-    verify_checksums()
-    table = load_tomography_counts()
-    record = tom.CountRecord(per_setting=table.per_setting)
+    record = load_tomography_counts()
     _, after = load_density_matrices()
     (result,), summary = tom.reconstruct_with_errors(
         [record], lambda rho: tom.state_metrics(rho, reference=after), n_trials=mc_trials, seed=seed
@@ -123,7 +119,6 @@ def analyze_table3(out_dir: Path, mc_trials: int = 100, seed: int = 0) -> tuple[
 
 def analyze_table2(out_dir: Path) -> tuple[dict, bool]:
     """Fit the comb-contrast decay model to the storage-efficiency grid."""
-    verify_checksums()
     grid = load_efficiency_grid()
     rows = []
     fits = []
@@ -224,8 +219,8 @@ def reproduce_fig4(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
 
 def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tuple[dict, bool]:
     """Reconstructed density matrices (sampled run) as bar-matrix data."""
-    record_in, _ = pl.run_tomography_counts(cfg, channel, stored=False)
-    record_out, _ = pl.run_tomography_counts(cfg, channel, stored=True)
+    record_in = pl.run_tomography_counts(cfg, channel, stored=False)
+    record_out = pl.run_tomography_counts(cfg, channel, stored=True)
     rho_in = tom.mle_reconstruct(record_in, tom.basis_exposures(record_in)).rho.matrix
     rho_out = tom.mle_reconstruct(record_out, tom.basis_exposures(record_out)).rho.matrix
     for name, rho in (("before", rho_in), ("after", rho_out)):
@@ -252,8 +247,7 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
 def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tuple[dict, bool]:
     """Raw coincidence histograms of an energy-basis (DD) tomography run:
     the five-peak two-fold histogram plus the slot-resolved threefold grid."""
-    record, acqs = pl.run_tomography_counts(cfg, channel, stored=True, keep_streams=True)
-    acq = acqs["DD"]
+    acq = pl.dd_tomography_acquisition(cfg, channel)
     streams = acq.streams
     idler = np.sort(np.concatenate([streams["A1"], streams["A2"]]))
     signal = np.sort(np.concatenate([streams["B1"], streams["B2"]]))
@@ -278,7 +272,7 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
         writer = csv.writer(f)
         writer.writerow(["idler_slot", "signal_slot", "count"])
         slot_names = ("early", "middle", "late")
-        grid = acq.threefold.counts[:, :, 1, 1]
+        grid = acq.threefold.counts[1, :, 1, :]  # port 2 on both sides
         for i in range(3):
             for s in range(3):
                 writer.writerow([slot_names[i], slot_names[s], int(grid[i, s])])

@@ -91,8 +91,7 @@ def test_criterion_04_tomography_round_trip():
 
 
 def test_criterion_05_golden_tomography():
-    table = load_tomography_counts()
-    record = tom.CountRecord(per_setting=table.per_setting)
+    record = load_tomography_counts()
     res = tom.mle_reconstruct(record, tom.basis_exposures(record))
     _, after = load_density_matrices()
     f_ref = st.fidelity(res.rho.matrix, after)

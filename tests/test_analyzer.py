@@ -173,7 +173,7 @@ class TestThreefold:
         )
         assert res.unclassified_idler == 0
         assert res.unclassified_signal == 0
-        assert res.counts[an.SLOT_EARLY, an.SLOT_LATE, 0, 1] == 100
+        assert res.counts[0, an.SLOT_EARLY, 1, an.SLOT_LATE] == 100
         assert res.counts.sum() == 100
 
     def test_off_center_events_unclassified(self):
@@ -197,7 +197,7 @@ class TestThreefold:
             self.CFG,
             signal_ref_ps=delay_ps,
         )
-        assert res.counts[an.SLOT_MIDDLE, an.SLOT_MIDDLE, 1, 1] == 50
+        assert res.counts[1, an.SLOT_MIDDLE, 1, an.SLOT_MIDDLE] == 50
 
     def test_same_cycle_required(self):
         i_times = np.array([0.0])
@@ -265,11 +265,11 @@ def _reference_threefold(i_times, i_ports, s_times, s_ports, period_ns, spacing_
 
     idler, un_i = classify(i_times, i_ports, i_ref)
     signal, un_s = classify(s_times, s_ports, s_ref)
-    counts = np.zeros((3, 3, 2, 2), dtype=np.int64)
+    counts = np.zeros((2, 3, 2, 3), dtype=np.int64)
     for ic, isl, ip in idler:
         for sc, ssl, sp in signal:
             if ic == sc:
-                counts[isl, ssl, ip, sp] += 1
+                counts[ip, isl, sp, ssl] += 1
     n_cycles = max([0] + [c + 1 for c, _, _ in idler + signal])
     return counts, un_i, un_s, n_cycles
 

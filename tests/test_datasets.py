@@ -6,13 +6,24 @@ import numpy as np
 import pytest
 
 from afcsim import datasets as ds
+from afcsim.tomography import CountRecord
 
 
 class TestChecksums:
     def test_bundled_fixtures_verify(self):
         ds.verify_checksums()
 
-    def test_corruption_detected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "load",
+        [
+            ds.verify_checksums,
+            ds.load_efficiency_grid,
+            ds.load_tomography_counts,
+            ds.load_density_matrices,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_corruption_detected(self, tmp_path, monkeypatch, load):
         # copy the data dir, corrupt one file, point the loader at it
         data_dir = ds.fixture_path("checksums.json").parent
         work = tmp_path / "data"
@@ -21,7 +32,7 @@ class TestChecksums:
         grid.write_text(grid.read_text().replace("1.05", "9.99"))
         monkeypatch.setattr(ds, "fixture_path", lambda name: work / name)
         with pytest.raises(ds.FixtureError, match="checksum"):
-            ds.verify_checksums()
+            load()
 
     def test_missing_fixture_detected(self, tmp_path, monkeypatch):
         data_dir = ds.fixture_path("checksums.json").parent
@@ -41,10 +52,10 @@ class TestLoaders:
         assert grid.efficiency_pct[4, 0] == 0.56  # 152 ns row, channel 1
 
     def test_tomography_counts_totals(self):
-        table = ds.load_tomography_counts()
-        assert table.n_v.sum() == 12291
-        assert table.signal_states[:4] == ("e", "e", "e", "e")
-        assert np.isnan(table.per_setting[1, 2])  # eD not measured in DR
+        record = ds.load_tomography_counts()
+        assert isinstance(record, CountRecord)
+        assert record.n_v.sum() == 12291
+        assert np.isnan(record.per_setting[1, 2])  # eD not measured in DR
 
     def test_density_matrices_traces(self):
         before, after = ds.load_density_matrices()
@@ -57,4 +68,27 @@ class TestLoaders:
             f"{v},e,e,1,1,1,1,{5 if v == 1 else 4}" for v in range(1, 17)
         ))
         with pytest.raises(ds.FixtureError, match="inconsistent"):
+            ds.read_counts_csv(bad)
+
+    def test_mislabeled_column_rejected(self, tmp_path):
+        # photon1 and photon2 swapped: the counts are those of the fixture,
+        # but the states no longer name each basis v
+        good = ds.fixture_path("tomography_counts.csv").read_text().splitlines()
+        swapped = []
+        for line in good:
+            rec = line.split(",")
+            if rec[0].isdigit():
+                rec[1], rec[2] = rec[2], rec[1]
+            swapped.append(",".join(rec))
+        bad = tmp_path / "swapped.csv"
+        bad.write_text("\n".join(swapped) + "\n")
+        with pytest.raises(ds.FixtureError, match="basis 2 labeled"):
+            ds.read_counts_csv(bad)
+
+    def test_unmeasurable_cell_rejected(self, tmp_path):
+        # a count in a cell the setting cannot measure (eD in DR)
+        good = ds.fixture_path("tomography_counts.csv").read_text()
+        bad = tmp_path / "pattern.csv"
+        bad.write_text(good.replace("3,e,D,390,-,369,-,759", "3,e,D,390,0,369,-,759"))
+        with pytest.raises(ds.FixtureError, match="pattern"):
             ds.read_counts_csv(bad)

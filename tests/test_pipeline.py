@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from afcsim import bell
+from afcsim import analyzer, bell
 from afcsim import pipeline as pl
 from afcsim import states as st
 from afcsim import tomography as tom
@@ -88,7 +88,7 @@ class TestAnalyticConsistency:
                     cfg, 0, alpha, beta, n_cycles, ("cons", stored, alpha, beta), stored
                 )
                 expected = pl.analytic_mm_counts(cfg, 0, alpha, beta, n_cycles, stored)
-                observed = acq.middle_middle.reshape(-1).astype(float)
+                observed = analyzer.middle_middle(acq.threefold.counts).reshape(-1).astype(float)
                 for obs, exp in zip(observed, expected):
                     assert abs(obs - exp) < 5 * np.sqrt(max(exp, 1.0))
 
@@ -108,16 +108,17 @@ class TestAnalyticConsistency:
 
 
 class TestMemoryNoise:
+    # no pairs and no dark counts: every signal click is memory noise,
+    # injected at noise_rate x efficiency_boost and thinned by the detector
+    # efficiency
+    NOISE_ONLY = {
+        "source": {"pair_emission_probability_per_cycle": 0.0},
+        "memory": {"noise_rate_hz": 1e4, "channels": [{"d1": 1.1} for _ in range(5)]},
+        "detectors": {"dark_count_rate_hz": 0.0},
+    }
+
     def test_noise_clicks_track_the_boosted_rate(self):
-        # no pairs and no dark counts: every signal click is memory noise,
-        # injected at noise_rate x efficiency_boost and thinned by the
-        # detector efficiency
-        raw = {
-            "source": {"pair_emission_probability_per_cycle": 0.0},
-            "memory": {"noise_rate_hz": 1e4, "channels": [{"d1": 1.1} for _ in range(5)]},
-            "detectors": {"dark_count_rate_hz": 0.0},
-        }
-        cfg = config_from_dict(raw)
+        cfg = config_from_dict(self.NOISE_ONLY)
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 1_000_000, ("noise",), True, keep_streams=True)
         assert acq.n_pairs_sampled == 0
         expected = (
@@ -129,6 +130,32 @@ class TestMemoryNoise:
         clicks = acq.streams["B1"].size + acq.streams["B2"].size
         assert abs(clicks - expected) < 4 * np.sqrt(expected)
         assert acq.streams["A1"].size == acq.streams["A2"].size == 0
+
+    def test_g2_signal_stream_carries_the_noise(self, monkeypatch):
+        # the g2 path recalls through the same memory step; with no idler
+        # clicks g2 is undefined, so the detector streams are checked
+        cfg = config_from_dict(self.NOISE_ONLY)
+        seen = []
+
+        def recording_detect(*args, **kwargs):
+            seen.append(analyzer.detect(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(pl, "detect", recording_detect)
+        n_cycles = 1_000_000
+        with pytest.raises(ValueError, match="zero singles"):
+            pl.acquire_g2(cfg, 0, 0, n_cycles, ("noise-g2",), stored=True)
+        (streams,) = seen
+        expected = (
+            cfg.bank.noise_rate_hz
+            * cfg.desk_scale.efficiency_boost
+            * n_cycles
+            * cfg.clock_period_ns
+            * 1e-9
+            * cfg.detectors.efficiency
+        )
+        assert abs(streams["B"].size - expected) < 4 * np.sqrt(expected)
+        assert streams["A"].size == 0
 
 
 class TestG2Structure:
@@ -172,7 +199,7 @@ class TestIdealSource:
 
     def test_dd_setting_populates_nine_bases(self):
         cfg = fast_config()
-        record, _ = pl.run_tomography_counts(cfg, 0, stored=False)
+        record = pl.run_tomography_counts(cfg, 0, stored=False)
         dd_row = record.per_setting[0]
         measured = ~np.isnan(dd_row)
         assert measured.sum() == 9

@@ -12,7 +12,7 @@ from afcsim.datasets import load_density_matrices, load_tomography_counts
 
 @pytest.fixture(scope="module")
 def golden_record():
-    return tom.CountRecord(per_setting=load_tomography_counts().per_setting)
+    return load_tomography_counts()
 
 
 @pytest.fixture(scope="module")
