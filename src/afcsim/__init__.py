@@ -10,7 +10,6 @@ simulated runs and re-analyzes the bundled reference datasets.
 
 from afcsim.states import (
     BASIS_LABELS,
-    TwoQubitState,
     bell_psi_plus,
     concurrence,
     entanglement_of_formation,
@@ -22,7 +21,6 @@ from afcsim.states import (
 
 __all__ = [
     "BASIS_LABELS",
-    "TwoQubitState",
     "bell_psi_plus",
     "concurrence",
     "entanglement_of_formation",

@@ -104,7 +104,7 @@ def project_pair(rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
     lives in the (signal x idler) tensor ordering of the ee/el/le/ll basis,
     so the joint element is kron(E_signal, E_idler).  Entries sum to 1.
     """
-    m = np.asarray(rho.matrix if hasattr(rho, "matrix") else rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     e_idler = umzi_povm(alpha_rad)
     e_signal = umzi_povm(beta_rad)
     table = np.empty((2, 3, 2, 3))

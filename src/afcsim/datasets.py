@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from afcsim.states import parse_density_matrix
-from afcsim.tomography import CountRecord, basis_states
+from afcsim.tomography import BASES, CountRecord
 
 __all__ = [
     "FixtureError",
@@ -97,8 +97,9 @@ def read_counts_csv(path) -> CountRecord:
     """Parse a 16-basis count table in the fixture layout:
     v, photon1, photon2, DD, DR, RD, RR, n_v with '-' for unmeasured cells.
 
-    photon1/photon2 must name basis v's signal/idler states, and the
-    measured cells must follow the settings' pattern."""
+    v runs 1..16 with one row each, photon1/photon2 must name basis v's
+    signal/idler states, and the measured cells must follow the settings'
+    pattern."""
     per_setting = np.full((4, 16), np.nan)
     n_v = np.zeros(16)
     states = {}
@@ -107,7 +108,11 @@ def read_counts_csv(path) -> CountRecord:
             if not rec or rec[0].startswith("#") or rec[0] == "v":
                 continue
             v = int(rec[0]) - 1
-            states[v + 1] = (rec[1], rec[2])
+            if not 0 <= v < 16:
+                raise FixtureError(f"{path}: basis index {v + 1} outside 1..16")
+            if v in states:
+                raise FixtureError(f"{path}: basis {v + 1} given twice")
+            states[v] = (rec[1], rec[2])
             for s, tok in enumerate(rec[3:7]):
                 if tok.strip() != "-":
                     per_setting[s, v] = float(tok)
@@ -115,12 +120,8 @@ def read_counts_csv(path) -> CountRecord:
     if not np.allclose(np.nansum(per_setting, axis=0), n_v):
         raise FixtureError(f"{path}: inconsistent table (n_v != setting sum)")
     for v, labeled in states.items():
-        basis = basis_states(v)
-        if labeled != (basis.signal_state, basis.idler_state):
-            raise FixtureError(
-                f"{path}: basis {v} labeled {labeled}, expected "
-                f"{(basis.signal_state, basis.idler_state)}"
-            )
+        if labeled != BASES[v]:
+            raise FixtureError(f"{path}: basis {v + 1} labeled {labeled}, expected {BASES[v]}")
     try:
         return CountRecord(per_setting=per_setting)
     except ValueError as err:

@@ -34,7 +34,7 @@ from afcsim.analyzer import (
     sample_pair_outcomes,
     threefold_counts,
 )
-from afcsim.config import ExperimentConfig
+from afcsim.config import ConfigError, ExperimentConfig
 from afcsim.memory import CHANNEL_OFFSETS_GHZ, storage_survival
 from afcsim.source import analytic_state, emission_arrays
 
@@ -230,7 +230,8 @@ def acquire_g2(
     The signal stream comes from pairs in ``signal_channel``'s memory band,
     the idler stream from pairs whose idlers pass ``idler_channel``'s
     filter.  For distinct channels the two sets are independent Poisson
-    streams, so only accidental coincidences remain.
+    streams, so only accidental coincidences remain.  A run in which either
+    side has no click raises :class:`ConfigError`: g2 is undefined there.
     """
     period_ps = cfg.clock_period_ns * 1e3
     duration_ps = n_cycles * period_ps
@@ -276,7 +277,13 @@ def acquire_g2(
         n_cycles,
         signal_ref_ps=delay_ps,
     )
-    value = g2_cross(tallies)
+    try:
+        value = g2_cross(tallies)
+    except ValueError as err:
+        raise ConfigError(
+            f"g2 of signal channel {signal_channel + 1} and idler channel {idler_channel + 1} "
+            f"over {n_cycles} cycles: {err}"
+        ) from err
 
     def stat(draws):
         c, s, i = draws.T
@@ -489,7 +496,7 @@ def channel_report(cfg: ExperimentConfig, channel: int) -> dict:
     )
     report["tomography"] = tomo
     report["density_matrices"] = {
-        stage: _matrix_to_lists(fit.rho.matrix) for stage, fit in zip(("before", "after"), fits)
+        stage: _matrix_to_lists(fit.rho) for stage, fit in zip(("before", "after"), fits)
     }
     return report
 

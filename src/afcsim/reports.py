@@ -98,7 +98,7 @@ def analyze_table3(out_dir: Path, mc_trials: int = 100, seed: int = 0) -> tuple[
     (result,), summary = tom.reconstruct_with_errors(
         [record], lambda rho: tom.state_metrics(rho, reference=after), n_trials=mc_trials, seed=seed
     )
-    st.save_density_matrix(out_dir / "table3_reconstruction.txt", result.rho.matrix)
+    st.save_density_matrix(out_dir / "table3_reconstruction.txt", result.rho)
     checks = {
         "fidelity_to_reference": summary["fidelity_reference"]["value"] >= 0.97,
         "fidelity_out": _within(summary["fidelity_bell"]["value"], *PUBLISHED["fidelity_out"]),
@@ -221,8 +221,8 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     """Reconstructed density matrices (sampled run) as bar-matrix data."""
     record_in = pl.run_tomography_counts(cfg, channel, stored=False)
     record_out = pl.run_tomography_counts(cfg, channel, stored=True)
-    rho_in = tom.mle_reconstruct(record_in, tom.basis_exposures(record_in)).rho.matrix
-    rho_out = tom.mle_reconstruct(record_out, tom.basis_exposures(record_out)).rho.matrix
+    rho_in = tom.mle_reconstruct(record_in, tom.basis_exposures(record_in)).rho
+    rho_out = tom.mle_reconstruct(record_out, tom.basis_exposures(record_out)).rho
     for name, rho in (("before", rho_in), ("after", rho_out)):
         st.save_density_matrix(out_dir / f"fig5_density_{name}.txt", rho)
         with open(out_dir / f"fig5_density_{name}.csv", "w", newline="") as f:
@@ -231,13 +231,11 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
             for r, rl in enumerate(st.BASIS_LABELS):
                 for c, cl in enumerate(st.BASIS_LABELS):
                     writer.writerow([rl, cl, f"{rho[r, c].real:.6f}", f"{rho[r, c].imag:.6f}"])
-    bell_proj = st.projector(st.bell_psi_plus())
-    summary = {
-        "channel": channel + 1,
-        "fidelity_bell_in": st.fidelity(rho_in, bell_proj),
-        "fidelity_bell_out": st.fidelity(rho_out, bell_proj),
-        "fidelity_in_out": st.fidelity(rho_in, rho_out),
-    }
+    metrics = tom.storage_pair_metrics(rho_in, rho_out)
+    summary = {"channel": channel + 1}
+    summary.update(
+        (key, metrics[key]) for key in ("fidelity_bell_in", "fidelity_bell_out", "fidelity_in_out")
+    )
     ok = summary["fidelity_in_out"] > 0.92
     summary["input_output_fidelity_above_92pct"] = ok
     _write_json(out_dir / "fig5_summary.json", summary)

@@ -2,16 +2,16 @@
 
 The basis order is fixed to (|ee>, |el>, |le>, |ll>).  The first letter
 labels the signal qubit, the second the idler qubit; e/l are the early and
-late temporal modes.  All metric functions accept either a raw 4x4 complex
-array or a :class:`TwoQubitState` and route the input through
-:func:`nearest_psd` first, so matrices rounded to a few decimals (e.g. the
-bundled reference matrices) are handled without fuss.
+late temporal modes.  A density matrix is a plain complex array, one
+``(4, 4)`` matrix or a ``(..., 4, 4)`` stack.  Every metric broadcasts over
+the leading axes (a float for one matrix, an array for a stack) and routes
+its input through :func:`nearest_psd` first, so matrices rounded to a few
+decimals (e.g. the bundled reference matrices) are handled without fuss.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "KET_L",
     "KET_D",
     "KET_R",
-    "TwoQubitState",
     "bell_psi_plus",
     "projector",
     "werner_state",
@@ -47,11 +46,6 @@ KET_E = np.array([1.0, 0.0], dtype=complex)
 KET_L = np.array([0.0, 1.0], dtype=complex)
 KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_R = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-
-# Validation tolerances for a well-formed state.
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-EIGENVALUE_FLOOR = -1e-8
 
 # Repair limits for nearest_psd: inputs worse than this are treated as
 # corrupted rather than rounded.
@@ -88,50 +82,25 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """A validated 4x4 density matrix in the (ee, el, le, ll) basis.
-
-    Instances are only created through :meth:`from_matrix` (strict) or
-    :func:`nearest_psd` (repairs rounding), so the invariants — Hermitian,
-    unit trace, positive semidefinite — hold by construction.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "TwoQubitState":
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
-            raise ValueError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh(m).min() < EIGENVALUE_FLOOR:
-            raise ValueError("matrix has a significantly negative eigenvalue")
-        return cls(m)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, TwoQubitState):
-        return np.asarray(rho.matrix)
     m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
     return m
 
 
-def nearest_psd(matrix) -> TwoQubitState:
-    """Repair a near-valid Hermitian matrix into a proper state.
+def _scalar(x):
+    """A float for one matrix, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def nearest_psd(matrix) -> np.ndarray:
+    """Repair a near-valid Hermitian matrix, or each of a stack, into a
+    proper state.
 
     Symmetrizes, clips negative eigenvalues at zero, and renormalizes the
     trace to one.  Idempotent on already-valid states.  Inputs that are
@@ -139,12 +108,13 @@ def nearest_psd(matrix) -> TwoQubitState:
     eigenvalue below -0.05 are rejected as corrupted rather than rounded.
     """
     m = _as_matrix(matrix)
-    if np.max(np.abs(m - m.conj().T)) > _REPAIR_HERM_ATOL:
+    if np.max(np.abs(m - _dagger(m))) > _REPAIR_HERM_ATOL:
         raise ValueError("input is not Hermitian within repair tolerance (1e-6)")
-    tr = np.trace(m)
-    if abs(tr.real - 1.0) > _REPAIR_TRACE_ATOL or abs(tr.imag) > _REPAIR_TRACE_ATOL:
-        raise ValueError(f"trace {tr} too far from 1 to repair")
-    sym = 0.5 * (m + m.conj().T)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    far = (np.abs(tr.real - 1.0) > _REPAIR_TRACE_ATOL) | (np.abs(tr.imag) > _REPAIR_TRACE_ATOL)
+    if far.any():
+        raise ValueError(f"trace {tr[far].flat[0]} too far from 1 to repair")
+    sym = 0.5 * (m + _dagger(m))
     vals, vecs = np.linalg.eigh(sym)
     if vals.min() < _REPAIR_EIG_FLOOR:
         raise ValueError(
@@ -152,76 +122,81 @@ def nearest_psd(matrix) -> TwoQubitState:
             "input looks corrupted, not rounded"
         )
     clipped = np.clip(vals, 0.0, None)
-    repaired = (vecs * clipped) @ vecs.conj().T
-    repaired /= np.trace(repaired).real
-    return TwoQubitState(0.5 * (repaired + repaired.conj().T))
-
-
-def _repaired(rho) -> np.ndarray:
-    return np.asarray(nearest_psd(rho).matrix)
+    repaired = (vecs * clipped[..., None, :]) @ _dagger(vecs)
+    repaired /= np.trace(repaired, axis1=-2, axis2=-1).real[..., None, None]
+    return 0.5 * (repaired + _dagger(repaired))
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dagger(vecs)
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma):
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Symmetric in its arguments; reduces to <psi|rho|psi> when sigma is the
-    pure projector |psi><psi|.
+    pure projector |psi><psi|.  Broadcasts over leading axes.
     """
-    r = _repaired(rho)
-    s = _repaired(sigma)
+    # contiguous stacks, so each product runs as it does on one matrix
+    r, s = map(np.ascontiguousarray, np.broadcast_arrays(nearest_psd(rho), nearest_psd(sigma)))
     sqrt_r = _psd_sqrt(r)
     inner = sqrt_r @ s @ sqrt_r
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     # tiny spurious eigenvalues (roundoff on rank-deficient products) blow up
     # under the square root; zero anything far below the dominant one
-    vals[vals < vals.max() * 1e-13] = 0.0
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    vals[vals < vals.max(axis=-1, keepdims=True) * 1e-13] = 0.0
+    root = np.sum(np.sqrt(vals), axis=-1)
+    return _scalar(np.clip(root * root, 0.0, 1.0))
 
 
-def purity(rho) -> float:
+def purity(rho):
     """tr(rho^2); 0.25 for the maximally mixed state, 1 for pure states."""
-    m = _repaired(rho)
-    return float(np.vdot(m, m).real)
+    m = nearest_psd(rho)
+    flat = m.reshape(m.shape[:-2] + (1, 16))
+    # the row product is the BLAS dot np.vdot takes on one matrix
+    return _scalar((flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real)
 
 
-def concurrence(rho) -> float:
+def concurrence(rho):
     """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
 
     The l_i are the decreasingly ordered square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy), computed here through the Hermitian form
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho) for numerical stability.
     """
-    m = _repaired(rho)
+    m = nearest_psd(rho)
     sqrt_m = _psd_sqrt(m)
     herm = sqrt_m @ _YY @ m.conj() @ _YY @ sqrt_m
     vals = np.sqrt(np.clip(np.linalg.eigvalsh(herm), 0.0, None))
-    lam = np.sort(vals)[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(vals, axis=-1)[..., ::-1]
+    return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
-def binary_entropy(x: float) -> float:
+# libm's log2, element by element: numpy's SIMD log2 differs from it in the
+# last bit on some inputs, which would move the reported EoF values.
+_log2 = np.vectorize(math.log2, otypes=[float])
+
+
+def binary_entropy(x):
     """Base-2 entropy of a coin with bias x; h(0) = h(1) = 0."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+    x = np.asarray(x, dtype=float)
+    edge = (x <= 0.0) | (x >= 1.0)
+    p = np.where(edge, 0.5, x)
+    h = -p * _log2(p) - (1.0 - p) * _log2(1.0 - p)
+    return _scalar(np.where(edge, 0.0, h))
 
 
-def entanglement_of_formation(rho) -> float:
+def entanglement_of_formation(rho):
     """Two-qubit entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
     c = concurrence(rho)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho, sigma):
     """Half the trace norm of rho - sigma."""
     diff = _as_matrix(rho) - _as_matrix(sigma)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return _scalar(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
 
 
 # --- text serialization -------------------------------------------------

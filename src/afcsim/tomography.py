@@ -34,7 +34,7 @@ from afcsim.states import (
     KET_E,
     KET_L,
     KET_R,
-    TwoQubitState,
+    _dagger,
     bell_psi_plus,
     entanglement_of_formation,
     fidelity,
@@ -45,12 +45,11 @@ from afcsim.states import (
 
 __all__ = [
     "BASIS_STATE_ORDER",
+    "BASES",
     "SETTING_LABELS",
     "SETTING_PHASES",
-    "TomographyBasis",
     "CountRecord",
     "ReconstructionResult",
-    "basis_states",
     "basis_projector",
     "measured_mask",
     "assemble_counts",
@@ -58,7 +57,6 @@ __all__ = [
     "basis_weights",
     "basis_exposures",
     "expected_counts",
-    "log_likelihood",
     "log_likelihood_and_gradient",
     "mle_reconstruct",
     "mle_reconstruct_batch",
@@ -70,6 +68,8 @@ __all__ = [
 ]
 
 BASIS_STATE_ORDER = ("e", "l", "D", "R")
+# Basis v = 1..16 is BASES[v - 1], its (signal, idler) letter pair.
+BASES = tuple((s, i) for s in BASIS_STATE_ORDER for i in BASIS_STATE_ORDER)
 SETTING_LABELS = ("DD", "DR", "RD", "RR")  # (signal letter, idler letter)
 SETTING_PHASES = {"D": 0.0, "R": -math.pi / 2}
 
@@ -80,26 +80,11 @@ _SINGLE_KETS = {"e": KET_E, "l": KET_L, "D": KET_D, "R": KET_R}
 _STATE_WEIGHT = {"e": 0.25, "l": 0.25, "D": 0.5, "R": 0.5}
 
 
-@dataclass(frozen=True)
-class TomographyBasis:
-    index: int  # v = 1..16
-    signal_state: str
-    idler_state: str
-
-
-def basis_states(v: int) -> TomographyBasis:
+def _basis_ket(v: int) -> np.ndarray:
     if not 1 <= v <= 16:
         raise ValueError(f"basis index {v} out of range 1..16")
-    return TomographyBasis(
-        index=v,
-        signal_state=BASIS_STATE_ORDER[(v - 1) // 4],
-        idler_state=BASIS_STATE_ORDER[(v - 1) % 4],
-    )
-
-
-def _basis_ket(v: int) -> np.ndarray:
-    b = basis_states(v)
-    return np.kron(_SINGLE_KETS[b.signal_state], _SINGLE_KETS[b.idler_state])
+    signal, idler = BASES[v - 1]
+    return np.kron(_SINGLE_KETS[signal], _SINGLE_KETS[idler])
 
 
 def basis_projector(v: int) -> np.ndarray:
@@ -109,15 +94,12 @@ def basis_projector(v: int) -> np.ndarray:
 
 def measured_mask() -> np.ndarray:
     """Boolean (4, 16): which bases each setting can project onto."""
-    mask = np.zeros((4, 16), dtype=bool)
-    for s, label in enumerate(SETTING_LABELS):
-        sig_mid, idl_mid = label[0], label[1]
-        for v in range(1, 17):
-            b = basis_states(v)
-            ok_s = b.signal_state in ("e", "l") or b.signal_state == sig_mid
-            ok_i = b.idler_state in ("e", "l") or b.idler_state == idl_mid
-            mask[s, v - 1] = ok_s and ok_i
-    return mask
+    return np.array(
+        [
+            [s in ("e", "l", sig_mid) and i in ("e", "l", idl_mid) for s, i in BASES]
+            for sig_mid, idl_mid in SETTING_LABELS
+        ]
+    )
 
 
 _MEASURED = measured_mask()
@@ -169,8 +151,7 @@ def assemble_counts(setting_grids: dict[str, np.ndarray]) -> CountRecord:
             for slot_i in range(3):
                 letter_s = slot_letter[slot_s] or label[0]
                 letter_i = slot_letter[slot_i] or label[1]
-                v = BASIS_STATE_ORDER.index(letter_s) * 4 + BASIS_STATE_ORDER.index(letter_i)
-                per_setting[s, v] = grid[slot_s, slot_i]
+                per_setting[s, BASES.index((letter_s, letter_i))] = grid[slot_s, slot_i]
     return CountRecord(per_setting=per_setting)
 
 
@@ -190,13 +171,7 @@ def setting_exposures(record) -> np.ndarray:
 def basis_weights() -> np.ndarray:
     """Post-selection weight w_v of each basis projector (product of the two
     single-photon weights)."""
-    return np.array(
-        [
-            _STATE_WEIGHT[basis_states(v).signal_state]
-            * _STATE_WEIGHT[basis_states(v).idler_state]
-            for v in range(1, 17)
-        ]
-    )
+    return np.array([_STATE_WEIGHT[signal] * _STATE_WEIGHT[idler] for signal, idler in BASES])
 
 
 _WEIGHTS = basis_weights()
@@ -218,7 +193,7 @@ _PROJECTORS = np.stack([projector(ket) for ket in _KETS])
 
 def expected_counts(rho, exposures) -> np.ndarray:
     """Born-rule forward model mu_v = exposure_v * tr(rho Pi_v)."""
-    m = np.asarray(rho.matrix if hasattr(rho, "matrix") else rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     c = np.asarray(exposures, dtype=float)
     if np.any(c <= 0):
         raise ValueError("exposures must be positive")
@@ -236,10 +211,6 @@ def expected_counts(rho, exposures) -> np.ndarray:
 
 _DIAG = np.arange(4)
 _ROW, _COL = np.triu_indices(4, k=1)
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2).conj()
 
 
 def _t_from_params(t: np.ndarray) -> np.ndarray:
@@ -279,12 +250,6 @@ _T_KETS = np.concatenate(
     [part(np.einsum("kij,vj->vik", _T_BASIS, _KETS)) for part in (np.real, np.imag)], axis=1
 )  # (basis v, 8, parameter)
 _T_GRAMS = np.einsum("vak,val->vkl", _T_KETS, _T_KETS)
-
-
-def log_likelihood(n_v, exposures, rho) -> float:
-    mu = np.clip(expected_counts(rho, exposures), 1e-300, None)
-    n = np.asarray(n_v, dtype=float)
-    return float(np.sum(n * np.log(mu) - mu))
 
 
 def _likelihood(t, n, c, order: int):
@@ -342,10 +307,18 @@ def log_likelihood_and_gradient(t_params: np.ndarray, n_v, exposures):
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    rho: TwoQubitState
-    log_likelihood: float
-    iterations: int
-    converged: bool
+    """MLE fits, one or a stack.
+
+    From :func:`mle_reconstruct_batch`: ``rho`` is the ``(B, 4, 4)`` stack
+    of repaired density matrices, ``iterations`` the ``(B,)`` Newton step
+    counts and ``converged`` the ``(B,)`` certification flags.  From
+    :func:`mle_reconstruct`: one ``(4, 4)`` matrix, an ``int`` and a
+    ``bool``.
+    """
+
+    rho: np.ndarray
+    iterations: np.ndarray | int
+    converged: np.ndarray | bool
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -455,7 +428,7 @@ def mle_reconstruct_batch(
     exposures,
     *,
     init: np.ndarray | None = None,
-) -> list[ReconstructionResult]:
+) -> ReconstructionResult:
     """Maximum-likelihood reconstruction of a ``(B, 16)`` stack of count
     rows in one batched solve.
 
@@ -463,9 +436,10 @@ def mle_reconstruct_batch(
     counts and exposures, so the argmax and the stopping test are scale
     invariant) and started from its eigenvalue-floored linear inversion, or
     from ``init`` (``(B, 4, 4)``).  A damped Newton ascent in the 16 T
-    parameters then runs until max|dL/dt| <= 1e-8 at unit |t|.  A row that
-    does not get there within 200 Newton steps is returned with
-    ``converged=False``; ``iterations`` is its Newton step count.
+    parameters then runs until max|dL/dt| <= 1e-8 at unit |t|.  Returns one
+    ReconstructionResult of ``(B, ...)`` arrays; a row that does not get
+    there within 200 Newton steps has ``converged`` False, and
+    ``iterations`` holds each row's Newton step count.
     """
     n_raw = np.asarray(counts, dtype=float)
     c_raw = np.asarray(exposures, dtype=float)
@@ -481,18 +455,7 @@ def mle_reconstruct_batch(
     n, c = n_raw / scale, c_raw / scale
     rho0 = _linear_inversion(n, c) if init is None else init
     t, iterations, converged = _newton_maximize(params_from_rho(rho0), n, c)
-    results = []
-    for k, rho_t in enumerate(rho_from_params(t)):
-        rho = nearest_psd(rho_t)
-        results.append(
-            ReconstructionResult(
-                rho=rho,
-                log_likelihood=log_likelihood(n_raw[k], c_raw[k], rho.matrix),
-                iterations=int(iterations[k]),
-                converged=bool(converged[k]),
-            )
-        )
-    return results
+    return ReconstructionResult(nearest_psd(rho_from_params(t)), iterations, converged)
 
 
 def mle_reconstruct(
@@ -517,15 +480,16 @@ def mle_reconstruct(
 
     Returns
     -------
-    ReconstructionResult with a valid (PSD, unit-trace) state;
-    ``iterations`` counts Newton steps.
+    ReconstructionResult with one valid (PSD, unit-trace) ``(4, 4)``
+    state; ``iterations`` counts Newton steps.
     """
     n_raw = counts.n_v if isinstance(counts, CountRecord) else np.asarray(counts, dtype=float)
     c_raw = np.asarray(exposures, dtype=float)
     if n_raw.shape != (16,) or c_raw.shape != (16,):
         raise ValueError("need 16 counts and 16 exposures")
     rho0 = None if init is None else np.asarray(init, dtype=complex)[None]
-    return mle_reconstruct_batch(n_raw[None], c_raw[None], init=rho0)[0]
+    fit = mle_reconstruct_batch(n_raw[None], c_raw[None], init=rho0)
+    return ReconstructionResult(fit.rho[0], int(fit.iterations[0]), bool(fit.converged[0]))
 
 
 _BELL_PROJECTOR = projector(bell_psi_plus())
@@ -564,16 +528,18 @@ def reconstruct_with_errors(records, metrics, n_trials: int = 100, seed: int = 0
     """MLE reconstruction of R count records with joint Poisson Monte-Carlo
     error bars on ``metrics``.
 
-    ``metrics(*rhos)`` maps the R reconstructed density matrices to a dict
-    of scalars: :func:`state_metrics` for one record,
+    ``metrics(*rhos)`` maps the R reconstructed density matrices, or R
+    equal-length stacks of them, to a dict of scalars or of arrays over the
+    stack: :func:`state_metrics` for one record,
     :func:`storage_pair_metrics` for a before/after pair.  Each record is
     fitted on its own for the central values.  For the error bars every
     count of the ``(R, 4, 16)`` per-setting stack is resampled as Poisson
     with mean equal to the observation
     (:func:`afcsim.bell.monte_carlo_errors`), exposures are re-estimated,
-    and all R x ``n_trials`` resampled records are fitted in one
-    :func:`mle_reconstruct_batch` solve.  A trial with any fit that does
-    not converge is dropped, with a warning.
+    all R x ``n_trials`` resampled records are fitted in one
+    :func:`mle_reconstruct_batch` solve, and one ``metrics`` call scores the
+    R stacks of trial fits.  A trial with any fit that does not converge is
+    dropped, with a warning.
 
     Returns (one ReconstructionResult per record,
     {metric: {"value": ..., "sigma": ...}}).
@@ -585,10 +551,10 @@ def reconstruct_with_errors(records, metrics, n_trials: int = 100, seed: int = 0
         # (trials, R, 4, 16) -> one (trials * R, 16) solve, each trial's R rows adjacent
         stack = draws.reshape(-1, 4, 16)
         trial_fits = mle_reconstruct_batch(stack.sum(axis=1), basis_exposures(stack))
-        rhos = np.array([f.rho.matrix for f in trial_fits]).reshape(-1, n_records, 4, 4)
-        converged = np.array([f.converged for f in trial_fits]).reshape(-1, n_records)
-        out = np.array([list(metrics(*trial).values()) for trial in rhos])
-        out[~converged.all(axis=1)] = np.nan
+        # (R, trials, 4, 4): one contiguous stack per record
+        rhos = np.ascontiguousarray(np.moveaxis(trial_fits.rho.reshape(-1, n_records, 4, 4), 1, 0))
+        out = np.stack(list(metrics(*rhos).values()), axis=-1)
+        out[~trial_fits.converged.reshape(-1, n_records).all(axis=1)] = np.nan
         return out
 
     sigmas = bell.monte_carlo_errors(
@@ -597,7 +563,7 @@ def reconstruct_with_errors(records, metrics, n_trials: int = 100, seed: int = 0
         n_trials=n_trials,
         seed=seed,
     )
-    values = metrics(*(f.rho.matrix for f in fits))
+    values = metrics(*(f.rho for f in fits))
     summary = {
         key: {"value": float(value), "sigma": float(sigma)}
         for (key, value), sigma in zip(values.items(), sigmas)

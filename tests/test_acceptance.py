@@ -83,7 +83,7 @@ def test_criterion_04_tomography_round_trip():
         exposures = np.full(16, 5000.0) * tom.basis_weights()
         counts = tom.expected_counts(rho_true, exposures)
         res = tom.mle_reconstruct(counts, exposures)
-        worst = max(worst, st.trace_distance(res.rho.matrix, rho_true))
+        worst = max(worst, st.trace_distance(res.rho, rho_true))
     elapsed = time.time() - start
     assert worst < 1e-4, worst
     assert elapsed < 60.0, elapsed
@@ -94,10 +94,10 @@ def test_criterion_05_golden_tomography():
     record = load_tomography_counts()
     res = tom.mle_reconstruct(record, tom.basis_exposures(record))
     _, after = load_density_matrices()
-    f_ref = st.fidelity(res.rho.matrix, after)
-    f_bell = st.fidelity(res.rho.matrix, BELL_PROJ)
-    p = st.purity(res.rho.matrix)
-    e = st.entanglement_of_formation(res.rho.matrix)
+    f_ref = st.fidelity(res.rho, after)
+    f_bell = st.fidelity(res.rho, BELL_PROJ)
+    p = st.purity(res.rho)
+    e = st.entanglement_of_formation(res.rho)
     assert f_ref >= 0.97, f_ref
     assert f_bell == pytest.approx(0.8657, abs=3 * 0.0131), f_bell
     assert p == pytest.approx(0.7751, abs=3 * 0.0239), p

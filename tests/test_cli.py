@@ -220,6 +220,19 @@ class TestReproduce:
         assert f"error: --channels: {figure} is a single-channel figure" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_zero_pair_g2_exit_2(self, tmp_path, capsys, fast_config_file):
+        # no pair is emitted, so the g2 run has no idler click and g2 is undefined
+        cfg = json.loads(Path(fast_config_file).read_text())
+        cfg["source"]["pair_emission_probability_per_cycle"] = 0
+        cfg["desk_scale"]["g2_cycles"] = 100_000
+        path = tmp_path / "zero_pairs.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["reproduce", "fig3", "--config", str(path), "--channels", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: g2 of signal channel 1 and idler channel 1 over 100000 cycles" in err
+        assert "zero singles" in err
+
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["reproduce", "fig9", "--out", str(tmp_path)])

@@ -92,3 +92,19 @@ class TestLoaders:
         bad.write_text(good.replace("3,e,D,390,-,369,-,759", "3,e,D,390,0,369,-,759"))
         with pytest.raises(ds.FixtureError, match="pattern"):
             ds.read_counts_csv(bad)
+
+    @pytest.mark.parametrize("index", ["0", "17"])
+    def test_basis_index_outside_range_rejected(self, tmp_path, index):
+        # index 0 used to land in basis 16's column
+        good = ds.fixture_path("tomography_counts.csv").read_text()
+        bad = tmp_path / "index.csv"
+        bad.write_text(good.replace("\n1,e,e,", f"\n{index},e,e,"))
+        with pytest.raises(ds.FixtureError, match=f"basis index {index} outside 1..16"):
+            ds.read_counts_csv(bad)
+
+    def test_repeated_basis_rejected(self, tmp_path):
+        good = ds.fixture_path("tomography_counts.csv").read_text()
+        bad = tmp_path / "repeated.csv"
+        bad.write_text(good.replace("\n2,e,l,", "\n1,e,l,"))
+        with pytest.raises(ds.FixtureError, match="basis 1 given twice"):
+            ds.read_counts_csv(bad)

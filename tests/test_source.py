@@ -63,7 +63,12 @@ class TestAnalyticState:
                 imbalance=rng.uniform(0.3, 3.0),
                 er_db=rng.uniform(5, 40),
             )
-            st.TwoQubitState.from_matrix(analytic_state(m))
+            rho = analytic_state(m)
+            assert rho.shape == (4, 4)
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+            assert abs(np.trace(rho).real - 1.0) <= 1e-10
+            assert abs(np.trace(rho).imag) <= 1e-10
+            assert np.linalg.eigvalsh(rho).min() >= -1e-8
 
     def test_leakage_populates_el_le(self):
         rho = analytic_state(model(er_db=10.0))

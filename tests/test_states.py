@@ -33,49 +33,23 @@ class TestKetsAndProjectors:
         assert st.fidelity(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestTwoQubitStateValidation:
-    def test_valid_state_accepted(self):
-        s = st.TwoQubitState.from_matrix(np.eye(4) / 4)
-        assert s.eigenvalues() == pytest.approx(0.25)
-
-    def test_non_hermitian_rejected(self):
-        m = np.eye(4, dtype=complex) / 4
-        m[0, 1] = 0.1
-        with pytest.raises(ValueError, match="Hermitian"):
-            st.TwoQubitState.from_matrix(m)
-
-    def test_wrong_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            st.TwoQubitState.from_matrix(np.eye(4) / 2)
-
-    def test_negative_eigenvalue_rejected(self):
-        m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
-        with pytest.raises(ValueError):
-            st.TwoQubitState.from_matrix(m)
-
-    def test_matrix_read_only(self):
-        s = st.TwoQubitState.from_matrix(np.eye(4) / 4)
-        with pytest.raises(ValueError):
-            s.matrix[0, 0] = 9.0
-
-
 class TestNearestPsd:
     def test_idempotent_on_valid_state(self):
         rho = st.werner_state(0.7)
-        out = st.nearest_psd(rho).matrix
+        out = st.nearest_psd(rho)
         np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_clipping_example(self):
         m = np.diag([1.001, 0.0, 0.0, -0.001]).astype(complex)
-        out = st.nearest_psd(m).matrix
+        out = st.nearest_psd(m)
         np.testing.assert_allclose(out, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
     def test_repairs_rounded_fixture(self, rho_after):
         out = st.nearest_psd(rho_after)
-        assert np.linalg.eigvalsh(out.matrix).min() >= 0.0
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(out).min() >= 0.0
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         # acceptance-level bound: repair moves the matrix only slightly
-        assert np.linalg.norm(out.matrix - rho_after) < 0.02
+        assert np.linalg.norm(out - rho_after) < 0.02
 
     def test_rejects_badly_negative(self):
         m = np.diag([0.8, 0.2, 0.1, -0.1]).astype(complex)
@@ -100,7 +74,10 @@ class TestNearestPsd:
             noisy = 0.5 * (noisy + noisy.conj().T)
             noisy /= np.trace(noisy).real
             out = st.nearest_psd(noisy)
-            st.TwoQubitState.from_matrix(out.matrix)  # must not raise
+            assert np.max(np.abs(out - out.conj().T)) <= 1e-10
+            assert abs(np.trace(out).real - 1.0) <= 1e-10
+            assert abs(np.trace(out).imag) <= 1e-10
+            assert np.linalg.eigvalsh(out).min() >= -1e-8
 
 
 class TestFidelity:
@@ -196,6 +173,52 @@ class TestBinaryEntropy:
     @settings(max_examples=30, deadline=None)
     def test_symmetry(self, x):
         assert st.binary_entropy(x) == pytest.approx(st.binary_entropy(1 - x), rel=1e-10)
+
+
+class TestStacks:
+    """A ``(..., 4, 4)`` stack gives, bit for bit, what its slices give."""
+
+    @pytest.fixture()
+    def stack(self, rho_before, rho_after):
+        rng = np.random.default_rng(12)
+        states = [st.random_density_matrix(rng) for _ in range(30)]
+        states += [rho_before, rho_after, st.werner_state(0.2), st.projector(st.bell_psi_plus())]
+        return np.array(states)
+
+    def test_nearest_psd(self, stack):
+        out = st.nearest_psd(stack)
+        assert out.shape == stack.shape
+        for rho, row in zip(stack, out):
+            np.testing.assert_array_equal(row, st.nearest_psd(rho))
+
+    @pytest.mark.parametrize("metric", [st.purity, st.concurrence, st.entanglement_of_formation])
+    def test_single_state_metrics(self, stack, metric):
+        values = metric(stack)
+        assert values.shape == (len(stack),)
+        assert all(isinstance(metric(rho), float) for rho in stack[:2])
+        np.testing.assert_array_equal(values, [metric(rho) for rho in stack])
+        grid = metric(stack.reshape(2, -1, 4, 4))
+        np.testing.assert_array_equal(grid, values.reshape(2, -1))
+
+    def test_fidelity_stack_against_one_matrix(self, stack, rho_after):
+        bell = st.projector(st.bell_psi_plus())
+        for other in (bell, rho_after):
+            values = st.fidelity(stack, other)
+            np.testing.assert_array_equal(values, [st.fidelity(rho, other) for rho in stack])
+            swapped = st.fidelity(other, stack)
+            np.testing.assert_array_equal(swapped, [st.fidelity(other, rho) for rho in stack])
+
+    def test_fidelity_stack_against_stack(self, stack):
+        others = stack[::-1]
+        values = st.fidelity(stack, others)
+        expected = [st.fidelity(a, b) for a, b in zip(stack, others)]
+        np.testing.assert_array_equal(values, expected)
+
+    def test_one_corrupted_state_rejects_the_stack(self, stack):
+        bad = stack.copy()
+        bad[3] = np.diag([0.8, 0.2, 0.1, -0.1])
+        with pytest.raises(ValueError, match="corrupted"):
+            st.purity(bad)
 
 
 class TestTraceDistance:
