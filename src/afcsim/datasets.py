@@ -4,12 +4,13 @@ Three golden fixtures ship with the package:
 
 * ``table2`` — internal storage efficiency (%) per channel vs storage time,
 * ``table3`` — three-fold coincidence counts on the 16 tomography bases
-  (channel 1, after storage), with per-setting sub-counts,
+  (channel 1, after storage), with per-setting sub-counts, loaded as a
+  ``(4, 16)`` count record (0 in the cells a setting cannot measure),
 * ``table4`` — reconstructed density matrices for channel 1 before and
   after storage, in the text matrix format.
 
-Loaders verify SHA-256 checksums before parsing so silent fixture
-corruption fails loudly.
+Each loader verifies the SHA-256 checksum of every file it parses before
+parsing it, so silent fixture corruption fails loudly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from afcsim.states import parse_density_matrix
-from afcsim.tomography import BASES, CountRecord
+from afcsim.tomography import BASES, measured_mask
 
 __all__ = [
     "FixtureError",
@@ -59,18 +60,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def verify_checksums() -> None:
+def _verified(name: str) -> Path:
+    """The path of fixture ``name``, once its checksum matches the manifest."""
     manifest = fixture_path("checksums.json")
     if not manifest.exists():
         raise FixtureError("checksum manifest missing from package data")
-    expected = json.loads(manifest.read_text())
+    path = fixture_path(name)
+    if not path.exists():
+        raise FixtureError(f"fixture {name} missing")
+    actual = _sha256(path)
+    if actual != json.loads(manifest.read_text()).get(name):
+        raise FixtureError(f"fixture {name} checksum mismatch ({actual})")
+    return path
+
+
+def verify_checksums() -> None:
+    """Check every bundled fixture against the manifest."""
     for name in _DATA_FILES:
-        path = fixture_path(name)
-        if not path.exists():
-            raise FixtureError(f"fixture {name} missing")
-        actual = _sha256(path)
-        if actual != expected.get(name):
-            raise FixtureError(f"fixture {name} checksum mismatch ({actual})")
+        _verified(name)
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,7 @@ class EfficiencyGrid:
 
 
 def load_efficiency_grid() -> EfficiencyGrid:
-    verify_checksums()
-    path = fixture_path("storage_efficiency_grid.csv")
+    path = _verified("storage_efficiency_grid.csv")
     times, rows = [], []
     with open(path, newline="") as f:
         for rec in csv.reader(f):
@@ -93,49 +99,58 @@ def load_efficiency_grid() -> EfficiencyGrid:
     return EfficiencyGrid(times_ns=np.array(times), efficiency_pct=np.array(rows))
 
 
-def read_counts_csv(path) -> CountRecord:
-    """Parse a 16-basis count table in the fixture layout:
-    v, photon1, photon2, DD, DR, RD, RR, n_v with '-' for unmeasured cells.
+def read_counts_csv(path) -> np.ndarray:
+    """Parse a 16-basis count table in the fixture layout into a ``(4, 16)``
+    count record: v, photon1, photon2, DD, DR, RD, RR, n_v with '-' for
+    unmeasured cells.
 
-    v runs 1..16 with one row each, photon1/photon2 must name basis v's
-    signal/idler states, and the measured cells must follow the settings'
-    pattern."""
-    per_setting = np.full((4, 16), np.nan)
+    Every row has eight fields, v runs 1..16 with one row each,
+    photon1/photon2 must name basis v's signal/idler states, the '-' cells
+    must follow :func:`afcsim.tomography.measured_mask` and the counts must
+    be nonnegative; any other table raises :class:`FixtureError`."""
+    counts = np.zeros((4, 16))
+    measured = np.zeros((4, 16), dtype=bool)
     n_v = np.zeros(16)
     states = {}
     with open(path, newline="") as f:
         for rec in csv.reader(f):
             if not rec or rec[0].startswith("#") or rec[0] == "v":
                 continue
-            v = int(rec[0]) - 1
+            if len(rec) != 8:
+                raise FixtureError(f"{path}: row {','.join(rec)!r} has {len(rec)} fields, not 8")
+            try:
+                v = int(rec[0]) - 1
+                cells = [None if tok.strip() == "-" else float(tok) for tok in rec[3:7]]
+                total = float(rec[7])
+            except ValueError as err:
+                raise FixtureError(f"{path}: row {','.join(rec)!r}: {err}") from None
             if not 0 <= v < 16:
                 raise FixtureError(f"{path}: basis index {v + 1} outside 1..16")
             if v in states:
                 raise FixtureError(f"{path}: basis {v + 1} given twice")
             states[v] = (rec[1], rec[2])
-            for s, tok in enumerate(rec[3:7]):
-                if tok.strip() != "-":
-                    per_setting[s, v] = float(tok)
-            n_v[v] = float(rec[7])
-    if not np.allclose(np.nansum(per_setting, axis=0), n_v):
+            for s, cell in enumerate(cells):
+                if cell is not None:
+                    counts[s, v], measured[s, v] = cell, True
+            n_v[v] = total
+    if not np.allclose(counts.sum(axis=0), n_v):
         raise FixtureError(f"{path}: inconsistent table (n_v != setting sum)")
     for v, labeled in states.items():
         if labeled != BASES[v]:
             raise FixtureError(f"{path}: basis {v + 1} labeled {labeled}, expected {BASES[v]}")
-    try:
-        return CountRecord(per_setting=per_setting)
-    except ValueError as err:
-        raise FixtureError(f"{path}: {err}") from None
+    if not np.array_equal(measured, measured_mask()):
+        raise FixtureError(f"{path}: per-setting counts present/absent pattern is wrong")
+    if counts.min() < 0:
+        raise FixtureError(f"{path}: counts must be nonnegative")
+    return counts
 
 
-def load_tomography_counts() -> CountRecord:
-    verify_checksums()
-    return read_counts_csv(fixture_path("tomography_counts.csv"))
+def load_tomography_counts() -> np.ndarray:
+    return read_counts_csv(_verified("tomography_counts.csv"))
 
 
 def load_density_matrices() -> tuple[np.ndarray, np.ndarray]:
     """(before, after) reference density matrices, raw as printed."""
-    verify_checksums()
-    before = parse_density_matrix(fixture_path("density_before_storage.txt").read_text())
-    after = parse_density_matrix(fixture_path("density_after_storage.txt").read_text())
+    before = parse_density_matrix(_verified("density_before_storage.txt").read_text())
+    after = parse_density_matrix(_verified("density_after_storage.txt").read_text())
     return before, after

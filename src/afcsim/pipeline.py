@@ -55,9 +55,6 @@ __all__ = [
     "run_report",
 ]
 
-_IDLER_DETECTORS = ("A1", "A2")
-_SIGNAL_DETECTORS = ("B1", "B2")
-
 
 def derive_rng(seed: int, *tags) -> np.random.Generator:
     """Deterministic child generator for a (seed, tag...) path."""
@@ -105,15 +102,6 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bo
     # else, so a caller that ignores them sees the same times
     noise_t = rng_noise.uniform(0, duration_ps, n_noise)
     return keep, delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
-
-
-def _merge_ports(streams: dict[str, np.ndarray], names: tuple[str, str]):
-    times = np.concatenate([streams[names[0]], streams[names[1]]])
-    ports = np.concatenate(
-        [np.zeros(len(streams[names[0]]), dtype=np.int64), np.ones(len(streams[names[1]]), dtype=np.int64)]
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], ports[order]
 
 
 @dataclass(frozen=True)
@@ -183,13 +171,14 @@ def acquire_threefold(
     }
     det_seed = _seed(cfg, *tags, "detector")
     streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, det_seed)
-    it, ip = _merge_ports(streams, _IDLER_DETECTORS)
-    stt, sp = _merge_ports(streams, _SIGNAL_DETECTORS)
+    # each side's port 1 clicks, then its port 2 clicks: threefold_counts
+    # takes events in any order
+    a1, a2, b1, b2 = (streams[name] for name in ("A1", "A2", "B1", "B2"))
     tf = threefold_counts(
-        it,
-        ip,
-        stt,
-        sp,
+        np.concatenate([a1, a2]),
+        np.repeat([0, 1], [a1.size, a2.size]),
+        np.concatenate([b1, b2]),
+        np.repeat([0, 1], [b1.size, b2.size]),
         cfg.clock_period_ns,
         cfg.coincidence,
         slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
@@ -336,7 +325,9 @@ def run_chsh(
     phases=bell.DEFAULT_CHSH_PHASES,
 ) -> tuple[bell.ChshResult, np.ndarray]:
     """Fixed-setting CHSH test: four acquisitions at the setting pairs
-    ((a,b), (a',b), (a,b'), (a',b')), middle-middle counts only."""
+    ((a,b), (a',b), (a,b'), (a',b')), middle-middle counts only.  A run
+    whose counts leave S undefined (a setting with no middle-middle count)
+    raises :class:`ConfigError`."""
     a, ap, b, bp = phases
     settings = [
         ((label,), alpha, beta)
@@ -344,14 +335,21 @@ def run_chsh(
             ("ab", "apb", "abp", "apbp"), ((a, b), (ap, b), (a, bp), (ap, bp))
         )
     ]
-    stack = _scan(cfg, channel, stored, "chsh", settings, cfg.desk_scale.chsh_cycles_per_setting)
+    n_cycles = cfg.desk_scale.chsh_cycles_per_setting
+    stack = _scan(cfg, channel, stored, "chsh", settings, n_cycles)
     counts = middle_middle(stack).reshape(-1, 4).astype(float)
-    result = bell.chsh_from_counts(
-        counts,
-        settings=phases,
-        n_trials=cfg.desk_scale.mc_trials,
-        seed=_seed(cfg, "chsh-mc", channel, _stage(stored)),
-    )
+    try:
+        result = bell.chsh_from_counts(
+            counts,
+            settings=phases,
+            n_trials=cfg.desk_scale.mc_trials,
+            seed=_seed(cfg, "chsh-mc", channel, _stage(stored)),
+        )
+    except ValueError as err:
+        raise ConfigError(
+            f"CHSH of channel {channel + 1} {_stage(stored)} storage over {n_cycles} cycles "
+            f"per setting: {err}"
+        ) from err
     return result, counts
 
 
@@ -386,8 +384,9 @@ def _tomography_setting(label: str):
     return (label,), tom.SETTING_PHASES[label[1]], tom.SETTING_PHASES[label[0]]
 
 
-def run_tomography_counts(cfg: ExperimentConfig, channel: int, stored: bool) -> tom.CountRecord:
-    """The four energy-basis tomography acquisitions for one channel.
+def run_tomography_counts(cfg: ExperimentConfig, channel: int, stored: bool) -> np.ndarray:
+    """The ``(4, 16)`` count record of the four energy-basis tomography
+    acquisitions for one channel.
 
     Counts enter the record from the port-2/port-2 detector pair,
     slot-resolved into the nine measurable bases per setting.
@@ -397,7 +396,7 @@ def run_tomography_counts(cfg: ExperimentConfig, channel: int, stored: bool) -> 
     stack = _scan(cfg, channel, stored, "tomo", settings, n_cycles)
     # counts[port_i=2, slot_i, port_s=2, slot_s] -> grid[slot_s, slot_i]
     grids = stack[:, 1, :, 1, :].transpose(0, 2, 1)
-    return tom.assemble_counts(dict(zip(tom.SETTING_LABELS, grids)))
+    return tom.assemble_counts(grids)
 
 
 def dd_tomography_acquisition(cfg: ExperimentConfig, channel: int) -> Acquisition:

@@ -221,8 +221,8 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     """Reconstructed density matrices (sampled run) as bar-matrix data."""
     record_in = pl.run_tomography_counts(cfg, channel, stored=False)
     record_out = pl.run_tomography_counts(cfg, channel, stored=True)
-    rho_in = tom.mle_reconstruct(record_in, tom.basis_exposures(record_in)).rho
-    rho_out = tom.mle_reconstruct(record_out, tom.basis_exposures(record_out)).rho
+    rho_in = tom.mle_reconstruct(record_in.sum(axis=0), tom.basis_exposures(record_in)).rho
+    rho_out = tom.mle_reconstruct(record_out.sum(axis=0), tom.basis_exposures(record_out)).rho
     for name, rho in (("before", rho_in), ("after", rho_out)):
         st.save_density_matrix(out_dir / f"fig5_density_{name}.txt", rho)
         with open(out_dir / f"fig5_density_{name}.csv", "w", newline="") as f:

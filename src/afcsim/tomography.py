@@ -19,6 +19,13 @@ estimate, for a whole stack of count records at once, and stops each record
 on a gradient tolerance.  Error bars resample the per-setting counts through
 :func:`afcsim.bell.monte_carlo_errors` and fit every resampled record in one
 batched solve.
+
+A count record is a plain float array ``counts[setting, v - 1]`` of shape
+``(4, 16)``, or ``(..., 4, 16)`` for a stack, with 0 in every cell its
+setting cannot measure; its 16 totals are ``counts.sum(axis=-2)``.  One
+table, :data:`SLOT_BASIS`, maps each setting's (signal slot, idler slot)
+cell to its basis; the measured pattern, the count assembly and the
+exposure estimate all read it.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ __all__ = [
     "BASES",
     "SETTING_LABELS",
     "SETTING_PHASES",
-    "CountRecord",
+    "SLOT_BASIS",
     "ReconstructionResult",
     "basis_projector",
     "measured_mask",
@@ -92,80 +99,54 @@ def basis_projector(v: int) -> np.ndarray:
     return projector(_basis_ket(v))
 
 
+# SLOT_BASIS[s, slot_s, slot_i] is the basis (v - 1) that setting s counts
+# in its (signal slot, idler slot) cell, slots ordered (early, middle,
+# late): early = e, late = l, middle = that side's D or R.
+SLOT_BASIS = np.array(
+    [
+        [[BASES.index((sig, idl)) for idl in ("e", idl_mid, "l")] for sig in ("e", sig_mid, "l")]
+        for sig_mid, idl_mid in SETTING_LABELS
+    ]
+)
+_SETTING_ROWS = np.arange(4)[:, None, None]
+
+
 def measured_mask() -> np.ndarray:
     """Boolean (4, 16): which bases each setting can project onto."""
-    return np.array(
-        [
-            [s in ("e", "l", sig_mid) and i in ("e", "l", idl_mid) for s, i in BASES]
-            for sig_mid, idl_mid in SETTING_LABELS
-        ]
-    )
+    mask = np.zeros((4, 16), dtype=bool)
+    mask[_SETTING_ROWS, SLOT_BASIS] = True
+    return mask
 
 
 _MEASURED = measured_mask()
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Counts on the 16 bases, with the per-setting breakdown.
+def assemble_counts(grids) -> np.ndarray:
+    """The ``(4, 16)`` count record of four per-setting 3x3 slot grids.
 
-    ``per_setting[s, v-1]`` is NaN when basis v is not measurable in setting
-    s; ``n_v`` sums the measurable entries.
+    ``grids[s, slot_s, slot_i]`` holds setting s's clock-triggered
+    coincidence counts of the energy-basis port pair, settings ordered as
+    SETTING_LABELS; :data:`SLOT_BASIS` places each cell in its basis, and
+    the cells a setting cannot measure stay 0.
     """
-
-    per_setting: np.ndarray
-
-    def __post_init__(self):
-        ps = np.asarray(self.per_setting, dtype=float)
-        if ps.shape != (4, 16):
-            raise ValueError("per_setting must have shape (4, 16)")
-        if not np.array_equal(~np.isnan(ps), _MEASURED):
-            raise ValueError("per-setting counts present/absent pattern is wrong")
-        with np.errstate(invalid="ignore"):
-            if np.nanmin(ps) < 0:
-                raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "per_setting", ps)
-
-    @property
-    def n_v(self) -> np.ndarray:
-        return np.nansum(self.per_setting, axis=0)
+    counts = np.zeros((4, 16))
+    counts[_SETTING_ROWS, SLOT_BASIS] = grids
+    return counts
 
 
-def assemble_counts(setting_grids: dict[str, np.ndarray]) -> CountRecord:
-    """Build the 16-basis record from four per-setting 3x3 slot grids.
-
-    ``setting_grids[label][slot_s, slot_i]`` holds the clock-triggered
-    coincidence counts of the energy-basis port pair, slots ordered (early,
-    middle, late).  Slot <-> state: early = e, late = l, middle = that
-    side's D or R.  Bases measured in several settings accumulate.
-    """
-    per_setting = np.full((4, 16), np.nan)
-    slot_letter = ("e", None, "l")
-    for s, label in enumerate(SETTING_LABELS):
-        if label not in setting_grids:
-            raise ValueError(f"setting {label} missing")
-        grid = np.asarray(setting_grids[label], dtype=float)
-        if grid.shape != (3, 3):
-            raise ValueError(f"setting {label} grid must be 3x3 (slot_s, slot_i)")
-        for slot_s in range(3):
-            for slot_i in range(3):
-                letter_s = slot_letter[slot_s] or label[0]
-                letter_i = slot_letter[slot_i] or label[1]
-                per_setting[s, BASES.index((letter_s, letter_i))] = grid[slot_s, slot_i]
-    return CountRecord(per_setting=per_setting)
+# the four time-slot bases (ee, el, le, ll): the corner cells of every setting
+_TIME_SLOT_BASES = SLOT_BASIS[0, ::2, ::2].ravel()
 
 
-def setting_exposures(record) -> np.ndarray:
-    """Effective pair exposure per setting.
+def setting_exposures(counts) -> np.ndarray:
+    """Effective pair exposure per setting, ``(..., 4)`` from a ``(..., 4, 16)``
+    count record.
 
     Estimated from the four time-slot bases (ee, el, le, ll) measured in
     every setting: their post-selection weights sum to 1/16 of a trace,
     independent of the state, so T_s = 16 * (slot-diagonal subtotal).
-    ``record`` is a CountRecord or a ``(..., 4, 16)`` per-setting stack.
     """
-    per_setting = record.per_setting if isinstance(record, CountRecord) else np.asarray(record)
-    subtotals = per_setting[..., [0, 1, 4, 5]].sum(axis=-1)  # ee, el, le, ll
-    return 16.0 * subtotals
+    return 16.0 * np.asarray(counts)[..., _TIME_SLOT_BASES].sum(axis=-1)
 
 
 def basis_weights() -> np.ndarray:
@@ -177,13 +158,10 @@ def basis_weights() -> np.ndarray:
 _WEIGHTS = basis_weights()
 
 
-def basis_exposures(record) -> np.ndarray:
-    """exposure_v = sum over measuring settings of T_s * w_v.
-
-    ``record`` is a CountRecord or a ``(..., 4, 16)`` stack of per-setting
-    counts (unmeasured entries NaN or zero), which gives ``(..., 16)``.
-    """
-    t_s = setting_exposures(record)
+def basis_exposures(counts) -> np.ndarray:
+    """exposure_v = sum over measuring settings of T_s * w_v, ``(..., 16)``
+    from a ``(..., 4, 16)`` count record."""
+    t_s = setting_exposures(counts)
     return (_MEASURED * t_s[..., None]).sum(axis=-2) * _WEIGHTS
 
 
@@ -469,8 +447,9 @@ def mle_reconstruct(
 
     Parameters
     ----------
-    counts : CountRecord or length-16 array
-        Observed totals n_v on the 16 bases.
+    counts : length-16 array
+        Observed totals n_v on the 16 bases, ``record.sum(axis=0)`` of a
+        count record.
     exposures : length-16 array
         Effective exposures (setting exposure x post-selection weight);
         see :func:`basis_exposures`.
@@ -483,7 +462,7 @@ def mle_reconstruct(
     ReconstructionResult with one valid (PSD, unit-trace) ``(4, 4)``
     state; ``iterations`` counts Newton steps.
     """
-    n_raw = counts.n_v if isinstance(counts, CountRecord) else np.asarray(counts, dtype=float)
+    n_raw = np.asarray(counts, dtype=float)
     c_raw = np.asarray(exposures, dtype=float)
     if n_raw.shape != (16,) or c_raw.shape != (16,):
         raise ValueError("need 16 counts and 16 exposures")
@@ -524,27 +503,27 @@ def storage_pair_metrics(rho_in, rho_out) -> dict:
     }
 
 
-def reconstruct_with_errors(records, metrics, n_trials: int = 100, seed: int = 0):
-    """MLE reconstruction of R count records with joint Poisson Monte-Carlo
-    error bars on ``metrics``.
+def reconstruct_with_errors(counts, metrics, n_trials: int = 100, seed: int = 0):
+    """MLE reconstruction of an ``(R, 4, 16)`` stack of count records with
+    joint Poisson Monte-Carlo error bars on ``metrics``.
 
     ``metrics(*rhos)`` maps the R reconstructed density matrices, or R
     equal-length stacks of them, to a dict of scalars or of arrays over the
     stack: :func:`state_metrics` for one record,
     :func:`storage_pair_metrics` for a before/after pair.  Each record is
     fitted on its own for the central values.  For the error bars every
-    count of the ``(R, 4, 16)`` per-setting stack is resampled as Poisson
-    with mean equal to the observation
-    (:func:`afcsim.bell.monte_carlo_errors`), exposures are re-estimated,
-    all R x ``n_trials`` resampled records are fitted in one
-    :func:`mle_reconstruct_batch` solve, and one ``metrics`` call scores the
-    R stacks of trial fits.  A trial with any fit that does not converge is
-    dropped, with a warning.
+    count of the stack is resampled as Poisson with mean equal to the
+    observation (:func:`afcsim.bell.monte_carlo_errors`; unmeasured cells
+    stay 0), exposures are re-estimated, all R x ``n_trials`` resampled
+    records are fitted in one :func:`mle_reconstruct_batch` solve, and one
+    ``metrics`` call scores the R stacks of trial fits.  A trial with any
+    fit that does not converge is dropped, with a warning.
 
     Returns (one ReconstructionResult per record,
     {metric: {"value": ..., "sigma": ...}}).
     """
-    fits = [mle_reconstruct(rec, basis_exposures(rec)) for rec in records]
+    counts = np.asarray(counts, dtype=float)
+    fits = [mle_reconstruct(rec.sum(axis=0), basis_exposures(rec)) for rec in counts]
     n_records = len(fits)
 
     def statistic(draws):
@@ -557,12 +536,7 @@ def reconstruct_with_errors(records, metrics, n_trials: int = 100, seed: int = 0
         out[~trial_fits.converged.reshape(-1, n_records).all(axis=1)] = np.nan
         return out
 
-    sigmas = bell.monte_carlo_errors(
-        np.nan_to_num([rec.per_setting for rec in records]),
-        statistic,
-        n_trials=n_trials,
-        seed=seed,
-    )
+    sigmas = bell.monte_carlo_errors(counts, statistic, n_trials=n_trials, seed=seed)
     values = metrics(*(f.rho for f in fits))
     summary = {
         key: {"value": float(value), "sigma": float(sigma)}

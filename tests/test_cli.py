@@ -50,6 +50,21 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_zero_pair_simulate_exit_2(self, tmp_path, capsys, fast_config_file):
+        # no pair is emitted, so the first CHSH setting has no middle-middle
+        # count and S is undefined
+        cfg = json.loads(Path(fast_config_file).read_text())
+        cfg["source"]["pair_emission_probability_per_cycle"] = 0
+        cfg["desk_scale"]["g2_cycles"] = 100_000
+        path = tmp_path / "zero_pairs.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path), "--channels", "1", "--trials", "5"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: CHSH of channel 1 before storage over 300000 cycles per setting" in err
+        assert "all-zero counts" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "overrides, path",
         [

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from afcsim import datasets as ds
-from afcsim.tomography import CountRecord
+from afcsim import reports
+
+
+# the fixture each loader parses (for load_density_matrices, the second of
+# its two files)
+_PARSED = {
+    "verify_checksums": "density_after_storage.txt",
+    "load_efficiency_grid": "storage_efficiency_grid.csv",
+    "load_tomography_counts": "tomography_counts.csv",
+    "load_density_matrices": "density_after_storage.txt",
+}
 
 
 class TestChecksums:
@@ -24,12 +34,13 @@ class TestChecksums:
         ids=lambda fn: fn.__name__,
     )
     def test_corruption_detected(self, tmp_path, monkeypatch, load):
-        # copy the data dir, corrupt one file, point the loader at it
+        # copy the data dir, edit a file the loader parses (a comment line
+        # the parsers skip), point the loader at it
         data_dir = ds.fixture_path("checksums.json").parent
         work = tmp_path / "data"
         shutil.copytree(data_dir, work)
-        grid = work / "storage_efficiency_grid.csv"
-        grid.write_text(grid.read_text().replace("1.05", "9.99"))
+        target = work / _PARSED[load.__name__]
+        target.write_text(target.read_text() + "# edited\n")
         monkeypatch.setattr(ds, "fixture_path", lambda name: work / name)
         with pytest.raises(ds.FixtureError, match="checksum"):
             load()
@@ -43,6 +54,18 @@ class TestChecksums:
         with pytest.raises(ds.FixtureError, match="missing"):
             ds.verify_checksums()
 
+    def test_each_loader_hashes_only_the_files_it_parses(self, tmp_path, monkeypatch):
+        # table3 parses the count table and the two density matrices
+        hashed = []
+        sha256 = ds._sha256
+        monkeypatch.setattr(ds, "_sha256", lambda path: hashed.append(path.name) or sha256(path))
+        reports.analyze_table3(tmp_path, mc_trials=2)
+        assert sorted(hashed) == [
+            "density_after_storage.txt",
+            "density_before_storage.txt",
+            "tomography_counts.csv",
+        ]
+
 
 class TestLoaders:
     def test_efficiency_grid_shape(self):
@@ -53,9 +76,9 @@ class TestLoaders:
 
     def test_tomography_counts_totals(self):
         record = ds.load_tomography_counts()
-        assert isinstance(record, CountRecord)
-        assert record.n_v.sum() == 12291
-        assert np.isnan(record.per_setting[1, 2])  # eD not measured in DR
+        assert record.shape == (4, 16)
+        assert record.sum(axis=0).sum() == 12291
+        assert record[1, 2] == 0  # eD not measured in DR
 
     def test_density_matrices_traces(self):
         before, after = ds.load_density_matrices()
@@ -100,6 +123,22 @@ class TestLoaders:
         bad = tmp_path / "index.csv"
         bad.write_text(good.replace("\n1,e,e,", f"\n{index},e,e,"))
         with pytest.raises(ds.FixtureError, match=f"basis index {index} outside 1..16"):
+            ds.read_counts_csv(bad)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,e,e,328,366,282,276,1252", "invalid literal"),
+            ("1,e,e,328", "has 4 fields, not 8"),
+            ("1,e,e,-328,366,282,276,596", "nonnegative"),
+        ],
+        ids=["non-integer-index", "short-row", "negative-count"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, row, message):
+        good = ds.fixture_path("tomography_counts.csv").read_text()
+        bad = tmp_path / "malformed.csv"
+        bad.write_text(good.replace("1,e,e,328,366,282,276,1252", row))
+        with pytest.raises(ds.FixtureError, match=message):
             ds.read_counts_csv(bad)
 
     def test_repeated_basis_rejected(self, tmp_path):

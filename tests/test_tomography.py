@@ -7,7 +7,7 @@ from scipy import stats as sps
 
 from afcsim import states as st
 from afcsim import tomography as tom
-from afcsim.datasets import load_density_matrices, load_tomography_counts
+from afcsim.datasets import fixture_path, load_density_matrices, load_tomography_counts
 
 
 def poisson_log_likelihood(n_v, exposures, rho):
@@ -54,8 +54,11 @@ class TestBasisProjectors:
 
 
 class TestMeasuredMask:
-    def test_matches_fixture_dash_pattern(self, golden_record):
-        expected = ~np.isnan(load_tomography_counts().per_setting)
+    def test_matches_fixture_dash_pattern(self):
+        # the '-' cells of the bundled table, read from the file itself
+        lines = fixture_path("tomography_counts.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if line[:1].isdigit()]
+        expected = np.array([[tok != "-" for tok in row[3:7]] for row in rows]).T
         np.testing.assert_array_equal(tom.measured_mask(), expected)
 
     def test_slot_bases_always_measured(self):
@@ -67,10 +70,18 @@ class TestMeasuredMask:
         mask = tom.measured_mask()
         assert list(mask[:, 15]) == [False, False, False, True]
 
+    def test_slot_table_places_nine_bases_per_setting(self):
+        # the corner cells are the time-slot bases (ee, el, le, ll) in every
+        # setting, and no two cells of a setting share a basis
+        for table in tom.SLOT_BASIS:
+            corners = [tom.BASES[v] for v in table[::2, ::2].ravel()]
+            assert corners == [("e", "e"), ("e", "l"), ("l", "e"), ("l", "l")]
+            assert len(set(table.ravel())) == 9
+
 
 class TestAssembleCounts:
     def test_fixture_row_sums(self, golden_record):
-        n_v = golden_record.n_v
+        n_v = golden_record.sum(axis=0)
         assert n_v[0] == 1252  # ee over four settings
         assert n_v[15] == 106  # RR from one setting
 
@@ -78,29 +89,19 @@ class TestAssembleCounts:
         # rebuild 3x3 grids from the fixture's per-setting columns, then
         # re-assemble and compare
         slot_of = {"e": 0, "l": 2}
-        grids = {}
-        for s, label in enumerate(tom.SETTING_LABELS):
-            grid = np.zeros((3, 3))
+        grids = np.zeros((4, 3, 3))
+        for s, (signal_mid, idler_mid) in enumerate(tom.SETTING_LABELS):
             for v in range(1, 17):
-                if np.isnan(golden_record.per_setting[s, v - 1]):
-                    continue
                 signal, idler = tom.BASES[v - 1]
-                grid[slot_of.get(signal, 1), slot_of.get(idler, 1)] = (
-                    golden_record.per_setting[s, v - 1]
-                )
-            grids[label] = grid
+                if signal not in ("e", "l", signal_mid) or idler not in ("e", "l", idler_mid):
+                    continue  # not measurable in this setting
+                grids[s, slot_of.get(signal, 1), slot_of.get(idler, 1)] = golden_record[s, v - 1]
         rebuilt = tom.assemble_counts(grids)
-        np.testing.assert_allclose(rebuilt.per_setting, golden_record.per_setting)
+        np.testing.assert_allclose(rebuilt, golden_record)
 
     def test_all_zero_settings(self):
-        grids = {label: np.zeros((3, 3)) for label in tom.SETTING_LABELS}
-        rec = tom.assemble_counts(grids)
-        assert rec.n_v.sum() == 0
-
-    def test_missing_setting_rejected(self):
-        grids = {label: np.zeros((3, 3)) for label in ("DD", "DR", "RD")}
-        with pytest.raises(ValueError, match="missing"):
-            tom.assemble_counts(grids)
+        rec = tom.assemble_counts(np.zeros((4, 3, 3)))
+        assert rec.sum(axis=0).sum() == 0
 
 
 class TestExpectedCounts:
@@ -120,7 +121,7 @@ class TestExpectedCounts:
         mu = tom.expected_counts(
             st.nearest_psd(reference_after), tom.basis_exposures(golden_record)
         )
-        assert sps.spearmanr(mu, golden_record.n_v).statistic > 0.9
+        assert sps.spearmanr(mu, golden_record.sum(axis=0)).statistic > 0.9
 
     def test_fixture_rr_count_predicted(self, golden_record, reference_after):
         # the anomalously low n_16 follows from the R-state sign convention
@@ -228,25 +229,26 @@ class TestMleReconstruct:
         exposures = tom.basis_exposures(golden_record)
         lls = []
         x = tom.params_from_rho(np.eye(4) / 4)
-        f, g = tom.log_likelihood_and_gradient(x, golden_record.n_v, exposures)
+        n_v = golden_record.sum(axis=0)
+        f, g = tom.log_likelihood_and_gradient(x, n_v, exposures)
         lls.append(f)
-        res = tom.mle_reconstruct(golden_record, exposures, init=np.eye(4) / 4)
-        assert poisson_log_likelihood(golden_record.n_v, exposures, res.rho) >= f
+        res = tom.mle_reconstruct(n_v, exposures, init=np.eye(4) / 4)
+        assert poisson_log_likelihood(n_v, exposures, res.rho) >= f
         assert res.converged
 
     def test_exposure_scaling_invariance(self, golden_record):
         exposures = tom.basis_exposures(golden_record)
-        res1 = tom.mle_reconstruct(golden_record.n_v, exposures)
-        res2 = tom.mle_reconstruct(golden_record.n_v * 3.0, exposures * 3.0)
+        res1 = tom.mle_reconstruct(golden_record.sum(axis=0), exposures)
+        res2 = tom.mle_reconstruct(golden_record.sum(axis=0) * 3.0, exposures * 3.0)
         assert st.trace_distance(res1.rho, res2.rho) < 1e-6
 
     def test_golden_reconstruction(self, golden_record, reference_after):
-        res = tom.mle_reconstruct(golden_record, tom.basis_exposures(golden_record))
+        res = tom.mle_reconstruct(golden_record.sum(axis=0), tom.basis_exposures(golden_record))
         assert res.converged
         assert st.fidelity(res.rho, reference_after) >= 0.97
 
     def test_golden_metrics_in_published_windows(self, golden_record):
-        res = tom.mle_reconstruct(golden_record, tom.basis_exposures(golden_record))
+        res = tom.mle_reconstruct(golden_record.sum(axis=0), tom.basis_exposures(golden_record))
         rho = res.rho
         assert st.fidelity(rho, st.projector(st.bell_psi_plus())) == pytest.approx(
             0.8657, abs=3 * 0.0131
@@ -257,14 +259,12 @@ class TestMleReconstruct:
     def test_resampled_fits_reach_the_optimum(self, golden_record):
         # independent reference: BFGS at gtol 1e-12 on the same likelihood,
         # started from the maximally mixed state
-        measured = ~np.isnan(golden_record.per_setting)
         rng = np.random.default_rng(2001)
-        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(50, 4, 16))
+        draws = rng.poisson(golden_record, size=(50, 4, 16))
         for draw in draws:
-            rec = tom.CountRecord(per_setting=np.where(measured, draw, np.nan))
-            exposures = tom.basis_exposures(rec)
-            scale = rec.n_v.sum() / 4096.0
-            n, c = rec.n_v / scale, exposures / scale
+            exposures = tom.basis_exposures(draw)
+            scale = draw.sum() / 4096.0
+            n, c = draw.sum(axis=0) / scale, exposures / scale
 
             def negated(x):
                 f, grad = tom.log_likelihood_and_gradient(x, n, c)
@@ -275,22 +275,20 @@ class TestMleReconstruct:
                 options={"gtol": 1e-12},
             )
             rho_ref = st.nearest_psd(tom.rho_from_params(ref.x))
-            res = tom.mle_reconstruct(rec, exposures)
+            res = tom.mle_reconstruct(draw.sum(axis=0), exposures)
             assert res.converged
             assert st.trace_distance(res.rho, rho_ref) < 1e-5
 
     def test_resampled_fits_reach_the_optimum_in_one_batch(self, golden_record):
         # the same 50 draws and BFGS reference, solved as one (50, 16) batch
-        measured = ~np.isnan(golden_record.per_setting)
         rng = np.random.default_rng(2001)
-        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(50, 4, 16))
+        draws = rng.poisson(golden_record, size=(50, 4, 16))
         fits = tom.mle_reconstruct_batch(draws.sum(axis=1), tom.basis_exposures(draws))
         assert fits.rho.shape == (50, 4, 4)
         for draw, rho, converged in zip(draws, fits.rho, fits.converged):
-            rec = tom.CountRecord(per_setting=np.where(measured, draw, np.nan))
-            exposures = tom.basis_exposures(rec)
-            scale = rec.n_v.sum() / 4096.0
-            n, c = rec.n_v / scale, exposures / scale
+            exposures = tom.basis_exposures(draw)
+            scale = draw.sum() / 4096.0
+            n, c = draw.sum(axis=0) / scale, exposures / scale
 
             def negated(x):
                 f, grad = tom.log_likelihood_and_gradient(x, n, c)
@@ -306,7 +304,7 @@ class TestMleReconstruct:
 
     def test_batched_and_single_solves_agree(self, golden_record):
         rng = np.random.default_rng(9)
-        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(30, 4, 16))
+        draws = rng.poisson(golden_record, size=(30, 4, 16))
         n, c = draws.sum(axis=1), tom.basis_exposures(draws)
         fits = tom.mle_reconstruct_batch(n, c)
         for k, (rho, converged) in enumerate(zip(fits.rho, fits.converged)):
@@ -322,7 +320,7 @@ class TestMleReconstruct:
         # report converged=False and leave the error bars with a warning
         monkeypatch.setattr(tom, "_MAX_NEWTON", 7)
         rng = np.random.default_rng(3)
-        draws = rng.poisson(np.nan_to_num(golden_record.per_setting), size=(30, 4, 16))
+        draws = rng.poisson(golden_record, size=(30, 4, 16))
         fits = tom.mle_reconstruct_batch(draws.sum(axis=1), tom.basis_exposures(draws))
         flags = fits.converged
         assert 2 <= sum(flags) < len(flags)
@@ -332,7 +330,7 @@ class TestMleReconstruct:
         assert all(np.isfinite(m["sigma"]) for m in summary.values())
 
     def test_batch_rejects_bad_rows(self, golden_record):
-        n = np.tile(golden_record.n_v, (3, 1))
+        n = np.tile(golden_record.sum(axis=0), (3, 1))
         c = np.tile(tom.basis_exposures(golden_record), (3, 1))
         n[1] = 0.0
         with pytest.raises(ValueError, match="no counts"):
@@ -344,7 +342,7 @@ class TestMleReconstruct:
         bad = tom.basis_exposures(golden_record)
         bad[3] = 0.0
         with pytest.raises(ValueError, match="exposures"):
-            tom.mle_reconstruct(golden_record, bad)
+            tom.mle_reconstruct(golden_record.sum(axis=0), bad)
 
 
 class TestReconstructWithErrors:
@@ -353,7 +351,7 @@ class TestReconstructWithErrors:
         sigma = summary["fidelity_bell"]["sigma"]
         assert 0.003 < sigma < 0.04  # published scale: ~1.3 percentage points
 
-        scaled = tom.CountRecord(per_setting=golden_record.per_setting * 100.0)
+        scaled = golden_record * 100.0
         _, summary_big = tom.reconstruct_with_errors([scaled], tom.state_metrics, n_trials=40, seed=1)
         ratio = sigma / summary_big["fidelity_bell"]["sigma"]
         assert ratio == pytest.approx(10.0, rel=0.5)
