@@ -132,8 +132,9 @@ def _e_and_s_from_count_matrix(counts: np.ndarray) -> np.ndarray:
 def chsh_from_counts(
     counts,
     settings: tuple[float, float, float, float] = DEFAULT_CHSH_PHASES,
-    n_trials: int = 100,
-    seed: int = 0,
+    *,
+    n_trials: int,
+    seed: int,
 ) -> ChshResult:
     """CHSH statistic from a (4, 4) count matrix: one row per setting pair
     ((a,b), (a',b), (a,b'), (a',b')), columns ordered as COMBO_LABELS.
@@ -152,7 +153,7 @@ def chsh_from_counts(
     )
 
 
-def monte_carlo_errors(counts, statistic, n_trials: int = 100, seed: int = 0):
+def monte_carlo_errors(counts, statistic, n_trials: int, seed: int):
     """Standard deviation of a statistic under Poisson count resampling.
 
     Every raw count is resampled as Poisson with mean equal to the observed
@@ -258,8 +259,8 @@ def _fit_rows(beta, counts, alpha, sign):
 def fit_visibility(
     scan: FringeScan,
     combo: int | str,
-    n_trials: int = 100,
-    seed: int = 0,
+    n_trials: int,
+    seed: int,
 ) -> VisibilityFit:
     """Least-squares Franson fringe fit for one port combination.
 

@@ -1,14 +1,17 @@
-"""Experiment configuration: a single nested JSON file drives a full run.
+"""Experiment configuration: the calibrated run, overridden by one JSON file.
 
-Sections mirror the model types (source, memory, detectors, coincidence,
-duty cycle, filters, desk-scale sampling): a section's keys, their types
-and their defaults are the fields of its dataclass, so each default is
-written once.  What the model fixes is not configuration: the channel
-grid and passband are :mod:`afcsim.memory` constants, and the analyzers'
-arm delay is the source pulse interval (:mod:`afcsim.analyzer`), so there
-is no ``analyzers`` section.  Unknown keys and values of the wrong JSON
-type are hard errors with the offending JSON path, so a typo cannot
-silently mis-calibrate a run.
+``ExperimentConfig()`` is the calibrated experiment; each of its values is
+written once, as a dataclass field default.  A config file only overrides
+that table: ``{}`` is the calibrated run, and each ``memory.channels``
+object overrides its own channel.  Sections mirror the model types
+(source, memory, detectors, coincidence, duty cycle, filters, desk-scale
+sampling): a section's keys and their types are the fields of its
+dataclass.  What the model fixes is not configuration: the channel grid
+and passband are :mod:`afcsim.memory` constants, and the analyzers' arm
+delay is the source pulse interval (:mod:`afcsim.analyzer`), so there is
+no ``analyzers`` section.  Unknown keys and values of the wrong JSON type
+are hard errors with the offending JSON path, so a typo cannot silently
+mis-calibrate a run.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from afcsim.analyzer import CoincidenceConfig, DetectorConfig
-from afcsim.memory import CHANNEL_BANDWIDTH_GHZ, AfcChannel, MemoryBank
+from afcsim.memory import CHANNEL_BANDWIDTH_GHZ, MemoryBank
 from afcsim.source import SourceModel
 
 __all__ = [
@@ -96,7 +98,7 @@ class DeskScale:
     efficiency_boost: float = 100.0
     chsh_cycles_per_setting: int = 10_000_000
     fringe_points: int = 13
-    fringe_cycles_per_point: int = 2_000_000
+    fringe_cycles_per_point: int = 3_500_000
     tomography_cycles_per_setting: int = 5_000_000
     g2_cycles: int = 6_000_000
     mc_trials: int = 100
@@ -120,14 +122,14 @@ class DeskScale:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    bank: MemoryBank
+    bank: MemoryBank = field(default_factory=MemoryBank)
     source: SourceModel = field(default_factory=SourceModel)
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
     coincidence: CoincidenceConfig = field(default_factory=CoincidenceConfig)
     duty_cycle: DutyCycle = field(default_factory=DutyCycle)
     filters: Filters = field(default_factory=Filters)
     desk_scale: DeskScale = field(default_factory=DeskScale)
-    seed: int = 0
+    seed: int = 20260810
 
     @property
     def clock_period_ns(self) -> float:
@@ -168,23 +170,18 @@ def _reject_unknown(section: dict, path: str, known) -> None:
         raise ConfigError(f"{path}: unknown key(s) {sorted(extra)}")
 
 
-def _require(section: dict, path: str, key: str):
-    if key not in section:
-        raise ConfigError(f"{path}: missing required key '{key}'")
-    return section[key]
-
-
 def _field_types(cls) -> dict:
     """Field name -> resolved annotation of a config dataclass."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _value(kind, value, path: str):
+def _value(kind, value, path: str, base=None):
     """Check one JSON value against a field's type: int fields take only
-    integers, float fields any finite number, dataclass fields an object."""
+    integers, float fields any finite number, dataclass fields an object
+    that overrides ``base``, the field's current value."""
     if dataclasses.is_dataclass(kind):
-        return _build(kind, value, path)
+        return _override(base, value, path)
     number = (
         isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     )
@@ -195,59 +192,69 @@ def _value(kind, value, path: str):
     return value
 
 
-def _build(cls, data, path: str, keys=None, **fixed):
-    """Instantiate config dataclass ``cls`` from the JSON object ``data``.
+def _override(base, data, path: str, keys=None, **fixed):
+    """Copy of config dataclass ``base`` with the fields the JSON object
+    ``data`` gives.
 
     Accepted keys are the dataclass fields (or ``keys``, a subset of them),
-    each checked against its field type; omitted keys take the dataclass
-    defaults.  ``fixed`` supplies fields that do not come from this object.
+    each checked against its field type; omitted keys keep ``base``'s
+    values.  ``fixed`` supplies fields that do not come from this object.
     """
     _expect_object(data, path)
-    types = _field_types(cls)
+    types = _field_types(type(base))
     _reject_unknown(data, path, types if keys is None else keys)
-    kwargs = {key: _value(types[key], value, f"{path}.{key}") for key, value in data.items()}
+    kwargs = {
+        key: _value(types[key], value, f"{path}.{key}", getattr(base, key))
+        for key, value in data.items()
+    }
     try:
-        return cls(**kwargs, **fixed)
+        return dataclasses.replace(base, **kwargs, **fixed)
     except ConfigError:
         raise  # already names its section
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
-def _build_bank(data) -> MemoryBank:
+def _override_bank(base: MemoryBank, data) -> MemoryBank:
     """The memory section: bank-wide keys, one teeth spacing for all five
-    channels, and per-channel comb shapes.  The channel grid is not here:
-    it is a constant of the memory model."""
+    channels, and per-channel comb shapes, each object overriding its own
+    channel.  The channel grid is not here: it is a constant of the memory
+    model."""
     _expect_object(data, "memory")
     _reject_unknown(data, "memory", (*_MEMORY_KEYS, "teeth_spacing_mhz", "channels"))
-    specs = _require(data, "memory", "channels")
+    specs = data.get("channels", [{}] * 5)
     if not isinstance(specs, list) or len(specs) != 5:
         raise ConfigError("memory.channels: a list of exactly five channels required")
     shared = {}
     if "teeth_spacing_mhz" in data:
         spacing = _value(float, data["teeth_spacing_mhz"], "memory.teeth_spacing_mhz")
         shared["teeth_spacing_mhz"] = spacing
-    channels = []
-    for i, spec in enumerate(specs):
-        path = f"memory.channels[{i}]"
-        _require(_expect_object(spec, path), path, "d1")
-        channels.append(_build(AfcChannel, spec, path, _CHANNEL_KEYS, **shared))
+    channels = tuple(
+        _override(channel, spec, f"memory.channels[{i}]", _CHANNEL_KEYS, **shared)
+        for i, (channel, spec) in enumerate(zip(base.channels, specs))
+    )
     bank = {key: data[key] for key in _MEMORY_KEYS if key in data}
-    return _build(MemoryBank, bank, "memory", _MEMORY_KEYS, channels=tuple(channels))
+    return _override(base, bank, "memory", _MEMORY_KEYS, channels=channels)
 
 
 def config_from_dict(raw) -> ExperimentConfig:
-    """Build the experiment configuration from parsed JSON.
+    """The calibrated configuration with the overrides of parsed JSON.
 
     Top-level keys are the ExperimentConfig fields, except that ``memory``
     holds the bank.
     """
+    base = ExperimentConfig()
     _expect_object(raw, "<root>")
     types = _field_types(ExperimentConfig)
     _reject_unknown(raw, "<root>", (set(types) - {"bank"}) | {"memory"})
-    kwargs = {key: _value(types[key], value, key) for key, value in raw.items() if key != "memory"}
-    kwargs["bank"] = _build_bank(_require(raw, "<root>", "memory"))
-    return ExperimentConfig(**kwargs)
+    kwargs = {
+        key: _value(types[key], value, key, getattr(base, key))
+        for key, value in raw.items()
+        if key != "memory"
+    }
+    if "memory" in raw:
+        kwargs["bank"] = _override_bank(base.bank, raw["memory"])
+    return dataclasses.replace(base, **kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -259,6 +266,5 @@ def load_config(path) -> ExperimentConfig:
 
 
 def reference_calibration_config() -> ExperimentConfig:
-    """The shipped calibrated configuration (channel-1 anchored defaults)."""
-    path = resources.files("afcsim").joinpath("data", "reference_calibration.json")
-    return load_config(str(path))
+    """The shipped calibrated configuration: the dataclass defaults."""
+    return ExperimentConfig()

@@ -84,7 +84,6 @@ def verify_checksums() -> None:
 class EfficiencyGrid:
     times_ns: np.ndarray          # (n_times,)
     efficiency_pct: np.ndarray    # (n_times, 5)
-    sigma_pct: float = 0.01
 
 
 def load_efficiency_grid() -> EfficiencyGrid:

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "CHANNEL_OFFSETS_GHZ",
     "CHANNEL_BANDWIDTH_GHZ",
+    "DEFAULT_D1",
     "AfcChannel",
     "MemoryBank",
     "storage_time_ns",
@@ -36,6 +37,10 @@ __all__ = [
 # +30 GHz (shortest wavelength), channel 5 at -30 GHz.
 CHANNEL_OFFSETS_GHZ = (30.0, 15.0, 0.0, -15.0, -30.0)
 CHANNEL_BANDWIDTH_GHZ = 4.0
+
+# Calibrated comb depth d1 of channels 1-5; the other comb parameters are
+# the same on every channel and are the AfcChannel defaults.
+DEFAULT_D1 = (1.108148, 1.094456, 1.108148, 1.16283, 1.244853)
 
 
 def storage_time_ns(teeth_spacing_mhz: float) -> float:
@@ -55,8 +60,8 @@ def afc_efficiency(d1: float, finesse: float, d0: float) -> float:
 
 @dataclass(frozen=True)
 class AfcChannel:
+    d1: float
     teeth_spacing_mhz: float = 6.58
-    d1: float = 1.1
     finesse: float = 2.0
     d0: float = 1.7
 
@@ -79,9 +84,9 @@ class AfcChannel:
 
 @dataclass(frozen=True)
 class MemoryBank:
-    channels: tuple[AfcChannel, ...]
+    channels: tuple[AfcChannel, ...] = tuple(AfcChannel(d1=d1) for d1 in DEFAULT_D1)
     transmission_efficiency: float = 0.26
-    noise_rate_hz: float = 0.0
+    noise_rate_hz: float = 50.0
 
     def __post_init__(self):
         if len(self.channels) != len(CHANNEL_OFFSETS_GHZ):
@@ -102,9 +107,9 @@ def storage_survival(bank: MemoryBank, channel_index: int) -> float:
 # The efficiency grid is tabulated, not modeled; we fit an effective comb
 # contrast decay d1(t) = d1_0 exp(-t / tau) per channel as a calibration
 # artifact.  The grid itself stays the ground truth.  The fit holds the
-# finesse and d0 of the default AfcChannel fixed.
+# finesse and d0 that the calibrated channels share fixed.
 
-_DECAY_COMB = AfcChannel()
+_DECAY_COMB = MemoryBank().channels[0]
 _DECAY_SCALE = math.exp(-7.0 / _DECAY_COMB.finesse**2) * math.exp(-_DECAY_COMB.d0)
 
 

@@ -36,7 +36,7 @@ from afcsim.analyzer import (
 )
 from afcsim.config import ConfigError, ExperimentConfig
 from afcsim.memory import CHANNEL_OFFSETS_GHZ, storage_survival
-from afcsim.source import analytic_state, emission_arrays
+from afcsim.source import analytic_state, emission_arrays, pair_rate_per_cycle
 
 __all__ = [
     "derive_rng",
@@ -422,7 +422,7 @@ def analytic_mm_counts(
     :func:`acquire_threefold` run; with negligible pair rate it reduces to
     the bare Born-rule rates of project_pair.
     """
-    mu_full = -math.log1p(-cfg.source.pair_emission_probability_per_cycle)
+    mu_full = pair_rate_per_cycle(cfg.source)
     lam_sig = mu_full * cfg.filters.signal_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
     lam_idl = mu_full * cfg.filters.idler_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
     eff = cfg.detectors.efficiency

@@ -20,7 +20,7 @@ from afcsim import pipeline as pl
 from afcsim import states as st
 from afcsim import tomography as tom
 from afcsim.analyzer import coincidence_histogram
-from afcsim.config import ExperimentConfig
+from afcsim.config import ConfigError, ExperimentConfig
 from afcsim.datasets import (
     load_density_matrices,
     load_efficiency_grid,
@@ -91,7 +91,7 @@ def analyze_table4(out_dir: Path) -> tuple[dict, bool]:
     return payload, all(checks.values())
 
 
-def analyze_table3(out_dir: Path, mc_trials: int = 100, seed: int = 0) -> tuple[dict, bool]:
+def analyze_table3(out_dir: Path, mc_trials: int, seed: int) -> tuple[dict, bool]:
     """MLE reconstruction from the bundled tomography counts."""
     record = load_tomography_counts()
     _, after = load_density_matrices()
@@ -199,12 +199,19 @@ def reproduce_fig4(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     ok = True
     for alpha, tag in ((0.0, "alpha0"), (math.pi / 2, "alpha_pi_2")):
         scan, fits = pl.run_fringe(cfg, channel, alpha, stored=True)
+        try:
+            e_values = [bell.correlation_e(row) for row in scan.counts]
+        except ValueError as err:
+            raise ConfigError(
+                f"Franson correlation of channel {channel + 1} after storage in the {tag} scan "
+                f"over {cfg.desk_scale.fringe_cycles_per_point} cycles per point: {err}"
+            ) from err
         scan.to_csv(out_dir / f"fig4_fringe_{tag}.csv")
         with open(out_dir / f"fig4_correlation_{tag}.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["beta_rad", "E"])
-            for b, row in zip(scan.beta_rad, scan.counts):
-                writer.writerow([f"{b:.10g}", f"{bell.correlation_e(row):.6f}"])
+            for b, e in zip(scan.beta_rad, e_values):
+                writer.writerow([f"{b:.10g}", f"{e:.6f}"])
         summary["alpha_scans"][tag] = {
             label: {"V": fit.visibility, "sigma_V": fit.sigma_visibility}
             for label, fit in zip(bell.COMBO_LABELS, fits)

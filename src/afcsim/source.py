@@ -34,14 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PumpConfig:
-    """Double-pulse pump parameters (defaults: 16 ns period, 1.25 ns
-    pulse interval)."""
+    """Double-pulse pump parameters (defaults: the calibrated pump, 16 ns
+    period, 1.25 ns pulse interval)."""
 
     period_ns: float = 16.0
     pulse_interval_ns: float = 1.25
-    extinction_ratio_db: float = 25.0
-    intensity_imbalance: float = 1.0
-    phase_jitter_sigma_rad: float = 0.0
+    extinction_ratio_db: float = 19.0
+    intensity_imbalance: float = 1.077
+    phase_jitter_sigma_rad: float = 0.148318
 
     def __post_init__(self):
         # the early, middle and late arrival slots sit at 0, 1 and 2 intervals
@@ -58,8 +58,8 @@ class PumpConfig:
 @dataclass(frozen=True)
 class SourceModel:
     pump: PumpConfig = field(default_factory=PumpConfig)
-    pair_emission_probability_per_cycle: float = 0.05
-    white_noise_fraction: float = 0.0
+    pair_emission_probability_per_cycle: float = 0.5628
+    white_noise_fraction: float = 0.025
     pair_bandwidth_ghz: float = 100.0
 
     def __post_init__(self):

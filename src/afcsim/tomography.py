@@ -503,7 +503,7 @@ def storage_pair_metrics(rho_in, rho_out) -> dict:
     }
 
 
-def reconstruct_with_errors(counts, metrics, n_trials: int = 100, seed: int = 0):
+def reconstruct_with_errors(counts, metrics, n_trials: int, seed: int):
     """MLE reconstruction of an ``(R, 4, 16)`` stack of count records with
     joint Poisson Monte-Carlo error bars on ``metrics``.
 

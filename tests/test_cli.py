@@ -11,24 +11,31 @@ import pytest
 from afcsim import cli
 
 
+FAST_DESK_SCALE = dict(
+    chsh_cycles_per_setting=300_000,
+    fringe_points=9,
+    fringe_cycles_per_point=120_000,
+    tomography_cycles_per_setting=250_000,
+    g2_cycles=300_000,
+    mc_trials=8,
+)
+
+
 @pytest.fixture()
 def fast_config_file(tmp_path):
-    cfg = json.loads(
-        Path("src/afcsim/data/reference_calibration.json").read_text()
-        if Path("src/afcsim/data/reference_calibration.json").exists()
-        else Path(__file__).parent.parent.joinpath(
-            "src/afcsim/data/reference_calibration.json"
-        ).read_text()
-    )
-    cfg["desk_scale"].update(
-        chsh_cycles_per_setting=300_000,
-        fringe_points=9,
-        fringe_cycles_per_point=120_000,
-        tomography_cycles_per_setting=250_000,
-        g2_cycles=300_000,
-        mc_trials=8,
-    )
     path = tmp_path / "fast.json"
+    path.write_text(json.dumps({"desk_scale": FAST_DESK_SCALE}))
+    return str(path)
+
+
+@pytest.fixture()
+def zero_pair_config_file(tmp_path):
+    # no pair is emitted: every correlation, S and g2 is undefined
+    cfg = {
+        "source": {"pair_emission_probability_per_cycle": 0},
+        "desk_scale": dict(FAST_DESK_SCALE, g2_cycles=100_000),
+    }
+    path = tmp_path / "zero_pairs.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -50,15 +57,9 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_zero_pair_simulate_exit_2(self, tmp_path, capsys, fast_config_file):
-        # no pair is emitted, so the first CHSH setting has no middle-middle
-        # count and S is undefined
-        cfg = json.loads(Path(fast_config_file).read_text())
-        cfg["source"]["pair_emission_probability_per_cycle"] = 0
-        cfg["desk_scale"]["g2_cycles"] = 100_000
-        path = tmp_path / "zero_pairs.json"
-        path.write_text(json.dumps(cfg))
-        argv = ["simulate", "--config", str(path), "--channels", "1", "--trials", "5"]
+    def test_zero_pair_simulate_exit_2(self, tmp_path, capsys, zero_pair_config_file):
+        # the first CHSH setting has no middle-middle count, so S is undefined
+        argv = ["simulate", "--config", zero_pair_config_file, "--channels", "1", "--trials", "5"]
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "error: CHSH of channel 1 before storage over 300000 cycles per setting" in err
@@ -79,10 +80,8 @@ class TestSimulate:
         ],
     )
     def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, overrides, path):
-        raw = {"memory": {"channels": [{"d1": 1.1}] * 5}}
-        raw.update(overrides)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad.write_text(json.dumps(overrides))
         code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"error: {path}: expected" in capsys.readouterr().err
@@ -102,10 +101,8 @@ class TestSimulate:
     def test_model_constants_and_empty_measure_window_exit_2(
         self, tmp_path, capsys, overrides, message
     ):
-        raw = {"memory": {"channels": [{"d1": 1.1}] * 5}}
-        raw.update(overrides)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad.write_text(json.dumps(overrides))
         code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -146,11 +143,7 @@ def test_setup_does_not_import_scipy_optimize():
 def test_simulate_does_not_import_scipy_optimize(tmp_path):
     # the tomography fits are numpy only; the fringe counts are high enough
     # that no fit takes the bounded (scipy) fallback
-    cfg = json.loads(
-        (Path(__file__).resolve().parent.parent / "src/afcsim/data/reference_calibration.json")
-        .read_text()
-    )
-    cfg["desk_scale"].update(
+    desk_scale = dict(
         chsh_cycles_per_setting=300_000,
         fringe_points=9,
         fringe_cycles_per_point=1_500_000,
@@ -158,7 +151,7 @@ def test_simulate_does_not_import_scipy_optimize(tmp_path):
         g2_cycles=300_000,
     )
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(cfg))
+    config.write_text(json.dumps({"desk_scale": desk_scale}))
     code = (
         "import sys\n"
         "from afcsim import cli\n"
@@ -235,18 +228,23 @@ class TestReproduce:
         assert f"error: --channels: {figure} is a single-channel figure" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_zero_pair_g2_exit_2(self, tmp_path, capsys, fast_config_file):
-        # no pair is emitted, so the g2 run has no idler click and g2 is undefined
-        cfg = json.loads(Path(fast_config_file).read_text())
-        cfg["source"]["pair_emission_probability_per_cycle"] = 0
-        cfg["desk_scale"]["g2_cycles"] = 100_000
-        path = tmp_path / "zero_pairs.json"
-        path.write_text(json.dumps(cfg))
-        argv = ["reproduce", "fig3", "--config", str(path), "--channels", "1"]
+    def test_zero_pair_g2_exit_2(self, tmp_path, capsys, zero_pair_config_file):
+        # the g2 run has no idler click, so g2 is undefined
+        argv = ["reproduce", "fig3", "--config", zero_pair_config_file, "--channels", "1"]
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "error: g2 of signal channel 1 and idler channel 1 over 100000 cycles" in err
         assert "zero singles" in err
+
+    def test_zero_pair_fig4_exit_2(self, tmp_path, capsys, zero_pair_config_file):
+        # the fringe scan has no middle-middle count, so E is undefined
+        argv = ["reproduce", "fig4", "--config", zero_pair_config_file, "--trials", "5"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        message = "Franson correlation of channel 1 after storage in the alpha0 scan"
+        assert f"error: {message} over 120000 cycles per point" in err
+        assert "all-zero counts" in err
+        assert not (tmp_path / "o" / "fig4_summary.json").exists()
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -17,7 +17,7 @@ from afcsim.config import (
     load_config,
     reference_calibration_config,
 )
-from afcsim.memory import AfcChannel, MemoryBank
+from afcsim.memory import AfcChannel
 from afcsim.source import PumpConfig, SourceModel
 
 
@@ -146,16 +146,52 @@ class TestSchema:
             config_from_dict(minimal_dict(**nested(f"{section}.not_a_field", 1.0)))
 
     def test_omitted_keys_take_the_dataclass_defaults(self):
-        cfg = config_from_dict(minimal_dict())
-        assert cfg.source == SourceModel()
-        assert cfg.source.pump == PumpConfig()
-        assert cfg.detectors == DetectorConfig()
-        assert cfg.coincidence == CoincidenceConfig()
-        assert cfg.duty_cycle == DutyCycle()
-        assert cfg.filters == Filters()
-        assert cfg.desk_scale == DeskScale()
-        assert cfg.seed == 0
-        assert cfg.bank == MemoryBank(channels=(AfcChannel(d1=1.1),) * 5)
+        assert config_from_dict({}) == ExperimentConfig() == reference_calibration_config()
+
+    def test_defaults_are_the_shipped_calibration(self):
+        # the calibrated source, memory noise, comb depths, fringe scale and
+        # seed: changing the calibration is a change of its own
+        cfg = ExperimentConfig()
+        assert cfg.source.pair_emission_probability_per_cycle == 0.5628
+        assert cfg.source.white_noise_fraction == 0.025
+        assert cfg.source.pump.extinction_ratio_db == 19.0
+        assert cfg.source.pump.intensity_imbalance == 1.077
+        assert cfg.source.pump.phase_jitter_sigma_rad == 0.148318
+        assert cfg.bank.noise_rate_hz == 50.0
+        assert cfg.desk_scale.fringe_cycles_per_point == 3_500_000
+        assert cfg.seed == 20260810
+        assert [ch.d1 for ch in cfg.bank.channels] == [1.108148, 1.094456, 1.108148, 1.16283, 1.244853]
+
+    def test_channel_overrides_keep_that_channels_calibration(self):
+        cfg = config_from_dict({"memory": {"channels": [{}, {}, {}, {"finesse": 2.5}, {}]}})
+        calibrated = ExperimentConfig().bank.channels
+        assert cfg.bank.channels[3] == AfcChannel(d1=1.16283, finesse=2.5)
+        assert cfg.bank.channels[:3] + cfg.bank.channels[4:] == calibrated[:3] + calibrated[4:]
+        # a teeth spacing without channels applies to the five calibrated ones
+        cfg = config_from_dict({"memory": {"teeth_spacing_mhz": 5.0}})
+        assert cfg.bank.channels == tuple(
+            dataclasses.replace(ch, teeth_spacing_mhz=5.0) for ch in calibrated
+        )
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("source.pump.extinction_ratio_db", 22.0),
+            ("memory.noise_rate_hz", 0.0),
+            ("desk_scale.mc_trials", 7),
+            ("seed", 3),
+        ],
+    )
+    def test_one_key_override_changes_only_that_key(self, path, value):
+        def replaced(obj, keys):
+            head, *rest = keys
+            inner = replaced(getattr(obj, head), rest) if rest else value
+            return dataclasses.replace(obj, **{head: inner})
+
+        # the memory section holds the ExperimentConfig's bank
+        attributes = ["bank" if key == "memory" else key for key in path.split(".")]
+        expected = replaced(ExperimentConfig(), attributes)
+        assert config_from_dict(nested(path, value)) == expected != ExperimentConfig()
 
     def test_teeth_spacing_applies_to_all_channels(self):
         raw = minimal_dict()

@@ -92,6 +92,6 @@ class TestDecayFit:
 
 class TestBankValidation:
     def test_wrong_channel_count(self):
-        ch = mem.AfcChannel()
+        ch = mem.AfcChannel(d1=1.1)
         with pytest.raises(ValueError):
             mem.MemoryBank(channels=(ch,) * 3)

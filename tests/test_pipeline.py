@@ -16,6 +16,14 @@ from afcsim.config import config_from_dict, reference_calibration_config
 from afcsim.datasets import load_tomography_counts
 
 
+# the ideal source: no white noise or phase jitter, a balanced pump and
+# 25 dB extinction
+IDEAL_SOURCE = {
+    "white_noise_fraction": 0.0,
+    "pump": {"extinction_ratio_db": 25.0, "intensity_imbalance": 1.0, "phase_jitter_sigma_rad": 0.0},
+}
+
+
 def fast_config(**desk_overrides):
     """Shipped calibration with desk-scale statistics turned way down."""
     cfg = reference_calibration_config()
@@ -36,20 +44,10 @@ def low_rate_config():
     counts must track the bare Born-rule rates."""
     raw = {
         "seed": 5,
-        "source": {
-            "pump": {"intensity_imbalance": 1.077, "phase_jitter_sigma_rad": 0.148318,
-                     "extinction_ratio_db": 19.0},
-            "white_noise_fraction": 0.025,
-            "pair_emission_probability_per_cycle": 0.02,
-        },
-        "memory": {
-            "noise_rate_hz": 0.0,
-            "channels": [
-                {"d1": 1.108148}, {"d1": 1.094456}, {"d1": 1.108148},
-                {"d1": 1.162830}, {"d1": 1.244853},
-            ],
-        },
+        "source": {"pair_emission_probability_per_cycle": 0.02},
+        "memory": {"noise_rate_hz": 0.0},
         "detectors": {"dark_count_rate_hz": 0.0},
+        "desk_scale": {"fringe_cycles_per_point": 2_000_000},
     }
     return config_from_dict(raw)
 
@@ -112,9 +110,11 @@ class TestMemoryNoise:
     # injected at noise_rate x efficiency_boost and thinned by the detector
     # efficiency
     NOISE_ONLY = {
-        "source": {"pair_emission_probability_per_cycle": 0.0},
+        "seed": 0,
+        "source": {**IDEAL_SOURCE, "pair_emission_probability_per_cycle": 0.0},
         "memory": {"noise_rate_hz": 1e4, "channels": [{"d1": 1.1} for _ in range(5)]},
         "detectors": {"dark_count_rate_hz": 0.0},
+        "desk_scale": {"fringe_cycles_per_point": 2_000_000},
     }
 
     def test_noise_clicks_track_the_boosted_rate(self):
@@ -185,13 +185,17 @@ class TestIdealSource:
         # perfect state, negligible pair rate, no noise: sampled S -> 2 sqrt 2
         raw = {
             "seed": 3,
-            "source": {"pair_emission_probability_per_cycle": 0.01},
+            "source": {**IDEAL_SOURCE, "pair_emission_probability_per_cycle": 0.01},
             "memory": {
                 "noise_rate_hz": 0.0,
                 "channels": [{"d1": 1.1} for _ in range(5)],
             },
             "detectors": {"dark_count_rate_hz": 0.0},
-            "desk_scale": {"chsh_cycles_per_setting": 6_000_000, "mc_trials": 30},
+            "desk_scale": {
+                "chsh_cycles_per_setting": 6_000_000,
+                "fringe_cycles_per_point": 2_000_000,
+                "mc_trials": 30,
+            },
         }
         cfg = config_from_dict(raw)
         result, _ = pl.run_chsh(cfg, 2, stored=False)
