@@ -55,6 +55,9 @@ SLOT_NAMES = ("early", "middle", "late")
 # ``np.unravel_index`` on every sampled outcome.
 _OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
 
+# power-of-two bin count of the outcome lookup in ``sample_pair_outcomes``
+_BINS = 2**12
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -129,13 +132,35 @@ def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np
     """Sample n joint outcomes from the Born-rule table.
 
     Returns (idler_port, idler_slot, signal_port, signal_slot) int arrays.
+
+    A uniform draw u selects the flat cell ``searchsorted(cum, u,
+    side="right")`` of the cumulative table.  That lookup goes through
+    ``_BINS`` equal bins of [0, 1) and is exact: ``u * _BINS`` scales by a
+    power of two, so its floor b is exactly the bin [b, b + 1) / _BINS that
+    holds u.  In a bin with no cumulative value strictly inside it, every u
+    has the cell of the bin's left edge; only draws in the other bins (at
+    most 35 of them) fall back to ``searchsorted``, on the draws themselves
+    (``u * _BINS / _BINS`` is u again).
     """
     table = project_pair(rho, alpha_rad, beta_rad)
     probs = np.clip(table.reshape(-1), 0.0, None)
     cum = np.cumsum(probs)
     cum /= cum[-1]
-    flat = np.searchsorted(cum, rng.random(n), side="right")
-    return tuple(index[flat] for index in _OUTCOME_INDEX)
+    edges = np.arange(_BINS + 1) / _BINS
+    cell = np.searchsorted(cum, edges[:-1], side="right")
+    split = np.searchsorted(cum, edges[1:], side="left") != cell
+    u = rng.random(n)
+    u *= _BINS
+    bins = u.astype(np.intp)
+    fallback = np.flatnonzero(split.take(bins))
+    fallback_cell = np.searchsorted(cum, u[fallback] / _BINS, side="right")
+    del u  # free the draws before the four outcome arrays are allocated
+    outcomes = []
+    for index in _OUTCOME_INDEX:
+        values = index.take(cell).take(bins)
+        values[fallback] = index.take(fallback_cell)
+        outcomes.append(values)
+    return tuple(outcomes)
 
 
 def detect(
@@ -157,12 +182,17 @@ def detect(
     for child, name in zip(children, sorted(arrivals)):
         rng = np.random.default_rng(child)
         times = np.asarray(arrivals[name], dtype=float)
-        kept = times[rng.random(times.size) < det.efficiency]
+        kept = np.compress(rng.random(times.size) < det.efficiency, times)
         if det.jitter_sigma_ps > 0:
-            kept = kept + rng.normal(0.0, det.jitter_sigma_ps, size=kept.size)
+            kept += rng.normal(0.0, det.jitter_sigma_ps, size=kept.size)
         n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
         dark = rng.uniform(0.0, duration_s * 1e12, size=n_dark)
-        streams[name] = np.sort(np.concatenate([kept, dark]))
+        stream = np.concatenate([kept, dark])
+        # jittered arrivals are nearly sorted already, the stable sort's
+        # fast case; equal times compare equal in every later step, so the
+        # order it leaves them in does not show
+        stream.sort(kind="stable")
+        streams[name] = stream
     return streams
 
 
@@ -206,6 +236,43 @@ def _expand_matches(lo: np.ndarray, hi: np.ndarray):
     return rows, cols
 
 
+def _fold_cycles(rel: np.ndarray, period_ps: float, slack_ps: float):
+    """Split relative times into whole clock periods and a phase.
+
+    Returns ``(k, phase)``: ``phase`` equals ``np.mod(rel, period_ps)`` bit
+    for bit, and ``k`` is the int64 floor of ``rel / period_ps``.  A
+    caller's cycle index is ``k`` plus a wrap it reads off ``phase``;
+    ``slack_ps`` is the least distance its old formula, ``round((rel -
+    center) / period)``, keeps from a rounding boundary.
+
+    No ``np.mod``: ``k`` starts as ``rel / period`` cast to int64, which is
+    the floor or one more; ``phase = rel - k * period``; where that is
+    negative, ``k`` steps down and ``phase`` gains a period.  With a
+    whole-number period and ``|rel| + period < 2**53``, ``k * period`` is an
+    exact integer, so ``rel - k * period`` is rounded once, and not at all
+    when negative (it is then smaller than ``rel`` and a multiple of its
+    last place); adding the period rounds once.  Either way ``phase`` is the
+    real remainder rounded once, as ``np.mod`` returns it: the exact
+    ``fmod``, plus one rounded period when ``fmod`` is negative.  If also
+    ``|rel| + period < slack * 2**51``, the float error of the old formula
+    is below the slack, so it gave ``k`` plus the wrap.  Where a bound fails
+    (a fractional period in ps, absurd times), ``k`` is None and ``phase``
+    is ``np.mod`` itself, for the old formula.
+    """
+    bound = min(2.0**53, slack_ps * 2.0**51)
+    if not (rel.size and period_ps.is_integer() and max(rel.max(), -rel.min()) + period_ps < bound):
+        return None, np.mod(rel, period_ps)
+    phase = rel / period_ps
+    k = phase.astype(np.int64)
+    np.multiply(k, period_ps, out=phase)
+    np.subtract(rel, phase, out=phase)
+    phase += 0.0  # a time of -0.0 gets np.mod's +0.0 phase
+    over = np.flatnonzero(phase < 0)
+    k[over] -= 1
+    phase[over] += period_ps
+    return k, phase
+
+
 def _classify_slots(
     times_ps: np.ndarray,
     clock_period_ns: float,
@@ -220,37 +287,43 @@ def _classify_slots(
     window/2 from that center are unclassified.
 
     Returns (cycle, slot, classified_mask), with cycle and slot for the
-    classified events only.
+    classified events only.  The nearest center lies within half a period
+    minus one spacing, so the cycle is the whole periods of
+    :func:`_fold_cycles` plus the wrap into the next cycle.
     """
     period_ps = clock_period_ns * 1e3
     spacing_ps = slot_spacing_ns * 1e3
     if not 2 * spacing_ps < period_ps:
         raise ValueError("the three slots must fit in one clock period (2 * spacing < period)")
-    rel = np.asarray(times_ps, dtype=float) - ref_ps
-    phase = np.mod(rel, period_ps)
-    twice = 2 * phase
-    wraps = twice >= period_ps + 2 * spacing_ps
-    slot = np.add(twice > spacing_ps, twice > 3 * spacing_ps, dtype=np.int64)
+    times = np.asarray(times_ps, dtype=float)
+    cycle, phase = _fold_cycles(times - ref_ps, period_ps, spacing_ps)
+    # slot boundaries at the midpoints between centers (halving is exact)
+    wraps = phase >= (period_ps + 2 * spacing_ps) / 2
+    slot = np.add(phase > spacing_ps / 2, phase > 3 * spacing_ps / 2, dtype=np.int8)
     slot *= ~wraps
-    center = slot * spacing_ps
-    ok = np.abs(phase - np.where(wraps, period_ps, center)) <= window_ps / 2.0
-    cycle = np.round((rel[ok] - center[ok]) / period_ps).astype(np.int64)
-    return cycle, slot[ok], ok
+    if cycle is None:
+        cycle = np.round((times - ref_ps - slot * spacing_ps) / period_ps).astype(np.int64)
+    else:
+        cycle += wraps
+    # distance to the nearest center: the slot's, or the next cycle's early slot
+    distance = slot * spacing_ps
+    np.copyto(distance, period_ps, where=wraps)
+    distance -= phase
+    np.abs(distance, out=distance)
+    ok = distance <= window_ps / 2.0
+    return np.compress(ok, cycle), np.compress(ok, slot), ok
 
 
-def _checked_ports(ports) -> np.ndarray:
+def _classified_ports(ports, classified: np.ndarray) -> np.ndarray:
+    """The ports of the classified events, after checking every port."""
     ports = np.asarray(ports, dtype=np.int64)
+    if ports.shape != classified.shape:
+        raise ValueError(
+            f"need one port per event: {ports.shape} ports for {classified.shape} events"
+        )
     if ports.size and (ports.min() < 0 or ports.max() > 1):
         raise ValueError("ports must be 0 or 1 (port k has index k - 1)")
-    return ports
-
-
-def _same_cycle_pairs(query_cycles: np.ndarray, table_cycles: np.ndarray):
-    """Index pairs (query, table) of every two events in the same cycle;
-    ``table_cycles`` must be sorted."""
-    lo = np.searchsorted(table_cycles, query_cycles, side="left")
-    hi = np.searchsorted(table_cycles, query_cycles, side="right")
-    return _expand_matches(lo, hi)
+    return np.compress(classified, ports)
 
 
 @dataclass(frozen=True)
@@ -289,9 +362,11 @@ def threefold_counts(
     fixed path or storage delay).  Events in the same clock cycle are paired
     and tallied per (slot, port) cell.
 
-    Events may come in any order.  Time-sorted streams (what ``detect``
-    returns) are the linear-time case: their cycle indices are already
-    sorted, so the stable sorts below cost one pass.
+    Events may come in any order.  Time-sorted idler events (what
+    ``detect`` returns), or a few time-sorted runs of them (each port's
+    clicks in turn), are the linear-time case: their cycle indices are
+    sorted within each run, so the one stable sort merges the runs.  The
+    signal events are looked up, not sorted.
     """
     ic, isl, i_ok = _classify_slots(
         idler_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps, idler_ref_ps
@@ -301,25 +376,30 @@ def threefold_counts(
     )
     # flat index of counts[idler_port, idler_slot, signal_port, signal_slot],
     # split into its idler and signal parts
-    i_cell = _checked_ports(idler_ports)[i_ok] * 18 + isl * 6
-    s_cell = _checked_ports(signal_ports)[s_ok] * 3 + ssl
+    i_cell = _classified_ports(idler_ports, i_ok) * 18
+    i_cell += isl * 6
+    s_cell = _classified_ports(signal_ports, s_ok) * 3 + ssl
 
-    order_i = np.argsort(ic, kind="stable")
-    ic, i_cell = ic[order_i], i_cell[order_i]
-    order_s = np.argsort(sc, kind="stable")
-    sc, s_cell = sc[order_s], s_cell[order_s]
+    # one sorted key per idler event: its cycle, and its cell (< 64) in the
+    # low six bits, so that a cycle's events form one run of keys
+    i_key = np.left_shift(ic, 6, out=ic)
+    i_key += i_cell
+    i_key.sort(kind="stable")
 
     # pair every idler event with every signal event in the same cycle; the
     # signal side (narrower band, thinned by storage) is the smaller one, so
     # the expansion runs over signal events
-    s_idx, i_idx = _same_cycle_pairs(sc, ic)
-    counts = np.bincount(i_cell[i_idx] + s_cell[s_idx], minlength=36).reshape(2, 3, 2, 3)
+    lo = np.searchsorted(i_key, sc << 6, side="left")
+    hi = np.searchsorted(i_key, (sc + 1) << 6, side="left")
+    s_idx, i_idx = _expand_matches(lo, hi)
+    counts = np.bincount((i_key[i_idx] & 63) + s_cell[s_idx], minlength=36).reshape(2, 3, 2, 3)
 
     if n_cycles is None:
         top = 0
-        for arr in (ic, sc):
-            if arr.size:
-                top = max(top, int(arr[-1]) + 1)
+        if i_key.size:
+            top = max(top, int(i_key[-1] >> 6) + 1)
+        if sc.size:
+            top = max(top, int(sc.max()) + 1)
         n_cycles = top
     return ThreefoldCounts(
         counts=counts,
@@ -355,19 +435,25 @@ def g2_tallies(
 
     Events may come in any order.  Time-sorted streams (what ``detect``
     returns) are the linear-time case: their cycle indices are already
-    sorted, so the stable sort costs one pass.
+    sorted, so the stable sort costs one pass.  The cycle of an event is
+    the whole periods of ``rel + period / 2`` (:func:`_fold_cycles`), the
+    old ``round((rel - phase) / period)`` with half a period to spare.
     """
     period_ps = clock_period_ns * 1e3
 
     def occupied(times, ref):
-        rel = np.asarray(times, dtype=float) - ref
-        phase = np.mod(rel + period_ps / 2, period_ps) - period_ps / 2
-        ok = np.abs(phase) <= cfg.window_ps / 2.0
-        cycles = np.round((rel[ok] - phase[ok]) / period_ps).astype(np.int64)
-        cycles = np.sort(cycles, kind="stable")
+        times = np.asarray(times, dtype=float)
+        cycles, phase = _fold_cycles(times - ref + period_ps / 2, period_ps, period_ps / 2)
+        phase -= period_ps / 2
+        if cycles is None:
+            cycles = np.round((times - ref - phase) / period_ps).astype(np.int64)
+        in_window = np.abs(phase, out=phase) <= cfg.window_ps / 2.0
+        del phase  # free it before the selection: a long g2 run's peak memory
+        cycles = np.compress(in_window, cycles)
+        cycles.sort(kind="stable")
         first = np.ones(cycles.size, dtype=bool)
         first[1:] = cycles[1:] != cycles[:-1]
-        return cycles[first]
+        return np.compress(first, cycles)
 
     s_cycles = occupied(signal_times_ps, signal_ref_ps)
     i_cycles = occupied(idler_times_ps, idler_ref_ps)

@@ -149,7 +149,8 @@ def acquire_threefold(
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
 
-    idler_t = cycles * period_ps + i_slot * spacing_ps
+    idler_t = cycles * period_ps
+    idler_t += i_slot * spacing_ps
 
     center = CHANNEL_OFFSETS_GHZ[channel]
     in_signal_band = np.abs(offsets - center) <= cfg.filters.signal_bandwidth_ghz / 2.0
@@ -157,17 +158,21 @@ def acquire_threefold(
         cfg, channel, tags, len(cycles), stored, duration_ps
     )
     keep = in_signal_band & recalled
-    signal_t = cycles[keep] * period_ps + delay_ps + s_slot[keep] * spacing_ps
-    signal_port = s_port[keep]
+    signal_t = np.compress(keep, cycles) * period_ps
+    signal_t += delay_ps
+    signal_t += np.compress(keep, s_slot) * spacing_ps
+    signal_port = np.compress(keep, s_port)
     if noise_t.size:
         signal_t = np.concatenate([signal_t, noise_t])
         signal_port = np.concatenate([signal_port, noise_port])
 
+    idler_a1 = i_port == 0
+    signal_b1 = signal_port == 0
     arrivals = {
-        "A1": idler_t[i_port == 0],
-        "A2": idler_t[i_port == 1],
-        "B1": signal_t[signal_port == 0],
-        "B2": signal_t[signal_port == 1],
+        "A1": np.compress(idler_a1, idler_t),
+        "A2": np.compress(~idler_a1, idler_t),
+        "B1": np.compress(signal_b1, signal_t),
+        "B2": np.compress(~signal_b1, signal_t),
     }
     det_seed = _seed(cfg, *tags, "detector")
     streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, det_seed)
@@ -252,7 +257,8 @@ def acquire_g2(
     keep, delay_ps, noise_t, _ = _recall(
         cfg, signal_channel, tags, len(sig_cycles), stored, duration_ps
     )
-    signal_t = np.sort(np.concatenate([sig_cycles[keep] * period_ps + delay_ps, noise_t]))
+    recalled_t = np.compress(keep, sig_cycles) * period_ps + delay_ps
+    signal_t = np.sort(np.concatenate([recalled_t, noise_t]))
 
     det_seed = _seed(cfg, *tags, "detector")
     streams = detect(

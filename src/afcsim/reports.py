@@ -225,11 +225,20 @@ def reproduce_fig4(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
 
 
 def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tuple[dict, bool]:
-    """Reconstructed density matrices (sampled run) as bar-matrix data."""
-    record_in = pl.run_tomography_counts(cfg, channel, stored=False)
-    record_out = pl.run_tomography_counts(cfg, channel, stored=True)
-    rho_in = tom.mle_reconstruct(record_in.sum(axis=0), tom.basis_exposures(record_in)).rho
-    rho_out = tom.mle_reconstruct(record_out.sum(axis=0), tom.basis_exposures(record_out)).rho
+    """Reconstructed density matrices (sampled run) as bar-matrix data.  A
+    count record the fit cannot use (no count in some setting) raises
+    :class:`ConfigError`."""
+    rhos = []
+    for stage, stored in (("before", False), ("after", True)):
+        record = pl.run_tomography_counts(cfg, channel, stored=stored)
+        try:
+            rhos.append(tom.mle_reconstruct(record.sum(axis=0), tom.basis_exposures(record)).rho)
+        except ValueError as err:
+            raise ConfigError(
+                f"tomography of channel {channel + 1} {stage} storage over "
+                f"{cfg.desk_scale.tomography_cycles_per_setting} cycles per setting: {err}"
+            ) from err
+    rho_in, rho_out = rhos
     for name, rho in (("before", rho_in), ("after", rho_out)):
         st.save_density_matrix(out_dir / f"fig5_density_{name}.txt", rho)
         with open(out_dir / f"fig5_density_{name}.csv", "w", newline="") as f:
@@ -254,8 +263,9 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     the five-peak two-fold histogram plus the slot-resolved threefold grid."""
     acq = pl.dd_tomography_acquisition(cfg, channel)
     streams = acq.streams
-    idler = np.sort(np.concatenate([streams["A1"], streams["A2"]]))
-    signal = np.sort(np.concatenate([streams["B1"], streams["B2"]]))
+    # each merges two time-sorted port streams, the stable sort's fast case
+    idler = np.sort(np.concatenate([streams["A1"], streams["A2"]]), kind="stable")
+    signal = np.sort(np.concatenate([streams["B1"], streams["B2"]]), kind="stable")
     centers, counts = coincidence_histogram(
         idler, signal - acq.delay_ps, cfg.coincidence, span_ns=4.0
     )

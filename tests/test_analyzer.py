@@ -1,5 +1,9 @@
 """Tests for the qubit analyzers, detector model, and coincidence counting."""
 
+import math
+from fractions import Fraction
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -101,6 +105,99 @@ class TestProjectPair:
         for g, e in zip(got, np.unravel_index(flat, table.shape), strict=True):
             assert g.dtype == e.dtype
             np.testing.assert_array_equal(g, e)
+
+
+class _FixedDraws:
+    """Stands in for a generator whose ``random(n)`` returns given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, n):
+        assert n == self.draws.size
+        return self.draws.copy()
+
+
+@hst.composite
+def _outcome_table_and_draws(draw):
+    """A (2, 3, 2, 3) outcome table with zero cells, whose cumulative values
+    may sit exactly on bin edges j / 2**bits, and draws at 0, on bin edges,
+    on and next to the cumulative values, at 1 - 2**-53, and anywhere."""
+    bits = draw(hst.integers(1, 16))
+    cell_weight = hst.integers(0, 2**bits // 36 + 2) | hst.just(0)
+    weights = draw(hst.lists(cell_weight, min_size=35, max_size=35))
+    if draw(hst.booleans()):
+        # integer weights summing to a power of two: exact cumulative values
+        total = 2 ** max(bits, int(sum(weights)).bit_length())
+        probs = np.array(weights + [total - sum(weights)], dtype=float) / total
+    else:
+        probs = np.array(weights + [draw(hst.integers(0, 5))], dtype=float)
+        probs *= draw(hst.floats(0.1, 3.0))
+        if probs.sum() == 0:
+            probs[draw(hst.integers(0, 35))] = 1.0
+    cum = np.cumsum(probs)
+    cum /= cum[-1]
+    specials = [0.0, 1.0 - 2.0**-53]
+    specials += [j / an._BINS for j in (1, 2, an._BINS // 3, an._BINS - 1)]
+    specials += [c for c in cum[:-1]] + [np.nextafter(c, 0.0) for c in cum[:-1] if c > 0]
+    specials += [np.nextafter(c, 1.0) for c in cum[:-1]]
+    draws = draw(
+        hst.lists(
+            hst.sampled_from([u for u in specials if u < 1.0])
+            | hst.floats(0.0, 1.0, exclude_max=True),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    return probs.reshape(2, 3, 2, 3), np.array(draws)
+
+
+class TestBucketedOutcomes:
+    @given(_outcome_table_and_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted_and_unravel_index(self, case):
+        table, draws = case
+        with patch.object(an, "project_pair", return_value=table):
+            got = an.sample_pair_outcomes(None, 0.0, 0.0, draws.size, _FixedDraws(draws))
+        cum = np.cumsum(np.clip(table.reshape(-1), 0.0, None))
+        cum /= cum[-1]
+        flat = np.searchsorted(cum, draws, side="right")
+        for g, e in zip(got, np.unravel_index(flat, table.shape), strict=True):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+
+
+@hst.composite
+def _period_and_times(draw):
+    """A whole-number period and times on its multiples, one ulp either side
+    of them (where the quotient rounds onto an integer), tiny distances
+    either side of zero, -0.0, and anywhere."""
+    period = draw(hst.sampled_from([16000.0, 12500.0, 1.0, 3.0]))
+    multiple = hst.builds(
+        lambda cycle, toward: cycle * period if toward == 0 else np.nextafter(cycle * period, toward),
+        hst.integers(-10**9, 10**9),
+        hst.sampled_from([-np.inf, 0, np.inf]),
+    )
+    tiny = hst.sampled_from([1e-12, -1e-12, 1e-300, -1e-300, 5e-324, -5e-324])
+    times = draw(hst.lists(multiple | tiny | hst.floats(-1e12, 1e12), min_size=1, max_size=40))
+    return period, np.array(times + [-0.0])
+
+
+class TestFoldCycles:
+    @given(_period_and_times())
+    @settings(max_examples=300, deadline=None)
+    def test_phase_is_np_mod_bit_for_bit_and_k_is_the_floor(self, case):
+        period, rel = case
+        k, phase = an._fold_cycles(rel, period, period / 2)
+        np.testing.assert_array_equal(phase.view(np.int64), np.mod(rel, period).view(np.int64))
+        expected = [math.floor(Fraction(t) / Fraction(period)) for t in rel]
+        assert k.dtype == np.int64 and k.tolist() == expected
+
+    def test_a_fractional_period_takes_np_mod(self):
+        rel = np.array([-1.0, 0.0, 16000.25, 1e9])
+        k, phase = an._fold_cycles(rel, 16000.1, 1250.0)
+        assert k is None
+        np.testing.assert_array_equal(phase, np.mod(rel, 16000.1))
 
 
 class TestDetect:
@@ -295,7 +392,8 @@ def _counting_case(draw):
     """Unsorted event times (possibly none) spread over a few cycles, placed
     at slot centers, at +-window/2 from them, at slot midpoints, just below
     a full clock period, and anywhere; references may lie after the event."""
-    period_ns, spacing_ns = draw(hst.sampled_from([(16.0, 1.25), (12.5, 2.5)]))
+    # a period of 16000.1 ps is not a whole number of ps: the np.mod route
+    period_ns, spacing_ns = draw(hst.sampled_from([(16.0, 1.25), (12.5, 2.5), (16.0001, 1.25)]))
     window_ps = draw(hst.sampled_from([600.0, 100.0, 1250.0, 2500.0]) | hst.floats(50.0, 3000.0))
     period_ps, spacing_ps = period_ns * 1e3, spacing_ns * 1e3
     special = [
@@ -348,6 +446,14 @@ class TestCountingMatchesReference:
             an.threefold_counts(
                 np.array([0.0]), np.array([0]), np.array([]), np.array([], int), 2.0,
                 an.CoincidenceConfig(), slot_spacing_ns=1.0,
+            )
+
+    @pytest.mark.parametrize("ports", [[0, 1, 0], [0]], ids=["more", "fewer"])
+    def test_one_port_per_event(self, ports):
+        with pytest.raises(ValueError, match="one port per event"):
+            an.threefold_counts(
+                np.array([0.0, 16000.0]), np.array(ports), np.array([0.0]), np.array([0]), 16.0,
+                an.CoincidenceConfig(),
             )
 
     def test_ports_must_be_0_or_1(self):

@@ -246,6 +246,16 @@ class TestReproduce:
         assert "all-zero counts" in err
         assert not (tmp_path / "o" / "fig4_summary.json").exists()
 
+    def test_zero_pair_fig5_exit_2(self, tmp_path, capsys, zero_pair_config_file):
+        # the tomography record has no count, so the MLE has no exposure
+        argv = ["reproduce", "fig5", "--config", zero_pair_config_file]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        message = "tomography of channel 1 before storage over 250000 cycles per setting"
+        assert f"error: {message}" in err
+        assert "exposures must be positive" in err
+        assert not list((tmp_path / "o").glob("fig5_*"))
+
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["reproduce", "fig9", "--out", str(tmp_path)])

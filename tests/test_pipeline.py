@@ -74,6 +74,42 @@ class TestDeterminism:
         np.testing.assert_array_equal(a1.threefold.counts, a2.threefold.counts)
 
 
+class TestPinnedCounts:
+    """Exact integer results of the event path at the shipped seed.  Every
+    rewrite of sampling, detection or counting must keep each draw and each
+    count; a changed RNG stream or an off-by-one cycle shows here."""
+
+    @pytest.mark.parametrize(
+        "stored, counts, unclassified",
+        [
+            (
+                True,
+                [28, 38, 1, 31, 36, 3, 30, 112, 25, 35, 10, 35, 3, 36, 32, 2, 33, 25,
+                 30, 29, 0, 26, 37, 3, 27, 14, 32, 34, 115, 35, 3, 34, 29, 2, 24, 31],
+                (0, 19),
+            ),
+            (
+                False,
+                [202, 202, 10, 181, 207, 16, 212, 694, 226, 220, 101, 220, 15, 220, 204, 12, 212, 211,
+                 175, 171, 12, 189, 222, 15, 197, 116, 239, 170, 747, 232, 10, 215, 226, 15, 212, 229],
+                (0, 0),
+            ),
+        ],
+        ids=["stored", "bypassed"],
+    )
+    def test_threefold(self, stored, counts, unclassified):
+        acq = pl.acquire_threefold(fast_config(), 0, 0.0, 0.5, 400_000, ("pin",), stored=stored)
+        tf = acq.threefold
+        assert tf.counts.reshape(-1).tolist() == counts
+        assert (tf.unclassified_idler, tf.unclassified_signal) == unclassified
+        assert (tf.n_cycles, acq.n_pairs_sampled) == (400_000, 20_596)
+
+    def test_g2(self):
+        cfg = fast_config()
+        run = pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("pin-g2",), stored=True)
+        assert (run.coincidences, run.signal_singles, run.idler_singles) == (943, 1353, 14244)
+
+
 class TestAnalyticConsistency:
     def test_sampled_counts_track_born_rates(self):
         # negligible-rate config: sampled middle-middle counts within 5
