@@ -106,18 +106,19 @@ def project_pair(rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
     alpha is the idler-side UMZI phase, beta the signal side.  The state
     lives in the (signal x idler) tensor ordering of the ee/el/le/ll basis,
     so the joint element is kron(E_signal, E_idler).  Entries sum to 1.
+
+    All 36 joint elements are one broadcast product, entry for entry the
+    single multiply ``np.kron`` makes, and one batched ``matmul`` and trace.
     """
     m = np.asarray(rho, dtype=complex)
     e_idler = umzi_povm(alpha_rad)
     e_signal = umzi_povm(beta_rad)
-    table = np.empty((2, 3, 2, 3))
-    for ip in range(2):
-        for isl in range(3):
-            for sp in range(2):
-                for ssl in range(3):
-                    op = np.kron(e_signal[sp, ssl], e_idler[ip, isl])
-                    table[ip, isl, sp, ssl] = np.trace(m @ op).real
-    return table
+    # [ip, isl, sp, ssl, i, k, j, l] = E_signal[sp, ssl][i, j] * E_idler[ip, isl][k, l]
+    ops = (
+        e_signal[None, None, :, :, :, None, :, None]
+        * e_idler[:, :, None, None, None, :, None, :]
+    ).reshape(2, 3, 2, 3, 4, 4)
+    return np.trace(m @ ops, axis1=-2, axis2=-1).real.copy()
 
 
 def middle_middle(table) -> np.ndarray:

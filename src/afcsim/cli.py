@@ -14,11 +14,27 @@ option is a configuration error, as is more than one ``--channels`` label
 for a single-channel figure (fig4, fig5, fig7).
 
 Exit codes: 0 success, 1 a tolerance check failed, 2 configuration error.
+
+Allocator policy: ``main`` keeps the heap that the event path frees mapped
+for the next acquisition (``_keep_heap_mapped``).  Each acquisition builds
+and frees arrays of 1.5-4 MB (emission cycles, outcome draws, times, masks,
+sort keys, ``np.compress`` index buffers); glibc's dynamic thresholds serve
+such blocks with ``mmap`` or trim them off the top of the heap, so every
+acquisition zero-fills its pages again.  ``main`` sets glibc's
+``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD`` to 256 MiB; with
+both, ``simulate --channels 1 --trials 20`` takes about 20k minor page
+faults instead of about 385k and spends 0.05 s instead of about 0.9 s in the
+kernel (getrusage of the verb).  Either setting alone leaves most of the
+faults.  The policy applies to glibc only: where ``mallopt`` is missing or
+refuses the value, the allocator is left as it is.  It changes no number,
+and code that imports ``afcsim`` as a library keeps its own allocator; only
+``main`` sets it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -28,6 +44,12 @@ from afcsim.config import ConfigError, ExperimentConfig, load_config, reference_
 from afcsim.datasets import FixtureError
 
 _RUN_OPTIONS = ("config", "seed", "channels", "trials")
+
+# glibc mallopt parameters (malloc.h) and the values main sets; 32 MiB is
+# the largest mmap threshold every 64-bit glibc accepts
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
 
 # The options each artifact reads, keyed by (verb, artifact).  fig5 and fig7
 # draw no Monte-Carlo error bar; the golden tables other than table3 are
@@ -171,7 +193,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap_mapped() -> None:
+    """Keep freed heap mapped for the next acquisition (see the module
+    docstring).  The mmap threshold, the only value glibc can refuse, is set
+    first, so a refusal leaves the allocator as it was."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        if mallopt(param, value) == 0:
+            return
+
+
 def main(argv=None) -> int:
+    _keep_heap_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as hst
 
 from afcsim import analyzer as an
 from afcsim import states as st
+from afcsim.config import ExperimentConfig
+from afcsim.source import analytic_state
 
 
 class TestUmziPovm:
@@ -50,7 +52,34 @@ class TestUmziPovm:
         assert p2 == pytest.approx(0.5, abs=1e-12)
 
 
+def _kron_loop_table(rho, alpha, beta):
+    # one np.kron operator and one trace per (idler, signal) outcome pair
+    m = np.asarray(rho, dtype=complex)
+    e_idler, e_signal = an.umzi_povm(alpha), an.umzi_povm(beta)
+    table = np.empty((2, 3, 2, 3))
+    for ip in range(2):
+        for isl in range(3):
+            for sp in range(2):
+                for ssl in range(3):
+                    op = np.kron(e_signal[sp, ssl], e_idler[ip, isl])
+                    table[ip, isl, sp, ssl] = np.trace(m @ op).real
+    return table
+
+
 class TestProjectPair:
+    def test_equals_kron_loop_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        shipped = analytic_state(ExperimentConfig().source)
+        cases = [(shipped, a, b) for a, b in [(0.0, 0.0), (0.0, np.pi / 2), (np.pi, np.pi / 4)]]
+        cases += [(np.eye(4) / 4, 0.9, 0.3), (st.projector(st.bell_psi_plus()), 0.3, 0.4)]
+        for k in range(300):
+            rho = shipped if k % 3 == 0 else st.random_density_matrix(rng)
+            cases.append((rho, *rng.uniform(-10.0, 10.0, 2)))
+        for rho, alpha, beta in cases:
+            table = an.project_pair(rho, alpha, beta)
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            assert np.array_equal(table, _kron_loop_table(rho, alpha, beta))
+
     def test_table_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
