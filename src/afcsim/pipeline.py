@@ -10,12 +10,19 @@ which only buys counting statistics.
 
 Everything is deterministic given (config, seed): independent acquisitions
 derive child generators from stable string tags, so channels and settings
-can be computed in any order or in parallel workers.
+can be computed in any order or in parallel workers.  Each threefold scan
+(the CHSH, fringe or tomography settings of one channel and stage) runs its
+settings on a thread pool, one thread per CPU this process may run on and
+no more than the settings; every other acquisition (the g2 runs, the
+stream-keeping DD acquisition of fig7) runs on the calling thread.  An
+acquisition drops each pair-level array at its last use, so a thread
+holds about 29 MB at its peak at CHSH size (~500k pairs) instead of 81 MB.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass
 
@@ -138,12 +145,21 @@ def acquire_threefold(
     rng_em = derive_rng(cfg.seed, *tags, "emission")
     rng_out = derive_rng(cfg.seed, *tags, "outcome")
 
+    # Each pair-level array is dropped at its last use: a before-storage
+    # CHSH acquisition samples ~500k pairs, and the scans run several
+    # acquisitions at once (see _scan).
     band = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
     cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
+    n_pairs = len(cycles)
+    center = CHANNEL_OFFSETS_GHZ[channel]
+    in_signal_band = np.abs(offsets - center) <= cfg.filters.signal_bandwidth_ghz / 2.0
+    del offsets
     rho = analytic_state(cfg.source)
     i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
-        rho, alpha_rad, beta_rad, len(cycles), rng_out
+        rho, alpha_rad, beta_rad, n_pairs, rng_out
     )
+    idler_a1 = i_port == 0
+    del i_port
 
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
@@ -151,39 +167,51 @@ def acquire_threefold(
 
     idler_t = cycles * period_ps
     idler_t += i_slot * spacing_ps
+    del i_slot
 
-    center = CHANNEL_OFFSETS_GHZ[channel]
-    in_signal_band = np.abs(offsets - center) <= cfg.filters.signal_bandwidth_ghz / 2.0
     recalled, delay_ps, noise_t, noise_port = _recall(
-        cfg, channel, tags, len(cycles), stored, duration_ps
+        cfg, channel, tags, n_pairs, stored, duration_ps
     )
     keep = in_signal_band & recalled
+    del in_signal_band, recalled
     signal_t = np.compress(keep, cycles) * period_ps
+    del cycles
     signal_t += delay_ps
     signal_t += np.compress(keep, s_slot) * spacing_ps
     signal_port = np.compress(keep, s_port)
+    del keep, s_port, s_slot
     if noise_t.size:
         signal_t = np.concatenate([signal_t, noise_t])
         signal_port = np.concatenate([signal_port, noise_port])
 
-    idler_a1 = i_port == 0
     signal_b1 = signal_port == 0
+    del signal_port
     arrivals = {
         "A1": np.compress(idler_a1, idler_t),
         "A2": np.compress(~idler_a1, idler_t),
         "B1": np.compress(signal_b1, signal_t),
         "B2": np.compress(~signal_b1, signal_t),
     }
+    del idler_t, idler_a1, signal_t, signal_b1
     det_seed = _seed(cfg, *tags, "detector")
     streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, det_seed)
+    del arrivals
     # each side's port 1 clicks, then its port 2 clicks: threefold_counts
     # takes events in any order
     a1, a2, b1, b2 = (streams[name] for name in ("A1", "A2", "B1", "B2"))
+    # int8 ports: one byte per click, held while counting runs
+    idler_ports = np.repeat(np.int8([0, 1]), [a1.size, a2.size])
+    signal_ports = np.repeat(np.int8([0, 1]), [b1.size, b2.size])
+    idler_clicks = np.concatenate([a1, a2])
+    signal_clicks = np.concatenate([b1, b2])
+    del a1, a2, b1, b2
+    if not keep_streams:
+        streams = None
     tf = threefold_counts(
-        np.concatenate([a1, a2]),
-        np.repeat([0, 1], [a1.size, a2.size]),
-        np.concatenate([b1, b2]),
-        np.repeat([0, 1], [b1.size, b2.size]),
+        idler_clicks,
+        idler_ports,
+        signal_clicks,
+        signal_ports,
         cfg.clock_period_ns,
         cfg.coincidence,
         slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
@@ -193,10 +221,10 @@ def acquire_threefold(
     return Acquisition(
         threefold=tf,
         n_cycles=n_cycles,
-        n_pairs_sampled=len(cycles),
+        n_pairs_sampled=n_pairs,
         measure_time_s=duration_ps * 1e-12,
         delay_ps=delay_ps,
-        streams=streams if keep_streams else None,
+        streams=streams,
     )
 
 
@@ -313,15 +341,31 @@ def _acquire_setting(cfg, channel, stored, kind, key, alpha, beta, n_cycles, kee
     return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored, keep_streams)
 
 
+def _worker_count(n_settings: int) -> int:
+    """Threads for a scan of ``n_settings``: one per CPU this process may
+    run on, and no more than the settings."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_settings)
+
+
 def _scan(cfg: ExperimentConfig, channel: int, stored: bool, kind: str, settings, n_cycles: int):
     """One acquisition per ``(key, alpha, beta)`` setting; returns the
-    ``(settings, 2, 3, 2, 3)`` stack of their threefold counts."""
-    return np.array(
-        [
-            _acquire_setting(cfg, channel, stored, kind, *setting, n_cycles).threefold.counts
-            for setting in settings
-        ]
-    )
+    ``(settings, 2, 3, 2, 3)`` stack of their threefold counts.
+
+    The settings run on a thread pool (numpy releases the GIL in the bulk
+    work), and the stack is in setting order.  Each acquisition draws from
+    generators derived from its own tags, so the stack does not depend on
+    the number of threads or on the order they finish in."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    def counts(setting):
+        return _acquire_setting(cfg, channel, stored, kind, *setting, n_cycles).threefold.counts
+
+    with ThreadPoolExecutor(_worker_count(len(settings))) as pool:
+        return np.array(list(pool.map(counts, settings)))
 
 
 def run_chsh(

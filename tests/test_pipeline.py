@@ -4,11 +4,13 @@ and the statistical structure of simulated acquisitions."""
 import dataclasses
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from afcsim import analyzer, bell
+from afcsim import analyzer, bell, reports
 from afcsim import pipeline as pl
 from afcsim import states as st
 from afcsim import tomography as tom
@@ -72,6 +74,50 @@ class TestDeterminism:
         _ = pl.acquire_threefold(cfg, 1, 0.3, 0.1, 100_000, ("y",), stored=False)
         a2 = pl.acquire_threefold(cfg, 0, 0.0, 0.5, 100_000, ("x",), stored=True)
         np.testing.assert_array_equal(a1.threefold.counts, a2.threefold.counts)
+
+    @staticmethod
+    def _outputs(monkeypatch, out, worker_count):
+        monkeypatch.setattr(pl, "_worker_count", worker_count)
+        cfg = fast_config()
+        report = json.dumps(pl.run_report(cfg, channels=[0, 1]), sort_keys=True)
+        out.mkdir()
+        reports.reproduce_fig4(cfg, out, 0)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return report, files
+
+    def test_serial_and_threaded_scans_give_the_same_bytes(self, monkeypatch, tmp_path):
+        serial = self._outputs(monkeypatch, tmp_path / "serial", lambda n_settings: 1)
+        assert serial[1]  # fig4 wrote its files
+        assert self._outputs(monkeypatch, tmp_path / "two", lambda n_settings: 2) == serial
+        # a thread per setting, more than the CPUs, switching often: a draw
+        # or a buffer shared between acquisitions would show here
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            every = self._outputs(monkeypatch, tmp_path / "every", lambda n_settings: n_settings)
+        finally:
+            sys.setswitchinterval(interval)
+        assert every == serial
+
+
+class TestAcquisitionMemory:
+    """An acquisition drops each pair-level array at its last use, so the
+    scans can run several at once.  Holding them all to the end, as the
+    event path once did, peaked at ~158 bytes per sampled pair."""
+
+    MAX_BYTES_PER_PAIR = 80
+
+    def test_peak_memory_per_pair(self):
+        cfg = fast_config()
+        pl.acquire_threefold(cfg, 0, 0.0, 0.5, 10_000, ("warm-up",), stored=False)
+        tracemalloc.start()
+        try:
+            acq = pl.acquire_threefold(cfg, 0, 0.0, 0.5, 2_500_000, ("memory",), stored=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acq.n_pairs_sampled >= 100_000
+        assert peak / acq.n_pairs_sampled < self.MAX_BYTES_PER_PAIR
 
 
 class TestPinnedCounts:
