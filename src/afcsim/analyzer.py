@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 SLOT_EARLY, SLOT_MIDDLE, SLOT_LATE = 0, 1, 2
-SLOT_NAMES = ("early", "middle", "late")
 
 # (idler_port, idler_slot, signal_port, signal_slot) of each flat index
 # into a (2, 3, 2, 3) outcome table, the layout shared by the Born-rule
@@ -275,17 +274,17 @@ def _fold_cycles(rel: np.ndarray, period_ps: float, slack_ps: float):
 
 
 def _classify_slots(
-    times_ps: np.ndarray,
+    rel_ps: np.ndarray,
     clock_period_ns: float,
     slot_spacing_ns: float,
     window_ps: float,
-    ref_ps: float,
 ):
-    """Assign each event the slot center nearest its phase in the clock
-    period (centers at 0, spacing and 2 * spacing; ties go to the earlier
-    slot, and past the midpoint between the late slot and the period an
-    event belongs to the next cycle's early slot).  Events farther than
-    window/2 from that center are unclassified.
+    """Assign each event, given by its time after the clock reference, the
+    slot center nearest its phase in the clock period (centers at 0,
+    spacing and 2 * spacing; ties go to the earlier slot, and past the
+    midpoint between the late slot and the period an event belongs to the
+    next cycle's early slot).  Events farther than window/2 from that center
+    are unclassified.
 
     Returns (cycle, slot, classified_mask), with cycle and slot for the
     classified events only.  The nearest center lies within half a period
@@ -296,14 +295,14 @@ def _classify_slots(
     spacing_ps = slot_spacing_ns * 1e3
     if not 2 * spacing_ps < period_ps:
         raise ValueError("the three slots must fit in one clock period (2 * spacing < period)")
-    times = np.asarray(times_ps, dtype=float)
-    cycle, phase = _fold_cycles(times - ref_ps, period_ps, spacing_ps)
+    rel = np.asarray(rel_ps, dtype=float)
+    cycle, phase = _fold_cycles(rel, period_ps, spacing_ps)
     # slot boundaries at the midpoints between centers (halving is exact)
     wraps = phase >= (period_ps + 2 * spacing_ps) / 2
     slot = np.add(phase > spacing_ps / 2, phase > 3 * spacing_ps / 2, dtype=np.int8)
     slot *= ~wraps
     if cycle is None:
-        cycle = np.round((times - ref_ps - slot * spacing_ps) / period_ps).astype(np.int64)
+        cycle = np.round((rel - slot * spacing_ps) / period_ps).astype(np.int64)
     else:
         cycle += wraps
     # distance to the nearest center: the slot's, or the next cycle's early slot
@@ -350,18 +349,19 @@ def threefold_counts(
     clock_period_ns: float,
     cfg: CoincidenceConfig,
     *,
-    slot_spacing_ns: float = 1.25,
-    idler_ref_ps: float = 0.0,
+    slot_spacing_ns: float,
+    n_cycles: int,
     signal_ref_ps: float = 0.0,
-    n_cycles: int | None = None,
 ) -> ThreefoldCounts:
-    """Count signal-idler coincidences triggered by the system clock.
+    """Count signal-idler coincidences triggered by the system clock, over
+    an acquisition of ``n_cycles`` clock cycles.
 
     Each detection is assigned an arrival slot from its timestamp modulo the
-    clock period (slot centers at 0, +1.25, +2.5 ns relative to the
-    clock-referenced short-short arrival; the per-side reference absorbs any
-    fixed path or storage delay).  Events in the same clock cycle are paired
-    and tallied per (slot, port) cell.
+    clock period (slot centers 0, 1 and 2 slot spacings after the
+    clock-referenced short-short arrival).  The idler clicks are the clock
+    reference; ``signal_ref_ps`` absorbs the signal side's fixed path or
+    storage delay.  Events in the same clock cycle are paired and tallied
+    per (slot, port) cell.
 
     Events may come in any order.  Time-sorted idler events (what
     ``detect`` returns), or a few time-sorted runs of them (each port's
@@ -370,10 +370,13 @@ def threefold_counts(
     signal events are looked up, not sorted.
     """
     ic, isl, i_ok = _classify_slots(
-        idler_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps, idler_ref_ps
+        idler_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps
     )
     sc, ssl, s_ok = _classify_slots(
-        signal_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps, signal_ref_ps
+        np.asarray(signal_times_ps, dtype=float) - signal_ref_ps,
+        clock_period_ns,
+        slot_spacing_ns,
+        cfg.window_ps,
     )
     # flat index of counts[idler_port, idler_slot, signal_port, signal_slot],
     # split into its idler and signal parts
@@ -394,14 +397,6 @@ def threefold_counts(
     hi = np.searchsorted(i_key, (sc + 1) << 6, side="left")
     s_idx, i_idx = _expand_matches(lo, hi)
     counts = np.bincount((i_key[i_idx] & 63) + s_cell[s_idx], minlength=36).reshape(2, 3, 2, 3)
-
-    if n_cycles is None:
-        top = 0
-        if i_key.size:
-            top = max(top, int(i_key[-1] >> 6) + 1)
-        if sc.size:
-            top = max(top, int(sc.max()) + 1)
-        n_cycles = top
     return ThreefoldCounts(
         counts=counts,
         unclassified_idler=int(i_ok.size - np.count_nonzero(i_ok)),
@@ -426,13 +421,13 @@ def g2_tallies(
     n_cycles: int,
     *,
     signal_ref_ps: float = 0.0,
-    idler_ref_ps: float = 0.0,
 ) -> G2Tallies:
     """Per-clock-cycle occupancy tallies for the cross-correlation.
 
     An event counts toward its cycle when it lies within the coincidence
     window of the clock-referenced arrival time; a coincidence is a cycle
-    with both a signal and an idler event.
+    with both a signal and an idler event.  The idler clicks are the clock
+    reference; ``signal_ref_ps`` absorbs the signal side's fixed delay.
 
     Events may come in any order.  Time-sorted streams (what ``detect``
     returns) are the linear-time case: their cycle indices are already
@@ -442,12 +437,11 @@ def g2_tallies(
     """
     period_ps = clock_period_ns * 1e3
 
-    def occupied(times, ref):
-        times = np.asarray(times, dtype=float)
-        cycles, phase = _fold_cycles(times - ref + period_ps / 2, period_ps, period_ps / 2)
+    def occupied(rel):
+        cycles, phase = _fold_cycles(rel + period_ps / 2, period_ps, period_ps / 2)
         phase -= period_ps / 2
         if cycles is None:
-            cycles = np.round((times - ref - phase) / period_ps).astype(np.int64)
+            cycles = np.round((rel - phase) / period_ps).astype(np.int64)
         in_window = np.abs(phase, out=phase) <= cfg.window_ps / 2.0
         del phase  # free it before the selection: a long g2 run's peak memory
         cycles = np.compress(in_window, cycles)
@@ -456,8 +450,8 @@ def g2_tallies(
         first[1:] = cycles[1:] != cycles[:-1]
         return np.compress(first, cycles)
 
-    s_cycles = occupied(signal_times_ps, signal_ref_ps)
-    i_cycles = occupied(idler_times_ps, idler_ref_ps)
+    s_cycles = occupied(np.asarray(signal_times_ps, dtype=float) - signal_ref_ps)
+    i_cycles = occupied(np.asarray(idler_times_ps, dtype=float))
     in_both = np.searchsorted(i_cycles, s_cycles, side="right") > np.searchsorted(
         i_cycles, s_cycles, side="left"
     )

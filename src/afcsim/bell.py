@@ -31,7 +31,6 @@ __all__ = [
     "fit_visibility",
     "monte_carlo_errors",
     "bell_violation_sigmas",
-    "analytic_correlation",
     "analytic_chsh",
 ]
 
@@ -131,13 +130,13 @@ def _e_and_s_from_count_matrix(counts: np.ndarray) -> np.ndarray:
 
 def chsh_from_counts(
     counts,
-    settings: tuple[float, float, float, float] = DEFAULT_CHSH_PHASES,
     *,
     n_trials: int,
     seed: int,
 ) -> ChshResult:
     """CHSH statistic from a (4, 4) count matrix: one row per setting pair
-    ((a,b), (a',b), (a,b'), (a',b')), columns ordered as COMBO_LABELS.
+    ((a,b), (a',b), (a,b'), (a',b')) of ``DEFAULT_CHSH_PHASES``, columns
+    ordered as COMBO_LABELS.
 
     Errors come from a Poisson parametric bootstrap over all 16 counts.
     """
@@ -147,7 +146,7 @@ def chsh_from_counts(
     return ChshResult(
         s_value=chsh_s(e_vals),
         sigma_s=float(sig[4]),
-        settings=tuple(settings),
+        settings=DEFAULT_CHSH_PHASES,
         e_values=e_vals,
         e_sigmas=tuple(float(x) for x in sig[:4]),
     )
@@ -299,18 +298,9 @@ def fit_visibility(
 # --- analytic (infinite statistics) path ---------------------------------
 
 
-def analytic_correlation(rho, alpha_rad: float, beta_rad: float) -> float:
-    """Correlation coefficient of the exact Born-rule rates."""
-    return correlation_e(middle_middle(project_pair(rho, alpha_rad, beta_rad)))
-
-
-def analytic_chsh(rho, phases=DEFAULT_CHSH_PHASES) -> float:
-    """CHSH S evaluated on exact projection probabilities."""
-    a, ap, b, bp = phases
-    e = [
-        analytic_correlation(rho, a, b),
-        analytic_correlation(rho, ap, b),
-        analytic_correlation(rho, a, bp),
-        analytic_correlation(rho, ap, bp),
-    ]
-    return chsh_s(e)
+def analytic_chsh(rho) -> float:
+    """CHSH S at ``DEFAULT_CHSH_PHASES``, from the correlation coefficients
+    of the exact Born-rule rates."""
+    a, ap, b, bp = DEFAULT_CHSH_PHASES
+    settings = ((a, b), (ap, b), (a, bp), (ap, bp))
+    return chsh_s([correlation_e(middle_middle(project_pair(rho, *s))) for s in settings])

@@ -9,9 +9,10 @@ Three verbs:
 * ``reproduce``      — regenerate a figure/table analysis
                        (fig3 | fig4 | fig5 | fig7 | table1 | table2).
 
-Each artifact takes only the options it reads (``_READS``); any other
+Each artifact takes only the options it reads (``_ARTIFACTS``); any other
 option is a configuration error, as is more than one ``--channels`` label
-for a single-channel figure (fig4, fig5, fig7).
+for a single-channel figure (fig4, fig5, fig7).  Every option is checked
+before ``--out`` is created.
 
 Exit codes: 0 success, 1 a tolerance check failed, 2 configuration error.
 
@@ -62,28 +63,29 @@ _HEAP_POLICY = (
     (_M_ARENA_MAX, 1),
 )
 
-# The options each artifact reads, keyed by (verb, artifact).  fig5 and fig7
-# draw no Monte-Carlo error bar; the golden tables other than table3 are
-# fixed datasets with no random draw.
-_READS = {
-    ("analyze-golden", "table2"): (),
-    ("analyze-golden", "table3"): ("seed", "trials"),
-    ("analyze-golden", "table4"): (),
-    ("reproduce", "fig3"): _RUN_OPTIONS,
-    ("reproduce", "fig4"): _RUN_OPTIONS,
-    ("reproduce", "fig5"): ("config", "seed", "channels"),
-    ("reproduce", "fig7"): ("config", "seed", "channels"),
-    ("reproduce", "table1"): _RUN_OPTIONS,
-    ("reproduce", "table2"): (),
+# Every artifact, keyed by (verb, artifact): the options it reads, whether
+# it takes one channel, and the call that writes it.  An artifact that reads
+# --config is written by ``write(cfg, out, channels)``, with one channel
+# index for a single-channel figure; a bundled dataset by
+# ``write(out, args)``.  ``simulate`` writes one artifact, its run report.
+# fig5 and fig7 draw no Monte-Carlo error bar; the golden tables other than
+# table3 are fixed datasets with no random draw.
+_ARTIFACTS = {
+    ("simulate", None): (_RUN_OPTIONS, False, reports.write_simulation_report),
+    ("analyze-golden", "table2"): ((), False, lambda out, args: reports.analyze_table2(out)),
+    ("analyze-golden", "table3"): (
+        ("seed", "trials"),
+        False,
+        lambda out, args: reports.analyze_table3(out, args.trials or 100, args.seed or 0),
+    ),
+    ("analyze-golden", "table4"): ((), False, lambda out, args: reports.analyze_table4(out)),
+    ("reproduce", "fig3"): (_RUN_OPTIONS, False, reports.reproduce_fig3),
+    ("reproduce", "fig4"): (_RUN_OPTIONS, True, reports.reproduce_fig4),
+    ("reproduce", "fig5"): (("config", "seed", "channels"), True, reports.reproduce_fig5),
+    ("reproduce", "fig7"): (("config", "seed", "channels"), True, reports.reproduce_fig7),
+    ("reproduce", "table1"): (_RUN_OPTIONS, False, reports.reproduce_table1),
+    ("reproduce", "table2"): ((), False, lambda out, args: reports.analyze_table2(out)),
 }
-
-
-def _reject_unread(args, artifact: str) -> None:
-    reads = _READS[(args.command, artifact)]
-    given = [name for name in _RUN_OPTIONS if getattr(args, name, None) is not None]
-    unread = [f"--{name}" for name in given if name not in reads]
-    if unread:
-        raise ConfigError(f"{args.command} {artifact} does not read {', '.join(unread)}")
 
 
 def _parse_channels(text: str | None):
@@ -104,66 +106,45 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else reference_calibration_config()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         cfg = dataclasses.replace(
             cfg, desk_scale=dataclasses.replace(cfg.desk_scale, mc_trials=args.trials)
         )
     return cfg
 
 
-def _out_dir(args) -> Path:
+def _run(args) -> int:
+    """Check every option given to the artifact, then create ``--out`` and
+    write the artifact into it."""
+    artifact = getattr(args, "figure", getattr(args, "dataset", None))
+    label = " ".join(filter(None, (args.command, artifact)))
+    reads, one_channel, write = _ARTIFACTS[(args.command, artifact)]
+    given = [name for name in _RUN_OPTIONS if getattr(args, name, None) is not None]
+    unread = [f"--{name}" for name in given if name not in reads]
+    if unread:
+        raise ConfigError(f"{label} does not read {', '.join(unread)}")
+    channels = _parse_channels(getattr(args, "channels", None))
+    if one_channel and channels is not None and len(channels) > 1:
+        raise ConfigError(f"--channels: {artifact} is a single-channel figure; give one label")
+    if "config" in reads:
+        cfg = _load(args)  # the config dataclasses check the seed and the trials
+    elif args.trials is not None and args.trials < 2:
+        # the rule desk_scale.mc_trials follows for the other artifacts
+        raise ConfigError("--trials: Monte-Carlo error bars need at least 2 trials")
+    elif args.seed is not None and not 0 <= args.seed < 2**32:
+        # the rule ExperimentConfig.seed follows for the other artifacts
+        raise ConfigError(f"--seed: {args.seed} is outside [0, 2**32)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
-    report = reports.write_simulation_report(cfg, out, _parse_channels(args.channels))
-    print(f"simulate: report for {len(report['channels'])} channel(s) -> {out/'report.json'}")
-    return 0
-
-
-def cmd_analyze_golden(args) -> int:
-    _reject_unread(args, args.dataset)
-    trials = 100 if args.trials is None else args.trials
-    if trials < 2:
-        # the rule desk_scale.mc_trials follows for the other verbs
-        raise ConfigError("--trials: Monte-Carlo error bars need at least 2 trials")
-    out = _out_dir(args)
-    if args.dataset == "table4":
-        summary, ok = reports.analyze_table4(out)
-    elif args.dataset == "table3":
-        summary, ok = reports.analyze_table3(out, mc_trials=trials, seed=args.seed or 0)
+    if "config" not in reads:
+        summary, ok = write(out, args)
+    elif artifact is None:
+        report = write(cfg, out, channels)
+        print(f"simulate: report for {len(report['channels'])} channel(s) -> {out/'report.json'}")
+        return 0
     else:
-        summary, ok = reports.analyze_table2(out)
-    print(f"analyze-golden {args.dataset}: {'PASS' if ok else 'FAIL'} -> {out}")
-    return 0 if ok else 1
-
-
-def cmd_reproduce(args) -> int:
-    _reject_unread(args, args.figure)
-    channels = _parse_channels(args.channels)
-    if args.figure in ("fig4", "fig5", "fig7") and channels is not None and len(channels) > 1:
-        raise ConfigError(f"--channels: {args.figure} is a single-channel figure; give one label")
-    out = _out_dir(args)
-    if args.figure == "table2":
-        summary, ok = reports.analyze_table2(out)
-    else:
-        cfg = _load(args)
-        first = (channels or [0])[0]
-        if args.figure == "fig3":
-            summary, ok = reports.reproduce_fig3(cfg, out, channels)
-        elif args.figure == "fig4":
-            summary, ok = reports.reproduce_fig4(cfg, out, first)
-        elif args.figure == "fig5":
-            summary, ok = reports.reproduce_fig5(cfg, out, first)
-        elif args.figure == "fig7":
-            summary, ok = reports.reproduce_fig7(cfg, out, first)
-        else:
-            summary, ok = reports.reproduce_table1(cfg, out, channels)
-    print(f"reproduce {args.figure}: {'PASS' if ok else 'FAIL'} -> {out}")
+        summary, ok = write(cfg, out, (channels or [0])[0] if one_channel else channels)
+    print(f"{label}: {'PASS' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 1
 
 
@@ -183,14 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override the config seed")
     sim.add_argument("--channels", help="comma-separated channel labels, e.g. 1,3")
     sim.add_argument("--trials", type=int, help="Monte-Carlo trials for error bars")
-    sim.set_defaults(func=cmd_simulate)
 
     gold = sub.add_parser("analyze-golden", help="re-analyze a bundled reference dataset")
     gold.add_argument("dataset", choices=("table2", "table3", "table4"))
     gold.add_argument("--out", required=True)
     gold.add_argument("--seed", type=int)
     gold.add_argument("--trials", type=int)
-    gold.set_defaults(func=cmd_analyze_golden)
 
     rep = sub.add_parser("reproduce", help="regenerate a figure/table analysis")
     rep.add_argument("figure", choices=("fig3", "fig4", "fig5", "fig7", "table1", "table2"))
@@ -199,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int)
     rep.add_argument("--channels")
     rep.add_argument("--trials", type=int)
-    rep.set_defaults(func=cmd_reproduce)
 
     return parser
 
@@ -224,7 +202,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ConfigError, FixtureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -131,6 +131,12 @@ class ExperimentConfig:
     desk_scale: DeskScale = field(default_factory=DeskScale)
     seed: int = 20260810
 
+    def __post_init__(self):
+        # a seed is one 32-bit word of random-stream entropy; one outside
+        # the range is rejected, not folded into it
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed: {self.seed} is outside [0, 2**32)")
+
     @property
     def clock_period_ns(self) -> float:
         return self.source.pump.period_ns
@@ -260,6 +266,8 @@ def config_from_dict(raw) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: cannot read the config file ({err})") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
     return config_from_dict(raw)

@@ -131,8 +131,9 @@ class DecayFit:
         return _decay_efficiency_pct(self.d1_0, self.tau_ns, t_ns)
 
 
-def non_monotone_rows(times_ns, efficiencies_pct) -> list[int]:
-    """Indices where the efficiency rises against the decay trend."""
+def non_monotone_rows(efficiencies_pct) -> list[int]:
+    """Indices of a storage-time column where the efficiency rises against
+    the decay trend."""
     vals = np.asarray(efficiencies_pct, dtype=float)
     return [i for i in range(1, len(vals)) if vals[i] > vals[i - 1]]
 
@@ -147,7 +148,7 @@ def fit_decay_model(times_ns, efficiencies_pct) -> DecayFit:
     times = np.asarray(times_ns, dtype=float)
     vals = np.asarray(efficiencies_pct, dtype=float)
     keep = np.ones(len(times), dtype=bool)
-    keep[non_monotone_rows(times, vals)] = False
+    keep[non_monotone_rows(vals)] = False
     t_fit, v_fit = times[keep], vals[keep]
     if len(t_fit) < 3:
         raise ValueError("need at least three rows to fit the decay model")

@@ -65,7 +65,7 @@ __all__ = [
 
 def derive_rng(seed: int, *tags) -> np.random.Generator:
     """Deterministic child generator for a (seed, tag...) path."""
-    entropy = [int(seed) & 0xFFFFFFFF] + [zlib.crc32(str(t).encode()) for t in tags]
+    entropy = [int(seed)] + [zlib.crc32(str(t).encode()) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -94,14 +94,11 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bo
     boosted noise rate.  A bypassed memory (``stored=False``) keeps every
     photon, adds no delay and no noise.
     """
-    no_noise = np.empty(0), np.empty(0, dtype=np.int64)
     if not stored:
-        return np.ones(n_signal, dtype=bool), 0.0, *no_noise
+        return np.ones(n_signal, dtype=bool), 0.0, np.empty(0), np.empty(0, dtype=np.int64)
     rng_store = derive_rng(cfg.seed, *tags, "storage")
     keep = rng_store.random(n_signal) < boosted_survival(cfg, channel)
     delay_ps = cfg.bank.channels[channel].storage_time_ns * 1e3
-    if cfg.bank.noise_rate_hz <= 0:
-        return keep, delay_ps, *no_noise
     rng_noise = derive_rng(cfg.seed, *tags, "memnoise")
     rate_hz = cfg.bank.noise_rate_hz * cfg.desk_scale.efficiency_boost
     n_noise = rng_noise.poisson(rate_hz * duration_ps * 1e-12)
@@ -117,7 +114,6 @@ class Acquisition:
     bookkeeping, and optionally the raw detection streams."""
 
     threefold: ThreefoldCounts
-    n_cycles: int
     n_pairs_sampled: int
     measure_time_s: float
     delay_ps: float
@@ -220,7 +216,6 @@ def acquire_threefold(
     )
     return Acquisition(
         threefold=tf,
-        n_cycles=n_cycles,
         n_pairs_sampled=n_pairs,
         measure_time_s=duration_ps * 1e-12,
         delay_ps=delay_ps,
@@ -235,7 +230,6 @@ class G2Run:
     coincidences: int
     signal_singles: int
     idler_singles: int
-    n_cycles: int
 
 
 def acquire_g2(
@@ -326,7 +320,6 @@ def acquire_g2(
         coincidences=tallies.coincidences,
         signal_singles=tallies.signal_singles,
         idler_singles=tallies.idler_singles,
-        n_cycles=n_cycles,
     )
 
 
@@ -372,13 +365,12 @@ def run_chsh(
     cfg: ExperimentConfig,
     channel: int,
     stored: bool,
-    phases=bell.DEFAULT_CHSH_PHASES,
 ) -> tuple[bell.ChshResult, np.ndarray]:
     """Fixed-setting CHSH test: four acquisitions at the setting pairs
-    ((a,b), (a',b), (a,b'), (a',b')), middle-middle counts only.  A run
-    whose counts leave S undefined (a setting with no middle-middle count)
-    raises :class:`ConfigError`."""
-    a, ap, b, bp = phases
+    ((a,b), (a',b), (a,b'), (a',b')) of ``bell.DEFAULT_CHSH_PHASES``,
+    middle-middle counts only.  A run whose counts leave S undefined (a
+    setting with no middle-middle count) raises :class:`ConfigError`."""
+    a, ap, b, bp = bell.DEFAULT_CHSH_PHASES
     settings = [
         ((label,), alpha, beta)
         for label, (alpha, beta) in zip(
@@ -391,7 +383,6 @@ def run_chsh(
     try:
         result = bell.chsh_from_counts(
             counts,
-            settings=phases,
             n_trials=cfg.desk_scale.mc_trials,
             seed=_seed(cfg, "chsh-mc", channel, _stage(stored)),
         )

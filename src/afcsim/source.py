@@ -117,26 +117,23 @@ def emission_arrays(
     model: SourceModel,
     n_cycles: int,
     rng: np.random.Generator,
-    band_ghz: tuple[float, float] | None = None,
+    band_ghz: tuple[float, float],
 ):
-    """Vectorized emission sampling; returns (cycles, offsets_ghz): the
-    sorted pump cycle and the signal-photon frequency offset of each pair
-    (the idler offset is its negative, by energy conservation).
+    """Vectorized emission sampling of the pairs whose signal offset lies in
+    the sub-band ``band_ghz``; returns (cycles, offsets_ghz): the sorted
+    pump cycle and the signal-photon frequency offset of each pair (the
+    idler offset is its negative, by energy conservation).
 
-    ``band_ghz`` restricts sampling to pairs whose signal offset lies in the
-    given sub-band.  Because per-cycle pair numbers are Poissonian, pairs in
-    disjoint sub-bands are independent Poisson streams, so restricting the
-    band is exact (not an approximation) and proportionally cheaper.
+    Because per-cycle pair numbers are Poissonian, pairs in disjoint
+    sub-bands are independent Poisson streams, so sampling one band alone is
+    exact (not an approximation) and proportionally cheaper.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     half = model.pair_bandwidth_ghz / 2.0
-    if band_ghz is None:
-        lo, hi = -half, half
-    else:
-        lo, hi = band_ghz
-        if not (-half <= lo < hi <= half):
-            raise ValueError(f"band {band_ghz} not inside the +-{half} GHz pair band")
+    lo, hi = band_ghz
+    if not (-half <= lo < hi <= half):
+        raise ValueError(f"band {band_ghz} not inside the +-{half} GHz pair band")
     mu = pair_rate_per_cycle(model) * (hi - lo) / model.pair_bandwidth_ghz
     n_pairs = rng.poisson(mu * n_cycles)
     cycles = np.sort(rng.integers(0, n_cycles, size=n_pairs))

@@ -295,7 +295,8 @@ class TestThreefold:
         i_times = cycles * period * 1e3  # early slot
         s_times = cycles * period * 1e3 + 2500.0  # late slot
         res = an.threefold_counts(
-            i_times, np.zeros(100, int), s_times, np.ones(100, int), period, self.CFG
+            i_times, np.zeros(100, int), s_times, np.ones(100, int), period, self.CFG,
+            slot_spacing_ns=1.25, n_cycles=100,
         )
         assert res.unclassified_idler == 0
         assert res.unclassified_signal == 0
@@ -304,7 +305,8 @@ class TestThreefold:
 
     def test_off_center_events_unclassified(self):
         res = an.threefold_counts(
-            np.array([700.0]), np.array([0]), np.array([]), np.array([], int), 16.0, self.CFG
+            np.array([700.0]), np.array([0]), np.array([]), np.array([], int), 16.0, self.CFG,
+            slot_spacing_ns=1.25, n_cycles=1,
         )
         assert res.unclassified_idler == 1
 
@@ -321,6 +323,8 @@ class TestThreefold:
             np.ones(50, int),
             period,
             self.CFG,
+            slot_spacing_ns=1.25,
+            n_cycles=50,
             signal_ref_ps=delay_ps,
         )
         assert res.counts[1, an.SLOT_MIDDLE, 1, an.SLOT_MIDDLE] == 50
@@ -329,7 +333,8 @@ class TestThreefold:
         i_times = np.array([0.0])
         s_times = np.array([16_000.0])  # next cycle
         res = an.threefold_counts(
-            i_times, np.array([0]), s_times, np.array([0]), 16.0, self.CFG
+            i_times, np.array([0]), s_times, np.array([0]), 16.0, self.CFG,
+            slot_spacing_ns=1.25, n_cycles=2,
         )
         assert res.counts.sum() == 0
 
@@ -378,7 +383,7 @@ def _reference_slot(t, period_ps, spacing_ps, window_ps, ref_ps):
     return round((rel - slot * spacing_ps) / period_ps), slot, abs(dist[slot]) <= window_ps / 2
 
 
-def _reference_threefold(i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, i_ref, s_ref):
+def _reference_threefold(i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, s_ref):
     def classify(times, ports, ref):
         events, unclassified = [], 0
         for t, port in zip(times, ports):
@@ -389,18 +394,17 @@ def _reference_threefold(i_times, i_ports, s_times, s_ports, period_ns, spacing_
                 unclassified += 1
         return events, unclassified
 
-    idler, un_i = classify(i_times, i_ports, i_ref)
+    idler, un_i = classify(i_times, i_ports, 0.0)
     signal, un_s = classify(s_times, s_ports, s_ref)
     counts = np.zeros((2, 3, 2, 3), dtype=np.int64)
     for ic, isl, ip in idler:
         for sc, ssl, sp in signal:
             if ic == sc:
                 counts[ip, isl, sp, ssl] += 1
-    n_cycles = max([0] + [c + 1 for c, _, _ in idler + signal])
-    return counts, un_i, un_s, n_cycles
+    return counts, un_i, un_s
 
 
-def _reference_g2(s_times, i_times, period_ns, window_ps, s_ref, i_ref):
+def _reference_g2(s_times, i_times, period_ns, window_ps, s_ref):
     period_ps = period_ns * 1e3
 
     def occupied(times, ref):
@@ -412,7 +416,7 @@ def _reference_g2(s_times, i_times, period_ns, window_ps, s_ref, i_ref):
                 cycles.add(round((rel - phase) / period_ps))
         return cycles
 
-    s, i = occupied(s_times, s_ref), occupied(i_times, i_ref)
+    s, i = occupied(s_times, s_ref), occupied(i_times, 0.0)
     return len(s & i), len(s), len(i)
 
 
@@ -420,7 +424,8 @@ def _reference_g2(s_times, i_times, period_ns, window_ps, s_ref, i_ref):
 def _counting_case(draw):
     """Unsorted event times (possibly none) spread over a few cycles, placed
     at slot centers, at +-window/2 from them, at slot midpoints, just below
-    a full clock period, and anywhere; references may lie after the event."""
+    a full clock period, and anywhere.  The idler clicks are the clock
+    reference; the signal reference may lie after the events."""
     # a period of 16000.1 ps is not a whole number of ps: the np.mod route
     period_ns, spacing_ns = draw(hst.sampled_from([(16.0, 1.25), (12.5, 2.5), (16.0001, 1.25)]))
     window_ps = draw(hst.sampled_from([600.0, 100.0, 1250.0, 2500.0]) | hst.floats(50.0, 3000.0))
@@ -431,50 +436,48 @@ def _counting_case(draw):
     offset = hst.sampled_from(special) | hst.floats(0.0, period_ps)
     refs = hst.sampled_from([0.0, 152_000.0]) | hst.floats(-5e4, 2e5)
 
-    def stream():
+    def stream(ref):
         times = draw(hst.lists(hst.tuples(hst.integers(-3, 12), offset), max_size=25))
-        ref = draw(refs)
-        return np.array([c * period_ps + off + ref for c, off in times]), ref
+        return np.array([c * period_ps + off + ref for c, off in times])
 
-    i_times, i_ref = stream()
-    s_times, s_ref = stream()
+    i_times = stream(0.0)
+    s_ref = draw(refs)
+    s_times = stream(s_ref)
     i_ports = np.array(draw(hst.lists(hst.integers(0, 1), min_size=i_times.size, max_size=i_times.size)), dtype=int)
     s_ports = np.array(draw(hst.lists(hst.integers(0, 1), min_size=s_times.size, max_size=s_times.size)), dtype=int)
-    # a negative relative time: the reference lies after some events
-    i_ref += draw(hst.sampled_from([0.0, period_ps]))
-    return period_ns, spacing_ns, window_ps, i_times, i_ports, i_ref, s_times, s_ports, s_ref
+    return period_ns, spacing_ns, window_ps, i_times, i_ports, s_times, s_ports, s_ref
 
 
 class TestCountingMatchesReference:
     @given(_counting_case())
     @settings(max_examples=300, deadline=None)
     def test_threefold_counts(self, case):
-        period_ns, spacing_ns, window_ps, i_times, i_ports, i_ref, s_times, s_ports, s_ref = case
+        period_ns, spacing_ns, window_ps, i_times, i_ports, s_times, s_ports, s_ref = case
         cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
         res = an.threefold_counts(
             i_times, i_ports, s_times, s_ports, period_ns, cfg,
-            slot_spacing_ns=spacing_ns, idler_ref_ps=i_ref, signal_ref_ps=s_ref,
+            slot_spacing_ns=spacing_ns, n_cycles=16, signal_ref_ps=s_ref,
         )
-        counts, un_i, un_s, n_cycles = _reference_threefold(
-            i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, i_ref, s_ref
+        counts, un_i, un_s = _reference_threefold(
+            i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, s_ref
         )
         np.testing.assert_array_equal(res.counts, counts)
-        assert (res.unclassified_idler, res.unclassified_signal, res.n_cycles) == (un_i, un_s, n_cycles)
+        assert (res.unclassified_idler, res.unclassified_signal, res.n_cycles) == (un_i, un_s, 16)
 
     @given(_counting_case())
     @settings(max_examples=300, deadline=None)
     def test_g2_tallies(self, case):
-        period_ns, _, window_ps, i_times, _, i_ref, s_times, _, s_ref = case
+        period_ns, _, window_ps, i_times, _, s_times, _, s_ref = case
         cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
-        t = an.g2_tallies(s_times, i_times, period_ns, cfg, 100, signal_ref_ps=s_ref, idler_ref_ps=i_ref)
-        expected = _reference_g2(s_times, i_times, period_ns, window_ps, s_ref, i_ref)
+        t = an.g2_tallies(s_times, i_times, period_ns, cfg, 100, signal_ref_ps=s_ref)
+        expected = _reference_g2(s_times, i_times, period_ns, window_ps, s_ref)
         assert (t.coincidences, t.signal_singles, t.idler_singles) == expected
 
     def test_slots_must_fit_in_the_period(self):
         with pytest.raises(ValueError, match="clock period"):
             an.threefold_counts(
                 np.array([0.0]), np.array([0]), np.array([]), np.array([], int), 2.0,
-                an.CoincidenceConfig(), slot_spacing_ns=1.0,
+                an.CoincidenceConfig(), slot_spacing_ns=1.0, n_cycles=1,
             )
 
     @pytest.mark.parametrize("ports", [[0, 1, 0], [0]], ids=["more", "fewer"])
@@ -482,11 +485,12 @@ class TestCountingMatchesReference:
         with pytest.raises(ValueError, match="one port per event"):
             an.threefold_counts(
                 np.array([0.0, 16000.0]), np.array(ports), np.array([0.0]), np.array([0]), 16.0,
-                an.CoincidenceConfig(),
+                an.CoincidenceConfig(), slot_spacing_ns=1.25, n_cycles=2,
             )
 
     def test_ports_must_be_0_or_1(self):
         with pytest.raises(ValueError, match="ports"):
             an.threefold_counts(
-                np.array([0.0]), np.array([2]), np.array([0.0]), np.array([0]), 16.0, an.CoincidenceConfig()
+                np.array([0.0]), np.array([2]), np.array([0.0]), np.array([0]), 16.0, an.CoincidenceConfig(),
+                slot_spacing_ns=1.25, n_cycles=1,
             )

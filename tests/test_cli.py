@@ -1,7 +1,9 @@
 """CLI surface tests: verbs, artifacts, exit codes."""
 
+import argparse
 import ctypes
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -352,3 +354,82 @@ def test_option_the_artifact_never_reads_exit_2(tmp_path, capsys, argv, flag):
     assert code == 2
     assert f"error: {argv[0]} {argv[1]} does not read {flag}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+class TestSeedRange:
+    # 4294967301 and -4294967291 agree with 5 in their low 32 bits
+    @pytest.mark.parametrize("seed", ["4294967301", "-4294967291", "-1", "4294967296"])
+    @pytest.mark.parametrize(
+        "verb, name",
+        [
+            (["simulate", "--channels", "1"], "seed"),  # checked by the config
+            (["reproduce", "fig4"], "seed"),
+            (["analyze-golden", "table3"], "--seed"),
+        ],
+    )
+    def test_seed_outside_32_bits_exit_2(self, tmp_path, capsys, verb, name, seed):
+        code = cli.main(verb + ["--seed", seed, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {name}: {seed} is outside [0, 2**32)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_seed_outside_32_bits_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": -1}')
+        code = cli.main(["reproduce", "fig3", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: seed: -1 is outside [0, 2**32)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestRejectedBeforeOut:
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = cli.main(["reproduce", "fig3", "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {missing}: cannot read the config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--channels", "9"], "--channels: channel labels run 1..5"),
+            (["simulate", "--trials", "1"], "desk_scale: mc_trials must be >= 2"),
+            (["reproduce", "table1", "--channels", "0"], "--channels: channel labels run 1..5"),
+            (["analyze-golden", "table3", "--trials", "1"], "--trials: Monte-Carlo error bars"),
+        ],
+    )
+    def test_no_out_directory_for_a_rejected_run(self, tmp_path, capsys, argv, message):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def _readme_artifacts() -> dict:
+    """(verb, artifact) -> (options read, takes one channel), from the
+    option table of README's CLI section."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| artifact | `--config` | `--seed` | `--channels` | `--trials` |")
+    table = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start + 2 :]):
+        names, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        entry = ({name for name, cell in zip(cli._RUN_OPTIONS, cells) if cell != "no"}, "one label" in cells)
+        for name in names.split(", "):
+            verb, _, artifact = name.strip("`").partition(" ")
+            table[(verb, artifact or None)] = entry
+    return table
+
+
+def test_artifact_table_parser_and_readme_agree():
+    table = {key: (set(reads), one_channel) for key, (reads, one_channel, _) in cli._ARTIFACTS.items()}
+    assert _readme_artifacts() == table
+    (verbs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {}
+    for verb, sub in verbs.choices.items():
+        positionals = [a.choices for a in sub._actions if not a.option_strings]
+        options = {a.dest for a in sub._actions if a.option_strings} & set(cli._RUN_OPTIONS)
+        for artifact in positionals[0] if positionals else [None]:
+            parsed[(verb, artifact)] = options
+    assert set(parsed) == set(table)
+    for key, (reads, _) in table.items():
+        assert reads <= parsed[key], key

@@ -62,6 +62,14 @@ class TestLoading:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf8"])
+    def test_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read the config file"):
+            load_config(path)
+
 
 class TestStrictKeys:
     def test_unknown_top_level_key(self):
@@ -123,6 +131,14 @@ class TestInvariants:
         cfg = reference_calibration_config()
         cfg2 = dataclasses.replace(cfg, seed=123)
         assert cfg2.seed == 123
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 5, -(2**32) + 5])
+    def test_seed_outside_32_bits(self, seed):
+        with pytest.raises(ConfigError, match=rf"^seed: {seed} is outside \[0, 2\*\*32\)$"):
+            config_from_dict(minimal_dict(seed=seed))
+
+    def test_32_bit_seed_range_accepted(self):
+        assert [ExperimentConfig(seed=s).seed for s in (0, 2**32 - 1)] == [0, 2**32 - 1]
 
 
 class TestSchema:

@@ -67,7 +67,7 @@ def grid():
 class TestDecayFit:
 
     def test_non_monotone_detection(self, grid):
-        rows = mem.non_monotone_rows(grid.times_ns, grid.efficiency_pct[:, 0])
+        rows = mem.non_monotone_rows(grid.efficiency_pct[:, 0])
         assert [int(grid.times_ns[i]) for i in rows] == [170]
 
     def test_channel1_fit_within_tolerance(self, grid):

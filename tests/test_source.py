@@ -119,7 +119,8 @@ class TestCalibration:
             assert abs(st.purity(rho) - 0.84) < 0.02
 
 
-def sample(m, n_cycles, seed, band_ghz=None):
+def sample(m, n_cycles, seed, band_ghz=(-50.0, 50.0)):
+    # by default the whole 100 GHz pair band of model()
     return emission_arrays(m, n_cycles, np.random.default_rng(seed), band_ghz)
 
 
