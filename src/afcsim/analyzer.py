@@ -172,8 +172,9 @@ def detect(
     """Click-level detector model.
 
     Each photon arrival (ps timestamps per detector) is kept with the
-    detector efficiency, smeared by Gaussian jitter, and merged with Poisson
-    dark counts spread uniformly over the duration.  Deterministic per seed.
+    detector efficiency and smeared by Gaussian jitter.  A detector's stream,
+    not time sorted, is its kept arrivals in input order, then Poisson dark
+    counts spread uniformly over the duration.  Deterministic per seed.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -187,12 +188,7 @@ def detect(
             kept += rng.normal(0.0, det.jitter_sigma_ps, size=kept.size)
         n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
         dark = rng.uniform(0.0, duration_s * 1e12, size=n_dark)
-        stream = np.concatenate([kept, dark])
-        # jittered arrivals are nearly sorted already, the stable sort's
-        # fast case; equal times compare equal in every later step, so the
-        # order it leaves them in does not show
-        stream.sort(kind="stable")
-        streams[name] = stream
+        streams[name] = np.concatenate([kept, dark])
     return streams
 
 
@@ -202,7 +198,8 @@ def coincidence_histogram(
     cfg: CoincidenceConfig,
     span_ns: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of pairwise time differences t_b - t_a over +-span.
+    """Histogram of pairwise time differences t_b - t_a over +-span, in
+    bins of the configured width centered on zero.
 
     Returns (bin_centers_ps, counts).  Streams must be time sorted.
     """
@@ -211,29 +208,28 @@ def coincidence_histogram(
     for s in (a, b):
         if s.size > 1 and np.any(np.diff(s) < 0):
             raise ValueError("streams must be time sorted")
-    span_ps = span_ns * 1e3
-    nbins = int(np.ceil(2 * span_ps / cfg.histogram_bin_ps))
-    edges = np.linspace(-span_ps, span_ps, nbins + 1)
-    lo = np.searchsorted(b, a - span_ps, side="left")
-    hi = np.searchsorted(b, a + span_ps, side="right")
-    a_idx, b_idx = _expand_matches(lo, hi)
-    counts = np.histogram(b[b_idx] - a[a_idx], bins=edges)[0]
+    nbins = int(np.ceil(2 * span_ns * 1e3 / cfg.histogram_bin_ps))
+    edges = (np.arange(nbins + 1) - nbins / 2) * cfg.histogram_bin_ps
+    lo = np.searchsorted(b, a + edges[0], side="left")
+    n = np.searchsorted(b, a + edges[-1], side="right")
+    n -= lo
+    counts = np.zeros(nbins, dtype=np.int64)
+    for a_idx, b_idx in _pair_walk(lo, n):
+        counts += np.histogram(b[b_idx] - a[a_idx], bins=edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, counts
 
 
-def _expand_matches(lo: np.ndarray, hi: np.ndarray):
-    """Expand per-row half-open index ranges [lo, hi) into flat index pairs.
+def _pair_walk(lo: np.ndarray, n: np.ndarray):
+    """Walk the per-row index ranges [lo, lo + n) rank by rank.
 
-    Returns (row_index, column_index) arrays covering every (row, j) with
-    lo[row] <= j < hi[row]; fully vectorized.
+    Yields (row_index, column_index) for each rank r: the rows whose range
+    holds more than r indices, and lo + r for each.  No array of every pair
+    is built.
     """
-    counts = (hi - lo).clip(min=0)
-    total = int(counts.sum())
-    rows = np.repeat(np.arange(lo.size), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-    cols = np.repeat(lo, counts) + (np.arange(total) - np.repeat(starts, counts))
-    return rows, cols
+    for rank in range(int(n.max(initial=0))):
+        rows = np.flatnonzero(n > rank)
+        yield rows, lo.take(rows) + rank
 
 
 def _fold_cycles(rel: np.ndarray, period_ps: float, slack_ps: float):
@@ -273,8 +269,10 @@ def _fold_cycles(rel: np.ndarray, period_ps: float, slack_ps: float):
     return k, phase
 
 
-def _classify_slots(
+def _slot_keys(
     rel_ps: np.ndarray,
+    ports,
+    weights: tuple[int, int],
     clock_period_ns: float,
     slot_spacing_ns: float,
     window_ps: float,
@@ -286,9 +284,10 @@ def _classify_slots(
     next cycle's early slot).  Events farther than window/2 from that center
     are unclassified.
 
-    Returns (cycle, slot, classified_mask), with cycle and slot for the
-    classified events only.  The nearest center lies within half a period
-    minus one spacing, so the cycle is the whole periods of
+    Returns the sorted key of each classified event, its cycle with its cell
+    ``port * weights[0] + slot * weights[1]`` (< 64) in the low six bits,
+    and the unclassified count.  The nearest center lies within half a
+    period minus one spacing, so the cycle is the whole periods of
     :func:`_fold_cycles` plus the wrap into the next cycle.
     """
     period_ps = clock_period_ns * 1e3
@@ -311,19 +310,31 @@ def _classify_slots(
     distance -= phase
     np.abs(distance, out=distance)
     ok = distance <= window_ps / 2.0
-    return np.compress(ok, cycle), np.compress(ok, slot), ok
-
-
-def _classified_ports(ports, classified: np.ndarray) -> np.ndarray:
-    """The ports of the classified events, after checking every port."""
-    ports = np.asarray(ports, dtype=np.int64)
-    if ports.shape != classified.shape:
-        raise ValueError(
-            f"need one port per event: {ports.shape} ports for {classified.shape} events"
-        )
+    del phase, distance  # free them before the keys: a counting call's peak memory
+    ports = np.asarray(ports)
+    if ports.shape != ok.shape:
+        raise ValueError(f"need one port per event: {ports.shape} ports for {ok.shape} events")
     if ports.size and (ports.min() < 0 or ports.max() > 1):
         raise ValueError("ports must be 0 or 1 (port k has index k - 1)")
-    return np.compress(classified, ports)
+    cycle <<= 6
+    cycle += ports.astype(np.int8) * weights[0]
+    cycle += slot * weights[1]
+    key = np.compress(ok, cycle)
+    key.sort(kind="stable")
+    return key, int(ok.size - np.count_nonzero(ok))
+
+
+def _same_cycle(idler_keys: np.ndarray, signal_keys: np.ndarray, shift: int):
+    """The first index ``lo`` and the number ``n`` of the sorted
+    ``idler_keys`` that share each signal key's cycle, a key's cycle being
+    the key without its low ``shift`` bits.  Sorted signal keys make the
+    searches sweep the idler keys in order."""
+    bound = signal_keys & (-1 << shift)
+    lo = np.searchsorted(idler_keys, bound, side="left")
+    bound += 1 << shift
+    n = np.searchsorted(idler_keys, bound, side="left")
+    n -= lo
+    return lo, n
 
 
 @dataclass(frozen=True)
@@ -363,44 +374,31 @@ def threefold_counts(
     storage delay.  Events in the same clock cycle are paired and tallied
     per (slot, port) cell.
 
-    Events may come in any order.  Time-sorted idler events (what
-    ``detect`` returns), or a few time-sorted runs of them (each port's
-    clicks in turn), are the linear-time case: their cycle indices are
-    sorted within each run, so the one stable sort merges the runs.  The
-    signal events are looked up, not sorted.
+    Events may come in any order: each side is classified, keyed and
+    sorted once (:func:`_slot_keys`), each signal event's same-cycle idler
+    events are one range of the sorted idler keys, and the pairs are tallied
+    rank by rank over those ranges, so memory grows with the events, not
+    with the pairs.
     """
-    ic, isl, i_ok = _classify_slots(
-        idler_times_ps, clock_period_ns, slot_spacing_ns, cfg.window_ps
+    # the flat index of counts[idler_port, idler_slot, signal_port,
+    # signal_slot] is the idler cell plus the signal cell
+    geometry = (clock_period_ns, slot_spacing_ns, cfg.window_ps)
+    i_key, unclassified_idler = _slot_keys(idler_times_ps, idler_ports, (18, 6), *geometry)
+    s_key, unclassified_signal = _slot_keys(
+        np.asarray(signal_times_ps, dtype=float) - signal_ref_ps, signal_ports, (3, 1), *geometry
     )
-    sc, ssl, s_ok = _classify_slots(
-        np.asarray(signal_times_ps, dtype=float) - signal_ref_ps,
-        clock_period_ns,
-        slot_spacing_ns,
-        cfg.window_ps,
-    )
-    # flat index of counts[idler_port, idler_slot, signal_port, signal_slot],
-    # split into its idler and signal parts
-    i_cell = _classified_ports(idler_ports, i_ok) * 18
-    i_cell += isl * 6
-    s_cell = _classified_ports(signal_ports, s_ok) * 3 + ssl
-
-    # one sorted key per idler event: its cycle, and its cell (< 64) in the
-    # low six bits, so that a cycle's events form one run of keys
-    i_key = np.left_shift(ic, 6, out=ic)
-    i_key += i_cell
-    i_key.sort(kind="stable")
-
-    # pair every idler event with every signal event in the same cycle; the
-    # signal side (narrower band, thinned by storage) is the smaller one, so
-    # the expansion runs over signal events
-    lo = np.searchsorted(i_key, sc << 6, side="left")
-    hi = np.searchsorted(i_key, (sc + 1) << 6, side="left")
-    s_idx, i_idx = _expand_matches(lo, hi)
-    counts = np.bincount((i_key[i_idx] & 63) + s_cell[s_idx], minlength=36).reshape(2, 3, 2, 3)
+    # the signal side (narrower band, thinned by storage) is the smaller
+    # one, so the walk's rows are signal events
+    lo, n = _same_cycle(i_key, s_key, 6)
+    i_cell = np.bitwise_and(i_key, 63, out=i_key)
+    s_cell = np.bitwise_and(s_key, 63, out=s_key)
+    counts = np.zeros(36, dtype=np.int64)
+    for s_idx, i_idx in _pair_walk(lo, n):
+        counts += np.bincount(i_cell.take(i_idx) + s_cell.take(s_idx), minlength=36)
     return ThreefoldCounts(
-        counts=counts,
-        unclassified_idler=int(i_ok.size - np.count_nonzero(i_ok)),
-        unclassified_signal=int(s_ok.size - np.count_nonzero(s_ok)),
+        counts=counts.reshape(2, 3, 2, 3),
+        unclassified_idler=unclassified_idler,
+        unclassified_signal=unclassified_signal,
         n_cycles=n_cycles,
     )
 
@@ -429,9 +427,10 @@ def g2_tallies(
     with both a signal and an idler event.  The idler clicks are the clock
     reference; ``signal_ref_ps`` absorbs the signal side's fixed delay.
 
-    Events may come in any order.  Time-sorted streams (what ``detect``
-    returns) are the linear-time case: their cycle indices are already
-    sorted, so the stable sort costs one pass.  The cycle of an event is
+    Events may come in any order.  Streams whose cycles come in a few
+    sorted runs (what ``detect`` returns) are the stable sort's fast case;
+    the sorted occupied cycles of the two sides are joined as in
+    :func:`threefold_counts`.  The cycle of an event is
     the whole periods of ``rel + period / 2`` (:func:`_fold_cycles`), the
     old ``round((rel - phase) / period)`` with half a period to spare.
     """
@@ -452,11 +451,9 @@ def g2_tallies(
 
     s_cycles = occupied(np.asarray(signal_times_ps, dtype=float) - signal_ref_ps)
     i_cycles = occupied(np.asarray(idler_times_ps, dtype=float))
-    in_both = np.searchsorted(i_cycles, s_cycles, side="right") > np.searchsorted(
-        i_cycles, s_cycles, side="left"
-    )
+    _, n = _same_cycle(i_cycles, s_cycles, 0)
     return G2Tallies(
-        coincidences=int(np.count_nonzero(in_both)),
+        coincidences=int(np.count_nonzero(n)),
         signal_singles=int(s_cycles.size),
         idler_singles=int(i_cycles.size),
         n_cycles=n_cycles,

@@ -283,6 +283,8 @@ def acquire_g2(
     signal_t = np.sort(np.concatenate([recalled_t, noise_t]))
 
     det_seed = _seed(cfg, *tags, "detector")
+    # detect draws efficiency and jitter photon by photon in input order, so
+    # the sorts above fix which draws each photon gets
     streams = detect(
         {"A": idler_t, "B": signal_t}, cfg.detectors, duration_ps * 1e-12, det_seed
     )

@@ -263,7 +263,7 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     the five-peak two-fold histogram plus the slot-resolved threefold grid."""
     acq = pl.dd_tomography_acquisition(cfg, channel)
     streams = acq.streams
-    # each merges two time-sorted port streams, the stable sort's fast case
+    # each port's clicks are a few nearly sorted runs, the stable sort's fast case
     idler = np.sort(np.concatenate([streams["A1"], streams["A2"]]), kind="stable")
     signal = np.sort(np.concatenate([streams["B1"], streams["B2"]]), kind="stable")
     centers, counts = coincidence_histogram(

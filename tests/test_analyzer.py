@@ -256,10 +256,35 @@ class TestDetect:
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
-    def test_streams_sorted(self):
-        det = an.DetectorConfig(jitter_sigma_ps=100.0)
-        out = an.detect({"A2": np.arange(2000) * 1e3}, det, 1e-3, seed=4)
-        assert np.all(np.diff(out["A2"]) >= 0)
+    def test_kept_arrivals_in_input_order_then_dark_counts(self):
+        # arrivals 1 ns apart in falling time order, after the 1 ms over
+        # which ~100 dark counts fall; 100 ps of jitter keeps each one
+        # nearest its own nanosecond
+        det = an.DetectorConfig(efficiency=0.7, dark_count_rate_hz=1e5, jitter_sigma_ps=100.0)
+        arrivals = 2e9 - np.arange(2000) * 1e3
+        out = an.detect({"A2": arrivals}, det, 1e-3, seed=4)["A2"]
+        n_kept = np.count_nonzero(out > 1e9)
+        assert 0.6 * arrivals.size < n_kept < out.size
+        source = np.round((2e9 - out[:n_kept]) / 1e3)
+        assert np.all(np.diff(source) > 0)
+        assert np.all(out[n_kept:] < 1e9)
+
+
+@hst.composite
+def _histogram_case(draw):
+    """Sorted whole-ps times, so that every difference is exact: ties,
+    partners exactly +-span and +-(bins / 2) bins apart, and events with
+    no partner within reach."""
+    bin_ps = draw(hst.sampled_from([100.0, 300.0, 250.0, 700.0]))
+    span_ns = draw(hst.sampled_from([1.0, 2.0, 4.0]))
+    reach = math.ceil(2 * span_ns * 1e3 / bin_ps) / 2 * bin_ps
+    times = hst.integers(0, 40_000).map(float)
+    a = sorted(draw(hst.lists(times, max_size=20)))
+    b = draw(hst.lists(times, max_size=20))
+    for t in draw(hst.lists(hst.sampled_from(a), max_size=8)) if a else []:
+        b.append(t + draw(hst.sampled_from([0.0, -span_ns * 1e3, span_ns * 1e3, -reach, reach])))
+    b += [1e6] * draw(hst.integers(0, 2))
+    return np.array(a), np.array(sorted(b)), bin_ps, span_ns
 
 
 class TestCoincidenceHistogram:
@@ -284,6 +309,41 @@ class TestCoincidenceHistogram:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="sorted"):
             an.coincidence_histogram(np.array([5.0, 1.0]), np.array([1.0]), self.CFG, 2.0)
+
+    def test_bins_have_the_configured_width(self):
+        # 8 ns in 300 ps bins: 27 bins centered on zero, out to +-4050 ps
+        cfg = an.CoincidenceConfig(window_ps=600.0, histogram_bin_ps=300.0)
+        a = np.array([0.0])
+        b = np.array([-4050.0, -4000.0, 0.0, 4020.0, 4050.0, 4051.0])
+        centers, counts = an.coincidence_histogram(a, b, cfg, span_ns=4.0)
+        np.testing.assert_array_equal(centers, (np.arange(27) - 13) * 300.0)
+        assert counts.tolist() == [2] + [0] * 12 + [1] + [0] * 12 + [2]
+
+    @given(_histogram_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_pair(self, case):
+        a, b, bin_ps, span_ns = case
+        cfg = an.CoincidenceConfig(window_ps=3000.0, histogram_bin_ps=bin_ps)
+        centers, counts = an.coincidence_histogram(a, b, cfg, span_ns=span_ns)
+        nbins = math.ceil(2 * span_ns * 1e3 / bin_ps)
+        edges = (np.arange(nbins + 1) - nbins / 2) * bin_ps
+        np.testing.assert_array_equal(centers, 0.5 * (edges[:-1] + edges[1:]))
+        diffs = [tb - ta for ta in a for tb in b]
+        np.testing.assert_array_equal(counts, np.histogram(diffs, bins=edges)[0])
+
+
+class TestPairWalk:
+    @given(hst.lists(hst.tuples(hst.integers(-5, 50), hst.integers(-3, 6)), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_covers_every_pair_once(self, ranges):
+        lo = np.array([r[0] for r in ranges], dtype=np.int64)
+        n = np.array([r[1] for r in ranges], dtype=np.int64)
+        walked = []
+        for rows, cols in an._pair_walk(lo, n):
+            assert rows.size and np.unique(rows).size == rows.size
+            walked += zip(rows.tolist(), cols.tolist())
+        expected = [(row, j) for row, (start, k) in enumerate(ranges) for j in range(start, start + k)]
+        assert sorted(walked) == sorted(expected)
 
 
 class TestThreefold:

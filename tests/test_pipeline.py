@@ -120,6 +120,31 @@ class TestAcquisitionMemory:
         assert peak / acq.n_pairs_sampled < self.MAX_BYTES_PER_PAIR
 
 
+class TestCountingMemory:
+    """One threefold_counts call, on the clicks of a before-storage
+    acquisition, sorts and pairs them without an array of every same-cycle
+    pair.  Expanding every pair into flat index arrays, as counting once
+    did, peaked at ~40 bytes per click."""
+
+    MAX_BYTES_PER_CLICK = 30
+
+    def test_peak_memory_per_click(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pl, "threefold_counts", lambda *a, **kw: calls.append((a, kw)))
+        pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.5, 4_000_000, ("memory",), stored=False)
+        ((args, kwargs),) = calls
+        n_clicks = args[0].size + args[2].size
+        analyzer.threefold_counts(*args, **kwargs)  # warm-up
+        tracemalloc.start()
+        try:
+            analyzer.threefold_counts(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_clicks >= 200_000
+        assert peak / n_clicks < self.MAX_BYTES_PER_CLICK
+
+
 class TestPinnedCounts:
     """Exact integer results of the event path at the shipped seed.  Every
     rewrite of sampling, detection or counting must keep each draw and each
