@@ -349,7 +349,6 @@ class ThreefoldCounts:
     counts: np.ndarray
     unclassified_idler: int
     unclassified_signal: int
-    n_cycles: int
 
 
 def threefold_counts(
@@ -361,11 +360,9 @@ def threefold_counts(
     cfg: CoincidenceConfig,
     *,
     slot_spacing_ns: float,
-    n_cycles: int,
     signal_ref_ps: float = 0.0,
 ) -> ThreefoldCounts:
-    """Count signal-idler coincidences triggered by the system clock, over
-    an acquisition of ``n_cycles`` clock cycles.
+    """Count signal-idler coincidences triggered by the system clock.
 
     Each detection is assigned an arrival slot from its timestamp modulo the
     clock period (slot centers 0, 1 and 2 slot spacings after the
@@ -399,7 +396,6 @@ def threefold_counts(
         counts=counts.reshape(2, 3, 2, 3),
         unclassified_idler=unclassified_idler,
         unclassified_signal=unclassified_signal,
-        n_cycles=n_cycles,
     )
 
 
@@ -408,7 +404,6 @@ class G2Tallies:
     coincidences: int
     signal_singles: int
     idler_singles: int
-    n_cycles: int
 
 
 def g2_tallies(
@@ -416,7 +411,6 @@ def g2_tallies(
     idler_times_ps: np.ndarray,
     clock_period_ns: float,
     cfg: CoincidenceConfig,
-    n_cycles: int,
     *,
     signal_ref_ps: float = 0.0,
 ) -> G2Tallies:
@@ -456,17 +450,14 @@ def g2_tallies(
         coincidences=int(np.count_nonzero(n)),
         signal_singles=int(s_cycles.size),
         idler_singles=int(i_cycles.size),
-        n_cycles=n_cycles,
     )
 
 
-def g2_cross(tallies: G2Tallies) -> float:
+def g2_cross(tallies, n_cycles: int) -> np.ndarray:
     """Second-order cross-correlation P_si / (P_s P_i), probabilities per
-    clock cycle."""
-    if tallies.signal_singles <= 0 or tallies.idler_singles <= 0:
-        raise ValueError("zero singles; g2 undefined")
-    n = tallies.n_cycles
-    p_si = tallies.coincidences / n
-    p_s = tallies.signal_singles / n
-    p_i = tallies.idler_singles / n
-    return p_si / (p_s * p_i)
+    clock cycle over ``n_cycles``, of each ``(..., 3)`` row of (coincidences,
+    signal singles, idler singles); NaN where a single is zero."""
+    c, s, i = np.moveaxis(np.asarray(tallies, dtype=float), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
+    return np.where((s > 0) & (i > 0), ratio, np.nan)

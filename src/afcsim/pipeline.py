@@ -13,8 +13,8 @@ derive child generators from stable string tags, so channels and settings
 can be computed in any order or in parallel workers.  Each threefold scan
 (the CHSH, fringe or tomography settings of one channel and stage) runs its
 settings on a thread pool, one thread per CPU this process may run on and
-no more than the settings; every other acquisition (the g2 runs, the
-stream-keeping DD acquisition of fig7) runs on the calling thread.  An
+no more than the settings; every other acquisition (the g2 runs, the DD
+acquisition whose clicks fig7 histograms) runs on the calling thread.  An
 acquisition drops each pair-level array at its last use, so a thread
 holds about 29 MB at its peak at CHSH size (~500k pairs) instead of 81 MB.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -110,14 +110,14 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bo
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One analyzer acquisition: port/slot-resolved threefold counts plus
-    bookkeeping, and optionally the raw detection streams."""
+    """One analyzer acquisition: port/slot-resolved threefold counts, the
+    clicks counted (each side's port 1 clicks, then port 2's) and bookkeeping."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
-    measure_time_s: float
     delay_ps: float
-    streams: dict[str, np.ndarray] | None = None
+    idler_clicks: np.ndarray
+    signal_clicks: np.ndarray
 
 
 def acquire_threefold(
@@ -128,7 +128,6 @@ def acquire_threefold(
     n_cycles: int,
     tags: tuple,
     stored: bool,
-    keep_streams: bool = False,
 ) -> Acquisition:
     """Simulate one UMZI-analyzed acquisition at phases (alpha, beta).
 
@@ -200,9 +199,7 @@ def acquire_threefold(
     signal_ports = np.repeat(np.int8([0, 1]), [b1.size, b2.size])
     idler_clicks = np.concatenate([a1, a2])
     signal_clicks = np.concatenate([b1, b2])
-    del a1, a2, b1, b2
-    if not keep_streams:
-        streams = None
+    del streams, a1, a2, b1, b2
     tf = threefold_counts(
         idler_clicks,
         idler_ports,
@@ -212,14 +209,13 @@ def acquire_threefold(
         cfg.coincidence,
         slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
         signal_ref_ps=delay_ps,
-        n_cycles=n_cycles,
     )
     return Acquisition(
         threefold=tf,
         n_pairs_sampled=n_pairs,
-        measure_time_s=duration_ps * 1e-12,
         delay_ps=delay_ps,
-        streams=streams,
+        idler_clicks=idler_clicks,
+        signal_clicks=signal_clicks,
     )
 
 
@@ -293,47 +289,33 @@ def acquire_g2(
         streams["A"],
         cfg.clock_period_ns,
         cfg.coincidence,
-        n_cycles,
         signal_ref_ps=delay_ps,
     )
-    try:
-        value = g2_cross(tallies)
-    except ValueError as err:
+    row = np.array(astuple(tallies), dtype=float)
+    value = float(g2_cross(row, n_cycles))
+    if math.isnan(value):
         raise ConfigError(
             f"g2 of signal channel {signal_channel + 1} and idler channel {idler_channel + 1} "
-            f"over {n_cycles} cycles: {err}"
-        ) from err
-
-    def stat(draws):
-        c, s, i = draws.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
-        return np.where((s > 0) & (i > 0), ratio, np.nan)
-
+            f"over {n_cycles} cycles: zero singles; g2 undefined"
+        )
     sigma = bell.monte_carlo_errors(
-        np.array([tallies.coincidences, tallies.signal_singles, tallies.idler_singles], dtype=float),
-        stat,
+        row,
+        lambda draws: g2_cross(draws, n_cycles),
         n_trials=cfg.desk_scale.mc_trials,
         seed=_seed(cfg, *tags, "mc"),
     )
-    return G2Run(
-        g2=value,
-        sigma_g2=float(sigma),
-        coincidences=tallies.coincidences,
-        signal_singles=tallies.signal_singles,
-        idler_singles=tallies.idler_singles,
-    )
+    return G2Run(g2=value, sigma_g2=float(sigma), **asdict(tallies))
 
 
 def _stage(stored: bool) -> str:
     return "after" if stored else "before"
 
 
-def _acquire_setting(cfg, channel, stored, kind, key, alpha, beta, n_cycles, keep_streams=False):
+def _acquire_setting(cfg, channel, stored, kind, key, alpha, beta, n_cycles):
     """:func:`acquire_threefold` at one setting of a scan, tagged
     ``(kind, channel, stage, *key)``."""
     tags = (kind, channel, _stage(stored), *key)
-    return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored, keep_streams)
+    return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored)
 
 
 def _worker_count(n_settings: int) -> int:
@@ -443,11 +425,10 @@ def run_tomography_counts(cfg: ExperimentConfig, channel: int, stored: bool) -> 
 
 
 def dd_tomography_acquisition(cfg: ExperimentConfig, channel: int) -> Acquisition:
-    """The after-storage DD acquisition of :func:`run_tomography_counts`,
-    with its detection streams."""
+    """The after-storage DD acquisition of :func:`run_tomography_counts`."""
     n_cycles = cfg.desk_scale.tomography_cycles_per_setting
     setting = _tomography_setting("DD")
-    return _acquire_setting(cfg, channel, True, "tomo", *setting, n_cycles, keep_streams=True)
+    return _acquire_setting(cfg, channel, True, "tomo", *setting, n_cycles)
 
 
 def analytic_mm_counts(

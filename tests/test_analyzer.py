@@ -1,5 +1,6 @@
 """Tests for the qubit analyzers, detector model, and coincidence counting."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest.mock import patch
@@ -356,7 +357,7 @@ class TestThreefold:
         s_times = cycles * period * 1e3 + 2500.0  # late slot
         res = an.threefold_counts(
             i_times, np.zeros(100, int), s_times, np.ones(100, int), period, self.CFG,
-            slot_spacing_ns=1.25, n_cycles=100,
+            slot_spacing_ns=1.25,
         )
         assert res.unclassified_idler == 0
         assert res.unclassified_signal == 0
@@ -366,7 +367,7 @@ class TestThreefold:
     def test_off_center_events_unclassified(self):
         res = an.threefold_counts(
             np.array([700.0]), np.array([0]), np.array([]), np.array([], int), 16.0, self.CFG,
-            slot_spacing_ns=1.25, n_cycles=1,
+            slot_spacing_ns=1.25,
         )
         assert res.unclassified_idler == 1
 
@@ -384,7 +385,6 @@ class TestThreefold:
             period,
             self.CFG,
             slot_spacing_ns=1.25,
-            n_cycles=50,
             signal_ref_ps=delay_ps,
         )
         assert res.counts[1, an.SLOT_MIDDLE, 1, an.SLOT_MIDDLE] == 50
@@ -394,7 +394,7 @@ class TestThreefold:
         s_times = np.array([16_000.0])  # next cycle
         res = an.threefold_counts(
             i_times, np.array([0]), s_times, np.array([0]), 16.0, self.CFG,
-            slot_spacing_ns=1.25, n_cycles=2,
+            slot_spacing_ns=1.25,
         )
         assert res.counts.sum() == 0
 
@@ -408,9 +408,9 @@ class TestG2:
         period_ps = 16_000.0
         s = np.flatnonzero(rng.random(n_cycles) < 0.05) * period_ps
         i = np.flatnonzero(rng.random(n_cycles) < 0.05) * period_ps
-        t = an.g2_tallies(s, i, 16.0, self.CFG, n_cycles)
+        t = an.g2_tallies(s, i, 16.0, self.CFG)
         # ~5000 accidental coincidences -> 4 sigma is about 6% relative
-        assert an.g2_cross(t) == pytest.approx(1.0, abs=0.06)
+        assert an.g2_cross(dataclasses.astuple(t), n_cycles) == pytest.approx(1.0, abs=0.06)
 
     def test_correlated_pairs(self):
         rng = np.random.default_rng(4)
@@ -420,14 +420,28 @@ class TestG2:
         cycles = np.flatnonzero(mask) * period_ps
         keep_s = rng.random(cycles.size) < 0.5
         keep_i = rng.random(cycles.size) < 0.5
-        t = an.g2_tallies(cycles[keep_s], cycles[keep_i], 16.0, self.CFG, n_cycles)
+        t = an.g2_tallies(cycles[keep_s], cycles[keep_i], 16.0, self.CFG)
         # independent thinning of a common parent: g2 = 1/p = 100
-        assert an.g2_cross(t) == pytest.approx(100.0, rel=0.05)
+        assert an.g2_cross(dataclasses.astuple(t), n_cycles) == pytest.approx(100.0, rel=0.05)
 
     def test_zero_singles_error(self):
-        t = an.G2Tallies(coincidences=0, signal_singles=0, idler_singles=5, n_cycles=10)
-        with pytest.raises(ValueError, match="singles"):
-            an.g2_cross(t)
+        # g2 is undefined without singles: NaN, which drops a Monte-Carlo trial
+        assert np.isnan(an.g2_cross([0, 0, 5], 10))
+
+    def test_rows_match_the_scalar_formula(self):
+        # every row, bit for bit, as P_si / (P_s P_i) of one tally; a row
+        # with a zero single is NaN
+        rng = np.random.default_rng(9)
+        n_cycles = 4_000_000
+        rows = rng.integers(0, [2_000, 50_000, 400_000], size=(500, 3))
+        rows[:20, 1] = 0
+        rows[20:40, 2] = 0
+        g2 = an.g2_cross(rows.astype(float).reshape(50, 10, 3), n_cycles).reshape(-1)
+        for (c, s, i), value in zip(rows.tolist(), g2):
+            if s == 0 or i == 0:
+                assert np.isnan(value)
+            else:
+                assert value == (c / n_cycles) / ((s / n_cycles) * (i / n_cycles))
 
 
 def _reference_slot(t, period_ps, spacing_ps, window_ps, ref_ps):
@@ -516,20 +530,20 @@ class TestCountingMatchesReference:
         cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
         res = an.threefold_counts(
             i_times, i_ports, s_times, s_ports, period_ns, cfg,
-            slot_spacing_ns=spacing_ns, n_cycles=16, signal_ref_ps=s_ref,
+            slot_spacing_ns=spacing_ns, signal_ref_ps=s_ref,
         )
         counts, un_i, un_s = _reference_threefold(
             i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, s_ref
         )
         np.testing.assert_array_equal(res.counts, counts)
-        assert (res.unclassified_idler, res.unclassified_signal, res.n_cycles) == (un_i, un_s, 16)
+        assert (res.unclassified_idler, res.unclassified_signal) == (un_i, un_s)
 
     @given(_counting_case())
     @settings(max_examples=300, deadline=None)
     def test_g2_tallies(self, case):
         period_ns, _, window_ps, i_times, _, s_times, _, s_ref = case
         cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
-        t = an.g2_tallies(s_times, i_times, period_ns, cfg, 100, signal_ref_ps=s_ref)
+        t = an.g2_tallies(s_times, i_times, period_ns, cfg, signal_ref_ps=s_ref)
         expected = _reference_g2(s_times, i_times, period_ns, window_ps, s_ref)
         assert (t.coincidences, t.signal_singles, t.idler_singles) == expected
 
@@ -537,7 +551,7 @@ class TestCountingMatchesReference:
         with pytest.raises(ValueError, match="clock period"):
             an.threefold_counts(
                 np.array([0.0]), np.array([0]), np.array([]), np.array([], int), 2.0,
-                an.CoincidenceConfig(), slot_spacing_ns=1.0, n_cycles=1,
+                an.CoincidenceConfig(), slot_spacing_ns=1.0,
             )
 
     @pytest.mark.parametrize("ports", [[0, 1, 0], [0]], ids=["more", "fewer"])
@@ -545,12 +559,12 @@ class TestCountingMatchesReference:
         with pytest.raises(ValueError, match="one port per event"):
             an.threefold_counts(
                 np.array([0.0, 16000.0]), np.array(ports), np.array([0.0]), np.array([0]), 16.0,
-                an.CoincidenceConfig(), slot_spacing_ns=1.25, n_cycles=2,
+                an.CoincidenceConfig(), slot_spacing_ns=1.25,
             )
 
     def test_ports_must_be_0_or_1(self):
         with pytest.raises(ValueError, match="ports"):
             an.threefold_counts(
                 np.array([0.0]), np.array([2]), np.array([0.0]), np.array([0]), 16.0, an.CoincidenceConfig(),
-                slot_spacing_ns=1.25, n_cycles=1,
+                slot_spacing_ns=1.25,
             )

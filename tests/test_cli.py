@@ -14,7 +14,7 @@ from unittest.mock import patch
 
 import pytest
 
-from afcsim import cli
+from afcsim import cli, reports
 
 
 FAST_DESK_SCALE = dict(
@@ -289,6 +289,27 @@ class TestReproduce:
         rows = (tmp_path / "fig7_twofold_histogram.csv").read_text().splitlines()
         assert rows[0] == "delta_t_ps,count"
         assert len(rows) > 50
+
+    def test_fig7_bins_too_wide_for_a_background_exit_2(self, tmp_path, capsys):
+        # 5 ns bins leave no bin 600 ps away from every peak, so the
+        # background (a median over those bins) is undefined
+        cfg = {
+            "coincidence": {"window_ps": 5000, "histogram_bin_ps": 5000},
+            "desk_scale": FAST_DESK_SCALE,
+        }
+        path = tmp_path / "wide_bins.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["reproduce", "fig7", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: fig7: no histogram bin lies 600 ps off every peak; background undefined" in err
+        assert not list((tmp_path / "o").glob("fig7_*"))
+
+    def test_json_artifacts_refuse_nan(self, tmp_path):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            reports._write_json(path, {"background_per_bin": float("nan")})
+        assert not path.exists()
 
     def test_table2_alias(self, tmp_path):
         code = cli.main(["reproduce", "table2", "--out", str(tmp_path)])
