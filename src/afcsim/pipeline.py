@@ -10,10 +10,12 @@ which only buys counting statistics.
 
 Everything is deterministic given (config, seed): independent acquisitions
 derive child generators from stable string tags, so channels and settings
-can be computed in any order or in parallel workers.  Each threefold scan
-(the CHSH, fringe or tomography settings of one channel and stage) runs its
-settings on a thread pool, one thread per CPU this process may run on and
-no more than the settings; every other acquisition (the g2 runs, the DD
+can be computed in any order or in parallel workers.  A threefold scan
+(the CHSH, fringe or tomography settings of one channel and stage) is a
+list of acquisition specs and a fit of their counts; :func:`run_scans`
+acquires every spec of a call's scans on one thread pool, one thread per
+CPU this process may run on and no more than the specs, then fits each
+scan on the calling thread.  Every other acquisition (the g2 runs, the DD
 acquisition whose clicks fig7 histograms) runs on the calling thread.  An
 acquisition drops each pair-level array at its last use, so a thread
 holds about 29 MB at its peak at CHSH size (~500k pairs) instead of 81 MB.
@@ -53,10 +55,11 @@ __all__ = [
     "acquire_threefold",
     "G2Run",
     "acquire_g2",
-    "run_chsh",
-    "run_fringe",
-    "run_tomography_counts",
-    "dd_tomography_acquisition",
+    "acquire_spec",
+    "run_scans",
+    "chsh_scan",
+    "fringe_scan",
+    "tomography_scan",
     "analytic_mm_counts",
     "channel_report",
     "run_report",
@@ -142,7 +145,7 @@ def acquire_threefold(
 
     # Each pair-level array is dropped at its last use: a before-storage
     # CHSH acquisition samples ~500k pairs, and the scans run several
-    # acquisitions at once (see _scan).
+    # acquisitions at once (see run_scans).
     band = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
     cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
     n_pairs = len(cycles)
@@ -311,124 +314,137 @@ def _stage(stored: bool) -> str:
     return "after" if stored else "before"
 
 
-def _acquire_setting(cfg, channel, stored, kind, key, alpha, beta, n_cycles):
-    """:func:`acquire_threefold` at one setting of a scan, tagged
-    ``(kind, channel, stage, *key)``."""
+def acquire_spec(cfg: ExperimentConfig, spec) -> Acquisition:
+    """:func:`acquire_threefold` of one scan spec ``(kind, channel, stored,
+    key, alpha, beta, n_cycles)``, tagged ``(kind, channel, stage, *key)``."""
+    kind, channel, stored, key, alpha, beta, n_cycles = spec
     tags = (kind, channel, _stage(stored), *key)
     return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored)
 
 
-def _worker_count(n_settings: int) -> int:
-    """Threads for a scan of ``n_settings``: one per CPU this process may
-    run on, and no more than the settings."""
+def _worker_count(n_specs: int) -> int:
+    """Threads for ``n_specs`` acquisitions: one per CPU this process may
+    run on, and no more than the acquisitions."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_settings)
+    return min(cpus, n_specs)
 
 
-def _scan(cfg: ExperimentConfig, channel: int, stored: bool, kind: str, settings, n_cycles: int):
-    """One acquisition per ``(key, alpha, beta)`` setting; returns the
-    ``(settings, 2, 3, 2, 3)`` stack of their threefold counts.
+def run_scans(cfg: ExperimentConfig, scans):
+    """Run the threefold scans ``[(scan, *args), ...]``: acquire the specs
+    of every ``scan(cfg, *args)`` on one thread pool, then yield each scan's
+    fit of its ``(len(specs), 2, 3, 2, 3)`` count stack, in scan order.
 
-    The settings run on a thread pool (numpy releases the GIL in the bulk
-    work), and the stack is in setting order.  Each acquisition draws from
-    generators derived from its own tags, so the stack does not depend on
-    the number of threads or on the order they finish in."""
+    numpy releases the GIL in the bulk work.  A worker returns only the
+    count table, not the acquisition's click arrays.  Each acquisition
+    draws from generators derived from its own tags, so the counts do not
+    depend on the number of threads or on the order they finish in.  Each
+    fit runs on the calling thread when it is taken, so a caller can run
+    its own work (the g2 runs) between the fits in a fixed order."""
     from concurrent.futures import ThreadPoolExecutor
 
-    def counts(setting):
-        return _acquire_setting(cfg, channel, stored, kind, *setting, n_cycles).threefold.counts
+    built = [scan(cfg, *args) for scan, *args in scans]
+    specs = [spec for scan_specs, _ in built for spec in scan_specs]
+    with ThreadPoolExecutor(_worker_count(len(specs))) as pool:
+        stack = np.array(list(pool.map(lambda s: acquire_spec(cfg, s).threefold.counts, specs)))
+    start = 0
+    for scan_specs, fit in built:
+        yield fit(stack[start : start + len(scan_specs)])
+        start += len(scan_specs)
 
-    with ThreadPoolExecutor(_worker_count(len(settings))) as pool:
-        return np.array(list(pool.map(counts, settings)))
 
-
-def run_chsh(
-    cfg: ExperimentConfig,
-    channel: int,
-    stored: bool,
-) -> tuple[bell.ChshResult, np.ndarray]:
+def chsh_scan(cfg: ExperimentConfig, channel: int, stored: bool):
     """Fixed-setting CHSH test: four acquisitions at the setting pairs
-    ((a,b), (a',b), (a,b'), (a',b')) of ``bell.DEFAULT_CHSH_PHASES``,
-    middle-middle counts only.  A run whose counts leave S undefined (a
-    setting with no middle-middle count) raises :class:`ConfigError`."""
+    ((a,b), (a',b), (a,b'), (a',b')) of ``bell.DEFAULT_CHSH_PHASES``.  The
+    fit returns ``(ChshResult, counts)`` from the middle-middle counts only;
+    counts that leave S undefined (a setting with no middle-middle count)
+    raise :class:`ConfigError`."""
     a, ap, b, bp = bell.DEFAULT_CHSH_PHASES
-    settings = [
-        ((label,), alpha, beta)
+    n_cycles = cfg.desk_scale.chsh_cycles_per_setting
+    specs = [
+        ("chsh", channel, stored, (label,), alpha, beta, n_cycles)
         for label, (alpha, beta) in zip(
             ("ab", "apb", "abp", "apbp"), ((a, b), (ap, b), (a, bp), (ap, bp))
         )
     ]
-    n_cycles = cfg.desk_scale.chsh_cycles_per_setting
-    stack = _scan(cfg, channel, stored, "chsh", settings, n_cycles)
-    counts = middle_middle(stack).reshape(-1, 4).astype(float)
-    try:
-        result = bell.chsh_from_counts(
-            counts,
-            n_trials=cfg.desk_scale.mc_trials,
-            seed=_seed(cfg, "chsh-mc", channel, _stage(stored)),
-        )
-    except ValueError as err:
-        raise ConfigError(
-            f"CHSH of channel {channel + 1} {_stage(stored)} storage over {n_cycles} cycles "
-            f"per setting: {err}"
-        ) from err
-    return result, counts
+
+    def fit(stack) -> tuple[bell.ChshResult, np.ndarray]:
+        counts = middle_middle(stack).reshape(-1, 4).astype(float)
+        try:
+            result = bell.chsh_from_counts(
+                counts,
+                n_trials=cfg.desk_scale.mc_trials,
+                seed=_seed(cfg, "chsh-mc", channel, _stage(stored)),
+            )
+        except ValueError as err:
+            raise ConfigError(
+                f"CHSH of channel {channel + 1} {_stage(stored)} storage over {n_cycles} cycles "
+                f"per setting: {err}"
+            ) from err
+        return result, counts
+
+    return specs, fit
 
 
-def run_fringe(
-    cfg: ExperimentConfig,
-    channel: int,
-    alpha_rad: float,
-    stored: bool,
-) -> tuple[bell.FringeScan, list[bell.VisibilityFit]]:
-    """Franson fringe scan over beta at fixed alpha, with the four
-    per-combination visibility fits."""
+def fringe_scan(cfg: ExperimentConfig, channel: int, alpha_rad: float, stored: bool):
+    """Franson fringe scan over beta at fixed alpha.  The fit returns the
+    scan and its four per-combination visibility fits."""
     betas = np.linspace(0.0, 2.0 * math.pi, cfg.desk_scale.fringe_points, endpoint=False)
-    settings = [((round(alpha_rad, 9), n), alpha_rad, float(beta)) for n, beta in enumerate(betas)]
-    stack = _scan(cfg, channel, stored, "fringe", settings, cfg.desk_scale.fringe_cycles_per_point)
-    counts = middle_middle(stack).reshape(-1, 4)
-    scan = bell.FringeScan(alpha_rad=alpha_rad, beta_rad=betas, counts=counts)
-    fits = [
-        bell.fit_visibility(
-            scan,
-            k,
-            n_trials=cfg.desk_scale.mc_trials,
-            seed=_seed(cfg, "fringe-mc", channel, _stage(stored), k),
-        )
-        for k in range(4)
+    n_cycles = cfg.desk_scale.fringe_cycles_per_point
+    specs = [
+        ("fringe", channel, stored, (round(alpha_rad, 9), n), alpha_rad, float(beta), n_cycles)
+        for n, beta in enumerate(betas)
     ]
-    return scan, fits
+
+    def fit(stack) -> tuple[bell.FringeScan, list[bell.VisibilityFit]]:
+        counts = middle_middle(stack).reshape(-1, 4)
+        scan = bell.FringeScan(alpha_rad=alpha_rad, beta_rad=betas, counts=counts)
+        fits = [
+            bell.fit_visibility(
+                scan,
+                k,
+                n_trials=cfg.desk_scale.mc_trials,
+                seed=_seed(cfg, "fringe-mc", channel, _stage(stored), k),
+            )
+            for k in range(4)
+        ]
+        return scan, fits
+
+    return specs, fit
 
 
-def _tomography_setting(label: str):
-    """``(key, alpha, beta)`` of a tomography setting, labeled by its
-    (signal, idler) middle-slot states: beta is the signal-side phase."""
-    return (label,), tom.SETTING_PHASES[label[1]], tom.SETTING_PHASES[label[0]]
+def tomography_scan(cfg: ExperimentConfig, channel: int, stored: bool):
+    """The four energy-basis tomography settings of one channel, DD first,
+    each labeled by its (signal, idler) middle-slot states: beta is the
+    signal-side phase.
 
-
-def run_tomography_counts(cfg: ExperimentConfig, channel: int, stored: bool) -> np.ndarray:
-    """The ``(4, 16)`` count record of the four energy-basis tomography
-    acquisitions for one channel.
-
-    Counts enter the record from the port-2/port-2 detector pair,
-    slot-resolved into the nine measurable bases per setting.
+    The fit returns the ``(4, 16)`` count record.  Counts enter it from the
+    port-2/port-2 detector pair, slot-resolved into the nine measurable
+    bases per setting.
     """
-    settings = [_tomography_setting(label) for label in tom.SETTING_LABELS]
     n_cycles = cfg.desk_scale.tomography_cycles_per_setting
-    stack = _scan(cfg, channel, stored, "tomo", settings, n_cycles)
-    # counts[port_i=2, slot_i, port_s=2, slot_s] -> grid[slot_s, slot_i]
-    grids = stack[:, 1, :, 1, :].transpose(0, 2, 1)
-    return tom.assemble_counts(grids)
+    phase = tom.SETTING_PHASES
+    specs = [
+        ("tomo", channel, stored, (label,), phase[label[1]], phase[label[0]], n_cycles)
+        for label in tom.SETTING_LABELS
+    ]
+
+    def fit(stack) -> np.ndarray:
+        # counts[port_i=2, slot_i, port_s=2, slot_s] -> grid[slot_s, slot_i]
+        return tom.assemble_counts(stack[:, 1, :, 1, :].transpose(0, 2, 1))
+
+    return specs, fit
 
 
-def dd_tomography_acquisition(cfg: ExperimentConfig, channel: int) -> Acquisition:
-    """The after-storage DD acquisition of :func:`run_tomography_counts`."""
-    n_cycles = cfg.desk_scale.tomography_cycles_per_setting
-    setting = _tomography_setting("DD")
-    return _acquire_setting(cfg, channel, True, "tomo", *setting, n_cycles)
+def _stage_scans(channel: int, stored: bool) -> list:
+    """The CHSH, alpha = 0 fringe and tomography scans of one channel and stage."""
+    return [
+        (chsh_scan, channel, stored),
+        (fringe_scan, channel, 0.0, stored),
+        (tomography_scan, channel, stored),
+    ]
 
 
 def analytic_mm_counts(
@@ -478,11 +494,12 @@ def channel_report(cfg: ExperimentConfig, channel: int) -> dict:
     """All statistics for one spectral channel, before and after storage."""
     report: dict = {"channel": channel + 1}
     records = {}
+    results = run_scans(cfg, _stage_scans(channel, False) + _stage_scans(channel, True))
     for stored in (False, True):
         stage = _stage(stored)
-        chsh, chsh_counts = run_chsh(cfg, channel, stored)
-        scan, fits = run_fringe(cfg, channel, 0.0, stored)
-        records[stage] = run_tomography_counts(cfg, channel, stored)
+        chsh, chsh_counts = next(results)
+        _, fits = next(results)
+        records[stage] = next(results)
         g2_corr = acquire_g2(
             cfg, channel, channel, cfg.desk_scale.g2_cycles, ("g2", channel, stage), stored
         )
@@ -534,12 +551,11 @@ def _matrix_to_lists(m: np.ndarray) -> dict:
 def run_report(cfg: ExperimentConfig, channels=None) -> dict:
     """Full multi-channel run report (the ``simulate`` verb's payload)."""
     channels = list(range(len(cfg.bank.channels))) if channels is None else list(channels)
-    measure_time = (
-        cfg.desk_scale.chsh_cycles_per_setting * 4
-        + cfg.desk_scale.fringe_points * cfg.desk_scale.fringe_cycles_per_point
-        + cfg.desk_scale.tomography_cycles_per_setting * 4
-        + cfg.desk_scale.g2_cycles
-    ) * cfg.clock_period_ns * 1e-9
+    # one stage's acquisitions, the same for every channel and stage
+    stage_cycles = sum(
+        spec[-1] for scan, *args in _stage_scans(0, True) for spec in scan(cfg, *args)[0]
+    )
+    measure_time = (stage_cycles + cfg.desk_scale.g2_cycles) * cfg.clock_period_ns * 1e-9
     report = {
         "seed": cfg.seed,
         "desk_scale": {

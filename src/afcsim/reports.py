@@ -169,24 +169,24 @@ def reproduce_fig3(cfg: ExperimentConfig, out_dir: Path, channels=None) -> tuple
     """Cross-correlation grid after storage: every (signal, idler) channel
     pairing, diagonal = correlated, off-diagonal = crosstalk accidentals."""
     channels = list(range(5)) if channels is None else list(channels)
+    # every run before any write, so a failed run leaves no file behind
+    runs = {
+        (s, i): pl.acquire_g2(cfg, s, i, cfg.desk_scale.g2_cycles, ("fig3", s, i), stored=True)
+        for s in channels
+        for i in channels
+    }
     values = {}
     ok = True
     with open(out_dir / "fig3_g2_grid.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["signal_channel", "idler_channel", "g2", "sigma_g2", "correlated"])
-        for s in channels:
-            for i in channels:
-                run = pl.acquire_g2(
-                    cfg, s, i, cfg.desk_scale.g2_cycles, ("fig3", s, i), stored=True
-                )
-                writer.writerow([s + 1, i + 1, f"{run.g2:.4f}", f"{run.sigma_g2:.4f}", int(s == i)])
-                values[f"{s+1}-{i+1}"] = run.g2
-                lo, hi = (
-                    PUBLISHED["g2_correlated_range"]
-                    if s == i
-                    else PUBLISHED["g2_uncorrelated_range"]
-                )
-                ok &= lo <= run.g2 <= hi
+        for (s, i), run in runs.items():
+            writer.writerow([s + 1, i + 1, f"{run.g2:.4f}", f"{run.sigma_g2:.4f}", int(s == i)])
+            values[f"{s+1}-{i+1}"] = run.g2
+            lo, hi = (
+                PUBLISHED["g2_correlated_range"] if s == i else PUBLISHED["g2_uncorrelated_range"]
+            )
+            ok &= lo <= run.g2 <= hi
     summary = {"g2": values, "all_in_range": ok}
     _write_json(out_dir / "fig3_summary.json", summary)
     return summary, ok
@@ -195,10 +195,11 @@ def reproduce_fig3(cfg: ExperimentConfig, out_dir: Path, channels=None) -> tuple
 def reproduce_fig4(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tuple[dict, bool]:
     """Franson fringe scans (alpha = 0 and pi/2) after storage, with fits
     and correlation-coefficient curves."""
-    summary: dict = {"channel": channel + 1, "alpha_scans": {}}
-    ok = True
-    for alpha, tag in ((0.0, "alpha0"), (math.pi / 2, "alpha_pi_2")):
-        scan, fits = pl.run_fringe(cfg, channel, alpha, stored=True)
+    alphas = ((0.0, "alpha0"), (math.pi / 2, "alpha_pi_2"))
+    results = pl.run_scans(cfg, [(pl.fringe_scan, channel, alpha, True) for alpha, _ in alphas])
+    # both scans' correlations before any write, so a failed scan leaves no file behind
+    scans = []
+    for (alpha, tag), (scan, fits) in zip(alphas, results):
         try:
             e_values = [bell.correlation_e(row) for row in scan.counts]
         except ValueError as err:
@@ -206,6 +207,10 @@ def reproduce_fig4(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
                 f"Franson correlation of channel {channel + 1} after storage in the {tag} scan "
                 f"over {cfg.desk_scale.fringe_cycles_per_point} cycles per point: {err}"
             ) from err
+        scans.append((scan, fits, e_values))
+    summary: dict = {"channel": channel + 1, "alpha_scans": {}}
+    ok = True
+    for (alpha, tag), (scan, fits, e_values) in zip(alphas, scans):
         scan.to_csv(out_dir / f"fig4_fringe_{tag}.csv")
         with open(out_dir / f"fig4_correlation_{tag}.csv", "w", newline="") as f:
             writer = csv.writer(f)
@@ -229,8 +234,8 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     count record the fit cannot use (no count in some setting) raises
     :class:`ConfigError`."""
     rhos = []
-    for stage, stored in (("before", False), ("after", True)):
-        record = pl.run_tomography_counts(cfg, channel, stored=stored)
+    results = pl.run_scans(cfg, [(pl.tomography_scan, channel, stored) for stored in (False, True)])
+    for stage, record in zip(("before", "after"), results):
         try:
             rhos.append(tom.mle_reconstruct(record.sum(axis=0), tom.basis_exposures(record)).rho)
         except ValueError as err:
@@ -262,7 +267,8 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     """Raw coincidence histograms of an energy-basis (DD) tomography run:
     the five-peak two-fold histogram plus the slot-resolved threefold grid.
     Bins too wide to leave one 600 ps off every peak raise :class:`ConfigError`."""
-    acq = pl.dd_tomography_acquisition(cfg, channel)
+    specs, _ = pl.tomography_scan(cfg, channel, True)
+    acq = pl.acquire_spec(cfg, specs[0])  # the DD setting
     # each port's clicks are a few nearly sorted runs, the stable sort's fast case
     idler = np.sort(acq.idler_clicks, kind="stable")
     signal = np.sort(acq.signal_clicks, kind="stable")

@@ -60,7 +60,6 @@ __all__ = [
     "basis_projector",
     "measured_mask",
     "assemble_counts",
-    "setting_exposures",
     "basis_weights",
     "basis_exposures",
     "expected_counts",
@@ -138,17 +137,6 @@ def assemble_counts(grids) -> np.ndarray:
 _TIME_SLOT_BASES = SLOT_BASIS[0, ::2, ::2].ravel()
 
 
-def setting_exposures(counts) -> np.ndarray:
-    """Effective pair exposure per setting, ``(..., 4)`` from a ``(..., 4, 16)``
-    count record.
-
-    Estimated from the four time-slot bases (ee, el, le, ll) measured in
-    every setting: their post-selection weights sum to 1/16 of a trace,
-    independent of the state, so T_s = 16 * (slot-diagonal subtotal).
-    """
-    return 16.0 * np.asarray(counts)[..., _TIME_SLOT_BASES].sum(axis=-1)
-
-
 def basis_weights() -> np.ndarray:
     """Post-selection weight w_v of each basis projector (product of the two
     single-photon weights)."""
@@ -160,8 +148,14 @@ _WEIGHTS = basis_weights()
 
 def basis_exposures(counts) -> np.ndarray:
     """exposure_v = sum over measuring settings of T_s * w_v, ``(..., 16)``
-    from a ``(..., 4, 16)`` count record."""
-    t_s = setting_exposures(counts)
+    from a ``(..., 4, 16)`` count record.
+
+    T_s, the effective pair exposure of setting s, is estimated from the
+    four time-slot bases (ee, el, le, ll) measured in every setting: their
+    post-selection weights sum to 1/16 of a trace, independent of the
+    state, so T_s = 16 * (slot-diagonal subtotal).
+    """
+    t_s = 16.0 * np.asarray(counts)[..., _TIME_SLOT_BASES].sum(axis=-1)
     return (_MEASURED * t_s[..., None]).sum(axis=-2) * _WEIGHTS
 
 
@@ -401,23 +395,18 @@ def _newton_maximize(t, n, c):
     return t, iterations, converged
 
 
-def mle_reconstruct_batch(
-    counts,
-    exposures,
-    *,
-    init: np.ndarray | None = None,
-) -> ReconstructionResult:
+def mle_reconstruct_batch(counts, exposures) -> ReconstructionResult:
     """Maximum-likelihood reconstruction of a ``(B, 16)`` stack of count
     rows in one batched solve.
 
     Each row is normalized to 4096 counts (the likelihood is homogeneous in
     counts and exposures, so the argmax and the stopping test are scale
-    invariant) and started from its eigenvalue-floored linear inversion, or
-    from ``init`` (``(B, 4, 4)``).  A damped Newton ascent in the 16 T
-    parameters then runs until max|dL/dt| <= 1e-8 at unit |t|.  Returns one
-    ReconstructionResult of ``(B, ...)`` arrays; a row that does not get
-    there within 200 Newton steps has ``converged`` False, and
-    ``iterations`` holds each row's Newton step count.
+    invariant) and started from its eigenvalue-floored linear inversion.  A
+    damped Newton ascent in the 16 T parameters then runs until
+    max|dL/dt| <= 1e-8 at unit |t|.  Returns one ReconstructionResult of
+    ``(B, ...)`` arrays; a row that does not get there within 200 Newton
+    steps has ``converged`` False, and ``iterations`` holds each row's
+    Newton step count.
     """
     n_raw = np.asarray(counts, dtype=float)
     c_raw = np.asarray(exposures, dtype=float)
@@ -431,17 +420,11 @@ def mle_reconstruct_batch(
 
     scale = total / 4096.0
     n, c = n_raw / scale, c_raw / scale
-    rho0 = _linear_inversion(n, c) if init is None else init
-    t, iterations, converged = _newton_maximize(params_from_rho(rho0), n, c)
+    t, iterations, converged = _newton_maximize(params_from_rho(_linear_inversion(n, c)), n, c)
     return ReconstructionResult(nearest_psd(rho_from_params(t)), iterations, converged)
 
 
-def mle_reconstruct(
-    counts,
-    exposures,
-    *,
-    init: np.ndarray | None = None,
-) -> ReconstructionResult:
+def mle_reconstruct(counts, exposures) -> ReconstructionResult:
     """Maximum-likelihood state reconstruction: one row of
     :func:`mle_reconstruct_batch`.
 
@@ -453,9 +436,6 @@ def mle_reconstruct(
     exposures : length-16 array
         Effective exposures (setting exposure x post-selection weight);
         see :func:`basis_exposures`.
-    init :
-        Optional 4x4 starting matrix; defaults to eigenvalue-floored linear
-        inversion.
 
     Returns
     -------
@@ -466,26 +446,23 @@ def mle_reconstruct(
     c_raw = np.asarray(exposures, dtype=float)
     if n_raw.shape != (16,) or c_raw.shape != (16,):
         raise ValueError("need 16 counts and 16 exposures")
-    rho0 = None if init is None else np.asarray(init, dtype=complex)[None]
-    fit = mle_reconstruct_batch(n_raw[None], c_raw[None], init=rho0)
+    fit = mle_reconstruct_batch(n_raw[None], c_raw[None])
     return ReconstructionResult(fit.rho[0], int(fit.iterations[0]), bool(fit.converged[0]))
 
 
 _BELL_PROJECTOR = projector(bell_psi_plus())
 
 
-def state_metrics(rho, reference=None) -> dict:
+def state_metrics(rho, reference) -> dict:
     """The golden Table 3 metrics of one reconstructed state: fidelity to
     |Psi+>, purity, entanglement of formation, and fidelity to
-    ``reference`` when given."""
-    out = {
+    ``reference``."""
+    return {
         "fidelity_bell": fidelity(rho, _BELL_PROJECTOR),
         "purity": purity(rho),
         "entanglement_of_formation": entanglement_of_formation(rho),
+        "fidelity_reference": fidelity(rho, reference),
     }
-    if reference is not None:
-        out["fidelity_reference"] = fidelity(rho, reference)
-    return out
 
 
 def storage_pair_metrics(rho_in, rho_out) -> dict:
@@ -509,7 +486,7 @@ def reconstruct_with_errors(counts, metrics, n_trials: int, seed: int):
 
     ``metrics(*rhos)`` maps the R reconstructed density matrices, or R
     equal-length stacks of them, to a dict of scalars or of arrays over the
-    stack: :func:`state_metrics` for one record,
+    stack: :func:`state_metrics` with its reference bound for one record,
     :func:`storage_pair_metrics` for a before/after pair.  Each record is
     fitted on its own for the central values.  For the error bars every
     count of the stack is resampled as Poisson with mean equal to the

@@ -40,8 +40,8 @@ def cfg():
 @pytest.fixture(scope="module")
 def chsh_runs(cfg):
     return {
-        "before": pl.run_chsh(cfg, 0, stored=False)[0],
-        "after": pl.run_chsh(cfg, 0, stored=True)[0],
+        "before": next(pl.run_scans(cfg, [(pl.chsh_scan, 0, False)]))[0],
+        "after": next(pl.run_scans(cfg, [(pl.chsh_scan, 0, True)]))[0],
     }
 
 
@@ -141,7 +141,7 @@ def test_criterion_07_end_to_end_calibrated(cfg, chsh_runs):
 
 def test_criterion_08_franson_visibility_quartet(cfg):
     start = time.time()
-    _, fits = pl.run_fringe(cfg, 0, 0.0, stored=True)
+    ((_, fits),) = pl.run_scans(cfg, [(pl.fringe_scan, 0, 0.0, True)])
     elapsed = time.time() - start
     targets = (0.8879, 0.8956, 0.8654, 0.9176)
     devs = []

@@ -350,6 +350,21 @@ class TestReproduce:
         assert "exposures must be positive" in err
         assert not list((tmp_path / "o").glob("fig5_*"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "fig3", "--channels", "1"],
+            ["simulate", "--channels", "1", "--trials", "5"],
+            ["reproduce", "fig4"],
+            ["reproduce", "fig5"],
+        ],
+        ids=["fig3", "simulate", "fig4", "fig5"],
+    )
+    def test_zero_pair_run_writes_no_file(self, tmp_path, zero_pair_config_file, argv):
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--config", zero_pair_config_file, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["reproduce", "fig9", "--out", str(tmp_path)])

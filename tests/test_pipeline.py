@@ -1,6 +1,7 @@
 """Pipeline integration tests: determinism, analytic self-consistency,
 and the statistical structure of simulated acquisitions."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -15,7 +16,7 @@ from afcsim import pipeline as pl
 from afcsim import states as st
 from afcsim import tomography as tom
 from afcsim.config import config_from_dict, reference_calibration_config
-from afcsim.datasets import load_tomography_counts
+from afcsim.datasets import load_density_matrices, load_tomography_counts
 
 
 # the ideal source: no white noise or phase jitter, a balanced pump and
@@ -63,8 +64,10 @@ class TestDeterminism:
 
     def test_seed_changes_statistics_within_3_sigma(self):
         cfg = fast_config()
-        r1, _ = pl.run_chsh(cfg, 0, stored=True)
-        r2, _ = pl.run_chsh(dataclasses.replace(cfg, seed=cfg.seed + 1), 0, stored=True)
+        ((r1, _),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, True)])
+        ((r2, _),) = pl.run_scans(
+            dataclasses.replace(cfg, seed=cfg.seed + 1), [(pl.chsh_scan, 0, True)]
+        )
         mutual = math.hypot(r1.sigma_s, r2.sigma_s)
         assert abs(r1.s_value - r2.s_value) < 3 * mutual
 
@@ -82,6 +85,7 @@ class TestDeterminism:
         report = json.dumps(pl.run_report(cfg, channels=[0, 1]), sort_keys=True)
         out.mkdir()
         reports.reproduce_fig4(cfg, out, 0)
+        reports.reproduce_fig5(cfg, out, 0)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         return report, files
 
@@ -98,6 +102,68 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert every == serial
+
+
+def _assert_same_fit(a, b):
+    """Equal fits: dataclasses, tuples and lists field by field, arrays and
+    scalars exactly."""
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_fit(x, y)
+    else:
+        np.testing.assert_array_equal(a, b)
+
+
+class TestRunScans:
+    def test_each_fit_is_its_scan_run_alone(self):
+        cfg = fast_config(chsh_cycles_per_setting=150_000, tomography_cycles_per_setting=150_000)
+        scans = [
+            (pl.tomography_scan, 1, False),
+            (pl.chsh_scan, 1, True),
+            (pl.fringe_scan, 1, 0.3, True),
+            (pl.chsh_scan, 1, False),
+        ]
+        together = list(pl.run_scans(cfg, scans))
+        assert len(together) == len(scans)
+        for scan, fit in zip(scans, together):
+            (alone,) = pl.run_scans(cfg, [scan])
+            _assert_same_fit(fit, alone)
+
+    @pytest.mark.parametrize("call", ["channel_report", "fig4", "fig5"])
+    def test_one_pool_per_call(self, monkeypatch, tmp_path, call):
+        # every threefold acquisition of the call shares one pool
+        sizes = []
+
+        def worker_count(n_specs):
+            sizes.append(n_specs)
+            return 2
+
+        monkeypatch.setattr(pl, "_worker_count", worker_count)
+        cfg = fast_config()
+        points = cfg.desk_scale.fringe_points
+        run, n_specs = {
+            "channel_report": (lambda: pl.channel_report(cfg, 0), 2 * (4 + points + 4)),
+            "fig4": (lambda: reports.reproduce_fig4(cfg, tmp_path, 0), 2 * points),
+            "fig5": (lambda: reports.reproduce_fig5(cfg, tmp_path, 0), 2 * 4),
+        }[call]
+        run()
+        assert sizes == [n_specs]
+
+    def test_fig7_histograms_the_tomography_dd_setting(self, tmp_path):
+        cfg = fast_config()
+        reports.reproduce_fig7(cfg, tmp_path, 0)
+        (record,) = pl.run_scans(cfg, [(pl.tomography_scan, 0, True)])
+        slots = ("early", "middle", "late")
+        with open(tmp_path / "fig7_threefold_slots.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 9
+        for row in rows:
+            # the DD setting's basis of this (signal slot, idler slot) cell
+            v = tom.SLOT_BASIS[0, slots.index(row["signal_slot"]), slots.index(row["idler_slot"])]
+            assert int(row["count"]) == record[0, v]
 
 
 class TestAcquisitionMemory:
@@ -205,7 +271,7 @@ class TestAnalyticConsistency:
                 cfg.desk_scale, chsh_cycles_per_setting=3_000_000, mc_trials=40
             ),
         )
-        result, _ = pl.run_chsh(cfg, 0, stored=False)
+        ((result, _),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, False)])
         from afcsim.source import analytic_state
 
         s_exact = bell.analytic_chsh(analytic_state(cfg.source))
@@ -307,12 +373,12 @@ class TestIdealSource:
             },
         }
         cfg = config_from_dict(raw)
-        result, _ = pl.run_chsh(cfg, 2, stored=False)
+        ((result, _),) = pl.run_scans(cfg, [(pl.chsh_scan, 2, False)])
         assert abs(result.s_value - 2 * math.sqrt(2)) < max(5 * result.sigma_s, 0.02)
 
     def test_dd_setting_populates_nine_bases(self):
         cfg = fast_config()
-        record = pl.run_tomography_counts(cfg, 0, stored=False)
+        (record,) = pl.run_scans(cfg, [(pl.tomography_scan, 0, False)])
         dd_row = record[0]
         measured = tom.measured_mask()[0]
         assert measured.sum() == 9
@@ -323,8 +389,8 @@ class TestIdealSource:
 class TestStageOrdering:
     def test_before_has_more_counts_and_smaller_sigma(self):
         cfg = fast_config()
-        r_before, c_before = pl.run_chsh(cfg, 0, stored=False)
-        r_after, c_after = pl.run_chsh(cfg, 0, stored=True)
+        ((r_before, c_before),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, False)])
+        ((r_after, c_after),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, True)])
         assert c_before.sum() > 3 * c_after.sum()
         assert r_before.sigma_s < r_after.sigma_s
 
@@ -364,6 +430,11 @@ class TestChannelReport:
 
 
 BELL = st.projector(st.bell_psi_plus())
+REFERENCE = load_density_matrices()[1]
+
+
+def _state_metrics(rho):
+    return tom.state_metrics(rho, REFERENCE)
 
 
 def _state_reference(rho):
@@ -371,6 +442,7 @@ def _state_reference(rho):
         "fidelity_bell": st.fidelity(rho, BELL),
         "purity": st.purity(rho),
         "entanglement_of_formation": st.entanglement_of_formation(rho),
+        "fidelity_reference": st.fidelity(rho, REFERENCE),
     }
 
 
@@ -389,7 +461,7 @@ def _pair_reference(rho_in, rho_out):
 class TestTomographyPairErrors:
     @pytest.mark.parametrize(
         "n_records, metrics, reference",
-        [(1, tom.state_metrics, _state_reference), (2, tom.storage_pair_metrics, _pair_reference)],
+        [(1, _state_metrics, _state_reference), (2, tom.storage_pair_metrics, _pair_reference)],
         ids=["one-record", "two-records"],
     )
     def test_pair_error_bars_match_per_trial_resampling(
@@ -398,7 +470,7 @@ class TestTomographyPairErrors:
         # a fixed solver (the MLE's starting point) in place of the batched
         # one isolates the resampling stream from the optimizer; it solves
         # row by row, so a row's result does not depend on its batch
-        def linear_solver(counts, exposures, init=None):
+        def linear_solver(counts, exposures):
             rhos = []
             for n, c in zip(counts, exposures):
                 start = tom.params_from_rho(tom._linear_inversion(n, c))

@@ -26,6 +26,11 @@ def reference_after():
     return load_density_matrices()[1]
 
 
+@pytest.fixture(scope="module")
+def state_metrics(reference_after):
+    return lambda rho: tom.state_metrics(rho, reference_after)
+
+
 class TestBasisProjectors:
     def test_ee_projector(self):
         np.testing.assert_allclose(tom.basis_projector(1), np.diag([1, 0, 0, 0]), atol=1e-15)
@@ -225,16 +230,19 @@ class TestMleReconstruct:
             assert st.trace_distance(res.rho, rho_true) < 1e-4
 
     def test_likelihood_nondecreasing(self, golden_record):
-        # rerun the optimizer from a deliberately bad start and track L
+        # run the Newton ascent from a deliberately bad start (the maximally
+        # mixed state) and track L
         exposures = tom.basis_exposures(golden_record)
         lls = []
         x = tom.params_from_rho(np.eye(4) / 4)
         n_v = golden_record.sum(axis=0)
         f, g = tom.log_likelihood_and_gradient(x, n_v, exposures)
         lls.append(f)
-        res = tom.mle_reconstruct(n_v, exposures, init=np.eye(4) / 4)
-        assert poisson_log_likelihood(n_v, exposures, res.rho) >= f
-        assert res.converged
+        # the 4096-count normalization of mle_reconstruct_batch
+        scale = n_v.sum() / 4096.0
+        t, _, converged = tom._newton_maximize(x[None], n_v[None] / scale, exposures[None] / scale)
+        assert poisson_log_likelihood(n_v, exposures, tom.rho_from_params(t[0])) >= f
+        assert converged[0]
 
     def test_exposure_scaling_invariance(self, golden_record):
         exposures = tom.basis_exposures(golden_record)
@@ -315,7 +323,9 @@ class TestMleReconstruct:
                 poisson_log_likelihood(n[k], c[k], single.rho), rel=1e-12
             )
 
-    def test_uncertified_fit_is_reported_and_dropped(self, golden_record, monkeypatch):
+    def test_uncertified_fit_is_reported_and_dropped(
+        self, golden_record, state_metrics, monkeypatch
+    ):
         # with the step cap at 7, some resampled fits do not certify: they
         # report converged=False and leave the error bars with a warning
         monkeypatch.setattr(tom, "_MAX_NEWTON", 7)
@@ -326,7 +336,7 @@ class TestMleReconstruct:
         assert 2 <= sum(flags) < len(flags)
         assert all(fits.iterations[~flags] == 7)
         with pytest.warns(RuntimeWarning, match="dropped"):
-            _, summary = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=30, seed=3)
+            _, summary = tom.reconstruct_with_errors([golden_record], state_metrics, n_trials=30, seed=3)
         assert all(np.isfinite(m["sigma"]) for m in summary.values())
 
     def test_batch_rejects_bad_rows(self, golden_record):
@@ -346,19 +356,19 @@ class TestMleReconstruct:
 
 
 class TestReconstructWithErrors:
-    def test_error_bars_scale(self, golden_record):
-        _, summary = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=40, seed=1)
+    def test_error_bars_scale(self, golden_record, state_metrics):
+        _, summary = tom.reconstruct_with_errors([golden_record], state_metrics, n_trials=40, seed=1)
         sigma = summary["fidelity_bell"]["sigma"]
         assert 0.003 < sigma < 0.04  # published scale: ~1.3 percentage points
 
         scaled = golden_record * 100.0
-        _, summary_big = tom.reconstruct_with_errors([scaled], tom.state_metrics, n_trials=40, seed=1)
+        _, summary_big = tom.reconstruct_with_errors([scaled], state_metrics, n_trials=40, seed=1)
         ratio = sigma / summary_big["fidelity_bell"]["sigma"]
         assert ratio == pytest.approx(10.0, rel=0.5)
 
-    def test_deterministic(self, golden_record):
-        _, a = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=10, seed=7)
-        _, b = tom.reconstruct_with_errors([golden_record], tom.state_metrics, n_trials=10, seed=7)
+    def test_deterministic(self, golden_record, state_metrics):
+        _, a = tom.reconstruct_with_errors([golden_record], state_metrics, n_trials=10, seed=7)
+        _, b = tom.reconstruct_with_errors([golden_record], state_metrics, n_trials=10, seed=7)
         assert a == b
 
     def test_reference_metric_included(self, golden_record, reference_after):
