@@ -16,9 +16,13 @@ list of acquisition specs and a fit of their counts; :func:`run_scans`
 acquires every spec of a call's scans on one thread pool, one thread per
 CPU this process may run on and no more than the specs, then fits each
 scan on the calling thread.  Every other acquisition (the g2 runs, the DD
-acquisition whose clicks fig7 histograms) runs on the calling thread.  An
-acquisition drops each pair-level array at its last use, so a thread
-holds about 29 MB at its peak at CHSH size (~500k pairs) instead of 81 MB.
+acquisition whose clicks fig7 histograms) runs on the calling thread.  A
+threefold acquisition draws the signal-band pairs over the whole run, but
+follows the pairs whose signal photon cannot reach a detector only in the
+cycles next to a signal click (:func:`acquire_threefold`); it drops each
+pair-level array at its last use, so a thread holds about 19 MB at its peak at
+before-storage CHSH size (343k pairs drawn), against 26 MB when every pair
+of the idler band was drawn.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from afcsim import bell
 from afcsim import tomography as tom
 from afcsim.analyzer import (
-    SLOT_MIDDLE,
     ThreefoldCounts,
     detect,
     g2_cross,
@@ -49,6 +52,7 @@ from afcsim.source import analytic_state, emission_arrays, pair_rate_per_cycle
 
 __all__ = [
     "derive_rng",
+    "HISTOGRAM_SPAN_NS",
     "channel_band",
     "boosted_survival",
     "Acquisition",
@@ -60,7 +64,7 @@ __all__ = [
     "chsh_scan",
     "fringe_scan",
     "tomography_scan",
-    "analytic_mm_counts",
+    "analytic_counts",
     "channel_report",
     "run_report",
 ]
@@ -111,10 +115,79 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bo
     return keep, delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
 
 
+# the +- span of fig7's two-fold histogram of an acquisition's clicks
+HISTOGRAM_SPAN_NS = 4.0
+
+# detector jitter is Gaussian: an acquisition's idler-only draw reaches idler
+# clicks displaced by up to this many standard deviations, beyond which lies
+# a share of 1.5e-23 of the clicks
+_JITTER_REACH_SIGMAS = 10
+
+
+def _neighbour_cycles(cfg: ExperimentConfig) -> int:
+    """w: the cycles on each side of a signal click's cycle in which the
+    pair of an idler click it can meet was emitted.
+
+    With period P and slot spacing s, a signal click at time r after the
+    recall delay lies in cycle f = floor(r / P).  Counting meets it with the
+    idler clicks of its own cycle, f or, past the late-slot wrap at P/2 + s,
+    f + 1; a cycle k holds the times [kP - (P/2 - s), kP + P/2 + s).  fig7
+    meets it with the idler clicks within H of r, H being the histogram span
+    plus half a bin (its outer edges).  So every idler click it can meet lies
+    in [fP - max(P/2 - s, H), (f + 1)P + max(P/2 + s, H)).  The idler of a
+    pair emitted in cycle c arrives at cP + {0, s, 2s} plus its jitter j.  For
+    |j| <= J, once wP >= max(P/2 + s, H) + J only cycles c up to f + w land
+    there, and, as max(P/2 - s, H) + 2s < max(P/2 + s, H) + P, only cycles c
+    from f - w.  J is ``_JITTER_REACH_SIGMAS`` detector jitter sigmas.  At
+    the calibration (P = 16 ns, s = 1.25 ns, H = 4.05 ns, J = 0.4 ns) w = 1.
+    """
+    period_ps = cfg.clock_period_ns * 1e3
+    wrap_ps = period_ps / 2 + cfg.source.pump.pulse_interval_ns * 1e3
+    histogram_ps = HISTOGRAM_SPAN_NS * 1e3 + cfg.coincidence.histogram_bin_ps / 2
+    jitter_ps = _JITTER_REACH_SIGMAS * cfg.detectors.jitter_sigma_ps
+    return math.ceil((max(wrap_ps, histogram_ps) + jitter_ps) / period_ps)
+
+
+def _near_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float, w: int, n_cycles: int):
+    """N: the sorted cycles of ``[0, n_cycles)`` within ``w`` of the cycle of
+    a signal click (its time after the recall delay, in whole periods)."""
+    cycles = (clicks_ps - delay_ps) / period_ps
+    cycles = np.floor(cycles, out=cycles).astype(np.int64)
+    # each detector's clicks are a few nearly sorted runs: the stable sort's
+    # fast case
+    cycles.sort(kind="stable")
+    # each cycle adds the part of its window [cycle - w, cycle + w] past the
+    # window of the cycle before it: ``new`` cycles, ending at cycle + w
+    new = np.diff(cycles, prepend=cycles[:1] - 2 * w - 1)
+    np.minimum(new, 2 * w + 1, out=new)
+    cycles += w + 1
+    cycles -= np.cumsum(new)  # a window's first new cycle less its index in N
+    near = np.repeat(cycles, new)
+    del cycles, new
+    near += np.arange(near.size)
+    return near[np.searchsorted(near, 0) : np.searchsorted(near, n_cycles)]
+
+
+def _fringe_bands(cfg: ExperimentConfig, channel: int) -> list:
+    """The idler filter's band outside the signal band: the sub-bands below
+    and above it, or none when the two filters match."""
+    if cfg.filters.idler_bandwidth_ghz <= cfg.filters.signal_bandwidth_ghz:
+        return []
+    full = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
+    sig = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
+    return [(full[0], sig[0]), (sig[1], full[1])]
+
+
 @dataclass(frozen=True)
 class Acquisition:
     """One analyzer acquisition: port/slot-resolved threefold counts, the
-    clicks counted (each side's port 1 clicks, then port 2's) and bookkeeping."""
+    clicks counted (each side's port 1 clicks, then port 2's) and bookkeeping.
+
+    ``idler_clicks`` holds the idler clicks of the recalled pairs, of the
+    idler-only pairs drawn in N (see :func:`acquire_threefold`) and the idler
+    dark counts; the idler-only pairs outside N are never drawn.
+    ``n_pairs_sampled`` counts the pairs drawn: every signal-band pair of the
+    run and the fringe pairs drawn in N."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
@@ -139,70 +212,115 @@ def acquire_threefold(
     is thinned by the memory band and (when stored) the boosted recall
     survival, and both sides pass the click-level detector model before
     clock-triggered threefold counting.
+
+    Per-cycle pair numbers are Poissonian, so by Poisson splitting the pairs
+    form two independent processes, sampled one after the other:
+
+    1. The recalled pairs: the signal-band pairs, drawn over the whole run
+       and thinned by the recall.  Each gets a joint outcome, and both of
+       its photons go to the detectors.  Their signal clicks, with the
+       memory noise and the signal dark counts, fix S, the cycles that hold
+       a signal click.
+    2. The idler-only pairs: the signal-band pairs the memory lost, and the
+       pairs in the idler filter's fringe outside the signal band.  No
+       signal photon of theirs reaches a detector, so an idler click of
+       theirs is counted or histogrammed only next to a signal click.  They
+       are drawn only in N, S widened by w cycles on each side
+       (:func:`_neighbour_cycles`): the lost pairs whose cycle is in N, and
+       fringe pairs drawn over ``len(N)`` cycles and mapped through N.
+
+    The second process is independent of S, so drawing it only in N gives
+    every count and every fig7 histogram entry the distribution that
+    drawing it in full gives, for every idler click whose jitter stays below
+    wP - max(P/2 + s, H) (at least 10 sigma; :func:`_neighbour_cycles`).
     """
-    rng_em = derive_rng(cfg.seed, *tags, "emission")
-    rng_out = derive_rng(cfg.seed, *tags, "outcome")
-
-    # Each pair-level array is dropped at its last use: a before-storage
-    # CHSH acquisition samples ~500k pairs, and the scans run several
-    # acquisitions at once (see run_scans).
-    band = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
-    cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
-    n_pairs = len(cycles)
-    center = CHANNEL_OFFSETS_GHZ[channel]
-    in_signal_band = np.abs(offsets - center) <= cfg.filters.signal_bandwidth_ghz / 2.0
-    del offsets
-    rho = analytic_state(cfg.source)
-    i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
-        rho, alpha_rad, beta_rad, n_pairs, rng_out
-    )
-    idler_a1 = i_port == 0
-    del i_port
-
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
+    rho = analytic_state(cfg.source)
 
-    idler_t = cycles * period_ps
-    idler_t += i_slot * spacing_ps
-    del i_slot
-
-    recalled, delay_ps, noise_t, noise_port = _recall(
+    # Each pair-level array is dropped at its last use: a before-storage
+    # CHSH acquisition draws ~330k pairs, and the scans run several
+    # acquisitions at once (see run_scans).
+    rng_em = derive_rng(cfg.seed, *tags, "emission")
+    sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
+    cycles, _ = emission_arrays(cfg.source, n_cycles, rng_em, sig_band)
+    n_pairs = len(cycles)
+    keep, delay_ps, noise_t, noise_port = _recall(
         cfg, channel, tags, n_pairs, stored, duration_ps
     )
-    keep = in_signal_band & recalled
-    del in_signal_band, recalled
-    signal_t = np.compress(keep, cycles) * period_ps
-    del cycles
+    recalled = np.compress(keep, cycles)
+    lost = np.compress(~keep, cycles)
+    del cycles, keep
+    rng_out = derive_rng(cfg.seed, *tags, "outcome")
+    i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
+        rho, alpha_rad, beta_rad, recalled.size, rng_out
+    )
+    idler_a1 = i_port == 0
+    del i_port
+    signal_b1 = np.concatenate([s_port == 0, noise_port == 0])
+    del s_port
+    idler_t = recalled * period_ps
+    idler_t += i_slot * spacing_ps
+    del i_slot
+    signal_t = recalled * period_ps
+    del recalled
     signal_t += delay_ps
-    signal_t += np.compress(keep, s_slot) * spacing_ps
-    signal_port = np.compress(keep, s_port)
-    del keep, s_port, s_slot
-    if noise_t.size:
-        signal_t = np.concatenate([signal_t, noise_t])
-        signal_port = np.concatenate([signal_port, noise_port])
-
-    signal_b1 = signal_port == 0
-    del signal_port
-    arrivals = {
-        "A1": np.compress(idler_a1, idler_t),
-        "A2": np.compress(~idler_a1, idler_t),
-        "B1": np.compress(signal_b1, signal_t),
-        "B2": np.compress(~signal_b1, signal_t),
-    }
-    del idler_t, idler_a1, signal_t, signal_b1
-    det_seed = _seed(cfg, *tags, "detector")
-    streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, det_seed)
-    del arrivals
-    # each side's port 1 clicks, then its port 2 clicks: threefold_counts
-    # takes events in any order
-    a1, a2, b1, b2 = (streams[name] for name in ("A1", "A2", "B1", "B2"))
-    # int8 ports: one byte per click, held while counting runs
-    idler_ports = np.repeat(np.int8([0, 1]), [a1.size, a2.size])
+    signal_t += s_slot * spacing_ps
+    del s_slot
+    signal_t = np.concatenate([signal_t, noise_t])
+    del noise_t
+    streams = detect(
+        {"B1": np.compress(signal_b1, signal_t), "B2": np.compress(~signal_b1, signal_t)},
+        cfg.detectors,
+        duration_ps * 1e-12,
+        _seed(cfg, *tags, "signal-detector"),
+    )
+    del signal_t, signal_b1
+    b1, b2 = streams["B1"], streams["B2"]
     signal_ports = np.repeat(np.int8([0, 1]), [b1.size, b2.size])
-    idler_clicks = np.concatenate([a1, a2])
     signal_clicks = np.concatenate([b1, b2])
-    del streams, a1, a2, b1, b2
+    del streams, b1, b2
+
+    idler_a = [np.compress(idler_a1, idler_t)]
+    idler_b = [np.compress(~idler_a1, idler_t)]
+    del idler_t, idler_a1
+    near = _near_cycles(signal_clicks, delay_ps, period_ps, _neighbour_cycles(cfg), n_cycles)
+    if near.size:  # no signal click, no idler-only pair to draw
+        if lost.size:  # a byte per cycle, only when the memory lost pairs
+            in_near = np.zeros(n_cycles, dtype=bool)
+            in_near[near] = True
+            lost = np.compress(in_near.take(lost), lost)
+            del in_near
+        only = [lost]
+        rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
+        for band in _fringe_bands(cfg, channel):
+            fringe, _ = emission_arrays(cfg.source, near.size, rng_fringe, band)
+            n_pairs += fringe.size
+            only.append(near.take(fringe))
+        only = np.concatenate(only)
+        rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
+        o_port, o_slot, _, _ = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only)
+        only_t = only * period_ps
+        only_t += o_slot * spacing_ps
+        only_a1 = o_port == 0
+        idler_a.append(np.compress(only_a1, only_t))
+        idler_b.append(np.compress(~only_a1, only_t))
+        del only, o_port, o_slot, only_t, only_a1
+    del lost, near
+    streams = detect(
+        {"A1": np.concatenate(idler_a), "A2": np.concatenate(idler_b)},
+        cfg.detectors,
+        duration_ps * 1e-12,
+        _seed(cfg, *tags, "idler-detector"),
+    )
+    del idler_a, idler_b
+    a1, a2 = streams["A1"], streams["A2"]
+    # each side's port 1 clicks, then its port 2 clicks: threefold_counts
+    # takes events in any order; int8 ports, one byte per click
+    idler_ports = np.repeat(np.int8([0, 1]), [a1.size, a2.size])
+    idler_clicks = np.concatenate([a1, a2])
+    del streams, a1, a2
     tf = threefold_counts(
         idler_clicks,
         idler_ports,
@@ -258,15 +376,10 @@ def acquire_g2(
     if idler_channel == signal_channel:
         # idlers of the same pairs, plus the wider-filter fringe around them
         rng_extra = derive_rng(cfg.seed, *tags, "idl-fringe")
-        full = channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
-        extra_width = cfg.filters.idler_bandwidth_ghz - cfg.filters.signal_bandwidth_ghz
         idl_cycles = [sig_cycles]
-        if extra_width > 0:
-            lo = (full[0], sig_band[0])
-            hi = (sig_band[1], full[1])
-            for b in (lo, hi):
-                c, _ = emission_arrays(cfg.source, n_cycles, rng_extra, b)
-                idl_cycles.append(c)
+        for b in _fringe_bands(cfg, idler_channel):
+            c, _ = emission_arrays(cfg.source, n_cycles, rng_extra, b)
+            idl_cycles.append(c)
         idl_cycles = np.sort(np.concatenate(idl_cycles))
     else:
         rng_idl = derive_rng(cfg.seed, *tags, "idl-emission")
@@ -447,7 +560,7 @@ def _stage_scans(channel: int, stored: bool) -> list:
     ]
 
 
-def analytic_mm_counts(
+def analytic_counts(
     cfg: ExperimentConfig,
     channel: int,
     alpha_rad: float,
@@ -455,12 +568,17 @@ def analytic_mm_counts(
     n_cycles: int,
     stored: bool,
 ) -> np.ndarray:
-    """Expected middle-middle counts (A1B1, A1B2, A2B1, A2B2) including the
-    leading double-pair accidental term.
+    """Expected threefold counts, shape ``(2, 3, 2, 3)`` in the layout of
+    :func:`project_pair`, including the leading double-pair accidental term.
 
-    This is the infinite-statistics prediction for an
-    :func:`acquire_threefold` run; with negligible pair rate it reduces to
-    the bare Born-rule rates of project_pair.
+    True coincidences come from the signal-band pairs whose two photons are
+    detected, at the Born-rule rate of each (port, slot) cell.  Accidentals
+    pair an idler click and a signal click of two different pairs in one
+    cycle, at the product of the per-(port, slot) marginals of the two
+    sides.  This is the infinite-statistics prediction for an
+    :func:`acquire_threefold` run without dark counts or memory noise; with
+    negligible pair rate it reduces to the bare Born-rule rates of
+    project_pair.
     """
     mu_full = pair_rate_per_cycle(cfg.source)
     lam_sig = mu_full * cfg.filters.signal_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
@@ -470,11 +588,11 @@ def analytic_mm_counts(
     ci = eff
 
     table = project_pair(analytic_state(cfg.source), alpha_rad, beta_rad)
-    p_i_mid = table[:, SLOT_MIDDLE].sum(axis=(1, 2))  # marginal per idler port
-    p_s_mid = table[:, :, :, SLOT_MIDDLE].sum(axis=(0, 1))  # per signal port
-    true = lam_sig * cs * ci * middle_middle(table)
-    acc = np.outer(lam_idl * ci * p_i_mid, lam_sig * cs * p_s_mid)
-    return (n_cycles * (true + acc)).reshape(-1)
+    p_idler = table.sum(axis=(2, 3))  # per idler (port, slot)
+    p_signal = table.sum(axis=(0, 1))  # per signal (port, slot)
+    true = lam_sig * cs * ci * table
+    acc = np.multiply.outer(lam_idl * ci * p_idler, lam_sig * cs * p_signal)
+    return n_cycles * (true + acc)
 
 
 # --- reports --------------------------------------------------------------

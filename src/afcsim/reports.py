@@ -266,14 +266,21 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
 def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tuple[dict, bool]:
     """Raw coincidence histograms of an energy-basis (DD) tomography run:
     the five-peak two-fold histogram plus the slot-resolved threefold grid.
-    Bins too wide to leave one 600 ps off every peak raise :class:`ConfigError`."""
+    Bins too wide to leave one 600 ps off every peak raise :class:`ConfigError`.
+
+    The two-fold histogram pairs the acquisition's signal clicks with its
+    idler clicks: those of the recalled pairs, of the idler-only pairs drawn
+    next to a signal click, and the idler dark counts.  The undrawn idler
+    clicks lie beyond the histogram span of every signal click
+    (:func:`afcsim.pipeline.acquire_threefold`), so the histogram is the one
+    every pair would give."""
     specs, _ = pl.tomography_scan(cfg, channel, True)
     acq = pl.acquire_spec(cfg, specs[0])  # the DD setting
     # each port's clicks are a few nearly sorted runs, the stable sort's fast case
     idler = np.sort(acq.idler_clicks, kind="stable")
     signal = np.sort(acq.signal_clicks, kind="stable")
     centers, counts = coincidence_histogram(
-        idler, signal - acq.delay_ps, cfg.coincidence, span_ns=4.0
+        idler, signal - acq.delay_ps, cfg.coincidence, span_ns=pl.HISTOGRAM_SPAN_NS
     )
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     peak_positions = np.array([-2, -1, 0, 1, 2]) * spacing_ps

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from afcsim import analyzer, bell, reports
 from afcsim import pipeline as pl
@@ -17,6 +18,8 @@ from afcsim import states as st
 from afcsim import tomography as tom
 from afcsim.config import config_from_dict, reference_calibration_config
 from afcsim.datasets import load_density_matrices, load_tomography_counts
+from afcsim.memory import CHANNEL_OFFSETS_GHZ
+from afcsim.source import analytic_state, emission_arrays
 
 
 # the ideal source: no white noise or phase jitter, a balanced pump and
@@ -166,6 +169,125 @@ class TestRunScans:
             assert int(row["count"]) == record[0, v]
 
 
+def wide_jitter_config():
+    """4 ns detector jitter and a window that classifies every click, so
+    clicks often land, and are counted, in a neighbour of their pair's
+    cycle; a 20 GHz idler filter and 0.95 pairs per cycle make idler-only
+    pairs a large share of the counts."""
+    cfg = fast_config()
+    return dataclasses.replace(
+        cfg,
+        source=dataclasses.replace(cfg.source, pair_emission_probability_per_cycle=0.95),
+        filters=dataclasses.replace(cfg.filters, idler_bandwidth_ghz=20.0),
+        detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=4000.0),
+        coincidence=dataclasses.replace(cfg.coincidence, window_ps=16000.0),
+    )
+
+
+def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
+    """Threefold counts of the event path that draws every pair of the idler
+    band, gives each a joint outcome and sends each idler to a detector; the
+    signal photon is kept in the signal band when the memory recalls it."""
+    period_ps = cfg.clock_period_ns * 1e3
+    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
+    duration_ps = n_cycles * period_ps
+    band = pl.channel_band(channel, cfg.filters.idler_bandwidth_ghz)
+    rng_em = pl.derive_rng(cfg.seed, *tags, "emission")
+    cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
+    in_band = np.abs(offsets - CHANNEL_OFFSETS_GHZ[channel]) <= cfg.filters.signal_bandwidth_ghz / 2
+    i_port, i_slot, s_port, s_slot = analyzer.sample_pair_outcomes(
+        analytic_state(cfg.source), alpha, beta, cycles.size, pl.derive_rng(cfg.seed, *tags, "outcome")
+    )
+    recalled, delay_ps, noise_t, noise_port = pl._recall(
+        cfg, channel, tags, cycles.size, stored, duration_ps
+    )
+    keep = in_band & recalled
+    idler_t = cycles * period_ps + i_slot * spacing_ps
+    signal_t = np.concatenate([(cycles * period_ps + delay_ps + s_slot * spacing_ps)[keep], noise_t])
+    signal_port = np.concatenate([s_port[keep], noise_port])
+    arrivals = {
+        "A1": idler_t[i_port == 0],
+        "A2": idler_t[i_port == 1],
+        "B1": signal_t[signal_port == 0],
+        "B2": signal_t[signal_port == 1],
+    }
+    seed = pl._seed(cfg, *tags, "detector")
+    streams = analyzer.detect(arrivals, cfg.detectors, duration_ps * 1e-12, seed)
+    sides = [(streams[a], streams[b]) for a, b in (("A1", "A2"), ("B1", "B2"))]
+    (i1, i2), (s1, s2) = sides
+    return analyzer.threefold_counts(
+        np.concatenate([i1, i2]),
+        np.repeat([0, 1], [i1.size, i2.size]),
+        np.concatenate([s1, s2]),
+        np.repeat([0, 1], [s1.size, s2.size]),
+        cfg.clock_period_ns,
+        cfg.coincidence,
+        slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
+        signal_ref_ps=delay_ps,
+    ).counts
+
+
+class TestPoissonSplitting:
+    """acquire_threefold draws the idler-only pairs only next to a signal
+    click; its counts must have the distribution of the event path that
+    draws every pair (``_full_sampling_counts``)."""
+
+    SEEDS = 16
+
+    def test_reference_is_the_full_sampling_path(self):
+        # the pinned counts of the event path before the split
+        counts = _full_sampling_counts(fast_config(), 0, 0.0, 0.5, 400_000, ("pin",), True)
+        assert counts.reshape(-1).tolist() == [
+            28, 38, 1, 31, 36, 3, 30, 112, 25, 35, 10, 35, 3, 36, 32, 2, 33, 25,
+            30, 29, 0, 26, 37, 3, 27, 14, 32, 34, 115, 35, 3, 34, 29, 2, 24, 31,
+        ]
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
+    def test_no_signal_click_draws_no_idler_only_pair(self, monkeypatch, stored):
+        # no pair, memory noise or dark count: N is empty, and a draw over
+        # no cycle would raise
+        cfg = config_from_dict(
+            {
+                "source": {"pair_emission_probability_per_cycle": 0.0},
+                "memory": {"noise_rate_hz": 0.0},
+                "detectors": {"dark_count_rate_hz": 0.0},
+            }
+        )
+        bands = []
+
+        def recording_emission(model, n_cycles, rng, band_ghz):
+            bands.append(band_ghz)
+            return emission_arrays(model, n_cycles, rng, band_ghz)
+
+        monkeypatch.setattr(pl, "emission_arrays", recording_emission)
+        acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
+        assert bands == [pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)]
+        assert acq.n_pairs_sampled == 0
+        assert acq.idler_clicks.size == acq.signal_clicks.size == 0
+        assert not acq.threefold.counts.any()
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
+    @pytest.mark.parametrize(
+        "make_config, n_cycles",
+        [(fast_config, 3_000_000), (wide_jitter_config, 300_000)],
+        ids=["fast", "wide-jitter"],
+    )
+    def test_split_matches_full_sampling(self, make_config, n_cycles, stored):
+        # two-sample chi-square over the 36 cells, each summed over seeds:
+        # given X + Y, X is binomial(X + Y, 1/2) when both have one mean
+        split = np.zeros(36)
+        full = np.zeros(36)
+        for k in range(self.SEEDS):
+            cfg = dataclasses.replace(make_config(), seed=k)
+            acq = pl.acquire_threefold(cfg, 0, 0.0, 0.5, n_cycles, ("split",), stored)
+            split += acq.threefold.counts.reshape(-1)
+            full += _full_sampling_counts(cfg, 0, 0.0, 0.5, n_cycles, ("full",), stored).reshape(-1)
+        total = split + full
+        cells = total > 0
+        chi2 = np.sum((split - full)[cells] ** 2 / total[cells])
+        assert stats.chi2.sf(chi2, cells.sum()) > 1e-3, (chi2, split, full)
+
+
 class TestAcquisitionMemory:
     """An acquisition drops each pair-level array at its last use, so the
     scans can run several at once.  Holding them all to the end, as the
@@ -178,7 +300,7 @@ class TestAcquisitionMemory:
         pl.acquire_threefold(cfg, 0, 0.0, 0.5, 10_000, ("warm-up",), stored=False)
         tracemalloc.start()
         try:
-            acq = pl.acquire_threefold(cfg, 0, 0.0, 0.5, 2_500_000, ("memory",), stored=False)
+            acq = pl.acquire_threefold(cfg, 0, 0.0, 0.5, 3_500_000, ("memory",), stored=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -197,7 +319,7 @@ class TestCountingMemory:
     def test_peak_memory_per_click(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pl, "threefold_counts", lambda *a, **kw: calls.append((a, kw)))
-        pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.5, 4_000_000, ("memory",), stored=False)
+        pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.5, 5_000_000, ("memory",), stored=False)
         ((args, kwargs),) = calls
         n_clicks = args[0].size + args[2].size
         analyzer.threefold_counts(*args, **kwargs)  # warm-up
@@ -214,32 +336,38 @@ class TestCountingMemory:
 class TestPinnedCounts:
     """Exact integer results of the event path at the shipped seed.  Every
     rewrite of sampling, detection or counting must keep each draw and each
-    count; a changed RNG stream or an off-by-one cycle shows here."""
+    count; a changed RNG stream or an off-by-one cycle shows here.  The
+    threefold pins are those of the split acquisition (signal-band pairs in
+    full, idler-only pairs next to a signal click), whose pairs drawn differ
+    by stage: after storage fewer signal clicks leave fewer cycles to draw
+    fringe pairs in."""
 
     @pytest.mark.parametrize(
-        "stored, counts, unclassified",
+        "stored, counts, unclassified, n_pairs",
         [
             (
                 True,
-                [28, 38, 1, 31, 36, 3, 30, 112, 25, 35, 10, 35, 3, 36, 32, 2, 33, 25,
-                 30, 29, 0, 26, 37, 3, 27, 14, 32, 34, 115, 35, 3, 34, 29, 2, 24, 31],
-                (0, 19),
+                [35, 30, 1, 34, 28, 5, 31, 109, 36, 31, 14, 34, 7, 33, 38, 0, 38, 34,
+                 31, 35, 1, 25, 22, 4, 29, 19, 53, 34, 126, 34, 1, 36, 31, 1, 26, 37],
+                (0, 22),
+                13_372,
             ),
             (
                 False,
-                [202, 202, 10, 181, 207, 16, 212, 694, 226, 220, 101, 220, 15, 220, 204, 12, 212, 211,
-                 175, 171, 12, 189, 222, 15, 197, 116, 239, 170, 747, 232, 10, 215, 226, 15, 212, 229],
+                [210, 197, 12, 177, 222, 12, 201, 740, 200, 181, 95, 230, 11, 209, 211, 11, 227, 212,
+                 210, 198, 18, 184, 209, 13, 226, 94, 246, 245, 769, 226, 9, 239, 212, 8, 184, 214],
                 (0, 0),
+                13_799,
             ),
         ],
         ids=["stored", "bypassed"],
     )
-    def test_threefold(self, stored, counts, unclassified):
+    def test_threefold(self, stored, counts, unclassified, n_pairs):
         acq = pl.acquire_threefold(fast_config(), 0, 0.0, 0.5, 400_000, ("pin",), stored=stored)
         tf = acq.threefold
         assert tf.counts.reshape(-1).tolist() == counts
         assert (tf.unclassified_idler, tf.unclassified_signal) == unclassified
-        assert acq.n_pairs_sampled == 20_596
+        assert acq.n_pairs_sampled == n_pairs
 
     def test_g2(self):
         cfg = fast_config()
@@ -249,8 +377,8 @@ class TestPinnedCounts:
 
 class TestAnalyticConsistency:
     def test_sampled_counts_track_born_rates(self):
-        # negligible-rate config: sampled middle-middle counts within 5
-        # sigma of the exact project_pair prediction
+        # negligible-rate config: each of the 36 sampled cells within 5
+        # sigma of the exact project_pair prediction plus accidentals
         cfg = low_rate_config()
         n_cycles = 3_000_000
         for stored in (False, True):
@@ -258,8 +386,8 @@ class TestAnalyticConsistency:
                 acq = pl.acquire_threefold(
                     cfg, 0, alpha, beta, n_cycles, ("cons", stored, alpha, beta), stored
                 )
-                expected = pl.analytic_mm_counts(cfg, 0, alpha, beta, n_cycles, stored)
-                observed = analyzer.middle_middle(acq.threefold.counts).reshape(-1).astype(float)
+                expected = pl.analytic_counts(cfg, 0, alpha, beta, n_cycles, stored).reshape(-1)
+                observed = acq.threefold.counts.reshape(-1).astype(float)
                 for obs, exp in zip(observed, expected):
                     assert abs(obs - exp) < 5 * np.sqrt(max(exp, 1.0))
 
