@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from afcsim.analyzer import CoincidenceConfig, DetectorConfig
-from afcsim.memory import CHANNEL_BANDWIDTH_GHZ, MemoryBank
+from afcsim.memory import CHANNEL_BANDWIDTH_GHZ, CHANNEL_OFFSETS_GHZ, MemoryBank
 from afcsim.source import SourceModel
 
 __all__ = [
@@ -136,6 +136,14 @@ class ExperimentConfig:
         # the range is rejected, not folded into it
         if not 0 <= self.seed < 2**32:
             raise ConfigError(f"seed: {self.seed} is outside [0, 2**32)")
+        # the idler band, which covers the signal band, must fit the pair band
+        half, outer = self.source.pair_bandwidth_ghz / 2, max(map(abs, CHANNEL_OFFSETS_GHZ))
+        if outer + self.filters.idler_bandwidth_ghz / 2 > half:
+            raise ConfigError(
+                f"filters.idler_bandwidth_ghz, source.pair_bandwidth_ghz: the "
+                f"{self.filters.idler_bandwidth_ghz} GHz idler band of the outer channels, "
+                f"at +-{outer} GHz, leaves the +-{half} GHz pair band"
+            )
 
     @property
     def clock_period_ns(self) -> float:

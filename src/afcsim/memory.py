@@ -3,8 +3,9 @@
 Covers the AFC efficiency law, the teeth-spacing/storage-time mapping, the
 15 GHz spectral channel grid, the per-channel recall survival, and the
 storage-time decay model fitted to the bundled efficiency grid.  Storage
-itself (recall thinning, the fixed 1/Delta delay and the noise floor) is
-applied to the sampled arrays in :mod:`afcsim.pipeline`.
+itself is applied in :mod:`afcsim.pipeline`: the recall survival sets the
+rates at which the recalled and the lost pairs are drawn, and the fixed
+1/Delta delay and the noise floor act on the drawn arrays.
 
 The channel grid is a constant of the model, not configuration: channel
 centers are GHz offsets from the grid reference (channel 3) and every

@@ -2,11 +2,13 @@
 detectors -> counting, plus per-channel run reports.
 
 Acquisitions come in two flavors: ``stored=True`` sends the signal photon
-through its memory channel (recall thinning by the boosted survival, fixed
+through its memory channel (recall by the boosted survival s, fixed
 1/Delta delay, memory noise floor) while ``stored=False`` bypasses the
-memory (the before-storage characterization path).  Statistics that do not
-depend on losses (g2, E, S, V) are unaffected by the desk-scale boost,
-which only buys counting statistics.
+memory (the before-storage characterization path).  Recall splits the
+Poissonian signal-band pairs into two Poisson processes, each drawn at its
+own rate: the recalled pairs at s times the band's rate, the lost pairs at
+1 - s times it.  Statistics that do not depend on losses (g2, E, S, V) are
+unaffected by the desk-scale boost, which only buys counting statistics.
 
 Everything is deterministic given (config, seed): independent acquisitions
 derive child generators from stable string tags, so channels and settings
@@ -17,9 +19,9 @@ acquires every spec of a call's scans on one thread pool, one thread per
 CPU this process may run on and no more than the specs, then fits each
 scan on the calling thread.  Every other acquisition (the g2 runs, the DD
 acquisition whose clicks fig7 histograms) runs on the calling thread.  A
-threefold acquisition draws the signal-band pairs over the whole run, but
-follows the pairs whose signal photon cannot reach a detector only in the
-cycles next to a signal click (:func:`acquire_threefold`); it drops each
+threefold acquisition draws the recalled pairs over the whole run, but
+the idler-only pairs, whose signal photon cannot reach a detector, only in
+the cycles next to a signal click (:func:`acquire_threefold`); it drops each
 pair-level array at its last use, so a thread holds about 19 MB at its peak at
 before-storage CHSH size (343k pairs drawn), against 26 MB when every pair
 of the idler band was drawn.
@@ -92,19 +94,17 @@ def boosted_survival(cfg: ExperimentConfig, channel: int) -> float:
     return min(storage_survival(cfg.bank, channel) * cfg.desk_scale.efficiency_boost, 0.95)
 
 
-def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bool, duration_ps):
+def _recall(cfg: ExperimentConfig, channel: int, tags, stored: bool, duration_ps):
     """The memory step of the signal chain.
 
-    Returns (keep, delay_ps, noise_times_ps, noise_ports): which of the
-    ``n_signal`` signal photons the boosted recall survival keeps, the fixed
-    1/Delta recall delay, and the memory-noise arrivals injected at the
-    boosted noise rate.  A bypassed memory (``stored=False``) keeps every
-    photon, adds no delay and no noise.
+    Returns (survival, delay_ps, noise_times_ps, noise_ports): the boosted
+    recall survival s, the share of signal-band pairs whose signal photon
+    the memory recalls, the fixed 1/Delta recall delay, and the memory-noise
+    arrivals injected at the boosted noise rate.  A bypassed memory
+    (``stored=False``) recalls every photon, adds no delay and no noise.
     """
     if not stored:
-        return np.ones(n_signal, dtype=bool), 0.0, np.empty(0), np.empty(0, dtype=np.int64)
-    rng_store = derive_rng(cfg.seed, *tags, "storage")
-    keep = rng_store.random(n_signal) < boosted_survival(cfg, channel)
+        return 1.0, 0.0, np.empty(0), np.empty(0, dtype=np.int64)
     delay_ps = cfg.bank.channels[channel].storage_time_ns * 1e3
     rng_noise = derive_rng(cfg.seed, *tags, "memnoise")
     rate_hz = cfg.bank.noise_rate_hz * cfg.desk_scale.efficiency_boost
@@ -112,7 +112,7 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, n_signal: int, stored: bo
     # the ports come after the times from this stream, which feeds nothing
     # else, so a caller that ignores them sees the same times
     noise_t = rng_noise.uniform(0, duration_ps, n_noise)
-    return keep, delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
+    return boosted_survival(cfg, channel), delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
 
 
 # the +- span of fig7's two-fold histogram of an acquisition's clicks
@@ -168,14 +168,19 @@ def _near_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float, w: in
     return near[np.searchsorted(near, 0) : np.searchsorted(near, n_cycles)]
 
 
-def _fringe_bands(cfg: ExperimentConfig, channel: int) -> list:
-    """The idler filter's band outside the signal band: the sub-bands below
-    and above it, or none when the two filters match."""
-    if cfg.filters.idler_bandwidth_ghz <= cfg.filters.signal_bandwidth_ghz:
-        return []
-    full = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
+def _idler_only(cfg: ExperimentConfig, channel: int, survival: float, n_cycles: int, rng):
+    """The cycles of the pairs of a channel whose signal photon reaches no
+    detector, drawn over ``n_cycles`` cycles by :func:`emission_arrays`, one
+    process after the other: the idler filter's fringe below and above the
+    signal band (none when the two filters match), then the signal-band
+    pairs the memory loses, a share 1 - ``survival`` of them (none, and no
+    draw from ``rng``, when it recalls every photon)."""
     sig = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    return [(full[0], sig[0]), (sig[1], full[1])]
+    processes = [(sig, 1.0 - survival)]
+    if cfg.filters.idler_bandwidth_ghz > cfg.filters.signal_bandwidth_ghz:
+        full = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
+        processes[:0] = [((full[0], sig[0]), 1.0), ((sig[1], full[1]), 1.0)]
+    return np.concatenate([emission_arrays(cfg.source, n_cycles, rng, *p)[0] for p in processes])
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,8 @@ class Acquisition:
     ``idler_clicks`` holds the idler clicks of the recalled pairs, of the
     idler-only pairs drawn in N (see :func:`acquire_threefold`) and the idler
     dark counts; the idler-only pairs outside N are never drawn.
-    ``n_pairs_sampled`` counts the pairs drawn: every signal-band pair of the
-    run and the fringe pairs drawn in N."""
+    ``n_pairs_sampled`` counts the pairs drawn: the recalled pairs of the
+    whole run, and the lost and fringe pairs drawn in N."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
@@ -210,24 +215,24 @@ def acquire_threefold(
     Pairs are emitted in the channel's idler-filter band, joint (port, slot)
     outcomes are Born-rule sampled from the source state, the signal photon
     is thinned by the memory band and (when stored) the boosted recall
-    survival, and both sides pass the click-level detector model before
+    survival s, and both sides pass the click-level detector model before
     clock-triggered threefold counting.
 
     Per-cycle pair numbers are Poissonian, so by Poisson splitting the pairs
     form two independent processes, sampled one after the other:
 
-    1. The recalled pairs: the signal-band pairs, drawn over the whole run
-       and thinned by the recall.  Each gets a joint outcome, and both of
-       its photons go to the detectors.  Their signal clicks, with the
-       memory noise and the signal dark counts, fix S, the cycles that hold
-       a signal click.
-    2. The idler-only pairs: the signal-band pairs the memory lost, and the
-       pairs in the idler filter's fringe outside the signal band.  No
-       signal photon of theirs reaches a detector, so an idler click of
-       theirs is counted or histogrammed only next to a signal click.  They
-       are drawn only in N, S widened by w cycles on each side
-       (:func:`_neighbour_cycles`): the lost pairs whose cycle is in N, and
-       fringe pairs drawn over ``len(N)`` cycles and mapped through N.
+    1. The recalled pairs: a share s of the signal-band pairs, drawn over
+       the whole run at s times the band's rate.  Each gets a joint outcome,
+       and both of its photons go to the detectors.  Their signal clicks,
+       with the memory noise and the signal dark counts, fix S, the cycles
+       that hold a signal click.
+    2. The idler-only pairs (:func:`_idler_only`): the pairs in the idler
+       filter's fringe outside the signal band, and the share 1 - s of the
+       signal-band pairs that the memory loses.  No signal photon of theirs
+       reaches a detector, so an idler click of theirs is counted or
+       histogrammed only next to a signal click.  They are drawn only in N,
+       S widened by w cycles on each side (:func:`_neighbour_cycles`): over
+       ``len(N)`` cycles, mapped through N.
 
     The second process is independent of S, so drawing it only in N gives
     every count and every fig7 histogram entry the distribution that
@@ -242,19 +247,13 @@ def acquire_threefold(
     # Each pair-level array is dropped at its last use: a before-storage
     # CHSH acquisition draws ~330k pairs, and the scans run several
     # acquisitions at once (see run_scans).
+    survival, delay_ps, noise_t, noise_port = _recall(cfg, channel, tags, stored, duration_ps)
     rng_em = derive_rng(cfg.seed, *tags, "emission")
     sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    cycles, _ = emission_arrays(cfg.source, n_cycles, rng_em, sig_band)
-    n_pairs = len(cycles)
-    keep, delay_ps, noise_t, noise_port = _recall(
-        cfg, channel, tags, n_pairs, stored, duration_ps
-    )
-    recalled = np.compress(keep, cycles)
-    lost = np.compress(~keep, cycles)
-    del cycles, keep
-    rng_out = derive_rng(cfg.seed, *tags, "outcome")
+    recalled, _ = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, survival)
+    n_pairs = recalled.size
     i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
-        rho, alpha_rad, beta_rad, recalled.size, rng_out
+        rho, alpha_rad, beta_rad, n_pairs, derive_rng(cfg.seed, *tags, "outcome")
     )
     idler_a1 = i_port == 0
     del i_port
@@ -287,18 +286,9 @@ def acquire_threefold(
     del idler_t, idler_a1
     near = _near_cycles(signal_clicks, delay_ps, period_ps, _neighbour_cycles(cfg), n_cycles)
     if near.size:  # no signal click, no idler-only pair to draw
-        if lost.size:  # a byte per cycle, only when the memory lost pairs
-            in_near = np.zeros(n_cycles, dtype=bool)
-            in_near[near] = True
-            lost = np.compress(in_near.take(lost), lost)
-            del in_near
-        only = [lost]
         rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
-        for band in _fringe_bands(cfg, channel):
-            fringe, _ = emission_arrays(cfg.source, near.size, rng_fringe, band)
-            n_pairs += fringe.size
-            only.append(near.take(fringe))
-        only = np.concatenate(only)
+        only = near.take(_idler_only(cfg, channel, survival, near.size, rng_fringe))
+        n_pairs += only.size
         rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
         o_port, o_slot, _, _ = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only)
         only_t = only * period_ps
@@ -307,7 +297,7 @@ def acquire_threefold(
         idler_a.append(np.compress(only_a1, only_t))
         idler_b.append(np.compress(~only_a1, only_t))
         del only, o_port, o_slot, only_t, only_a1
-    del lost, near
+    del near
     streams = detect(
         {"A1": np.concatenate(idler_a), "A2": np.concatenate(idler_b)},
         cfg.detectors,
@@ -360,39 +350,34 @@ def acquire_g2(
     """Cross-correlation run with single-temporal-mode pairs and direct
     detection (no analyzers).
 
-    The signal stream comes from pairs in ``signal_channel``'s memory band,
-    the idler stream from pairs whose idlers pass ``idler_channel``'s
-    filter.  For distinct channels the two sets are independent Poisson
-    streams, so only accidental coincidences remain.  A run in which either
-    side has no click raises :class:`ConfigError`: g2 is undefined there.
+    The signal stream comes from the recalled pairs of ``signal_channel``'s
+    memory band, the idler stream from pairs whose idlers pass
+    ``idler_channel``'s filter (for one channel, the recalled pairs and
+    :func:`_idler_only`).  For distinct channels the two sets are
+    independent Poisson streams, so only accidental coincidences remain.  A
+    run in which either side has no click raises :class:`ConfigError`: g2 is
+    undefined there.
     """
     period_ps = cfg.clock_period_ns * 1e3
     duration_ps = n_cycles * period_ps
 
+    survival, delay_ps, noise_t, _ = _recall(cfg, signal_channel, tags, stored, duration_ps)
     rng_sig = derive_rng(cfg.seed, *tags, "sig-emission")
     sig_band = channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
-    sig_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band)
+    sig_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band, survival)
 
     if idler_channel == signal_channel:
-        # idlers of the same pairs, plus the wider-filter fringe around them
+        # idlers of the recalled pairs, plus the fringe and lost pairs
         rng_extra = derive_rng(cfg.seed, *tags, "idl-fringe")
-        idl_cycles = [sig_cycles]
-        for b in _fringe_bands(cfg, idler_channel):
-            c, _ = emission_arrays(cfg.source, n_cycles, rng_extra, b)
-            idl_cycles.append(c)
-        idl_cycles = np.sort(np.concatenate(idl_cycles))
+        only = _idler_only(cfg, idler_channel, survival, n_cycles, rng_extra)
+        idl_cycles = np.sort(np.concatenate([sig_cycles, only]))
     else:
         rng_idl = derive_rng(cfg.seed, *tags, "idl-emission")
         idl_band = channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
         idl_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_idl, idl_band)
 
     idler_t = idl_cycles.astype(float) * period_ps
-
-    keep, delay_ps, noise_t, _ = _recall(
-        cfg, signal_channel, tags, len(sig_cycles), stored, duration_ps
-    )
-    recalled_t = np.compress(keep, sig_cycles) * period_ps + delay_ps
-    signal_t = np.sort(np.concatenate([recalled_t, noise_t]))
+    signal_t = np.sort(np.concatenate([sig_cycles * period_ps + delay_ps, noise_t]))
 
     det_seed = _seed(cfg, *tags, "detector")
     # detect draws efficiency and jitter photon by photon in input order, so

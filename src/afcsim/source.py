@@ -118,15 +118,19 @@ def emission_arrays(
     n_cycles: int,
     rng: np.random.Generator,
     band_ghz: tuple[float, float],
+    fraction: float = 1.0,
 ):
-    """Vectorized emission sampling of the pairs whose signal offset lies in
-    the sub-band ``band_ghz``; returns (cycles, offsets_ghz): the sorted
-    pump cycle and the signal-photon frequency offset of each pair (the
-    idler offset is its negative, by energy conservation).
+    """Vectorized emission sampling of a share ``fraction`` of the pairs
+    whose signal offset lies in the sub-band ``band_ghz``; returns
+    (cycles, offsets_ghz): the sorted pump cycle and the signal-photon
+    frequency offset of each pair (the idler offset is its negative, by
+    energy conservation).
 
     Because per-cycle pair numbers are Poissonian, pairs in disjoint
     sub-bands are independent Poisson streams, so sampling one band alone is
-    exact (not an approximation) and proportionally cheaper.
+    exact (not an approximation) and proportionally cheaper.  So is a
+    ``fraction`` f, the pairs kept by a thinning of f; f = 0 leaves ``rng``
+    as it was.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -134,7 +138,7 @@ def emission_arrays(
     lo, hi = band_ghz
     if not (-half <= lo < hi <= half):
         raise ValueError(f"band {band_ghz} not inside the +-{half} GHz pair band")
-    mu = pair_rate_per_cycle(model) * (hi - lo) / model.pair_bandwidth_ghz
+    mu = fraction * pair_rate_per_cycle(model) * (hi - lo) / model.pair_bandwidth_ghz
     n_pairs = rng.poisson(mu * n_cycles)
     cycles = np.sort(rng.integers(0, n_cycles, size=n_pairs))
     offsets = rng.uniform(lo, hi, size=n_pairs)

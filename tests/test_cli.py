@@ -440,6 +440,28 @@ class TestRejectedBeforeOut:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb", [["reproduce", "fig4"], ["simulate", "--channels", "1"]])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"filters": {"idler_bandwidth_ghz": 50}}, "the 50 GHz idler band"),
+            ({"source": {"pair_bandwidth_ghz": 10}}, "leaves the +-5.0 GHz pair band"),
+        ],
+        ids=["wide-idler-filter", "narrow-pair-band"],
+    )
+    def test_filter_band_outside_the_pair_band_exit_2(
+        self, tmp_path, capsys, verb, overrides, message
+    ):
+        # the outer channels sit at +-30 GHz: a filter band reaching past the
+        # pair band would draw pairs the source does not emit
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(overrides))
+        assert cli.main(verb + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: filters.idler_bandwidth_ghz, source.pair_bandwidth_ghz:" in err
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
 
 def _readme_artifacts() -> dict:
     """(verb, artifact) -> (options read, takes one channel), from the

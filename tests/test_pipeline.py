@@ -184,10 +184,20 @@ def wide_jitter_config():
     )
 
 
+def _recall_draw(cfg, channel, tags, n_signal, stored):
+    """Which of ``n_signal`` signal photons the memory recalls: one keep
+    draw per pair at the recall survival, from the tags' "storage" stream."""
+    if not stored:
+        return np.ones(n_signal, dtype=bool)
+    rng = pl.derive_rng(cfg.seed, *tags, "storage")
+    return rng.random(n_signal) < pl.boosted_survival(cfg, channel)
+
+
 def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
     """Threefold counts of the event path that draws every pair of the idler
     band, gives each a joint outcome and sends each idler to a detector; the
-    signal photon is kept in the signal band when the memory recalls it."""
+    signal photon is kept in the signal band when the memory recalls it, by
+    a keep draw per pair (``_recall_draw``)."""
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
@@ -198,10 +208,8 @@ def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
     i_port, i_slot, s_port, s_slot = analyzer.sample_pair_outcomes(
         analytic_state(cfg.source), alpha, beta, cycles.size, pl.derive_rng(cfg.seed, *tags, "outcome")
     )
-    recalled, delay_ps, noise_t, noise_port = pl._recall(
-        cfg, channel, tags, cycles.size, stored, duration_ps
-    )
-    keep = in_band & recalled
+    _, delay_ps, noise_t, noise_port = pl._recall(cfg, channel, tags, stored, duration_ps)
+    keep = in_band & _recall_draw(cfg, channel, tags, cycles.size, stored)
     idler_t = cycles * period_ps + i_slot * spacing_ps
     signal_t = np.concatenate([(cycles * period_ps + delay_ps + s_slot * spacing_ps)[keep], noise_t])
     signal_port = np.concatenate([s_port[keep], noise_port])
@@ -253,15 +261,16 @@ class TestPoissonSplitting:
                 "detectors": {"dark_count_rate_hz": 0.0},
             }
         )
-        bands = []
+        draws = []
 
-        def recording_emission(model, n_cycles, rng, band_ghz):
-            bands.append(band_ghz)
-            return emission_arrays(model, n_cycles, rng, band_ghz)
+        def recording_emission(model, n_cycles, rng, band_ghz, fraction=1.0):
+            draws.append((band_ghz, fraction))
+            return emission_arrays(model, n_cycles, rng, band_ghz, fraction)
 
         monkeypatch.setattr(pl, "emission_arrays", recording_emission)
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
-        assert bands == [pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)]
+        survival = pl.boosted_survival(cfg, 0) if stored else 1.0
+        assert draws == [(pl.channel_band(0, cfg.filters.signal_bandwidth_ghz), survival)]
         assert acq.n_pairs_sampled == 0
         assert acq.idler_clicks.size == acq.signal_clicks.size == 0
         assert not acq.threefold.counts.any()
@@ -286,6 +295,66 @@ class TestPoissonSplitting:
         cells = total > 0
         chi2 = np.sum((split - full)[cells] ** 2 / total[cells])
         assert stats.chi2.sf(chi2, cells.sum()) > 1e-3, (chi2, split, full)
+
+
+def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags, stored):
+    """(coincidences, signal singles, idler singles) of the g2 path that
+    draws every signal-band pair and keeps its signal photon by a keep draw
+    per pair (``_recall_draw``); a same-channel run sends the idlers of all
+    of them, recalled or lost, with the idler filter's fringe pairs."""
+    period_ps = cfg.clock_period_ns * 1e3
+    duration_ps = n_cycles * period_ps
+    signal_band = pl.channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
+    idler_band = pl.channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
+    sig_cycles, _ = emission_arrays(
+        cfg.source, n_cycles, pl.derive_rng(cfg.seed, *tags, "sig-emission"), signal_band
+    )
+    rng_idl = pl.derive_rng(cfg.seed, *tags, "idl-emission")
+    if idler_channel == signal_channel:
+        fringe = [(idler_band[0], signal_band[0]), (signal_band[1], idler_band[1])]
+        idl_cycles = [sig_cycles] + [emission_arrays(cfg.source, n_cycles, rng_idl, b)[0] for b in fringe]
+        idl_cycles = np.sort(np.concatenate(idl_cycles))
+    else:
+        idl_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_idl, idler_band)
+    _, delay_ps, noise_t, _ = pl._recall(cfg, signal_channel, tags, stored, duration_ps)
+    keep = _recall_draw(cfg, signal_channel, tags, sig_cycles.size, stored)
+    signal_t = np.sort(np.concatenate([sig_cycles[keep] * period_ps + delay_ps, noise_t]))
+    streams = analyzer.detect(
+        {"A": idl_cycles * period_ps, "B": signal_t},
+        cfg.detectors,
+        duration_ps * 1e-12,
+        pl._seed(cfg, *tags, "detector"),
+    )
+    tallies = analyzer.g2_tallies(
+        streams["B"], streams["A"], cfg.clock_period_ns, cfg.coincidence, signal_ref_ps=delay_ps
+    )
+    return np.array(dataclasses.astuple(tallies), dtype=float)
+
+
+class TestG2PoissonSplitting:
+    """acquire_g2 draws the recalled pairs at s times the signal band's
+    rate and, for a same-channel run, the lost pairs as an idler-only
+    process at 1 - s times it; its tallies must have the distribution of
+    the path that keeps each signal photon by a draw per pair
+    (``_full_sampling_g2_tallies``)."""
+
+    SEEDS = 16
+
+    @pytest.mark.parametrize("idler_channel", [0, 3], ids=["same-channel", "cross-channel"])
+    def test_tallies_match_full_sampling(self, idler_channel):
+        # each tally summed over seeds: given X + Y, X is binomial(X + Y,
+        # 1/2) when both have one mean; the three tallies share clicks, so
+        # each is tested on its own against a third of the level
+        split = np.zeros(3)
+        full = np.zeros(3)
+        for k in range(self.SEEDS):
+            cfg = dataclasses.replace(fast_config(), seed=k)
+            n_cycles = cfg.desk_scale.g2_cycles
+            run = pl.acquire_g2(cfg, 0, idler_channel, n_cycles, ("split",), stored=True)
+            split += (run.coincidences, run.signal_singles, run.idler_singles)
+            full += _full_sampling_g2_tallies(cfg, 0, idler_channel, n_cycles, ("full",), True)
+        p = stats.binom.cdf(np.minimum(split, full), split + full, 0.5) * 2
+        assert (3 * p > 1e-3).all(), (split, full)
 
 
 class TestAcquisitionMemory:
@@ -337,20 +406,25 @@ class TestPinnedCounts:
     """Exact integer results of the event path at the shipped seed.  Every
     rewrite of sampling, detection or counting must keep each draw and each
     count; a changed RNG stream or an off-by-one cycle shows here.  The
-    threefold pins are those of the split acquisition (signal-band pairs in
-    full, idler-only pairs next to a signal click), whose pairs drawn differ
-    by stage: after storage fewer signal clicks leave fewer cycles to draw
-    fringe pairs in."""
+    threefold pins are those of the split acquisition: the recalled pairs,
+    a share s of the signal band (s = 1 before storage), drawn in full, and
+    the idler-only pairs (the fringe, then the share 1 - s the memory
+    loses) drawn next to a signal click.  Its pairs drawn differ by stage:
+    after storage far fewer pairs are recalled, and fewer signal clicks
+    leave fewer cycles to draw idler-only pairs in.  The g2 pins are those
+    of a stored same-channel run whose signal pairs are drawn at s times
+    the band's rate and whose idlers add the fringe and the lost pairs
+    drawn over the whole run."""
 
     @pytest.mark.parametrize(
         "stored, counts, unclassified, n_pairs",
         [
             (
                 True,
-                [35, 30, 1, 34, 28, 5, 31, 109, 36, 31, 14, 34, 7, 33, 38, 0, 38, 34,
-                 31, 35, 1, 25, 22, 4, 29, 19, 53, 34, 126, 34, 1, 36, 31, 1, 26, 37],
-                (0, 22),
-                13_372,
+                [35, 27, 5, 31, 27, 2, 29, 103, 34, 30, 13, 27, 4, 32, 36, 0, 30, 32,
+                 30, 35, 1, 23, 23, 2, 31, 12, 52, 34, 123, 35, 3, 35, 30, 1, 24, 35],
+                (0, 23),
+                2_138,
             ),
             (
                 False,
@@ -372,7 +446,7 @@ class TestPinnedCounts:
     def test_g2(self):
         cfg = fast_config()
         run = pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("pin-g2",), stored=True)
-        assert (run.coincidences, run.signal_singles, run.idler_singles) == (943, 1353, 14244)
+        assert (run.coincidences, run.signal_singles, run.idler_singles) == (993, 1383, 14172)
 
 
 class TestAnalyticConsistency:
