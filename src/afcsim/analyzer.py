@@ -399,6 +399,32 @@ def threefold_counts(
     )
 
 
+def _window_cycles(rel: np.ndarray, period_ps: float, window_ps: float):
+    """The cycle of each event, given by its time ``rel`` after the clock
+    reference, and whether it lies within the coincidence window of that
+    cycle's arrival time.  The cycle is the whole periods of ``rel + period
+    / 2`` (:func:`_fold_cycles`), the old ``round((rel - phase) / period)``
+    with half a period to spare."""
+    cycles, phase = _fold_cycles(rel + period_ps / 2, period_ps, period_ps / 2)
+    phase -= period_ps / 2
+    if cycles is None:
+        cycles = np.round((rel - phase) / period_ps).astype(np.int64)
+    return cycles, np.abs(phase, out=phase) <= window_ps / 2.0
+
+
+def _occupied_cycles(rel: np.ndarray, period_ps: float, window_ps: float) -> np.ndarray:
+    """The sorted distinct cycles that hold an event within the window
+    (:func:`_window_cycles`).  Events whose cycles come in a few sorted runs
+    (what ``detect`` returns) are the stable sort's fast case."""
+    cycles, in_window = _window_cycles(rel, period_ps, window_ps)
+    cycles = np.compress(in_window, cycles)
+    del in_window
+    cycles.sort(kind="stable")
+    first = np.ones(cycles.size, dtype=bool)
+    first[1:] = cycles[1:] != cycles[:-1]
+    return np.compress(first, cycles)
+
+
 @dataclass(frozen=True)
 class G2Tallies:
     coincidences: int
@@ -421,30 +447,15 @@ def g2_tallies(
     with both a signal and an idler event.  The idler clicks are the clock
     reference; ``signal_ref_ps`` absorbs the signal side's fixed delay.
 
-    Events may come in any order.  Streams whose cycles come in a few
-    sorted runs (what ``detect`` returns) are the stable sort's fast case;
-    the sorted occupied cycles of the two sides are joined as in
-    :func:`threefold_counts`.  The cycle of an event is
-    the whole periods of ``rel + period / 2`` (:func:`_fold_cycles`), the
-    old ``round((rel - phase) / period)`` with half a period to spare.
+    Events may come in any order.  The sorted occupied cycles of the two
+    sides (:func:`_occupied_cycles`) are joined as in
+    :func:`threefold_counts`.
     """
     period_ps = clock_period_ns * 1e3
-
-    def occupied(rel):
-        cycles, phase = _fold_cycles(rel + period_ps / 2, period_ps, period_ps / 2)
-        phase -= period_ps / 2
-        if cycles is None:
-            cycles = np.round((rel - phase) / period_ps).astype(np.int64)
-        in_window = np.abs(phase, out=phase) <= cfg.window_ps / 2.0
-        del phase  # free it before the selection: a long g2 run's peak memory
-        cycles = np.compress(in_window, cycles)
-        cycles.sort(kind="stable")
-        first = np.ones(cycles.size, dtype=bool)
-        first[1:] = cycles[1:] != cycles[:-1]
-        return np.compress(first, cycles)
-
-    s_cycles = occupied(np.asarray(signal_times_ps, dtype=float) - signal_ref_ps)
-    i_cycles = occupied(np.asarray(idler_times_ps, dtype=float))
+    s_cycles = _occupied_cycles(
+        np.asarray(signal_times_ps, dtype=float) - signal_ref_ps, period_ps, cfg.window_ps
+    )
+    i_cycles = _occupied_cycles(np.asarray(idler_times_ps, dtype=float), period_ps, cfg.window_ps)
     _, n = _same_cycle(i_cycles, s_cycles, 0)
     return G2Tallies(
         coincidences=int(np.count_nonzero(n)),

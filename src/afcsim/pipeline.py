@@ -24,7 +24,12 @@ the idler-only pairs, whose signal photon cannot reach a detector, only in
 the cycles next to a signal click (:func:`acquire_threefold`); it drops each
 pair-level array at its last use, so a thread holds about 19 MB at its peak at
 before-storage CHSH size (343k pairs drawn), against 26 MB when every pair
-of the idler band was drawn.
+of the idler band was drawn.  A g2 run splits its pairs the same way
+(:func:`acquire_g2`): its idler-only pairs are drawn only next to a
+signal-occupied cycle, and their occupancy of every other cycle is one
+binomial draw.  A stored same-channel run at the calibration size peaks
+at about 1.5 MB of tracemalloc memory, against 15.5 MB when all ~300k
+pairs of its idler band were drawn.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -40,6 +45,8 @@ from afcsim import bell
 from afcsim import tomography as tom
 from afcsim.analyzer import (
     ThreefoldCounts,
+    _occupied_cycles,
+    _window_cycles,
     detect,
     g2_cross,
     g2_tallies,
@@ -148,39 +155,59 @@ def _neighbour_cycles(cfg: ExperimentConfig) -> int:
     return math.ceil((max(wrap_ps, histogram_ps) + jitter_ps) / period_ps)
 
 
-def _near_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float, w: int, n_cycles: int):
-    """N: the sorted cycles of ``[0, n_cycles)`` within ``w`` of the cycle of
-    a signal click (its time after the recall delay, in whole periods)."""
+def _click_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float) -> np.ndarray:
+    """The sorted cycles of the clicks: their times after the recall delay,
+    in whole periods."""
     cycles = (clicks_ps - delay_ps) / period_ps
     cycles = np.floor(cycles, out=cycles).astype(np.int64)
     # each detector's clicks are a few nearly sorted runs: the stable sort's
     # fast case
     cycles.sort(kind="stable")
+    return cycles
+
+
+def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int) -> np.ndarray:
+    """The sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
+    sorted int64 ``cycles``, which it overwrites: a caller that passes a
+    fresh array lets it go before the result is built."""
     # each cycle adds the part of its window [cycle - w, cycle + w] past the
     # window of the cycle before it: ``new`` cycles, ending at cycle + w
     new = np.diff(cycles, prepend=cycles[:1] - 2 * w - 1)
     np.minimum(new, 2 * w + 1, out=new)
     cycles += w + 1
-    cycles -= np.cumsum(new)  # a window's first new cycle less its index in N
+    cycles -= np.cumsum(new)  # a window's first new cycle less its index in the result
     near = np.repeat(cycles, new)
     del cycles, new
     near += np.arange(near.size)
     return near[np.searchsorted(near, 0) : np.searchsorted(near, n_cycles)]
 
 
-def _idler_only(cfg: ExperimentConfig, channel: int, survival: float, n_cycles: int, rng):
-    """The cycles of the pairs of a channel whose signal photon reaches no
-    detector, drawn over ``n_cycles`` cycles by :func:`emission_arrays`, one
-    process after the other: the idler filter's fringe below and above the
-    signal band (none when the two filters match), then the signal-band
-    pairs the memory loses, a share 1 - ``survival`` of them (none, and no
-    draw from ``rng``, when it recalls every photon)."""
+def _idler_only(cfg: ExperimentConfig, channel: int, survival: float):
+    """The ``(band, fraction)`` processes of the pairs of a channel whose
+    signal photon reaches no detector, in draw order: the idler filter's
+    fringe below and above the signal band (none when the two filters
+    match), then the signal-band pairs the memory loses, a share 1 -
+    ``survival`` of them (none, and no draw, when it recalls every photon)."""
     sig = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
     processes = [(sig, 1.0 - survival)]
     if cfg.filters.idler_bandwidth_ghz > cfg.filters.signal_bandwidth_ghz:
         full = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
         processes[:0] = [((full[0], sig[0]), 1.0), ((sig[1], full[1]), 1.0)]
+    return processes
+
+
+def _draw(cfg: ExperimentConfig, processes, n_cycles: int, rng) -> np.ndarray:
+    """The cycles of the pairs of the ``(band, fraction)`` processes, drawn
+    over ``n_cycles`` cycles by :func:`emission_arrays`, one process after
+    the other."""
     return np.concatenate([emission_arrays(cfg.source, n_cycles, rng, *p)[0] for p in processes])
+
+
+def _rate(cfg: ExperimentConfig, processes) -> float:
+    """The mean pairs per cycle of the ``(band, fraction)`` processes, the
+    rates :func:`emission_arrays` draws them at."""
+    mu = pair_rate_per_cycle(cfg.source)
+    return sum(f * mu * (hi - lo) / cfg.source.pair_bandwidth_ghz for (lo, hi), f in processes)
 
 
 @dataclass(frozen=True)
@@ -284,10 +311,12 @@ def acquire_threefold(
     idler_a = [np.compress(idler_a1, idler_t)]
     idler_b = [np.compress(~idler_a1, idler_t)]
     del idler_t, idler_a1
-    near = _near_cycles(signal_clicks, delay_ps, period_ps, _neighbour_cycles(cfg), n_cycles)
+    near = _near_cycles(
+        _click_cycles(signal_clicks, delay_ps, period_ps), _neighbour_cycles(cfg), n_cycles
+    )
     if near.size:  # no signal click, no idler-only pair to draw
         rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
-        only = near.take(_idler_only(cfg, channel, survival, near.size, rng_fringe))
+        only = near.take(_draw(cfg, _idler_only(cfg, channel, survival), near.size, rng_fringe))
         n_pairs += only.size
         rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
         o_port, o_slot, _, _ = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only)
@@ -330,6 +359,30 @@ def acquire_threefold(
     )
 
 
+def _g2_reach(cfg: ExperimentConfig) -> tuple[int, float]:
+    """(w, p_win) of a g2 run, by the formulas of :func:`acquire_g2`.
+
+    A click at time t after the clock reference counts toward cycle k when
+    |t - kP| <= h (:func:`analyzer._window_cycles`).  The idler of a pair
+    emitted in cycle c clicks at cP + j, so for a jitter |j| below
+    ``_JITTER_REACH_SIGMAS`` sigmas it counts toward no cycle farther than
+    w from c.  At the calibration (P = 16 ns, W = 600 ps, sigma = 40 ps)
+    w = 0.
+    """
+    period_ps = cfg.clock_period_ns * 1e3
+    half_ps = min(cfg.coincidence.window_ps, period_ps) / 2
+    sigma_ps = cfg.detectors.jitter_sigma_ps
+    w = math.floor((half_ps + _JITTER_REACH_SIGMAS * sigma_ps) / period_ps)
+    if sigma_ps == 0:
+        return w, 1.0
+    scale = sigma_ps * math.sqrt(2)
+    mass = sum(
+        math.erf((d * period_ps + half_ps) / scale) - math.erf((d * period_ps - half_ps) / scale)
+        for d in range(-w - 1, w + 2)
+    )
+    return w, mass / 2
+
+
 @dataclass(frozen=True)
 class G2Run:
     g2: float
@@ -352,46 +405,96 @@ def acquire_g2(
 
     The signal stream comes from the recalled pairs of ``signal_channel``'s
     memory band, the idler stream from pairs whose idlers pass
-    ``idler_channel``'s filter (for one channel, the recalled pairs and
-    :func:`_idler_only`).  For distinct channels the two sets are
+    ``idler_channel``'s filter.  For distinct channels the two sets are
     independent Poisson streams, so only accidental coincidences remain.  A
     run in which either side has no click raises :class:`ConfigError`: g2 is
     undefined there.
+
+    As in :func:`acquire_threefold`, Poisson splitting makes the pairs two
+    independent processes, and only the first is drawn over the whole run:
+
+    1. The recalled pairs, at s times the signal band's rate, with their
+       idlers for one channel; with the memory noise and every dark count.
+       Their signal clicks fix S, the cycles that hold a signal click within
+       the window (the signal singles of :func:`g2_tallies`).
+    2. The idler-only process, of rate lambda pairs per cycle: for one
+       channel the fringe and lost pairs (:func:`_idler_only`), for two the
+       whole idler channel.  It is drawn only in E, S widened by w cycles on
+       each side (:func:`_g2_reach`), and detected without dark counts; only
+       its clicks that count toward a cycle of S are kept.
+
+    Outside S the idler-only occupancy is one draw, Binomial(m, q).  m = n
+    - |S in [0, n)| - (idler singles - coincidences) is the number of
+    cycles of the run outside S that hold no drawn idler click (every drawn
+    click outside S is a recalled idler or a dark count).  q = 1 -
+    exp(-lambda eta p_win), eta being the detector efficiency.  With h =
+    min(W, P) / 2 for the coincidence window W and the period P, w =
+    floor((h + 10 sigma) / P) for the detector jitter sigma, and p_win is
+    the jitter mass in [dP - h, dP + h] summed over d in [-w - 1, w + 1].
+
+    The tallies keep the distribution of drawing every pair.  The
+    idler-only process is independent of S, and a click of it counts toward
+    no cycle more than w cycles from its pair's, so the pairs drawn in E
+    give each cycle of S its full distribution.  By Poisson colouring, the
+    idler-only clicks counted toward each cycle are independent Poisson
+    numbers of mean lambda eta p_win, independent of the whole-run draws; so
+    each cycle outside S with no drawn click gains an idler single with
+    probability q, independently.  The landing filter keeps a click drawn
+    in E that counts toward a cycle outside S from being counted twice.
+    Left out are idler clicks whose jitter exceeds 10 sigma (a share of
+    1.5e-23), and the first and last cycles of the run, whose neighbours
+    outside it emit no pair.
     """
     period_ps = cfg.clock_period_ns * 1e3
     duration_ps = n_cycles * period_ps
+    window_ps = cfg.coincidence.window_ps
 
     survival, delay_ps, noise_t, _ = _recall(cfg, signal_channel, tags, stored, duration_ps)
     rng_sig = derive_rng(cfg.seed, *tags, "sig-emission")
     sig_band = channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
-    sig_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band, survival)
-
+    recalled, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band, survival)
     if idler_channel == signal_channel:
-        # idlers of the recalled pairs, plus the fringe and lost pairs
-        rng_extra = derive_rng(cfg.seed, *tags, "idl-fringe")
-        only = _idler_only(cfg, idler_channel, survival, n_cycles, rng_extra)
-        idl_cycles = np.sort(np.concatenate([sig_cycles, only]))
+        only, only_tag = _idler_only(cfg, idler_channel, survival), "idl-fringe"
+        idler_t = recalled * period_ps
     else:
-        rng_idl = derive_rng(cfg.seed, *tags, "idl-emission")
         idl_band = channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
-        idl_cycles, _ = emission_arrays(cfg.source, n_cycles, rng_idl, idl_band)
-
-    idler_t = idl_cycles.astype(float) * period_ps
-    signal_t = np.sort(np.concatenate([sig_cycles * period_ps + delay_ps, noise_t]))
-
+        only, only_tag = [(idl_band, 1.0)], "idl-emission"
+        idler_t = np.empty(0)
+    signal_t = np.concatenate([recalled * period_ps + delay_ps, noise_t])
     det_seed = _seed(cfg, *tags, "detector")
-    # detect draws efficiency and jitter photon by photon in input order, so
-    # the sorts above fix which draws each photon gets
-    streams = detect(
-        {"A": idler_t, "B": signal_t}, cfg.detectors, duration_ps * 1e-12, det_seed
-    )
+    streams = detect({"A": idler_t, "B": signal_t}, cfg.detectors, duration_ps * 1e-12, det_seed)
+    signal_clicks, idler_clicks = streams["B"], [streams["A"]]
+
+    occupied = _occupied_cycles(signal_clicks - delay_ps, period_ps, window_ps)
+    w, p_win = _g2_reach(cfg)
+    near = _near_cycles(occupied.copy(), w, n_cycles)
+    if near.size:  # no signal click, no idler-only pair to draw
+        rng_only = derive_rng(cfg.seed, *tags, only_tag)
+        only_t = near.take(_draw(cfg, only, near.size, rng_only)) * period_ps
+        clicks = detect(
+            {"A": only_t},
+            replace(cfg.detectors, dark_count_rate_hz=0.0),
+            duration_ps * 1e-12,
+            _seed(cfg, *tags, "idler-only-detector"),
+        )["A"]
+        cycles, _ = _window_cycles(clicks, period_ps, window_ps)
+        landed = occupied.take(np.searchsorted(occupied, cycles), mode="clip") == cycles
+        idler_clicks.append(np.compress(landed, clicks))
     tallies = g2_tallies(
-        streams["B"],
-        streams["A"],
+        signal_clicks,
+        np.concatenate(idler_clicks),
         cfg.clock_period_ns,
         cfg.coincidence,
         signal_ref_ps=delay_ps,
     )
+    in_run = np.searchsorted(occupied, n_cycles) - np.searchsorted(occupied, 0)
+    m = n_cycles - in_run - (tallies.idler_singles - tallies.coincidences)
+    q = -math.expm1(-_rate(cfg, only) * cfg.detectors.efficiency * p_win)
+    # m < 0 only when drawn clicks counted toward cycles outside a run of a
+    # few cycles outnumber its free cycles
+    remainder = derive_rng(cfg.seed, *tags, "idl-remainder").binomial(max(m, 0), q)
+    tallies = replace(tallies, idler_singles=tallies.idler_singles + int(remainder))
+
     row = np.array(astuple(tallies), dtype=float)
     value = float(g2_cross(row, n_cycles))
     if math.isnan(value):

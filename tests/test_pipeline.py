@@ -333,28 +333,103 @@ def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags
 
 class TestG2PoissonSplitting:
     """acquire_g2 draws the recalled pairs at s times the signal band's
-    rate and, for a same-channel run, the lost pairs as an idler-only
-    process at 1 - s times it; its tallies must have the distribution of
-    the path that keeps each signal photon by a draw per pair
-    (``_full_sampling_g2_tallies``)."""
+    rate over the whole run, the idler-only pairs (for one channel the
+    fringe and the lost pairs, for two the whole idler channel) only within
+    w cycles of a signal-occupied cycle, and their occupancy elsewhere as
+    one binomial; its tallies must have the distribution of the path that
+    draws every pair and keeps each signal photon by a draw per pair
+    (``_full_sampling_g2_tallies``).  The wide-jitter config reaches w = 3
+    and the calibration w = 0."""
 
     SEEDS = 16
 
-    @pytest.mark.parametrize("idler_channel", [0, 3], ids=["same-channel", "cross-channel"])
-    def test_tallies_match_full_sampling(self, idler_channel):
+    @pytest.mark.parametrize(
+        "idler_channel, make_config, stored",
+        [
+            (channel, make_config, stored)
+            for channel in (0, 3)
+            for make_config in (fast_config, wide_jitter_config)
+            for stored in (True, False)
+        ],
+        # the calibration's stored runs keep their names
+        ids=[
+            f"{channel}{config}{stage}"
+            for channel in ("same-channel", "cross-channel")
+            for config in ("", "-wide-jitter")
+            for stage in ("", "-bypassed")
+        ],
+    )
+    def test_tallies_match_full_sampling(self, idler_channel, make_config, stored):
         # each tally summed over seeds: given X + Y, X is binomial(X + Y,
         # 1/2) when both have one mean; the three tallies share clicks, so
         # each is tested on its own against a third of the level
         split = np.zeros(3)
         full = np.zeros(3)
         for k in range(self.SEEDS):
-            cfg = dataclasses.replace(fast_config(), seed=k)
+            cfg = dataclasses.replace(make_config(), seed=k)
             n_cycles = cfg.desk_scale.g2_cycles
-            run = pl.acquire_g2(cfg, 0, idler_channel, n_cycles, ("split",), stored=True)
+            run = pl.acquire_g2(cfg, 0, idler_channel, n_cycles, ("split",), stored)
             split += (run.coincidences, run.signal_singles, run.idler_singles)
-            full += _full_sampling_g2_tallies(cfg, 0, idler_channel, n_cycles, ("full",), True)
+            full += _full_sampling_g2_tallies(cfg, 0, idler_channel, n_cycles, ("full",), stored)
         p = stats.binom.cdf(np.minimum(split, full), split + full, 0.5) * 2
         assert (3 * p > 1e-3).all(), (split, full)
+
+    def test_reach(self):
+        # w = floor((W / 2 + 10 sigma) / P): (300 + 400) / 16000 and
+        # (8000 + 40000) / 16000, windows that hold all but the jitter tail
+        assert pl._g2_reach(fast_config()) == (0, pytest.approx(1.0))
+        assert pl._g2_reach(wide_jitter_config()) == (3, pytest.approx(1.0))
+        # an 8 ns window at 8 ns jitter: a click counts toward its pair's
+        # cycle or a neighbour's, or falls between two windows
+        cfg = wide_jitter_config()
+        cfg = dataclasses.replace(
+            cfg,
+            detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=8000.0),
+            coincidence=analyzer.CoincidenceConfig(window_ps=8000.0),
+        )
+        w, p_win = pl._g2_reach(cfg)
+        assert w == 5
+        centers = np.arange(-20, 21) * 16000.0
+        jitter = stats.norm(scale=8000.0)
+        mass = jitter.cdf(centers + 4000) - jitter.cdf(centers - 4000)
+        assert p_win == pytest.approx(mass.sum(), rel=1e-12)
+        assert p_win > 1.3 * mass[20]  # the neighbours' share
+
+    def test_detector_seeds_are_distinct(self, monkeypatch):
+        # two detect calls on one seed would give both the same efficiency
+        # and jitter draws
+        seeds = []
+
+        def recording_detect(arrivals, det, duration_s, seed):
+            seeds.append(seed)
+            return analyzer.detect(arrivals, det, duration_s, seed)
+
+        monkeypatch.setattr(pl, "detect", recording_detect)
+        cfg = fast_config()
+        pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("seeds",), stored=True)
+        assert len(seeds) == 2
+        assert len(set(seeds)) == len(seeds)
+
+
+class TestG2Memory:
+    """A stored same-channel g2 run at the calibration size draws its
+    idler-only pairs only next to the ~20k signal-occupied cycles.  Drawing
+    all ~300k idler-band pairs of the run, as the g2 path once did, peaked
+    at 15.5 MB of tracemalloc memory."""
+
+    MAX_MB = 5.0
+
+    def test_peak_memory(self):
+        cfg = reference_calibration_config()
+        pl.acquire_g2(cfg, 0, 0, 10_000, ("warm-up",), stored=True)
+        tracemalloc.start()
+        try:
+            run = pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("memory",), stored=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.signal_singles >= 10_000
+        assert peak / 1e6 < self.MAX_MB
 
 
 class TestAcquisitionMemory:
@@ -412,9 +487,11 @@ class TestPinnedCounts:
     loses) drawn next to a signal click.  Its pairs drawn differ by stage:
     after storage far fewer pairs are recalled, and fewer signal clicks
     leave fewer cycles to draw idler-only pairs in.  The g2 pins are those
-    of a stored same-channel run whose signal pairs are drawn at s times
-    the band's rate and whose idlers add the fringe and the lost pairs
-    drawn over the whole run."""
+    of a stored same-channel run split as the threefold one: its recalled
+    pairs, drawn at s times the band's rate, and their idlers over the whole
+    run, the fringe and lost pairs only within w cycles of a signal-occupied
+    cycle (w = 0 here), and the idler occupancy of every other cycle as one
+    binomial."""
 
     @pytest.mark.parametrize(
         "stored, counts, unclassified, n_pairs",
@@ -446,7 +523,7 @@ class TestPinnedCounts:
     def test_g2(self):
         cfg = fast_config()
         run = pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("pin-g2",), stored=True)
-        assert (run.coincidences, run.signal_singles, run.idler_singles) == (993, 1383, 14172)
+        assert (run.coincidences, run.signal_singles, run.idler_singles) == (991, 1383, 14196)
 
 
 class TestAnalyticConsistency:
@@ -510,7 +587,9 @@ class TestMemoryNoise:
 
     def test_g2_signal_stream_carries_the_noise(self, monkeypatch):
         # the g2 path recalls through the same memory step; with no idler
-        # clicks g2 is undefined, so the detector streams are checked
+        # clicks g2 is undefined, so the detector streams are checked: the
+        # first call detects the whole-run streams, the second the
+        # idler-only pairs drawn next to the noise clicks (none here)
         cfg = config_from_dict(self.NOISE_ONLY)
         seen = []
 
@@ -522,7 +601,7 @@ class TestMemoryNoise:
         n_cycles = 1_000_000
         with pytest.raises(ValueError, match="zero singles"):
             pl.acquire_g2(cfg, 0, 0, n_cycles, ("noise-g2",), stored=True)
-        (streams,) = seen
+        streams, idler_only = seen
         expected = (
             cfg.bank.noise_rate_hz
             * cfg.desk_scale.efficiency_boost
@@ -532,7 +611,7 @@ class TestMemoryNoise:
             * cfg.detectors.efficiency
         )
         assert abs(streams["B"].size - expected) < 4 * np.sqrt(expected)
-        assert streams["A"].size == 0
+        assert streams["A"].size == idler_only["A"].size == 0
 
 
 class TestG2Structure:
