@@ -154,7 +154,7 @@ def chsh_from_counts(
     )
 
 
-def monte_carlo_errors(counts, statistic, n_trials: int, seed: int):
+def monte_carlo_errors(counts, statistic, n_trials: int, seed: int, per_record: bool = False):
     """Standard deviation of a statistic under Poisson count resampling.
 
     Every raw count is resampled as Poisson with mean equal to the observed
@@ -162,6 +162,8 @@ def monte_carlo_errors(counts, statistic, n_trials: int, seed: int):
     ``(n_trials, *counts.shape)`` array and returns one row per trial,
     ``(n_trials,)`` or ``(n_trials, k)``; the sample standard deviation over
     trials is returned (shape ``()`` or ``(k,)``).  Deterministic per seed.
+    ``per_record`` draws the records of ``counts``' first axis in turn, so a
+    record's draws ignore the others (one record's are the default draws).
 
     A trial whose row is not finite everywhere (a fit that failed, a ratio
     with a zero denominator) is dropped with a ``RuntimeWarning`` that
@@ -173,9 +175,12 @@ def monte_carlo_errors(counts, statistic, n_trials: int, seed: int):
     if np.any(base < 0):
         raise ValueError("counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    # The generator fills the (trial, *count) array in C order, so trial k
-    # gets the k-th of n_trials successive draws of the count array.
-    draws = rng.poisson(base, size=(n_trials, *base.shape))
+    # The generator fills the (trial, *count) array in C order, so trial k gets
+    # the k-th of n_trials successive draws; per record, (record, trial, ...).
+    if per_record:
+        draws = rng.poisson(base[:, None], (len(base), n_trials, *base.shape[1:])).swapaxes(0, 1)
+    else:
+        draws = rng.poisson(base, size=(n_trials, *base.shape))
     samples = np.asarray(statistic(draws), dtype=float)
     if samples.ndim not in (1, 2) or len(samples) != n_trials:
         raise ValueError(

@@ -86,16 +86,10 @@ class Filters:
 
 @dataclass(frozen=True)
 class DeskScale:
-    """Sampling-scale knobs for desk-size runs.
+    """Integration times, in clock cycles per acquisition before storage
+    (100 times as many after it; :mod:`afcsim.pipeline`), and the
+    Monte-Carlo trials of every error bar."""
 
-    ``efficiency_boost`` multiplies the signal-chain survival (and the
-    memory noise rate, preserving noise-to-signal) so that far fewer clock
-    cycles reproduce the count totals of the long physical acquisitions;
-    all loss-independent statistics (g2, E, S, V) are unaffected.  The boost
-    is recorded in every run report.
-    """
-
-    efficiency_boost: float = 100.0
     chsh_cycles_per_setting: int = 10_000_000
     fringe_points: int = 13
     fringe_cycles_per_point: int = 3_500_000
@@ -104,8 +98,6 @@ class DeskScale:
     mc_trials: int = 100
 
     def __post_init__(self):
-        if self.efficiency_boost < 1.0:
-            raise ConfigError("desk_scale: efficiency_boost must be >= 1")
         for name in (
             "chsh_cycles_per_setting",
             "fringe_cycles_per_point",

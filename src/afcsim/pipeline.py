@@ -2,13 +2,12 @@
 detectors -> counting, plus per-channel run reports.
 
 Acquisitions come in two flavors: ``stored=True`` sends the signal photon
-through its memory channel (recall by the boosted survival s, fixed
-1/Delta delay, memory noise floor) while ``stored=False`` bypasses the
-memory (the before-storage characterization path).  Recall splits the
-Poissonian signal-band pairs into two Poisson processes, each drawn at its
-own rate: the recalled pairs at s times the band's rate, the lost pairs at
-1 - s times it.  Statistics that do not depend on losses (g2, E, S, V) are
-unaffected by the desk-scale boost, which only buys counting statistics.
+through its memory channel (recall by the survival s of
+:func:`afcsim.memory.storage_survival`, 1/Delta delay, memory noise) over
+100 times the cycles (:func:`_stage_cycles`), while ``stored=False``
+bypasses the memory.  Recall splits the Poissonian signal-band pairs into
+two Poisson processes, each drawn at its own rate: the recalled pairs at s
+times the band's rate, the lost pairs at 1 - s times it.
 
 Everything is deterministic given (config, seed): independent acquisitions
 derive child generators from stable string tags, so channels and settings
@@ -27,9 +26,8 @@ before-storage CHSH size (343k pairs drawn), against 26 MB when every pair
 of the idler band was drawn.  A g2 run splits its pairs the same way
 (:func:`acquire_g2`): its idler-only pairs are drawn only next to a
 signal-occupied cycle, and their occupancy of every other cycle is one
-binomial draw.  A stored same-channel run at the calibration size peaks
-at about 1.5 MB of tracemalloc memory, against 15.5 MB when all ~300k
-pairs of its idler band were drawn.
+binomial draw, so a stored same-channel run of 600M cycles peaks at a few
+MB of tracemalloc memory.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ __all__ = [
     "derive_rng",
     "HISTOGRAM_SPAN_NS",
     "channel_band",
-    "boosted_survival",
     "Acquisition",
     "acquire_threefold",
     "G2Run",
@@ -95,31 +92,33 @@ def channel_band(channel: int, bandwidth_ghz: float):
     return (center - bandwidth_ghz / 2.0, center + bandwidth_ghz / 2.0)
 
 
-def boosted_survival(cfg: ExperimentConfig, channel: int) -> float:
-    """Signal-chain survival through the memory with the desk-scale boost,
-    capped below 1."""
-    return min(storage_survival(cfg.bank, channel) * cfg.desk_scale.efficiency_boost, 0.95)
+_STORED_CYCLES_FACTOR = 100
+
+
+def _stage_cycles(n_cycles: int, stored: bool) -> int:
+    """The cycles an acquisition of ``n_cycles`` integrates: 100 times as
+    many after storage, which recalls only 0.14-0.17% of the photons."""
+    return n_cycles * _STORED_CYCLES_FACTOR if stored else n_cycles
 
 
 def _recall(cfg: ExperimentConfig, channel: int, tags, stored: bool, duration_ps):
     """The memory step of the signal chain.
 
-    Returns (survival, delay_ps, noise_times_ps, noise_ports): the boosted
-    recall survival s, the share of signal-band pairs whose signal photon
-    the memory recalls, the fixed 1/Delta recall delay, and the memory-noise
-    arrivals injected at the boosted noise rate.  A bypassed memory
-    (``stored=False``) recalls every photon, adds no delay and no noise.
+    Returns (survival, delay_ps, noise_times_ps, noise_ports): the recall
+    survival s of :func:`storage_survival`, the share of signal-band pairs
+    whose signal photon the memory recalls, the fixed 1/Delta recall delay,
+    and the memory-noise arrivals at the bank's noise rate.  A bypassed
+    memory (``stored=False``) recalls every photon, adds no delay and no noise.
     """
     if not stored:
         return 1.0, 0.0, np.empty(0), np.empty(0, dtype=np.int64)
     delay_ps = cfg.bank.channels[channel].storage_time_ns * 1e3
     rng_noise = derive_rng(cfg.seed, *tags, "memnoise")
-    rate_hz = cfg.bank.noise_rate_hz * cfg.desk_scale.efficiency_boost
-    n_noise = rng_noise.poisson(rate_hz * duration_ps * 1e-12)
+    n_noise = rng_noise.poisson(cfg.bank.noise_rate_hz * duration_ps * 1e-12)
     # the ports come after the times from this stream, which feeds nothing
     # else, so a caller that ignores them sees the same times
     noise_t = rng_noise.uniform(0, duration_ps, n_noise)
-    return boosted_survival(cfg, channel), delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
+    return storage_survival(cfg.bank, channel), delay_ps, noise_t, rng_noise.integers(0, 2, n_noise)
 
 
 # the +- span of fig7's two-fold histogram of an acquisition's clicks
@@ -241,9 +240,9 @@ def acquire_threefold(
 
     Pairs are emitted in the channel's idler-filter band, joint (port, slot)
     outcomes are Born-rule sampled from the source state, the signal photon
-    is thinned by the memory band and (when stored) the boosted recall
-    survival s, and both sides pass the click-level detector model before
-    clock-triggered threefold counting.
+    is thinned by the memory band and (when stored) the recall survival s,
+    and both sides pass the click-level detector model before
+    clock-triggered threefold counting over :func:`_stage_cycles` cycles.
 
     Per-cycle pair numbers are Poissonian, so by Poisson splitting the pairs
     form two independent processes, sampled one after the other:
@@ -266,6 +265,7 @@ def acquire_threefold(
     drawing it in full gives, for every idler click whose jitter stays below
     wP - max(P/2 + s, H) (at least 10 sigma; :func:`_neighbour_cycles`).
     """
+    n_cycles = _stage_cycles(n_cycles, stored)
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
@@ -406,9 +406,9 @@ def acquire_g2(
     The signal stream comes from the recalled pairs of ``signal_channel``'s
     memory band, the idler stream from pairs whose idlers pass
     ``idler_channel``'s filter.  For distinct channels the two sets are
-    independent Poisson streams, so only accidental coincidences remain.  A
-    run in which either side has no click raises :class:`ConfigError`: g2 is
-    undefined there.
+    independent Poisson streams, so only accidental coincidences remain.
+    The run integrates n = :func:`_stage_cycles` cycles.  A run in which
+    either side has no click raises :class:`ConfigError`: g2 is undefined.
 
     As in :func:`acquire_threefold`, Poisson splitting makes the pairs two
     independent processes, and only the first is drawn over the whole run:
@@ -445,6 +445,7 @@ def acquire_g2(
     1.5e-23), and the first and last cycles of the run, whose neighbours
     outside it emit no pair.
     """
+    n_cycles = _stage_cycles(n_cycles, stored)
     period_ps = cfg.clock_period_ns * 1e3
     duration_ps = n_cycles * period_ps
     window_ps = cfg.coincidence.window_ps
@@ -581,8 +582,8 @@ def chsh_scan(cfg: ExperimentConfig, channel: int, stored: bool):
             )
         except ValueError as err:
             raise ConfigError(
-                f"CHSH of channel {channel + 1} {_stage(stored)} storage over {n_cycles} cycles "
-                f"per setting: {err}"
+                f"CHSH of channel {channel + 1} {_stage(stored)} storage over "
+                f"{_stage_cycles(n_cycles, stored)} cycles per setting: {err}"
             ) from err
         return result, counts
 
@@ -663,8 +664,8 @@ def analytic_counts(
     detected, at the Born-rule rate of each (port, slot) cell.  Accidentals
     pair an idler click and a signal click of two different pairs in one
     cycle, at the product of the per-(port, slot) marginals of the two
-    sides.  This is the infinite-statistics prediction for an
-    :func:`acquire_threefold` run without dark counts or memory noise; with
+    sides.  This is the infinite-statistics prediction for the same
+    :func:`acquire_threefold` call without dark counts or memory noise; with
     negligible pair rate it reduces to the bare Born-rule rates of
     project_pair.
     """
@@ -672,15 +673,14 @@ def analytic_counts(
     lam_sig = mu_full * cfg.filters.signal_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
     lam_idl = mu_full * cfg.filters.idler_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
     eff = cfg.detectors.efficiency
-    cs = eff * (boosted_survival(cfg, channel) if stored else 1.0)
-    ci = eff
+    cs = eff * (storage_survival(cfg.bank, channel) if stored else 1.0)
 
     table = project_pair(analytic_state(cfg.source), alpha_rad, beta_rad)
     p_idler = table.sum(axis=(2, 3))  # per idler (port, slot)
     p_signal = table.sum(axis=(0, 1))  # per signal (port, slot)
-    true = lam_sig * cs * ci * table
-    acc = np.multiply.outer(lam_idl * ci * p_idler, lam_sig * cs * p_signal)
-    return n_cycles * (true + acc)
+    true = lam_sig * cs * eff * table
+    acc = np.multiply.outer(lam_idl * eff * p_idler, lam_sig * cs * p_signal)
+    return _stage_cycles(n_cycles, stored) * (true + acc)
 
 
 # --- reports --------------------------------------------------------------
@@ -710,7 +710,8 @@ def channel_report(cfg: ExperimentConfig, channel: int) -> dict:
             cfg, channel, channel, cfg.desk_scale.g2_cycles, ("g2", channel, stage), stored
         )
         a1b1 = float(chsh_counts[0, 0])
-        time_per_setting = cfg.desk_scale.chsh_cycles_per_setting * cfg.clock_period_ns * 1e-9
+        cycles = _stage_cycles(cfg.desk_scale.chsh_cycles_per_setting, stored)
+        time_per_setting = cycles * cfg.clock_period_ns * 1e-9
         rate = a1b1 / time_per_setting
         report[stage] = {
             "chsh": chsh.as_dict(),
@@ -757,26 +758,22 @@ def _matrix_to_lists(m: np.ndarray) -> dict:
 def run_report(cfg: ExperimentConfig, channels=None) -> dict:
     """Full multi-channel run report (the ``simulate`` verb's payload)."""
     channels = list(range(len(cfg.bank.channels))) if channels is None else list(channels)
-    # one stage's acquisitions, the same for every channel and stage
-    stage_cycles = sum(
-        spec[-1] for scan, *args in _stage_scans(0, True) for spec in scan(cfg, *args)[0]
+    # one stage's cycles before storage, the same for every channel and stage
+    cycles = cfg.desk_scale.g2_cycles + sum(
+        spec[-1] for scan, *args in _stage_scans(0, False) for spec in scan(cfg, *args)[0]
     )
-    measure_time = (stage_cycles + cfg.desk_scale.g2_cycles) * cfg.clock_period_ns * 1e-9
+    measure_time = {
+        _stage(s): _stage_cycles(cycles, s) * cfg.clock_period_ns * 1e-9 for s in (False, True)
+    }
+    duty = cfg.duty_cycle.measure_fraction
     report = {
         "seed": cfg.seed,
-        "desk_scale": {
-            "efficiency_boost": cfg.desk_scale.efficiency_boost,
-            "note": (
-                "signal-chain survival and memory noise rate are scaled by "
-                "efficiency_boost; loss-independent statistics are unaffected"
-            ),
-        },
         "timing": {
             "measure_window_time_per_stage_s": measure_time,
-            "wall_clock_time_per_stage_s": measure_time / cfg.duty_cycle.measure_fraction,
-            "duty_measure_fraction": cfg.duty_cycle.measure_fraction,
-            "note": "acquisition statistics are set by desk_scale cycle counts; "
-            "reported rates use measure-window time",
+            "wall_clock_time_per_stage_s": {k: t / duty for k, t in measure_time.items()},
+            "duty_measure_fraction": duty,
+            "note": f"after storage each acquisition integrates {_STORED_CYCLES_FACTOR}x the "
+            "cycles of its desk_scale key; reported rates use measure-window time",
         },
         "channels": [channel_report(cfg, ch) for ch in channels],
     }

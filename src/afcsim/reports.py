@@ -205,7 +205,8 @@ def reproduce_fig4(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
         except ValueError as err:
             raise ConfigError(
                 f"Franson correlation of channel {channel + 1} after storage in the {tag} scan "
-                f"over {cfg.desk_scale.fringe_cycles_per_point} cycles per point: {err}"
+                f"over {pl._stage_cycles(cfg.desk_scale.fringe_cycles_per_point, True)} cycles "
+                f"per point: {err}"
             ) from err
         scans.append((scan, fits, e_values))
     summary: dict = {"channel": channel + 1, "alpha_scans": {}}
@@ -235,13 +236,14 @@ def reproduce_fig5(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     :class:`ConfigError`."""
     rhos = []
     results = pl.run_scans(cfg, [(pl.tomography_scan, channel, stored) for stored in (False, True)])
-    for stage, record in zip(("before", "after"), results):
+    for stored, record in zip((False, True), results):
         try:
             rhos.append(tom.mle_reconstruct(record.sum(axis=0), tom.basis_exposures(record)).rho)
         except ValueError as err:
+            n_cycles = pl._stage_cycles(cfg.desk_scale.tomography_cycles_per_setting, stored)
             raise ConfigError(
-                f"tomography of channel {channel + 1} {stage} storage over "
-                f"{cfg.desk_scale.tomography_cycles_per_setting} cycles per setting: {err}"
+                f"tomography of channel {channel + 1} {pl._stage(stored)} storage over "
+                f"{n_cycles} cycles per setting: {err}"
             ) from err
     rho_in, rho_out = rhos
     for name, rho in (("before", rho_in), ("after", rho_out)):

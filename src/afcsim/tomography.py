@@ -490,9 +490,10 @@ def reconstruct_with_errors(counts, metrics, n_trials: int, seed: int):
     :func:`storage_pair_metrics` for a before/after pair.  Each record is
     fitted on its own for the central values.  For the error bars every
     count of the stack is resampled as Poisson with mean equal to the
-    observation (:func:`afcsim.bell.monte_carlo_errors`; unmeasured cells
-    stay 0), exposures are re-estimated, all R x ``n_trials`` resampled
-    records are fitted in one :func:`mle_reconstruct_batch` solve, and one
+    observation, record by record, so that one record's draws ignore the
+    others (:func:`afcsim.bell.monte_carlo_errors`; unmeasured cells stay
+    0), exposures are re-estimated, all R x ``n_trials`` resampled records
+    are fitted in one :func:`mle_reconstruct_batch` solve, and one
     ``metrics`` call scores the R stacks of trial fits.  A trial with any
     fit that does not converge is dropped, with a warning.
 
@@ -513,7 +514,7 @@ def reconstruct_with_errors(counts, metrics, n_trials: int, seed: int):
         out[~trial_fits.converged.reshape(-1, n_records).all(axis=1)] = np.nan
         return out
 
-    sigmas = bell.monte_carlo_errors(counts, statistic, n_trials=n_trials, seed=seed)
+    sigmas = bell.monte_carlo_errors(counts, statistic, n_trials, seed, per_record=True)
     values = metrics(*(f.rho for f in fits))
     summary = {
         key: {"value": float(value), "sigma": float(sigma)}

@@ -165,6 +165,25 @@ class TestMonteCarloErrors:
         sig = bell.monte_carlo_errors(base, lambda d: d.sum(axis=2), n_trials=100, seed=2)
         assert sig.shape == (4,)
 
+    def test_per_record_draws(self):
+        # each record's trials come one record after the other; one record
+        # gets the draws of the default order
+        records = np.array([[[100.0, 50.0], [25.0, 200.0]], [[80.0, 10.0], [300.0, 5.0]]])
+        seen = []
+
+        def stat(d):
+            seen.append(d.copy())
+            return d.sum(axis=(2, 3))
+
+        bell.monte_carlo_errors(records, stat, n_trials=6, seed=4, per_record=True)
+        bell.monte_carlo_errors(records[:1], stat, n_trials=6, seed=4, per_record=True)
+        bell.monte_carlo_errors(records[:1], stat, n_trials=6, seed=4)
+        rng = np.random.default_rng(4)
+        expected = np.stack([rng.poisson(rec, size=(6, 2, 2)) for rec in records], axis=1)
+        np.testing.assert_array_equal(seen[0], expected)
+        np.testing.assert_array_equal(seen[1], seen[2])
+        np.testing.assert_array_equal(seen[1], expected[:, :1])
+
     def test_statistic_must_return_one_row_per_trial(self):
         with pytest.raises(ValueError, match=r"\(20,\) or \(20, k\)"):
             bell.monte_carlo_errors(np.full(3, 50.0), lambda d: d.sum(), n_trials=20, seed=0)

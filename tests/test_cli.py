@@ -323,11 +323,12 @@ class TestReproduce:
         assert not (tmp_path / "o").exists()
 
     def test_zero_pair_g2_exit_2(self, tmp_path, capsys, zero_pair_config_file):
-        # the g2 run has no idler click, so g2 is undefined
+        # the g2 run has no idler click, so g2 is undefined; the message
+        # names the cycles the stored run integrates, 100 x g2_cycles
         argv = ["reproduce", "fig3", "--config", zero_pair_config_file, "--channels", "1"]
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "error: g2 of signal channel 1 and idler channel 1 over 100000 cycles" in err
+        assert "error: g2 of signal channel 1 and idler channel 1 over 10000000 cycles" in err
         assert "zero singles" in err
 
     def test_zero_pair_fig4_exit_2(self, tmp_path, capsys, zero_pair_config_file):
@@ -336,7 +337,8 @@ class TestReproduce:
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         message = "Franson correlation of channel 1 after storage in the alpha0 scan"
-        assert f"error: {message} over 120000 cycles per point" in err
+        # the stored scan integrates 100 x fringe_cycles_per_point
+        assert f"error: {message} over 12000000 cycles per point" in err
         assert "all-zero counts" in err
         assert not (tmp_path / "o" / "fig4_summary.json").exists()
 
@@ -438,6 +440,19 @@ class TestRejectedBeforeOut:
     def test_no_out_directory_for_a_rejected_run(self, tmp_path, capsys, argv, message):
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "verb", [["reproduce", "fig4"], ["simulate", "--channels", "1", "--trials", "5"]]
+    )
+    def test_efficiency_boost_is_an_unknown_key_exit_2(self, tmp_path, capsys, verb):
+        # stored acquisitions integrate longer at the physical recall
+        # survival; no key rescales the survival
+        bad = tmp_path / "boost.json"
+        bad.write_text(json.dumps({"desk_scale": {"efficiency_boost": 100}}))
+        assert cli.main(verb + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: desk_scale: unknown key(s) ['efficiency_boost']" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verb", [["reproduce", "fig4"], ["simulate", "--channels", "1"]])

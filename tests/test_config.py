@@ -46,7 +46,6 @@ class TestLoading:
 
     def test_shipped_config_valid(self):
         cfg = reference_calibration_config()
-        assert cfg.desk_scale.efficiency_boost >= 1.0
         assert cfg.source.pair_emission_probability_per_cycle < 1.0
         assert cfg.bank.noise_rate_hz > 0
 
@@ -122,9 +121,11 @@ class TestInvariants:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
-    def test_boost_at_least_one(self):
-        raw = minimal_dict(desk_scale={"efficiency_boost": 0.5})
-        with pytest.raises(ConfigError, match="efficiency_boost"):
+    def test_efficiency_boost_is_an_unknown_key(self):
+        # stored acquisitions integrate longer; no key rescales the recall
+        raw = minimal_dict(desk_scale={"efficiency_boost": 100})
+        match = r"desk_scale: unknown key\(s\) \['efficiency_boost'\]"
+        with pytest.raises(ConfigError, match=match):
             config_from_dict(raw)
 
     def test_seed_override(self):

@@ -18,7 +18,7 @@ from afcsim import states as st
 from afcsim import tomography as tom
 from afcsim.config import config_from_dict, reference_calibration_config
 from afcsim.datasets import load_density_matrices, load_tomography_counts
-from afcsim.memory import CHANNEL_OFFSETS_GHZ
+from afcsim.memory import CHANNEL_OFFSETS_GHZ, AfcChannel, storage_survival
 from afcsim.source import analytic_state, emission_arrays
 
 
@@ -43,6 +43,31 @@ def fast_config(**desk_overrides):
     )
     desk.update(desk_overrides)
     return dataclasses.replace(cfg, desk_scale=dataclasses.replace(cfg.desk_scale, **desk))
+
+
+def strong_memory(cfg):
+    """``cfg`` with a channel-1 memory that recalls 100 times the
+    calibration's share of the signal photons (s = 0.146) at 100 times its
+    noise rate: a comb of d1 = 2F at finesse 3 with no background
+    absorption, behind the transmission that brings its survival there.
+    Stored over 1/100 of the cycles, it draws the pairs of a calibrated
+    stored acquisition, so a test against the full-sampling references,
+    which draw every pair of the idler band, keeps its power at their
+    cost."""
+    comb = AfcChannel(d1=6.0, finesse=3.0, d0=0.0)
+    bank = dataclasses.replace(
+        cfg.bank,
+        channels=(comb, *cfg.bank.channels[1:]),
+        transmission_efficiency=100 * storage_survival(cfg.bank, 0) / comb.efficiency,
+        noise_rate_hz=100 * cfg.bank.noise_rate_hz,
+    )
+    return dataclasses.replace(cfg, bank=bank)
+
+
+def _desk_cycles(n_cycles, stored):
+    """The ``n_cycles`` argument of an acquisition that integrates
+    ``n_cycles`` cycles (see ``pl._stage_cycles``)."""
+    return n_cycles // pl._STORED_CYCLES_FACTOR if stored else n_cycles
 
 
 def low_rate_config():
@@ -190,14 +215,15 @@ def _recall_draw(cfg, channel, tags, n_signal, stored):
     if not stored:
         return np.ones(n_signal, dtype=bool)
     rng = pl.derive_rng(cfg.seed, *tags, "storage")
-    return rng.random(n_signal) < pl.boosted_survival(cfg, channel)
+    return rng.random(n_signal) < storage_survival(cfg.bank, channel)
 
 
 def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
     """Threefold counts of the event path that draws every pair of the idler
-    band, gives each a joint outcome and sends each idler to a detector; the
-    signal photon is kept in the signal band when the memory recalls it, by
-    a keep draw per pair (``_recall_draw``)."""
+    band over ``n_cycles`` cycles, stored or not, gives each a joint outcome
+    and sends each idler to a detector; the signal photon is kept in the
+    signal band when the memory recalls it, by a keep draw per pair
+    (``_recall_draw``)."""
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
@@ -243,8 +269,10 @@ class TestPoissonSplitting:
     SEEDS = 16
 
     def test_reference_is_the_full_sampling_path(self):
-        # the pinned counts of the event path before the split
-        counts = _full_sampling_counts(fast_config(), 0, 0.0, 0.5, 400_000, ("pin",), True)
+        # the pinned counts of the event path before the split, which ran
+        # stored acquisitions at the recall and noise of strong_memory
+        cfg = strong_memory(fast_config())
+        counts = _full_sampling_counts(cfg, 0, 0.0, 0.5, 400_000, ("pin",), True)
         assert counts.reshape(-1).tolist() == [
             28, 38, 1, 31, 36, 3, 30, 112, 25, 35, 10, 35, 3, 36, 32, 2, 33, 25,
             30, 29, 0, 26, 37, 3, 27, 14, 32, 34, 115, 35, 3, 34, 29, 2, 24, 31,
@@ -269,11 +297,31 @@ class TestPoissonSplitting:
 
         monkeypatch.setattr(pl, "emission_arrays", recording_emission)
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
-        survival = pl.boosted_survival(cfg, 0) if stored else 1.0
+        survival = storage_survival(cfg.bank, 0) if stored else 1.0
         assert draws == [(pl.channel_band(0, cfg.filters.signal_bandwidth_ghz), survival)]
         assert acq.n_pairs_sampled == 0
         assert acq.idler_clicks.size == acq.signal_clicks.size == 0
         assert not acq.threefold.counts.any()
+
+    @staticmethod
+    def _chi2_p(cfg, n_cycles, stored):
+        """p of the two-sample chi-square over the 36 cells, each summed over
+        seeds, of split acquisitions against the reference over the same
+        ``n_cycles`` integrated cycles: given X + Y, X is binomial(X + Y,
+        1/2) when both have one mean."""
+        split = np.zeros(36)
+        full = np.zeros(36)
+        for k in range(TestPoissonSplitting.SEEDS):
+            cfg_k = dataclasses.replace(cfg, seed=k)
+            acq = pl.acquire_threefold(
+                cfg_k, 0, 0.0, 0.5, _desk_cycles(n_cycles, stored), ("split",), stored
+            )
+            split += acq.threefold.counts.reshape(-1)
+            full += _full_sampling_counts(cfg_k, 0, 0.0, 0.5, n_cycles, ("full",), stored).reshape(-1)
+        total = split + full
+        cells = total > 0
+        chi2 = np.sum((split - full)[cells] ** 2 / total[cells])
+        return stats.chi2.sf(chi2, cells.sum()), split, full
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     @pytest.mark.parametrize(
@@ -282,19 +330,18 @@ class TestPoissonSplitting:
         ids=["fast", "wide-jitter"],
     )
     def test_split_matches_full_sampling(self, make_config, n_cycles, stored):
-        # two-sample chi-square over the 36 cells, each summed over seeds:
-        # given X + Y, X is binomial(X + Y, 1/2) when both have one mean
-        split = np.zeros(36)
-        full = np.zeros(36)
-        for k in range(self.SEEDS):
-            cfg = dataclasses.replace(make_config(), seed=k)
-            acq = pl.acquire_threefold(cfg, 0, 0.0, 0.5, n_cycles, ("split",), stored)
-            split += acq.threefold.counts.reshape(-1)
-            full += _full_sampling_counts(cfg, 0, 0.0, 0.5, n_cycles, ("full",), stored).reshape(-1)
-        total = split + full
-        cells = total > 0
-        chi2 = np.sum((split - full)[cells] ** 2 / total[cells])
-        assert stats.chi2.sf(chi2, cells.sum()) > 1e-3, (chi2, split, full)
+        # stored, at strong_memory's recall: the calibration's physical
+        # recall is the next test's
+        cfg = strong_memory(make_config()) if stored else make_config()
+        p, split, full = self._chi2_p(cfg, n_cycles, stored)
+        assert p > 1e-3, (split, full)
+
+    def test_split_matches_full_sampling_at_physical_recall(self):
+        # the calibration's recall over the same 3M cycles: about 150
+        # recalled pairs a seed, and the lost pairs nearly the whole band
+        p, split, full = self._chi2_p(fast_config(), 3_000_000, True)
+        assert split.sum() > 500
+        assert p > 1e-3, (split, full)
 
 
 def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags, stored):
@@ -343,6 +390,23 @@ class TestG2PoissonSplitting:
 
     SEEDS = 16
 
+    @staticmethod
+    def _binomial_p(cfg, idler_channel, stored):
+        """p of each tally summed over seeds, split runs against the
+        reference over the same integrated cycles, ``g2_cycles``: given X +
+        Y, X is binomial(X + Y, 1/2) when both have one mean."""
+        split = np.zeros(3)
+        full = np.zeros(3)
+        n_cycles = cfg.desk_scale.g2_cycles
+        for k in range(TestG2PoissonSplitting.SEEDS):
+            cfg_k = dataclasses.replace(cfg, seed=k)
+            run = pl.acquire_g2(
+                cfg_k, 0, idler_channel, _desk_cycles(n_cycles, stored), ("split",), stored
+            )
+            split += (run.coincidences, run.signal_singles, run.idler_singles)
+            full += _full_sampling_g2_tallies(cfg_k, 0, idler_channel, n_cycles, ("full",), stored)
+        return stats.binom.cdf(np.minimum(split, full), split + full, 0.5) * 2, split, full
+
     @pytest.mark.parametrize(
         "idler_channel, make_config, stored",
         [
@@ -360,18 +424,17 @@ class TestG2PoissonSplitting:
         ],
     )
     def test_tallies_match_full_sampling(self, idler_channel, make_config, stored):
-        # each tally summed over seeds: given X + Y, X is binomial(X + Y,
-        # 1/2) when both have one mean; the three tallies share clicks, so
-        # each is tested on its own against a third of the level
-        split = np.zeros(3)
-        full = np.zeros(3)
-        for k in range(self.SEEDS):
-            cfg = dataclasses.replace(make_config(), seed=k)
-            n_cycles = cfg.desk_scale.g2_cycles
-            run = pl.acquire_g2(cfg, 0, idler_channel, n_cycles, ("split",), stored)
-            split += (run.coincidences, run.signal_singles, run.idler_singles)
-            full += _full_sampling_g2_tallies(cfg, 0, idler_channel, n_cycles, ("full",), stored)
-        p = stats.binom.cdf(np.minimum(split, full), split + full, 0.5) * 2
+        # stored, at strong_memory's recall; the three tallies share clicks,
+        # so each is tested on its own against a third of the level
+        cfg = strong_memory(make_config()) if stored else make_config()
+        p, split, full = self._binomial_p(cfg, idler_channel, stored)
+        assert (3 * p > 1e-3).all(), (split, full)
+
+    def test_tallies_match_full_sampling_at_physical_recall(self):
+        # the calibration's recall over the same 400k cycles: about 20
+        # recalled pairs a seed
+        p, split, full = self._binomial_p(fast_config(), 0, True)
+        assert split[1] > 150
         assert (3 * p > 1e-3).all(), (split, full)
 
     def test_reach(self):
@@ -412,10 +475,11 @@ class TestG2PoissonSplitting:
 
 
 class TestG2Memory:
-    """A stored same-channel g2 run at the calibration size draws its
-    idler-only pairs only next to the ~20k signal-occupied cycles.  Drawing
-    all ~300k idler-band pairs of the run, as the g2 path once did, peaked
-    at 15.5 MB of tracemalloc memory."""
+    """A stored same-channel g2 run at the calibration size, 600M cycles,
+    draws its idler-only pairs only next to the ~20k signal-occupied cycles.
+    Drawing all ~300k idler-band pairs of a 6M-cycle run, as the g2 path
+    once did, peaked at 15.5 MB of tracemalloc memory; the 600M-cycle run
+    holds ~30M."""
 
     MAX_MB = 5.0
 
@@ -485,23 +549,24 @@ class TestPinnedCounts:
     a share s of the signal band (s = 1 before storage), drawn in full, and
     the idler-only pairs (the fringe, then the share 1 - s the memory
     loses) drawn next to a signal click.  Its pairs drawn differ by stage:
-    after storage far fewer pairs are recalled, and fewer signal clicks
-    leave fewer cycles to draw idler-only pairs in.  The g2 pins are those
-    of a stored same-channel run split as the threefold one: its recalled
-    pairs, drawn at s times the band's rate, and their idlers over the whole
-    run, the fringe and lost pairs only within w cycles of a signal-occupied
-    cycle (w = 0 here), and the idler occupancy of every other cycle as one
-    binomial."""
+    after storage far fewer pairs are recalled, over 100 times the cycles,
+    and fewer signal clicks leave fewer cycles to draw idler-only pairs in;
+    the 100 times longer run holds 100 times the dark counts, most of them
+    unclassified.  The g2 pins are those of a stored same-channel run split
+    as the threefold one: its recalled pairs, drawn at s times the band's
+    rate, and their idlers over the whole run, the fringe and lost pairs
+    only within w cycles of a signal-occupied cycle (w = 0 here), and the
+    idler occupancy of every other cycle as one binomial."""
 
     @pytest.mark.parametrize(
         "stored, counts, unclassified, n_pairs",
         [
             (
                 True,
-                [35, 27, 5, 31, 27, 2, 29, 103, 34, 30, 13, 27, 4, 32, 36, 0, 30, 32,
-                 30, 35, 1, 23, 23, 2, 31, 12, 52, 34, 123, 35, 3, 35, 30, 1, 24, 35],
-                (0, 23),
-                2_138,
+                [34, 25, 1, 32, 28, 2, 27, 104, 36, 31, 12, 29, 5, 34, 36, 0, 31, 33,
+                 30, 33, 3, 23, 23, 4, 31, 15, 54, 33, 119, 33, 1, 36, 29, 1, 25, 37],
+                (16, 36),
+                2_165,
             ),
             (
                 False,
@@ -523,7 +588,7 @@ class TestPinnedCounts:
     def test_g2(self):
         cfg = fast_config()
         run = pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("pin-g2",), stored=True)
-        assert (run.coincidences, run.signal_singles, run.idler_singles) == (991, 1383, 14196)
+        assert (run.coincidences, run.signal_singles, run.idler_singles) == (996, 1388, 1411522)
 
 
 class TestAnalyticConsistency:
@@ -559,8 +624,8 @@ class TestAnalyticConsistency:
 
 class TestMemoryNoise:
     # no pairs and no dark counts: every signal click is memory noise,
-    # injected at noise_rate x efficiency_boost and thinned by the detector
-    # efficiency
+    # injected at the noise rate over the stored run, 100 times n_cycles,
+    # and thinned by the detector efficiency
     NOISE_ONLY = {
         "seed": 0,
         "source": {**IDEAL_SOURCE, "pair_emission_probability_per_cycle": 0.0},
@@ -569,15 +634,14 @@ class TestMemoryNoise:
         "desk_scale": {"fringe_cycles_per_point": 2_000_000},
     }
 
-    def test_noise_clicks_track_the_boosted_rate(self):
+    def test_noise_clicks_track_the_noise_rate(self):
         cfg = config_from_dict(self.NOISE_ONLY)
         n_cycles = 1_000_000
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, n_cycles, ("noise",), True)
         assert acq.n_pairs_sampled == 0
         expected = (
             cfg.bank.noise_rate_hz
-            * cfg.desk_scale.efficiency_boost
-            * n_cycles
+            * pl._stage_cycles(n_cycles, True)
             * cfg.clock_period_ns
             * 1e-9
             * cfg.detectors.efficiency
@@ -604,8 +668,7 @@ class TestMemoryNoise:
         streams, idler_only = seen
         expected = (
             cfg.bank.noise_rate_hz
-            * cfg.desk_scale.efficiency_boost
-            * n_cycles
+            * pl._stage_cycles(n_cycles, True)
             * cfg.clock_period_ns
             * 1e-9
             * cfg.detectors.efficiency
@@ -701,13 +764,29 @@ class TestChannelReport:
         for metric in rep["tomography"].values():
             assert metric["sigma"] > 0
 
-    def test_desk_boost_recorded(self):
+    def test_timing_holds_both_stages(self):
         cfg = fast_config()
         report = pl.run_report(cfg, channels=[0])
-        assert report["desk_scale"]["efficiency_boost"] == cfg.desk_scale.efficiency_boost
-        assert report["timing"]["wall_clock_time_per_stage_s"] > (
-            report["timing"]["measure_window_time_per_stage_s"]
-        )
+        assert "desk_scale" not in report
+        measure = report["timing"]["measure_window_time_per_stage_s"]
+        wall = report["timing"]["wall_clock_time_per_stage_s"]
+        assert set(measure) == set(wall) == {"before", "after"}
+        assert measure["after"] == pytest.approx(100 * measure["before"], rel=1e-12)
+        for stage in ("before", "after"):
+            assert wall[stage] > measure[stage]
+
+    def test_after_storage_rate_is_physical(self):
+        # the A1B1 rate over the stored integration time, 100 times the
+        # CHSH cycles, is the calibration's: near 160 Hz, not 100 times it
+        cfg = fast_config(chsh_cycles_per_setting=2_000_000)
+        rate = pl.channel_report(cfg, 0)["after"]["coincidence_rate_hz"]
+        a, _, b, _ = bell.DEFAULT_CHSH_PHASES
+        n_cycles = cfg.desk_scale.chsh_cycles_per_setting
+        expected = pl.analytic_counts(cfg, 0, a, b, n_cycles, True)[0, 1, 0, 1]
+        time_s = pl._stage_cycles(n_cycles, True) * cfg.clock_period_ns * 1e-9
+        assert 100 < expected / time_s < 250
+        assert abs(rate["A1B1_measure_window"] - expected / time_s) < 4 * np.sqrt(expected) / time_s
+        assert rate["sigma"] == pytest.approx(np.sqrt(rate["A1B1_measure_window"] / time_s))
 
 
 BELL = st.projector(st.bell_psi_plus())
@@ -764,12 +843,14 @@ class TestTomographyPairErrors:
         records = np.array([golden, np.round(0.6 * golden)])[:n_records]
         _, summary = tom.reconstruct_with_errors(records, metrics, n_trials=15, seed=31)
 
+        # each record's 15 resamples, one record after the other
         rng = np.random.default_rng(31)
+        resampled = [[rng.poisson(rec) for _ in range(15)] for rec in records]
         trials = []
-        for _ in range(15):
+        for k in range(15):
             rhos = []
-            for rec in records:
-                trial = rng.poisson(rec)
+            for record_trials in resampled:
+                trial = record_trials[k]
                 fit = linear_solver(trial.sum(axis=0)[None], tom.basis_exposures(trial)[None])
                 rhos.append(fit.rho[0])
             trials.append(reference(*rhos))
@@ -777,3 +858,16 @@ class TestTomographyPairErrors:
         for key, entry in summary.items():
             expected = np.std([t[key] for t in trials], ddof=1)
             assert entry["sigma"] == pytest.approx(expected, rel=0, abs=1e-15)
+
+    def test_before_error_bars_do_not_depend_on_the_after_record(self):
+        # each record's resamples come from their own run of the stream, and
+        # the batched MLE solves each row on its own
+        golden = load_tomography_counts()
+        before = np.round(0.6 * golden)
+        summaries = [
+            tom.reconstruct_with_errors([before, after], tom.storage_pair_metrics, 20, seed=5)[1]
+            for after in (golden, np.round(0.3 * golden), 2 * golden)
+        ]
+        assert summaries[1]["fidelity_bell_out"] != summaries[0]["fidelity_bell_out"]
+        for key in ("fidelity_bell_in", "purity_in", "eof_in"):
+            assert summaries[1][key] == summaries[2][key] == summaries[0][key], key
