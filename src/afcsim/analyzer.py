@@ -41,6 +41,8 @@ __all__ = [
     "coincidence_histogram",
     "ThreefoldCounts",
     "threefold_counts",
+    "PairClicks",
+    "pair_threefold_counts",
     "G2Tallies",
     "g2_tallies",
     "g2_cross",
@@ -56,6 +58,9 @@ _OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
 
 # power-of-two bin count of the outcome lookup in ``sample_pair_outcomes``
 _BINS = 2**12
+
+# signal events per block of the pair walk in ``threefold_counts``
+_WALK_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -128,10 +133,9 @@ def middle_middle(table) -> np.ndarray:
     return np.asarray(table)[..., :, SLOT_MIDDLE, :, SLOT_MIDDLE]
 
 
-def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator):
-    """Sample n joint outcomes from the Born-rule table.
-
-    Returns (idler_port, idler_slot, signal_port, signal_slot) int arrays.
+def _sample_cells(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator):
+    """Sample n joint outcomes from the Born-rule table, as int8 flat cells
+    of the ``(2, 3, 2, 3)`` table.
 
     A uniform draw u selects the flat cell ``searchsorted(cum, u,
     side="right")`` of the cumulative table.  That lookup goes through
@@ -147,20 +151,26 @@ def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np
     cum = np.cumsum(probs)
     cum /= cum[-1]
     edges = np.arange(_BINS + 1) / _BINS
-    cell = np.searchsorted(cum, edges[:-1], side="right")
+    cell = np.searchsorted(cum, edges[:-1], side="right").astype(np.int8)
     split = np.searchsorted(cum, edges[1:], side="left") != cell
     u = rng.random(n)
     u *= _BINS
     bins = u.astype(np.intp)
     fallback = np.flatnonzero(split.take(bins))
     fallback_cell = np.searchsorted(cum, u[fallback] / _BINS, side="right")
-    del u  # free the draws before the four outcome arrays are allocated
-    outcomes = []
-    for index in _OUTCOME_INDEX:
-        values = index.take(cell).take(bins)
-        values[fallback] = index.take(fallback_cell)
-        outcomes.append(values)
-    return tuple(outcomes)
+    del u
+    cells = cell.take(bins)
+    cells[fallback] = fallback_cell
+    return cells
+
+
+def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator):
+    """Sample n joint outcomes from the Born-rule table (:func:`_sample_cells`).
+
+    Returns (idler_port, idler_slot, signal_port, signal_slot) int arrays.
+    """
+    cells = _sample_cells(rho, alpha_rad, beta_rad, n, rng)
+    return tuple(index.take(cells) for index in _OUTCOME_INDEX)
 
 
 def detect(
@@ -270,15 +280,16 @@ def _fold_cycles(rel: np.ndarray, period_ps: float, slack_ps: float):
 
 
 def _slot_keys(
-    rel_ps: np.ndarray,
+    times_ps: np.ndarray,
+    ref_ps: float,
     ports,
     weights: tuple[int, int],
     clock_period_ns: float,
     slot_spacing_ns: float,
     window_ps: float,
 ):
-    """Assign each event, given by its time after the clock reference, the
-    slot center nearest its phase in the clock period (centers at 0,
+    """Assign each event, by its time after the clock reference ``ref_ps``,
+    the slot center nearest its phase in the clock period (centers at 0,
     spacing and 2 * spacing; ties go to the earlier slot, and past the
     midpoint between the late slot and the period an event belongs to the
     next cycle's early slot).  Events farther than window/2 from that center
@@ -294,8 +305,12 @@ def _slot_keys(
     spacing_ps = slot_spacing_ns * 1e3
     if not 2 * spacing_ps < period_ps:
         raise ValueError("the three slots must fit in one clock period (2 * spacing < period)")
-    rel = np.asarray(rel_ps, dtype=float)
+    rel = np.asarray(times_ps, dtype=float)
+    if ref_ps:
+        rel = rel - ref_ps
     cycle, phase = _fold_cycles(rel, period_ps, spacing_ps)
+    if cycle is not None:
+        del rel  # a shifted copy goes before the slot arrays are built
     # slot boundaries at the midpoints between centers (halving is exact)
     wraps = phase >= (period_ps + 2 * spacing_ps) / 2
     slot = np.add(phase > spacing_ps / 2, phase > 3 * spacing_ps / 2, dtype=np.int8)
@@ -380,22 +395,195 @@ def threefold_counts(
     # the flat index of counts[idler_port, idler_slot, signal_port,
     # signal_slot] is the idler cell plus the signal cell
     geometry = (clock_period_ns, slot_spacing_ns, cfg.window_ps)
-    i_key, unclassified_idler = _slot_keys(idler_times_ps, idler_ports, (18, 6), *geometry)
+    i_key, unclassified_idler = _slot_keys(idler_times_ps, 0.0, idler_ports, (18, 6), *geometry)
     s_key, unclassified_signal = _slot_keys(
-        np.asarray(signal_times_ps, dtype=float) - signal_ref_ps, signal_ports, (3, 1), *geometry
+        signal_times_ps, signal_ref_ps, signal_ports, (3, 1), *geometry
     )
-    # the signal side (narrower band, thinned by storage) is the smaller
-    # one, so the walk's rows are signal events
-    lo, n = _same_cycle(i_key, s_key, 6)
-    i_cell = np.bitwise_and(i_key, 63, out=i_key)
-    s_cell = np.bitwise_and(s_key, 63, out=s_key)
+    # the walk's rows are signal events, a block at a time, so that its
+    # index arrays stay short
+    i_cell = (i_key & 63).astype(np.int8)
     counts = np.zeros(36, dtype=np.int64)
-    for s_idx, i_idx in _pair_walk(lo, n):
-        counts += np.bincount(i_cell.take(i_idx) + s_cell.take(s_idx), minlength=36)
+    for start in range(0, s_key.size, _WALK_BLOCK):
+        block = s_key[start : start + _WALK_BLOCK]
+        lo, n = _same_cycle(i_key, block, 6)
+        s_cell = (block & 63).astype(np.int8)
+        for s_idx, i_idx in _pair_walk(lo, n):
+            counts += np.bincount(i_cell.take(i_idx) + s_cell.take(s_idx), minlength=36)
     return ThreefoldCounts(
         counts=counts.reshape(2, 3, 2, 3),
         unclassified_idler=unclassified_idler,
         unclassified_signal=unclassified_signal,
+    )
+
+
+# per flat cell of the (2, 3, 2, 3) outcome table: each side's port, and the
+# cell's two ports in the flat index, idler port * 18 + signal port * 3
+_IDLER_PORT = _OUTCOME_INDEX[0].astype(np.int8)
+_SIGNAL_PORT = _OUTCOME_INDEX[2].astype(np.int8)
+_PORT_CELL = (18 * _OUTCOME_INDEX[0] + 3 * _OUTCOME_INDEX[2]).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class PairClicks:
+    """The clicks of pairs whose signal photon clicks, in cycle coordinates.
+
+    Pair k was emitted in clock cycle ``cycles[k]`` (sorted) with the joint
+    outcome ``cells[k]``, a flat index of the ``(2, 3, 2, 3)`` table of
+    :func:`project_pair`.  Its signal click lies ``signal_offsets_ps[k]``
+    after its cycle's signal reference; the pairs ``idler_pairs`` (sorted
+    indices) click on the idler side too, ``idler_offsets_ps`` after their
+    cycle's idler reference.  An offset is the photon's slot times the slot
+    spacing plus the detector jitter.
+    """
+
+    cycles: np.ndarray
+    cells: np.ndarray
+    signal_offsets_ps: np.ndarray
+    idler_pairs: np.ndarray
+    idler_offsets_ps: np.ndarray
+
+    def idler_clicks(self, period_ps: float, which=slice(None)):
+        """(times in ps, ports) of the idler clicks ``which``."""
+        pairs = self.idler_pairs[which]
+        return _click_times(
+            self.cycles.take(pairs), self.cells.take(pairs), self.idler_offsets_ps[which], period_ps, 0.0, _IDLER_PORT
+        )
+
+    def signal_clicks(self, period_ps: float, ref_ps: float, which=slice(None)):
+        """(times in ps, ports) of the signal clicks ``which``, whose cycle
+        references lie ``ref_ps`` after the idler side's."""
+        return _click_times(
+            self.cycles[which], self.cells[which], self.signal_offsets_ps[which], period_ps, ref_ps, _SIGNAL_PORT
+        )
+
+
+def _click_times(cycles, cells, offsets_ps, period_ps, ref_ps, port):
+    """(times in ps, ports) of clicks given by their pairs' cycles and
+    cells and their offsets after the cycle reference ``ref_ps``."""
+    times = cycles * period_ps
+    times += ref_ps
+    times += offsets_ps
+    return times, port.take(cells)
+
+
+def _offset_slots(offsets_ps: np.ndarray, period_ps: float, spacing_ps: float, window_ps: float):
+    """Classify clicks given by their offsets from their pair's cycle
+    reference, as :func:`_slot_keys` classifies times.
+
+    Cycle d holds the offsets [dP - (P/2 - s), dP + P/2 + s), P the period
+    and s the slot spacing: past the midpoint between the late slot and the
+    period a click belongs to the next cycle's early slot.  Within it the
+    slot is the nearest center, 0, s or 2s (ties to the earlier one), and a
+    click farther than window/2 from it is unclassified.
+
+    Returns ``(moved, shift, slot, ok)``: the indices of the clicks outside
+    their pair's cycle and the cycle d of each, then every click's int8
+    slot and whether it is classified.
+    """
+    lo = spacing_ps - period_ps / 2
+    offsets = np.asarray(offsets_ps, dtype=float)
+    moved = np.flatnonzero((offsets < lo) | (offsets >= lo + period_ps))
+    shift = np.floor((offsets[moved] - lo) / period_ps).astype(np.int64)
+    if moved.size:
+        offsets = offsets.copy()
+        offsets[moved] -= shift * period_ps
+    slot = np.add(offsets > spacing_ps / 2, offsets > 3 * spacing_ps / 2, dtype=np.int8)
+    distance = slot * spacing_ps
+    distance -= offsets
+    return moved, shift, slot, np.abs(distance, out=distance) <= window_ps / 2.0
+
+
+def pair_threefold_counts(
+    pairs: PairClicks,
+    idler_times_ps: np.ndarray,
+    idler_ports: np.ndarray,
+    signal_times_ps: np.ndarray,
+    signal_ports: np.ndarray,
+    clock_period_ns: float,
+    cfg: CoincidenceConfig,
+    *,
+    slot_spacing_ns: float,
+    signal_ref_ps: float = 0.0,
+) -> ThreefoldCounts:
+    """:func:`threefold_counts` of the clicks of ``pairs`` together with
+    the stray clicks given as times and ports, counted pair by pair.
+
+    A pair is lone when no other pair shares its cycle c, each of its
+    classified clicks falls in c, and no classified stray click, nor a
+    classified click of another pair, falls in c.  Cycle c then holds only
+    the lone pair's clicks, so its counts are one count in the cell of its
+    two classified clicks, or none when either is unclassified or missing;
+    its unclassified clicks are tallied directly.  Every other cycle holds
+    no click of a lone pair, so one :func:`threefold_counts` call over the
+    stray clicks and the clicks of the pairs that are not lone counts it.
+    The sum equals one :func:`threefold_counts` call over every click,
+    for every click whose offset and absolute time classify alike (all but
+    those within the rounding of the absolute time of a slot or window
+    edge).
+    """
+    period_ps = clock_period_ns * 1e3
+    spacing_ps = slot_spacing_ns * 1e3
+    geometry = (clock_period_ns, slot_spacing_ns, cfg.window_ps)
+    cycles, kept = pairs.cycles, pairs.idler_pairs
+    i_key, _ = _slot_keys(idler_times_ps, 0.0, idler_ports, (18, 6), *geometry)
+    s_key, _ = _slot_keys(signal_times_ps, signal_ref_ps, signal_ports, (3, 1), *geometry)
+    geometry_ps = (period_ps, spacing_ps, cfg.window_ps)
+    s_moved, s_shift, s_slot, s_ok = _offset_slots(pairs.signal_offsets_ps, *geometry_ps)
+    i_moved, i_shift, i_slot, i_ok = _offset_slots(pairs.idler_offsets_ps, *geometry_ps)
+
+    lone = np.ones(cycles.size, dtype=bool)
+    if cycles.size:
+        alone = cycles[1:] != cycles[:-1]
+        lone[1:] = alone
+        lone[:-1] &= alone
+        del alone
+    # busy cycles: those of the classified stray clicks, and those of the
+    # classified pair clicks outside their pair's cycle, whose pair is not lone
+    busy = [i_key >> 6, s_key >> 6]
+    for moved, shift, ok, owner in ((s_moved, s_shift, s_ok, None), (i_moved, i_shift, i_ok, kept)):
+        left = ok.take(moved)
+        moved, shift = moved[left], shift[left]
+        if owner is not None:
+            moved = owner.take(moved)
+        lone[moved] = False
+        busy.append(cycles.take(moved) + shift)
+    busy = np.concatenate(busy)
+    if cycles.size:
+        at = np.searchsorted(cycles, busy)
+        # a pair sharing its cycle with another is not lone already, so the
+        # first pair of a busy cycle is the one to clear
+        lone[at[cycles.take(at, mode="clip") == busy]] = False
+        del at
+    del busy
+
+    i_lone = lone.take(kept)
+    both = np.flatnonzero(i_lone & i_ok & s_ok.take(kept))
+    paired = kept.take(both)
+    cell = _PORT_CELL.take(pairs.cells.take(paired))
+    cell += s_slot.take(paired)
+    cell += 6 * i_slot.take(both)
+    counts = np.bincount(cell, minlength=36)
+    del both, paired, cell
+    unclassified_signal = int(np.count_nonzero(lone) - np.count_nonzero(lone & s_ok))
+    unclassified_idler = int(np.count_nonzero(i_lone) - np.count_nonzero(i_lone & i_ok))
+    del s_slot, s_ok, i_slot, i_ok
+
+    i_rest = pairs.idler_clicks(period_ps, np.flatnonzero(~i_lone))
+    s_rest = pairs.signal_clicks(period_ps, signal_ref_ps, np.flatnonzero(~lone))
+    rest = threefold_counts(
+        np.concatenate([idler_times_ps, i_rest[0]]),
+        np.concatenate([idler_ports, i_rest[1]]),
+        np.concatenate([signal_times_ps, s_rest[0]]),
+        np.concatenate([signal_ports, s_rest[1]]),
+        clock_period_ns,
+        cfg,
+        slot_spacing_ns=slot_spacing_ns,
+        signal_ref_ps=signal_ref_ps,
+    )
+    return ThreefoldCounts(
+        counts=rest.counts + counts.reshape(2, 3, 2, 3),
+        unclassified_idler=rest.unclassified_idler + unclassified_idler,
+        unclassified_signal=rest.unclassified_signal + unclassified_signal,
     )
 
 

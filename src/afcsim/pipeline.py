@@ -17,17 +17,22 @@ list of acquisition specs and a fit of their counts; :func:`run_scans`
 acquires every spec of a call's scans on one thread pool, one thread per
 CPU this process may run on and no more than the specs, then fits each
 scan on the calling thread.  Every other acquisition (the g2 runs, the DD
-acquisition whose clicks fig7 histograms) runs on the calling thread.  A
-threefold acquisition draws the recalled pairs over the whole run, but
-the idler-only pairs, whose signal photon cannot reach a detector, only in
-the cycles next to a signal click (:func:`acquire_threefold`); it drops each
-pair-level array at its last use, so a thread holds about 19 MB at its peak at
-before-storage CHSH size (343k pairs drawn), against 26 MB when every pair
-of the idler band was drawn.  A g2 run splits its pairs the same way
-(:func:`acquire_g2`): its idler-only pairs are drawn only next to a
-signal-occupied cycle, and their occupancy of every other cycle is one
-binomial draw, so a stored same-channel run of 600M cycles peaks at a few
-MB of tracemalloc memory.
+acquisition whose clicks fig7 histograms) runs on the calling thread.
+
+A threefold acquisition (:func:`acquire_threefold`) draws, over the whole
+run, only the pairs whose signal photon clicks: detection thins the
+recalled pairs once more, at the detector efficiency.  It carries their
+clicks in cycle coordinates, counts each pair alone in its cycle from its
+own outcome cell, and sends only the other clicks through the sorted
+same-cycle join of :func:`threefold_counts`.  The idler-only pairs, whose
+signal photon gives no click, are drawn only in the cycles next to a
+signal click.  A thread holds about 14 MB at its peak at before-storage
+CHSH size (250k pairs drawn), against 19 MB when every recalled pair was
+drawn and every click joined by time.  A g2 run splits its pairs as the
+threefold path did before detection joined the split (:func:`acquire_g2`):
+its idler-only pairs are drawn only next to a signal-occupied cycle, and
+their occupancy of every other cycle is one binomial draw, so a stored
+same-channel run of 600M cycles peaks at a few MB of tracemalloc memory.
 """
 
 from __future__ import annotations
@@ -42,16 +47,19 @@ import numpy as np
 from afcsim import bell
 from afcsim import tomography as tom
 from afcsim.analyzer import (
+    _OUTCOME_INDEX,
+    PairClicks,
     ThreefoldCounts,
     _occupied_cycles,
+    _sample_cells,
     _window_cycles,
     detect,
     g2_cross,
     g2_tallies,
     middle_middle,
+    pair_threefold_counts,
     project_pair,
     sample_pair_outcomes,
-    threefold_counts,
 )
 from afcsim.config import ConfigError, ExperimentConfig
 from afcsim.memory import CHANNEL_OFFSETS_GHZ, storage_survival
@@ -155,40 +163,60 @@ def _neighbour_cycles(cfg: ExperimentConfig) -> int:
 
 
 def _click_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float) -> np.ndarray:
-    """The sorted cycles of the clicks: their times after the recall delay,
-    in whole periods."""
+    """The cycles of the clicks: their times after the recall delay, in
+    whole periods."""
     cycles = (clicks_ps - delay_ps) / period_ps
-    cycles = np.floor(cycles, out=cycles).astype(np.int64)
-    # each detector's clicks are a few nearly sorted runs: the stable sort's
-    # fast case
-    cycles.sort(kind="stable")
-    return cycles
+    return np.floor(cycles, out=cycles).astype(np.int64)
 
 
-def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int) -> np.ndarray:
-    """The sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
-    sorted int64 ``cycles``, which it overwrites: a caller that passes a
-    fresh array lets it go before the result is built."""
-    # each cycle adds the part of its window [cycle - w, cycle + w] past the
-    # window of the cycle before it: ``new`` cycles, ending at cycle + w
-    new = np.diff(cycles, prepend=cycles[:1] - 2 * w - 1)
-    np.minimum(new, 2 * w + 1, out=new)
-    cycles += w + 1
-    cycles -= np.cumsum(new)  # a window's first new cycle less its index in the result
-    near = np.repeat(cycles, new)
-    del cycles, new
-    near += np.arange(near.size)
-    return near[np.searchsorted(near, 0) : np.searchsorted(near, n_cycles)]
+def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int):
+    """N, the sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
+    sorted int64 ``cycles``, which it overwrites.  Returns the size of N
+    and a function that maps indices into N to their cycles; N itself, a
+    few times as long as ``cycles``, is never built.
+
+    Window r, [c_r - w, c_r + w], adds to the windows before it its last
+    a_r = min(c_r - c_(r-1), 2w + 1) cycles, ending at e_r = c_r + w.  So
+    with L_r the cycles added up to window r, index k of the unclipped N
+    lies in the first window with L_r > k, and is e_r - (L_r - 1 - k).
+    """
+    added = np.diff(cycles, prepend=cycles[:1] - 2 * w - 1)
+    np.minimum(added, 2 * w + 1, out=added)
+    ends = cycles
+    ends += w
+    last = np.cumsum(added, out=added)
+
+    def below(cycle: int) -> int:
+        """The cycles of the unclipped N below ``cycle``."""
+        r = int(np.searchsorted(ends, cycle))  # the first window that reaches it
+        before = int(last[r - 1]) if r else 0
+        if r == ends.size:
+            return before
+        return before + max(0, cycle - 1 - int(ends[r]) + int(last[r]) - before)
+
+    start = below(0)
+
+    def take(index: np.ndarray) -> np.ndarray:
+        k = index + start
+        r = np.searchsorted(last, k, side="right")
+        k -= last.take(r)
+        k += 1
+        k += ends.take(r)
+        return k
+
+    return below(n_cycles) - start, take
 
 
-def _idler_only(cfg: ExperimentConfig, channel: int, survival: float):
-    """The ``(band, fraction)`` processes of the pairs of a channel whose
-    signal photon reaches no detector, in draw order: the idler filter's
-    fringe below and above the signal band (none when the two filters
-    match), then the signal-band pairs the memory loses, a share 1 -
-    ``survival`` of them (none, and no draw, when it recalls every photon)."""
+def _idler_only(cfg: ExperimentConfig, channel: int, share: float):
+    """The ``(band, fraction)`` processes of the pairs of a channel that
+    give no signal click, in draw order: the idler filter's fringe below
+    and above the signal band (none when the two filters match), then a
+    share 1 - ``share`` of the signal-band pairs (none, and no draw, when
+    ``share`` is 1).  A g2 run passes the recall survival, whose lost pairs
+    have no signal photon to detect; a threefold acquisition passes the
+    recall survival times the detector efficiency."""
     sig = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    processes = [(sig, 1.0 - survival)]
+    processes = [(sig, 1.0 - share)]
     if cfg.filters.idler_bandwidth_ghz > cfg.filters.signal_bandwidth_ghz:
         full = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
         processes[:0] = [((full[0], sig[0]), 1.0), ((sig[1], full[1]), 1.0)]
@@ -212,19 +240,55 @@ def _rate(cfg: ExperimentConfig, processes) -> float:
 @dataclass(frozen=True)
 class Acquisition:
     """One analyzer acquisition: port/slot-resolved threefold counts, the
-    clicks counted (each side's port 1 clicks, then port 2's) and bookkeeping.
+    clicks they were counted from and bookkeeping.
 
-    ``idler_clicks`` holds the idler clicks of the recalled pairs, of the
-    idler-only pairs drawn in N (see :func:`acquire_threefold`) and the idler
-    dark counts; the idler-only pairs outside N are never drawn.
-    ``n_pairs_sampled`` counts the pairs drawn: the recalled pairs of the
-    whole run, and the lost and fringe pairs drawn in N."""
+    The clicks are those of the signal-click pairs, in cycle coordinates
+    (``pairs``), and the stray clicks as times and ports: on the idler side
+    the idler-only pairs drawn in N (see :func:`acquire_threefold`) and the
+    dark counts, on the signal side the memory noise and the dark counts.
+    The idler-only pairs outside N are never drawn.  ``n_pairs_sampled``
+    counts the pairs drawn: the signal-click pairs of the whole run, and the
+    idler-only pairs drawn in N."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
     delay_ps: float
-    idler_clicks: np.ndarray
-    signal_clicks: np.ndarray
+    period_ps: float
+    pairs: PairClicks
+    stray_idler: tuple[np.ndarray, np.ndarray]
+    stray_signal: tuple[np.ndarray, np.ndarray]
+
+    def idler_clicks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times in ps, ports) of every idler click: the pairs', then the
+        stray ones."""
+        times, ports = self.pairs.idler_clicks(self.period_ps)
+        return np.concatenate([times, self.stray_idler[0]]), np.concatenate([ports, self.stray_idler[1]])
+
+    def signal_clicks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times in ps, ports) of every signal click, the recall delay
+        included: the pairs', then the stray ones."""
+        times, ports = self.pairs.signal_clicks(self.period_ps, self.delay_ps)
+        return np.concatenate([times, self.stray_signal[0]]), np.concatenate([ports, self.stray_signal[1]])
+
+
+def _jittered(slots_ps: np.ndarray, sigma_ps: float, rng: np.random.Generator) -> np.ndarray:
+    """Click offsets: the photons' slot offsets plus Gaussian detector jitter."""
+    if sigma_ps == 0:
+        return slots_ps
+    offsets = rng.standard_normal(slots_ps.size)
+    offsets *= sigma_ps
+    offsets += slots_ps
+    return offsets
+
+
+def _detect_side(times: np.ndarray, ports: np.ndarray, cfg: ExperimentConfig, duration_ps, seed: int):
+    """:func:`detect` of the arrivals at one side's two detectors: (times,
+    int8 ports) of the port 1 clicks, then the port 2 clicks."""
+    first = ports == 0
+    arrivals = {"1": np.compress(first, times), "2": np.compress(~first, times)}
+    streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, seed)
+    one, two = streams["1"], streams["2"]
+    return np.concatenate([one, two]), np.repeat(np.int8([0, 1]), [one.size, two.size])
 
 
 def acquire_threefold(
@@ -241,110 +305,93 @@ def acquire_threefold(
     Pairs are emitted in the channel's idler-filter band, joint (port, slot)
     outcomes are Born-rule sampled from the source state, the signal photon
     is thinned by the memory band and (when stored) the recall survival s,
-    and both sides pass the click-level detector model before
-    clock-triggered threefold counting over :func:`_stage_cycles` cycles.
+    and both sides pass the click-level detector model (efficiency eta,
+    Gaussian jitter, dark counts) before clock-triggered threefold counting
+    over :func:`_stage_cycles` cycles.
 
-    Per-cycle pair numbers are Poissonian, so by Poisson splitting the pairs
+    Per-cycle pair numbers are Poissonian, and recall and detection thin
+    the signal photons independently, so by Poisson splitting the pairs
     form two independent processes, sampled one after the other:
 
-    1. The recalled pairs: a share s of the signal-band pairs, drawn over
-       the whole run at s times the band's rate.  Each gets a joint outcome,
-       and both of its photons go to the detectors.  Their signal clicks,
-       with the memory noise and the signal dark counts, fix S, the cycles
-       that hold a signal click.
+    1. The signal-click pairs: a share s eta of the signal-band pairs, drawn
+       over the whole run at s eta times the band's rate.  Each gets one
+       flat outcome cell; its signal photon clicks, displaced by jitter
+       alone, and its idler clicks with probability eta.  Their clicks are
+       carried in cycle coordinates (:class:`PairClicks`): the pair's cycle
+       c, and an offset of slot times spacing plus jitter.  The memory noise
+       and the signal dark counts pass through :func:`detect`.  The signal
+       clicks fix S, the cycles that hold one: c plus the offset's whole
+       periods for a pair.
     2. The idler-only pairs (:func:`_idler_only`): the pairs in the idler
-       filter's fringe outside the signal band, and the share 1 - s of the
-       signal-band pairs that the memory loses.  No signal photon of theirs
-       reaches a detector, so an idler click of theirs is counted or
-       histogrammed only next to a signal click.  They are drawn only in N,
-       S widened by w cycles on each side (:func:`_neighbour_cycles`): over
-       ``len(N)`` cycles, mapped through N.
+       filter's fringe outside the signal band, and the share 1 - s eta of
+       the signal-band pairs that the memory loses or the signal detector
+       misses.  No signal click of theirs exists, so an idler click of
+       theirs is counted or histogrammed only next to a signal click.  They
+       are drawn only in N, S widened by w cycles on each side
+       (:func:`_neighbour_cycles`): over ``len(N)`` cycles, mapped through
+       N.  Their idlers and the idler dark counts pass through
+       :func:`detect`.
 
     The second process is independent of S, so drawing it only in N gives
     every count and every fig7 histogram entry the distribution that
     drawing it in full gives, for every idler click whose jitter stays below
     wP - max(P/2 + s, H) (at least 10 sigma; :func:`_neighbour_cycles`).
+    The counts are :func:`pair_threefold_counts`: a pair alone in its
+    cycle adds one count from its own cells, and every other click goes
+    through :func:`threefold_counts`, with the counts one call over every
+    click gives.
     """
     n_cycles = _stage_cycles(n_cycles, stored)
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
+    det = cfg.detectors
     rho = analytic_state(cfg.source)
 
-    # Each pair-level array is dropped at its last use: a before-storage
-    # CHSH acquisition draws ~330k pairs, and the scans run several
-    # acquisitions at once (see run_scans).
     survival, delay_ps, noise_t, noise_port = _recall(cfg, channel, tags, stored, duration_ps)
+    share = survival * det.efficiency
     rng_em = derive_rng(cfg.seed, *tags, "emission")
     sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    recalled, _ = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, survival)
-    n_pairs = recalled.size
-    i_port, i_slot, s_port, s_slot = sample_pair_outcomes(
-        rho, alpha_rad, beta_rad, n_pairs, derive_rng(cfg.seed, *tags, "outcome")
+    cycles, _ = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)
+    n_pairs = cycles.size
+    cells = _sample_cells(rho, alpha_rad, beta_rad, n_pairs, derive_rng(cfg.seed, *tags, "outcome"))
+    # each side's slot offset per flat cell, then its jitter
+    slot_ps = spacing_ps * np.asarray(_OUTCOME_INDEX, dtype=float)
+    rng_click = derive_rng(cfg.seed, *tags, "pair-detector")
+    idler_pairs = np.flatnonzero(rng_click.random(n_pairs) < det.efficiency)
+    signal_off = _jittered(slot_ps[3].take(cells), det.jitter_sigma_ps, rng_click)
+    idler_off = _jittered(slot_ps[1].take(cells.take(idler_pairs)), det.jitter_sigma_ps, rng_click)
+    pairs = PairClicks(cycles, cells, signal_off, idler_pairs, idler_off)
+    stray_signal = _detect_side(
+        noise_t, noise_port, cfg, duration_ps, _seed(cfg, *tags, "signal-detector")
     )
-    idler_a1 = i_port == 0
-    del i_port
-    signal_b1 = np.concatenate([s_port == 0, noise_port == 0])
-    del s_port
-    idler_t = recalled * period_ps
-    idler_t += i_slot * spacing_ps
-    del i_slot
-    signal_t = recalled * period_ps
-    del recalled
-    signal_t += delay_ps
-    signal_t += s_slot * spacing_ps
-    del s_slot
-    signal_t = np.concatenate([signal_t, noise_t])
-    del noise_t
-    streams = detect(
-        {"B1": np.compress(signal_b1, signal_t), "B2": np.compress(~signal_b1, signal_t)},
-        cfg.detectors,
-        duration_ps * 1e-12,
-        _seed(cfg, *tags, "signal-detector"),
-    )
-    del signal_t, signal_b1
-    b1, b2 = streams["B1"], streams["B2"]
-    signal_ports = np.repeat(np.int8([0, 1]), [b1.size, b2.size])
-    signal_clicks = np.concatenate([b1, b2])
-    del streams, b1, b2
+    del noise_t, noise_port
 
-    idler_a = [np.compress(idler_a1, idler_t)]
-    idler_b = [np.compress(~idler_a1, idler_t)]
-    del idler_t, idler_a1
-    near = _near_cycles(
-        _click_cycles(signal_clicks, delay_ps, period_ps), _neighbour_cycles(cfg), n_cycles
-    )
-    if near.size:  # no signal click, no idler-only pair to draw
+    # S: a pair's signal click lies in cycle c plus its offset's whole periods
+    clicked = np.concatenate([cycles, _click_cycles(stray_signal[0], delay_ps, period_ps)])
+    outside = np.flatnonzero((signal_off < 0) | (signal_off >= period_ps))
+    clicked[outside] += np.floor(signal_off[outside] / period_ps).astype(np.int64)
+    del outside
+    # a few nearly sorted runs, the stable sort's fast case
+    clicked.sort(kind="stable")
+    n_near, near = _near_cycles(clicked, _neighbour_cycles(cfg), n_cycles)
+    only_t, only_port = np.empty(0), np.empty(0, dtype=np.int8)
+    if n_near:  # no signal click, no idler-only pair to draw
         rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
-        only = near.take(_draw(cfg, _idler_only(cfg, channel, survival), near.size, rng_fringe))
+        only = near(_draw(cfg, _idler_only(cfg, channel, share), n_near, rng_fringe))
         n_pairs += only.size
         rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
-        o_port, o_slot, _, _ = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only)
+        only_port, only_slot, _, _ = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only)
         only_t = only * period_ps
-        only_t += o_slot * spacing_ps
-        only_a1 = o_port == 0
-        idler_a.append(np.compress(only_a1, only_t))
-        idler_b.append(np.compress(~only_a1, only_t))
-        del only, o_port, o_slot, only_t, only_a1
-    del near
-    streams = detect(
-        {"A1": np.concatenate(idler_a), "A2": np.concatenate(idler_b)},
-        cfg.detectors,
-        duration_ps * 1e-12,
-        _seed(cfg, *tags, "idler-detector"),
-    )
-    del idler_a, idler_b
-    a1, a2 = streams["A1"], streams["A2"]
-    # each side's port 1 clicks, then its port 2 clicks: threefold_counts
-    # takes events in any order; int8 ports, one byte per click
-    idler_ports = np.repeat(np.int8([0, 1]), [a1.size, a2.size])
-    idler_clicks = np.concatenate([a1, a2])
-    del streams, a1, a2
-    tf = threefold_counts(
-        idler_clicks,
-        idler_ports,
-        signal_clicks,
-        signal_ports,
+        only_t += only_slot * spacing_ps
+        del only, only_slot
+    del near, clicked
+    stray_idler = _detect_side(only_t, only_port, cfg, duration_ps, _seed(cfg, *tags, "idler-detector"))
+    del only_t, only_port
+    tf = pair_threefold_counts(
+        pairs,
+        *stray_idler,
+        *stray_signal,
         cfg.clock_period_ns,
         cfg.coincidence,
         slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
@@ -354,8 +401,10 @@ def acquire_threefold(
         threefold=tf,
         n_pairs_sampled=n_pairs,
         delay_ps=delay_ps,
-        idler_clicks=idler_clicks,
-        signal_clicks=signal_clicks,
+        period_ps=period_ps,
+        pairs=pairs,
+        stray_idler=stray_idler,
+        stray_signal=stray_signal,
     )
 
 
@@ -468,10 +517,10 @@ def acquire_g2(
 
     occupied = _occupied_cycles(signal_clicks - delay_ps, period_ps, window_ps)
     w, p_win = _g2_reach(cfg)
-    near = _near_cycles(occupied.copy(), w, n_cycles)
-    if near.size:  # no signal click, no idler-only pair to draw
+    n_near, near = _near_cycles(occupied.copy(), w, n_cycles)
+    if n_near:  # no signal click, no idler-only pair to draw
         rng_only = derive_rng(cfg.seed, *tags, only_tag)
-        only_t = near.take(_draw(cfg, only, near.size, rng_only)) * period_ps
+        only_t = near(_draw(cfg, only, n_near, rng_only)) * period_ps
         clicks = detect(
             {"A": only_t},
             replace(cfg.detectors, dark_count_rate_hz=0.0),
@@ -758,12 +807,15 @@ def _matrix_to_lists(m: np.ndarray) -> dict:
 def run_report(cfg: ExperimentConfig, channels=None) -> dict:
     """Full multi-channel run report (the ``simulate`` verb's payload)."""
     channels = list(range(len(cfg.bank.channels))) if channels is None else list(channels)
-    # one stage's cycles before storage, the same for every channel and stage
+    # a stage's cycles before storage, the same for every channel: its scans
+    # and its correlated g2 run, and after storage the uncorrelated g2 run
     cycles = cfg.desk_scale.g2_cycles + sum(
         spec[-1] for scan, *args in _stage_scans(0, False) for spec in scan(cfg, *args)[0]
     )
+    period_s = cfg.clock_period_ns * 1e-9
     measure_time = {
-        _stage(s): _stage_cycles(cycles, s) * cfg.clock_period_ns * 1e-9 for s in (False, True)
+        "before": _stage_cycles(cycles, False) * period_s,
+        "after": _stage_cycles(cycles + cfg.desk_scale.g2_cycles, True) * period_s,
     }
     duty = cfg.duty_cycle.measure_fraction
     report = {

@@ -271,16 +271,16 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     Bins too wide to leave one 600 ps off every peak raise :class:`ConfigError`.
 
     The two-fold histogram pairs the acquisition's signal clicks with its
-    idler clicks: those of the recalled pairs, of the idler-only pairs drawn
-    next to a signal click, and the idler dark counts.  The undrawn idler
-    clicks lie beyond the histogram span of every signal click
+    idler clicks: those of the signal-click pairs, of the idler-only pairs
+    drawn next to a signal click, and the idler dark counts.  The undrawn
+    idler clicks lie beyond the histogram span of every signal click
     (:func:`afcsim.pipeline.acquire_threefold`), so the histogram is the one
     every pair would give."""
     specs, _ = pl.tomography_scan(cfg, channel, True)
     acq = pl.acquire_spec(cfg, specs[0])  # the DD setting
-    # each port's clicks are a few nearly sorted runs, the stable sort's fast case
-    idler = np.sort(acq.idler_clicks, kind="stable")
-    signal = np.sort(acq.signal_clicks, kind="stable")
+    # each side's clicks are a few nearly sorted runs, the stable sort's fast case
+    idler = np.sort(acq.idler_clicks()[0], kind="stable")
+    signal = np.sort(acq.signal_clicks()[0], kind="stable")
     centers, counts = coincidence_histogram(
         idler, signal - acq.delay_ps, cfg.coincidence, span_ns=pl.HISTOGRAM_SPAN_NS
     )

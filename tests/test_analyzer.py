@@ -523,15 +523,17 @@ def _counting_case(draw):
 
 
 class TestCountingMatchesReference:
-    @given(_counting_case())
+    @given(_counting_case(), hst.sampled_from([an._WALK_BLOCK, 1, 3]))
     @settings(max_examples=300, deadline=None)
-    def test_threefold_counts(self, case):
+    def test_threefold_counts(self, case, block):
+        # the signal events are walked in blocks of any size
         period_ns, spacing_ns, window_ps, i_times, i_ports, s_times, s_ports, s_ref = case
         cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
-        res = an.threefold_counts(
-            i_times, i_ports, s_times, s_ports, period_ns, cfg,
-            slot_spacing_ns=spacing_ns, signal_ref_ps=s_ref,
-        )
+        with patch.object(an, "_WALK_BLOCK", block):
+            res = an.threefold_counts(
+                i_times, i_ports, s_times, s_ports, period_ns, cfg,
+                slot_spacing_ns=spacing_ns, signal_ref_ps=s_ref,
+            )
         counts, un_i, un_s = _reference_threefold(
             i_times, i_ports, s_times, s_ports, period_ns, spacing_ns, window_ps, s_ref
         )
@@ -546,6 +548,45 @@ class TestCountingMatchesReference:
         t = an.g2_tallies(s_times, i_times, period_ns, cfg, signal_ref_ps=s_ref)
         expected = _reference_g2(s_times, i_times, period_ns, window_ps, s_ref)
         assert (t.coincidences, t.signal_singles, t.idler_singles) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("period_ns, spacing_ns", [(16.0, 1.25), (12.5, 2.5)])
+    @pytest.mark.parametrize("window_ps", [600.0, 2500.0, 16000.0])
+    def test_pair_counts(self, seed, period_ns, spacing_ns, window_ps):
+        # pairs crowded into few cycles, clicks jittered by up to a few
+        # periods, and stray clicks among them: counting pair by pair gives
+        # the counts of one call over every click
+        rng = np.random.default_rng(seed)
+        period_ps, spacing_ps = period_ns * 1e3, spacing_ns * 1e3
+        n = 400
+        cells = rng.integers(0, 36, n).astype(np.int8)
+
+        def offsets(slots):
+            return slots * spacing_ps + rng.normal(0.0, rng.choice([10.0, 400.0, 5000.0], slots.size))
+
+        idler_pairs = np.flatnonzero(rng.random(n) < 0.7)
+        pairs = an.PairClicks(
+            np.sort(rng.integers(-2, 300, n)),
+            cells,
+            offsets(an._OUTCOME_INDEX[3].take(cells)),
+            idler_pairs,
+            offsets(an._OUTCOME_INDEX[1].take(cells.take(idler_pairs))),
+        )
+        ref_ps = 152_000.0
+        stray = [(rng.uniform(-1e4, 300 * period_ps, k), rng.integers(0, 2, k)) for k in (60, 30)]
+        stray[1] = (stray[1][0] + ref_ps, stray[1][1])
+        cfg = an.CoincidenceConfig(window_ps=window_ps)
+        geometry = dict(slot_spacing_ns=spacing_ns, signal_ref_ps=ref_ps)
+        got = an.pair_threefold_counts(pairs, *stray[0], *stray[1], period_ns, cfg, **geometry)
+        idler = [np.concatenate(x) for x in zip(pairs.idler_clicks(period_ps), stray[0])]
+        signal = [np.concatenate(x) for x in zip(pairs.signal_clicks(period_ps, ref_ps), stray[1])]
+        want = an.threefold_counts(*idler, *signal, period_ns, cfg, **geometry)
+        assert want.counts.sum() > 0
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert (got.unclassified_idler, got.unclassified_signal) == (
+            want.unclassified_idler,
+            want.unclassified_signal,
+        )
 
     def test_slots_must_fit_in_the_period(self):
         with pytest.raises(ValueError, match="clock period"):
