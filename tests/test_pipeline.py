@@ -21,6 +21,8 @@ from afcsim.datasets import load_density_matrices, load_tomography_counts
 from afcsim.memory import CHANNEL_OFFSETS_GHZ, AfcChannel, storage_survival
 from afcsim.source import analytic_state, emission_arrays
 
+from event_reference import g2_tallies
+
 
 # the ideal source: no white noise or phase jitter, a balanced pump and
 # 25 dB extinction
@@ -463,21 +465,19 @@ def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags
         duration_ps * 1e-12,
         pl._seed(cfg, *tags, "detector"),
     )
-    tallies = analyzer.g2_tallies(
+    tallies = g2_tallies(
         streams["B"], streams["A"], cfg.clock_period_ns, cfg.coincidence, signal_ref_ps=delay_ps
     )
     return np.array(dataclasses.astuple(tallies), dtype=float)
 
 
 class TestG2PoissonSplitting:
-    """acquire_g2 draws the recalled pairs at s times the signal band's
-    rate over the whole run, the idler-only pairs (for one channel the
-    fringe and the lost pairs, for two the whole idler channel) only within
-    w cycles of a signal-occupied cycle, and their occupancy elsewhere as
-    one binomial; its tallies must have the distribution of the path that
-    draws every pair and keeps each signal photon by a draw per pair
-    (``_full_sampling_g2_tallies``).  The wide-jitter config reaches w = 3
-    and the calibration w = 0."""
+    """acquire_g2 draws each cycle's occupancy from its law, and the pairs
+    whose two clicks count toward different cycles one by one; its tallies
+    must have the distribution of the path that draws every pair and keeps
+    each signal photon by a draw per pair (``_full_sampling_g2_tallies``).
+    The wide-jitter config makes those split pairs common: its landing row
+    reaches w = 3 cycles on each side, and the calibration's w = 0."""
 
     SEEDS = 16
 
@@ -528,11 +528,38 @@ class TestG2PoissonSplitting:
         assert split[1] > 150
         assert (3 * p > 1e-3).all(), (split, full)
 
+    def test_spread_matches_full_sampling_at_wide_jitter(self):
+        # each tally's spread over 120 seeds, where split pairs are about a
+        # tenth of the coincidences; Levene's test, each tally against a
+        # third of the level
+        cfg = wide_jitter_config()
+        n_cycles = 20_000
+        assert pl._g2_rates(cfg, 0, 0, False)[3].sum() * n_cycles > 50
+        split, full = [], []
+        for k in range(120):
+            cfg_k = dataclasses.replace(cfg, seed=k)
+            run = pl.acquire_g2(cfg_k, 0, 0, n_cycles, ("split",), stored=False)
+            split.append((run.coincidences, run.signal_singles, run.idler_singles))
+            full.append(_full_sampling_g2_tallies(cfg_k, 0, 0, n_cycles, ("full",), False))
+        split, full = np.array(split), np.array(full)
+        for tally in range(3):
+            p = stats.levene(split[:, tally], full[:, tally]).pvalue
+            assert 3 * p > 1e-3, (tally, split[:, tally].std(), full[:, tally].std())
+
+    def test_no_split_pair_at_the_calibration(self):
+        # 40 ps jitter never moves a click 15.7 ns into a neighbour's window
+        cfg = reference_calibration_config()
+        for stored in (True, False):
+            assert pl._g2_rates(cfg, 0, 0, stored)[3].sum() < 1e-20
+
     def test_reach(self):
-        # w = floor((W / 2 + 10 sigma) / P): (300 + 400) / 16000 and
-        # (8000 + 40000) / 16000, windows that hold all but the jitter tail
-        assert pl._g2_reach(fast_config()) == (0, pytest.approx(1.0))
-        assert pl._g2_reach(wide_jitter_config()) == (3, pytest.approx(1.0))
+        # the landing row spans d in [-w - 1, w + 1], w = floor((W / 2 + 10
+        # sigma) / P): (300 + 400) / 16000 and (8000 + 40000) / 16000, windows
+        # that hold all but the jitter tail
+        assert pl._landing_row(fast_config()).tolist() == [0.0, pytest.approx(1.0), 0.0]
+        row = pl._landing_row(wide_jitter_config())
+        assert row.size == 9
+        assert row.sum() == pytest.approx(1.0)
         # an 8 ns window at 8 ns jitter: a click counts toward its pair's
         # cycle or a neighbour's, or falls between two windows
         cfg = wide_jitter_config()
@@ -541,38 +568,43 @@ class TestG2PoissonSplitting:
             detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=8000.0),
             coincidence=analyzer.CoincidenceConfig(window_ps=8000.0),
         )
-        w, p_win = pl._g2_reach(cfg)
-        assert w == 5
-        centers = np.arange(-20, 21) * 16000.0
+        row = pl._landing_row(cfg)
+        assert row.size == 13  # w = 5
+        centers = np.arange(-6, 7) * 16000.0
         jitter = stats.norm(scale=8000.0)
         mass = jitter.cdf(centers + 4000) - jitter.cdf(centers - 4000)
-        assert p_win == pytest.approx(mass.sum(), rel=1e-12)
-        assert p_win > 1.3 * mass[20]  # the neighbours' share
+        # each cycle's mass to the rounding of erf near +-1
+        np.testing.assert_allclose(row, mass, rtol=1e-12, atol=1e-15)
+        assert row.sum() == pytest.approx(mass.sum(), rel=1e-12)
+        assert row.sum() > 1.3 * row[6]  # the neighbours' share
+        # no jitter: every click counts toward its own cycle
+        cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=0.0))
+        assert pl._landing_row(cfg).tolist() == [1.0]
 
-    def test_detector_seeds_are_distinct(self, monkeypatch):
-        # two detect calls on one seed would give both the same efficiency
-        # and jitter draws
-        seeds = []
+    def test_draw_streams_are_distinct(self, monkeypatch):
+        # the run's draws and its Monte-Carlo draws on one stream would
+        # correlate the error bar with the tallies
+        paths = []
+        original = pl.derive_rng
 
-        def recording_detect(arrivals, det, duration_s, seed):
-            seeds.append(seed)
-            return analyzer.detect(arrivals, det, duration_s, seed)
+        def recording_derive_rng(seed, *tags):
+            paths.append(tags)
+            return original(seed, *tags)
 
-        monkeypatch.setattr(pl, "detect", recording_detect)
-        cfg = fast_config()
-        pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("seeds",), stored=True)
-        assert len(seeds) == 2
-        assert len(set(seeds)) == len(seeds)
+        monkeypatch.setattr(pl, "derive_rng", recording_derive_rng)
+        pl.acquire_g2(wide_jitter_config(), 0, 0, 20_000, ("streams",), stored=False)
+        assert paths == [("streams", "occupancy"), ("streams", "mc")]
 
 
 class TestG2Memory:
     """A stored same-channel g2 run at the calibration size, 600M cycles,
-    draws its idler-only pairs only next to the ~20k signal-occupied cycles.
-    Drawing all ~300k idler-band pairs of a 6M-cycle run, as the g2 path
-    once did, peaked at 15.5 MB of tracemalloc memory; the 600M-cycle run
-    holds ~30M."""
+    draws its cycle occupancy as one Multinomial and no pair: it peaks at
+    ~12 kB of tracemalloc memory.  Drawing all ~300k idler-band pairs of a
+    6M-cycle run, as the g2 path once did, peaked at 15.5 MB, and drawing
+    the ~20k recalled pairs with the idler-only pairs next to them at
+    ~1.5 MB; the 600M-cycle run holds ~30M pairs."""
 
-    MAX_MB = 5.0
+    MAX_MB = 0.5
 
     def test_peak_memory(self):
         cfg = reference_calibration_config()
@@ -648,11 +680,12 @@ class TestPinnedCounts:
     click.  Its pairs drawn differ by stage: after storage far fewer pairs
     are recalled, over 100 times the cycles, and fewer signal clicks leave
     fewer cycles to draw idler-only pairs in; the 100 times longer run holds
-    100 times the dark counts, most of them unclassified.  The g2 pins are those of a stored same-channel run split
-    as the threefold one: its recalled pairs, drawn at s times the band's
-    rate, and their idlers over the whole run, the fringe and lost pairs
-    only within w cycles of a signal-occupied cycle (w = 0 here), and the
-    idler occupancy of every other cycle as one binomial."""
+    100 times the dark counts, most of them unclassified.  The g2 pins are
+    those of a stored same-channel run drawn as a law over cycle occupancy:
+    one Multinomial over the 40M integrated cycles, as no split pair occurs
+    at 40 ps jitter.  They replaced (996, 1388, 1411522), the pins of the
+    event path that drew the recalled pairs and detected their clicks; the
+    two differ at the Monte-Carlo level only."""
 
     @pytest.mark.parametrize(
         "stored, counts, unclassified, n_pairs",
@@ -684,7 +717,7 @@ class TestPinnedCounts:
     def test_g2(self):
         cfg = fast_config()
         run = pl.acquire_g2(cfg, 0, 0, cfg.desk_scale.g2_cycles, ("pin-g2",), stored=True)
-        assert (run.coincidences, run.signal_singles, run.idler_singles) == (996, 1388, 1411522)
+        assert (run.coincidences, run.signal_singles, run.idler_singles) == (953, 1329, 1411526)
 
 
 class TestAnalyticConsistency:
@@ -745,32 +778,29 @@ class TestMemoryNoise:
         assert abs(acq.signal_clicks()[0].size - expected) < 4 * np.sqrt(expected)
         assert acq.idler_clicks()[0].size == 0
 
-    def test_g2_signal_stream_carries_the_noise(self, monkeypatch):
-        # the g2 path recalls through the same memory step; with no idler
-        # clicks g2 is undefined, so the detector streams are checked: the
-        # first call detects the whole-run streams, the second the
-        # idler-only pairs drawn next to the noise clicks (none here)
+    def test_g2_signal_rate_carries_the_noise(self):
+        # the g2 path recalls through the same memory: the signal-only mean
+        # B holds the memory noise thinned by eta and the dark counts
+        # unthinned, over one window, and the idler-only mean C the dark
+        # counts alone.  With no pair and no dark count the idler side never
+        # clicks, and g2 is undefined
         cfg = config_from_dict(self.NOISE_ONLY)
-        seen = []
-
-        def recording_detect(*args, **kwargs):
-            seen.append(analyzer.detect(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(pl, "detect", recording_detect)
-        n_cycles = 1_000_000
         with pytest.raises(ValueError, match="zero singles"):
-            pl.acquire_g2(cfg, 0, 0, n_cycles, ("noise-g2",), stored=True)
-        streams, idler_only = seen
-        expected = (
-            cfg.bank.noise_rate_hz
-            * pl._stage_cycles(n_cycles, True)
-            * cfg.clock_period_ns
-            * 1e-9
-            * cfg.detectors.efficiency
-        )
-        assert abs(streams["B"].size - expected) < 4 * np.sqrt(expected)
-        assert streams["A"].size == idler_only["A"].size == 0
+            pl.acquire_g2(cfg, 0, 0, 1_000_000, ("noise-g2",), stored=True)
+        dark_hz, eta = 300.0, cfg.detectors.efficiency
+        cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(cfg.detectors, dark_count_rate_hz=dark_hz))
+        window_s = cfg.coincidence.window_ps * 1e-12
+        for stored, noise_hz in ((True, cfg.bank.noise_rate_hz), (False, 0.0)):
+            both, signal_only, idler_only, split = pl._g2_rates(cfg, 0, 0, stored)
+            assert both == split.sum() == 0.0
+            assert signal_only == pytest.approx((dark_hz + eta * noise_hz) * window_s, rel=1e-12)
+            assert idler_only == pytest.approx(dark_hz * window_s, rel=1e-12)
+        # a run's signal singles track it: ~440 over the stored 100M cycles
+        n_cycles = 1_000_000
+        run = pl.acquire_g2(cfg, 0, 0, n_cycles, ("noise-g2",), stored=True)
+        rate = (dark_hz + eta * cfg.bank.noise_rate_hz) * window_s
+        expected = pl._stage_cycles(n_cycles, True) * -math.expm1(-rate)
+        assert abs(run.signal_singles - expected) < 4 * np.sqrt(expected)
 
 
 class TestG2Structure:
