@@ -23,6 +23,7 @@ basis" used for tomography.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,11 +415,9 @@ def threefold_counts(
     )
 
 
-# per flat cell of the (2, 3, 2, 3) outcome table: each side's port, and the
-# cell's two ports in the flat index, idler port * 18 + signal port * 3
+# per flat cell of the (2, 3, 2, 3) outcome table: each side's port
 _IDLER_PORT = _OUTCOME_INDEX[0].astype(np.int8)
 _SIGNAL_PORT = _OUTCOME_INDEX[2].astype(np.int8)
-_PORT_CELL = (18 * _OUTCOME_INDEX[0] + 3 * _OUTCOME_INDEX[2]).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -491,6 +490,88 @@ def _offset_slots(offsets_ps: np.ndarray, period_ps: float, spacing_ps: float, w
     return moved, shift, slot, np.abs(distance, out=distance) <= window_ps / 2.0
 
 
+# detector jitter is Gaussian: the click geometry below, and the callers
+# that bound how far a click may land from its photon, reach clicks
+# displaced by up to this many standard deviations, beyond which lies a
+# share of 1.5e-23 of the clicks
+_JITTER_REACH_SIGMAS = 10
+
+
+def _reach_cycles(extent_ps: float, sigma_ps: float, period_ps: float) -> int:
+    """The cycles d > 0 with dP <= extent + 10 sigma, P the period: how far
+    a click whose photon lies within ``extent_ps`` of a region may land from
+    it in whole periods, its jitter below ``_JITTER_REACH_SIGMAS`` sigma."""
+    return math.floor((extent_ps + _JITTER_REACH_SIGMAS * sigma_ps) / period_ps)
+
+
+def _gauss_mass(lo: float, hi: float) -> float:
+    """P(lo <= Z < hi) for a standard normal Z, from :func:`math.erfc` on
+    the side of zero away from the interval, so that a tail interval keeps
+    its relative precision."""
+    root2 = math.sqrt(2)
+    if lo >= 0:
+        return (math.erfc(lo / root2) - math.erfc(hi / root2)) / 2
+    if hi <= 0:
+        return (math.erfc(-hi / root2) - math.erfc(-lo / root2)) / 2
+    return 1 - (math.erfc(-lo / root2) + math.erfc(hi / root2)) / 2
+
+
+def _slot_classes(period_ps: float, spacing_ps: float, window_ps: float):
+    """The click offsets after a cycle's reference that count toward each
+    class of that cycle, as lists of ``(lo, hi)`` pieces: class k < 3 is
+    slot k's window, class 3 (unclassified) the offsets outside them that
+    lie between the previous cycle's last window and the next cycle's
+    first.
+
+    As :func:`_slot_keys` and :func:`_offset_slots` classify a click: the
+    nearest slot center, 0, s or 2s for the slot spacing s, within the
+    cycle's edges at -(P/2 - s) and P/2 + s for the period P, and within
+    W/2 of it for the window W.
+    """
+    half_ps = window_ps / 2
+    edges = (spacing_ps - period_ps / 2, spacing_ps / 2, 1.5 * spacing_ps, period_ps / 2 + spacing_ps)
+    windows = [
+        (max(k * spacing_ps - half_ps, edges[k]), min(k * spacing_ps + half_ps, edges[k + 1]))
+        for k in range(3)
+    ]
+    bounds = [windows[2][1] - period_ps, *(x for window in windows for x in window), windows[0][0] + period_ps]
+    gaps = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
+    return [[window] for window in windows] + [gaps]
+
+
+def _landing_reach(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float) -> int:
+    """w: the cycles on each side of a photon's cycle toward which its
+    click may count in a slot window.  A click lies at most
+    ``_JITTER_REACH_SIGMAS`` sigma from its slot, 0, s or 2s, and the
+    windows of the cycle d later span the offsets [dP - b, dP + b'] with b'
+    = min(2s + W/2, P/2 + s) (:func:`_slot_classes`) and 2s + b = b', so it
+    reaches them when |d| P <= b' + 10 sigma.  Within w = 0 (at the
+    calibration, and at 400 ps jitter) a click counts in its own cycle's
+    classes or in none."""
+    return _reach_cycles(_slot_classes(period_ps, spacing_ps, window_ps)[2][0][1], sigma_ps, period_ps)
+
+
+def _landing_table(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float) -> np.ndarray:
+    """``table[k, j]``: the chance that the click of a photon in slot k
+    counts toward class j of its own cycle (:func:`_slot_classes`).
+
+    The jitter is Gaussian of deviation sigma, so an entry is the
+    :func:`_gauss_mass` of the class's pieces less the slot's offset.
+    Where :func:`_landing_reach` is 0, a row misses 1 only by the clicks
+    beyond 10 sigma.  With no jitter every click counts toward its own slot.
+    """
+    if sigma_ps == 0:
+        return np.eye(3, 4)
+    classes = _slot_classes(period_ps, spacing_ps, window_ps)
+    return np.array(
+        [
+            [sum(_gauss_mass((lo - k * spacing_ps) / sigma_ps, (hi - k * spacing_ps) / sigma_ps) for lo, hi in pieces)
+             for pieces in classes]
+            for k in range(3)
+        ]
+    )
+
+
 def pair_threefold_counts(
     pairs: PairClicks,
     idler_times_ps: np.ndarray,
@@ -504,84 +585,19 @@ def pair_threefold_counts(
     signal_ref_ps: float = 0.0,
 ) -> ThreefoldCounts:
     """:func:`threefold_counts` of the clicks of ``pairs`` together with
-    the stray clicks given as times and ports, counted pair by pair.
-
-    A pair is lone when no other pair shares its cycle c, each of its
-    classified clicks falls in c, and no classified stray click, nor a
-    classified click of another pair, falls in c.  Cycle c then holds only
-    the lone pair's clicks, so its counts are one count in the cell of its
-    two classified clicks, or none when either is unclassified or missing;
-    its unclassified clicks are tallied directly.  Every other cycle holds
-    no click of a lone pair, so one :func:`threefold_counts` call over the
-    stray clicks and the clicks of the pairs that are not lone counts it.
-    The sum equals one :func:`threefold_counts` call over every click,
-    for every click whose offset and absolute time classify alike (all but
-    those within the rounding of the absolute time of a slot or window
-    edge).
-    """
+    the stray clicks given as times and ports."""
     period_ps = clock_period_ns * 1e3
-    spacing_ps = slot_spacing_ns * 1e3
-    geometry = (clock_period_ns, slot_spacing_ns, cfg.window_ps)
-    cycles, kept = pairs.cycles, pairs.idler_pairs
-    i_key, _ = _slot_keys(idler_times_ps, 0.0, idler_ports, (18, 6), *geometry)
-    s_key, _ = _slot_keys(signal_times_ps, signal_ref_ps, signal_ports, (3, 1), *geometry)
-    geometry_ps = (period_ps, spacing_ps, cfg.window_ps)
-    s_moved, s_shift, s_slot, s_ok = _offset_slots(pairs.signal_offsets_ps, *geometry_ps)
-    i_moved, i_shift, i_slot, i_ok = _offset_slots(pairs.idler_offsets_ps, *geometry_ps)
-
-    lone = np.ones(cycles.size, dtype=bool)
-    if cycles.size:
-        alone = cycles[1:] != cycles[:-1]
-        lone[1:] = alone
-        lone[:-1] &= alone
-        del alone
-    # busy cycles: those of the classified stray clicks, and those of the
-    # classified pair clicks outside their pair's cycle, whose pair is not lone
-    busy = [i_key >> 6, s_key >> 6]
-    for moved, shift, ok, owner in ((s_moved, s_shift, s_ok, None), (i_moved, i_shift, i_ok, kept)):
-        left = ok.take(moved)
-        moved, shift = moved[left], shift[left]
-        if owner is not None:
-            moved = owner.take(moved)
-        lone[moved] = False
-        busy.append(cycles.take(moved) + shift)
-    busy = np.concatenate(busy)
-    if cycles.size:
-        at = np.searchsorted(cycles, busy)
-        # a pair sharing its cycle with another is not lone already, so the
-        # first pair of a busy cycle is the one to clear
-        lone[at[cycles.take(at, mode="clip") == busy]] = False
-        del at
-    del busy
-
-    i_lone = lone.take(kept)
-    both = np.flatnonzero(i_lone & i_ok & s_ok.take(kept))
-    paired = kept.take(both)
-    cell = _PORT_CELL.take(pairs.cells.take(paired))
-    cell += s_slot.take(paired)
-    cell += 6 * i_slot.take(both)
-    counts = np.bincount(cell, minlength=36)
-    del both, paired, cell
-    unclassified_signal = int(np.count_nonzero(lone) - np.count_nonzero(lone & s_ok))
-    unclassified_idler = int(np.count_nonzero(i_lone) - np.count_nonzero(i_lone & i_ok))
-    del s_slot, s_ok, i_slot, i_ok
-
-    i_rest = pairs.idler_clicks(period_ps, np.flatnonzero(~i_lone))
-    s_rest = pairs.signal_clicks(period_ps, signal_ref_ps, np.flatnonzero(~lone))
-    rest = threefold_counts(
-        np.concatenate([idler_times_ps, i_rest[0]]),
-        np.concatenate([idler_ports, i_rest[1]]),
-        np.concatenate([signal_times_ps, s_rest[0]]),
-        np.concatenate([signal_ports, s_rest[1]]),
+    i_pairs = pairs.idler_clicks(period_ps)
+    s_pairs = pairs.signal_clicks(period_ps, signal_ref_ps)
+    return threefold_counts(
+        np.concatenate([i_pairs[0], idler_times_ps]),
+        np.concatenate([i_pairs[1], idler_ports]),
+        np.concatenate([s_pairs[0], signal_times_ps]),
+        np.concatenate([s_pairs[1], signal_ports]),
         clock_period_ns,
         cfg,
         slot_spacing_ns=slot_spacing_ns,
         signal_ref_ps=signal_ref_ps,
-    )
-    return ThreefoldCounts(
-        counts=rest.counts + counts.reshape(2, 3, 2, 3),
-        unclassified_idler=rest.unclassified_idler + unclassified_idler,
-        unclassified_signal=rest.unclassified_signal + unclassified_signal,
     )
 
 

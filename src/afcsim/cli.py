@@ -18,23 +18,21 @@ Exit codes: 0 success, 1 a tolerance check failed, 2 configuration error.
 
 Allocator policy: ``main`` keeps the heap that the event path frees mapped
 for the next acquisition (``_keep_heap_mapped``).  Each acquisition builds
-and frees arrays of 1.5-4 MB (emission cycles, outcome draws, times, masks,
-sort keys, ``np.compress`` index buffers); glibc's dynamic thresholds serve
-such blocks with ``mmap`` or trim them off the top of the heap, so every
-acquisition zero-fills its pages again.  ``main`` sets glibc's
+and frees arrays of up to 2 MB (the emission cycles and their sorted copy,
+the lone pairs' cycles, masks); glibc's dynamic thresholds serve such
+blocks with ``mmap`` or trim them off the top of the heap, so the next
+acquisition zero-fills their pages again.  ``main`` sets glibc's
 ``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD`` to 256 MiB; with
-both, ``simulate --channels 1 --trials 20`` takes about 20k minor page
-faults instead of about 385k and spends 0.05 s instead of about 0.9 s in the
-kernel (getrusage of the verb).  Either setting alone leaves most of the
-faults.  ``main`` also sets ``M_ARENA_MAX`` to 1: the threads that run a
-setting scan (``afcsim.pipeline``) then allocate from the one main arena
-that the two thresholds keep mapped, instead of each faulting in an arena of
-its own.  Without the cap, ``simulate --channels 1 --trials 20`` peaks at
-about 154 MB of RSS on two threads; with it, at about 96 MB, against about
-120 MB when the scans ran on one thread (``ru_maxrss``).  The policy applies
-to glibc only: where ``mallopt`` is missing or refuses the value, the
-allocator is left as it is.  It changes no number, and code that imports
-``afcsim`` as a library keeps its own allocator; only ``main`` sets it.
+both, ``simulate --channels 1 --trials 20`` takes about 3.1k minor page
+faults instead of about 8.9k and spends 0.012 s instead of 0.032 s in the
+kernel (getrusage of the verb), and its wall time is about 4% lower, at
+the cost of a peak RSS of about 50 MB instead of 45 MB (``ru_maxrss``).
+The mmap threshold alone leaves 7.5k faults, and the trim threshold alone
+makes 26k.  ``reproduce fig4`` and ``reproduce fig3`` move by less than
+their run-to-run spread either way.  The policy applies to glibc only:
+where ``mallopt`` is missing or refuses the value, the allocator is left as
+it is.  It changes no number, and code that imports ``afcsim`` as a
+library keeps its own allocator; only ``main`` sets it.
 """
 
 from __future__ import annotations
@@ -52,15 +50,12 @@ from afcsim.datasets import FixtureError
 _RUN_OPTIONS = ("config", "seed", "channels", "trials")
 
 # glibc mallopt parameters (malloc.h) and the values main sets; 32 MiB is
-# the largest mmap threshold every 64-bit glibc accepts, and one arena
-# serves every scan thread
+# the largest mmap threshold every 64-bit glibc accepts
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 _HEAP_POLICY = (
     (_M_MMAP_THRESHOLD, 32 << 20),
     (_M_TRIM_THRESHOLD, 256 << 20),
-    (_M_ARENA_MAX, 1),
 )
 
 # Every artifact, keyed by (verb, artifact): the options it reads, whether

@@ -11,47 +11,61 @@ times the band's rate, the lost pairs at 1 - s times it.
 
 Everything is deterministic given (config, seed): independent acquisitions
 derive child generators from stable string tags, so channels and settings
-can be computed in any order or in parallel workers.  A threefold scan
-(the CHSH, fringe or tomography settings of one channel and stage) is a
-list of acquisition specs and a fit of their counts; :func:`run_scans`
-acquires every spec of a call's scans on one thread pool, one thread per
-CPU this process may run on and no more than the specs, then fits each
-scan on the calling thread.  Every other acquisition (the g2 runs, the DD
-acquisition whose clicks fig7 histograms) runs on the calling thread.
+can be computed in any order.  A threefold scan (the CHSH, fringe or
+tomography settings of one channel and stage) is a list of acquisition
+specs and a fit of their counts; :func:`run_scans` acquires each spec and
+fits each scan on the calling thread, as every other acquisition (the g2
+runs, the DD acquisition whose clicks fig7 histograms) runs.
 
 A threefold acquisition (:func:`acquire_threefold`) draws, over the whole
-run, only the pairs whose signal photon clicks: detection thins the
-recalled pairs once more, at the detector efficiency.  It carries their
-clicks in cycle coordinates, counts each pair alone in its cycle from its
-own outcome cell, and sends only the other clicks through the sorted
-same-cycle join of :func:`threefold_counts`.  The idler-only pairs, whose
-signal photon gives no click, are drawn only in the cycles next to a
-signal click.  A thread holds about 14 MB at its peak at before-storage
-CHSH size (250k pairs drawn), against 19 MB when every recalled pair was
-drawn and every click joined by time.  A g2 run (:func:`acquire_g2`)
-draws no pair, click or time: it counts only whether each cycle's signal
-and idler windows hold a click, and by Poisson colouring those occupancies
-are independent draws from one law, except where a pair's two clicks count
-toward different cycles.  So a run is one Multinomial draw over the cycles,
-and those rare split pairs (none at the calibration) are drawn one by one.
+run, only the cycles of the pairs whose signal photon clicks: detection
+thins the recalled pairs once more, at the detector efficiency.  Where no
+click can count toward another cycle (at the calibration; not at several
+ns of jitter), a pair alone in a cycle that no classified stray click falls in
+is lone, and by Poisson colouring the lone pairs' classes (outcome cell,
+idler detection, and the slot window or none each click lands in) are one
+Multinomial draw, from which their counts are read: no cell, keep or
+jitter is drawn for them.  Only the other pairs, about 4% at the
+calibration before storage, are drawn one by one and counted with the stray
+clicks.  The idler-only pairs, whose signal photon gives no click, are
+drawn only in the cycles toward which a signal click may count.  A before-
+storage CHSH acquisition peaks at about 6.1 MB (tracemalloc), against
+14 MB when every signal-click pair drew its cell and jitter.  The clicks
+no count needs (the lone pairs', and the idler-only pairs' that only
+fig7's histogram can meet) are drawn on demand (:class:`Acquisition`).  A
+g2 run (:func:`acquire_g2`) draws no pair, click or time: it counts only
+whether each cycle's signal and idler windows hold a click, and by Poisson
+colouring those occupancies are independent draws from one law, except
+where a pair's two clicks count toward different cycles.  So a run is one
+Multinomial draw over the cycles, and those rare split pairs (none at the
+calibration) are drawn one by one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from afcsim import bell
 from afcsim import tomography as tom
 from afcsim.analyzer import (
+    _IDLER_PORT,
+    _JITTER_REACH_SIGMAS,
     _OUTCOME_INDEX,
     PairClicks,
     ThreefoldCounts,
+    _gauss_mass,
+    _landing_reach,
+    _landing_table,
+    _offset_slots,
+    _reach_cycles,
     _sample_cells,
+    _slot_classes,
+    _slot_keys,
     detect,
     g2_cross,
     middle_middle,
@@ -130,22 +144,16 @@ def _recall(cfg: ExperimentConfig, channel: int, tags, stored: bool, duration_ps
 # the +- span of fig7's two-fold histogram of an acquisition's clicks
 HISTOGRAM_SPAN_NS = 4.0
 
-# detector jitter is Gaussian: an acquisition's idler-only draw, and a g2
-# run's landing row, reach clicks displaced by up to this many standard
-# deviations, beyond which lies a share of 1.5e-23 of the clicks
-_JITTER_REACH_SIGMAS = 10
-
-
 def _neighbour_cycles(cfg: ExperimentConfig) -> int:
     """w: the cycles on each side of a signal click's cycle in which the
-    pair of an idler click it can meet was emitted.
+    pair of an idler click that fig7's histogram meets it with was emitted.
 
     With period P and slot spacing s, a signal click at time r after the
-    recall delay lies in cycle f = floor(r / P).  Counting meets it with the
-    idler clicks of its own cycle, f or, past the late-slot wrap at P/2 + s,
-    f + 1; a cycle k holds the times [kP - (P/2 - s), kP + P/2 + s).  fig7
-    meets it with the idler clicks within H of r, H being the histogram span
-    plus half a bin (its outer edges).  So every idler click it can meet lies
+    recall delay lies in cycle f = floor(r / P).  fig7 meets it with the
+    idler clicks within H of r, H being the histogram span plus half a bin
+    (its outer edges), and counting with those of its own cycle, f or, past
+    the late-slot wrap at P/2 + s, f + 1; a cycle k holds the times
+    [kP - (P/2 - s), kP + P/2 + s).  So every idler click it can meet lies
     in [fP - max(P/2 - s, H), (f + 1)P + max(P/2 + s, H)).  The idler of a
     pair emitted in cycle c arrives at cP + {0, s, 2s} plus its jitter j.  For
     |j| <= J, once wP >= max(P/2 + s, H) + J only cycles c up to f + w land
@@ -169,28 +177,29 @@ def _click_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float) -> n
 
 def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int):
     """N, the sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
-    sorted int64 ``cycles``, which it overwrites.  Returns the size of N
-    and a function that maps indices into N to their cycles; N itself, a
-    few times as long as ``cycles``, is never built.
+    sorted int64 ``cycles``.  Returns the size of N and a function that
+    maps indices into N to their cycles, reading ``cycles``, which the
+    caller leaves unchanged; N itself, up to 2w + 1 times as long as
+    ``cycles``, is never built.
 
     Window r, [c_r - w, c_r + w], adds to the windows before it its last
     a_r = min(c_r - c_(r-1), 2w + 1) cycles, ending at e_r = c_r + w.  So
     with L_r the cycles added up to window r, index k of the unclipped N
     lies in the first window with L_r > k, and is e_r - (L_r - 1 - k).
     """
-    added = np.diff(cycles, prepend=cycles[:1] - 2 * w - 1)
+    added = np.empty_like(cycles)
+    added[:1] = 2 * w + 1
+    np.subtract(cycles[1:], cycles[:-1], out=added[1:])
     np.minimum(added, 2 * w + 1, out=added)
-    ends = cycles
-    ends += w
     last = np.cumsum(added, out=added)
 
     def below(cycle: int) -> int:
         """The cycles of the unclipped N below ``cycle``."""
-        r = int(np.searchsorted(ends, cycle))  # the first window that reaches it
+        r = int(np.searchsorted(cycles, cycle - w))  # the first window that reaches it
         before = int(last[r - 1]) if r else 0
-        if r == ends.size:
+        if r == cycles.size:
             return before
-        return before + max(0, cycle - 1 - int(ends[r]) + int(last[r]) - before)
+        return before + max(0, cycle - 1 - (int(cycles[r]) + w) + int(last[r]) - before)
 
     start = below(0)
 
@@ -198,8 +207,8 @@ def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int):
         k = index + start
         r = np.searchsorted(last, k, side="right")
         k -= last.take(r)
-        k += 1
-        k += ends.take(r)
+        k += 1 + w
+        k += cycles.take(r)
         return k
 
     return below(n_cycles) - start, take
@@ -235,38 +244,158 @@ def _rate(cfg: ExperimentConfig, processes) -> float:
     return sum(f * mu * (hi - lo) / cfg.source.pair_bandwidth_ghz for (lo, hi), f in processes)
 
 
+def _click_geometry(cfg: ExperimentConfig):
+    """(period, slot spacing, coincidence window, detector jitter sigma) in
+    ps: the arguments of the analyzer's click geometry
+    (:func:`afcsim.analyzer._slot_classes`, :func:`_landing_table`,
+    :func:`_landing_reach`)."""
+    return (
+        cfg.clock_period_ns * 1e3,
+        cfg.source.pump.pulse_interval_ns * 1e3,
+        cfg.coincidence.window_ps,
+        cfg.detectors.jitter_sigma_ps,
+    )
+
+
+# a lone pair's classes: [idler port, idler slot, signal port, signal slot,
+# the class its signal click counts toward, the class its idler click counts
+# toward or 4 when the idler detector misses it]
+_LONE_SHAPE = (2, 3, 2, 3, 4, 5)
+
+
+def _lone_law(cfg: ExperimentConfig, rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
+    """The chances of a lone pair's classes, shape ``_LONE_SHAPE``: its
+    Born-rule cell (:func:`project_pair`, clipped and normalized as
+    :func:`afcsim.analyzer._sample_cells` takes it), times each side's
+    landing chance (:func:`_landing_table`), the idler's times eta or, for
+    no idler click, 1 - eta."""
+    cells = np.clip(project_pair(rho, alpha_rad, beta_rad), 0.0, None)
+    cells /= cells.sum()
+    landing = _landing_table(*_click_geometry(cfg))
+    eta = cfg.detectors.efficiency
+    idler = np.hstack([eta * landing, np.full((3, 1), 1.0 - eta)])
+    return cells[..., None, None] * landing[:, :, None] * idler[:, None, None, None, :]
+
+
+def _lone_counts(draw: np.ndarray) -> ThreefoldCounts:
+    """The threefold counts of lone pairs drawn as ``draw``, their numbers
+    per class: one count in the cell of each pair's two classified clicks.
+    """
+    by_class = draw.sum(axis=(1, 3))  # [idler port, signal port, signal class, idler class]
+    return ThreefoldCounts(
+        counts=by_class[:, :, :3, :3].transpose(0, 3, 1, 2),
+        unclassified_idler=int(by_class[..., 3].sum()),
+        unclassified_signal=int(by_class[:, :, 3].sum()),
+    )
+
+
+def _truncated_normal(bounds, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of a standard normal conditioned on the union of the
+    disjoint intervals ``bounds``: an interval by its mass, then the
+    inverse of the normal CDF on it, with no rejection.  An interval above
+    zero is drawn as the negative of its mirror image, so that its CDF
+    values are small numbers, exact to their last bits even 8 sigma out
+    (a class of chance 6e-14 at the calibration)."""
+    from scipy.special import ndtr, ndtri
+
+    mass = np.cumsum([_gauss_mass(lo, hi) for lo, hi in bounds])
+    piece = np.searchsorted(mass, rng.random(n) * mass[-1], side="right")
+    np.minimum(piece, len(bounds) - 1, out=piece)
+    z = np.empty(n)
+    for i, (lo, hi) in enumerate(bounds):
+        at = np.flatnonzero(piece == i)
+        mirrored = lo >= 0
+        if mirrored:
+            lo, hi = -hi, -lo
+        p_lo, p_hi = ndtr(lo), ndtr(hi)
+        draws = ndtri(p_lo + rng.random(at.size) * (p_hi - p_lo))
+        np.clip(draws, lo, hi, out=draws)
+        z[at] = -draws if mirrored else draws
+    return z
+
+
+def _class_offsets(cfg: ExperimentConfig, slots, classes, rng: np.random.Generator) -> np.ndarray:
+    """Click offsets of photons in ``slots`` whose clicks count toward
+    ``classes`` of their cycle (:func:`_slot_classes`): slot times spacing
+    plus a jitter drawn conditional on that class, slot and class pair by
+    slot and class pair."""
+    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
+    sigma_ps = cfg.detectors.jitter_sigma_ps
+    offsets = slots * spacing_ps
+    if sigma_ps == 0:
+        return offsets
+    slot_classes = _slot_classes(*_click_geometry(cfg)[:3])
+    for slot in range(3):
+        for cls, pieces in enumerate(slot_classes):
+            at = np.flatnonzero((slots == slot) & (classes == cls))
+            if at.size:
+                center = slot * spacing_ps
+                bounds = [((lo - center) / sigma_ps, (hi - center) / sigma_ps) for lo, hi in pieces]
+                offsets[at] += sigma_ps * _truncated_normal(bounds, at.size, rng)
+    return offsets
+
+
 @dataclass(frozen=True)
 class Acquisition:
     """One analyzer acquisition: port/slot-resolved threefold counts, the
     clicks they were counted from and bookkeeping.
 
-    The clicks are those of the signal-click pairs, in cycle coordinates
-    (``pairs``), and the stray clicks as times and ports: on the idler side
-    the idler-only pairs drawn in N (see :func:`acquire_threefold`) and the
-    dark counts, on the signal side the memory noise and the dark counts.
-    The idler-only pairs outside N are never drawn.  ``n_pairs_sampled``
-    counts the pairs drawn: the signal-click pairs of the whole run, and the
-    idler-only pairs drawn in N."""
+    The signal-click pairs are either lone, counted from their classes (see
+    :func:`acquire_threefold`), of which only the cycles are kept
+    (``lone_cycles``), or explicit, with their clicks in cycle coordinates
+    (``pairs``).  The stray clicks are times and ports: on the idler side
+    the idler-only pairs drawn in N and the dark counts, on the signal side
+    the memory noise and the dark counts.  ``n_pairs_sampled`` counts the
+    pairs drawn: the signal-click pairs of the whole run, and the
+    idler-only pairs drawn in N.  ``draw_lone`` and ``draw_ring`` build the
+    clicks no count needs a time of (see :meth:`idler_clicks`)."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
     delay_ps: float
     period_ps: float
     pairs: PairClicks
+    lone_cycles: np.ndarray
     stray_idler: tuple[np.ndarray, np.ndarray]
     stray_signal: tuple[np.ndarray, np.ndarray]
+    draw_lone: Callable = field(repr=False)
+    draw_ring: Callable = field(repr=False)
 
-    def idler_clicks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times in ps, ports) of every idler click: the pairs', then the
-        stray ones."""
-        times, ports = self.pairs.idler_clicks(self.period_ps)
-        return np.concatenate([times, self.stray_idler[0]]), np.concatenate([ports, self.stray_idler[1]])
+    def idler_clicks(self, histogram: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(times in ps, ports) of every idler click counted: the explicit
+        pairs', the lone pairs', then the stray ones.  The lone pairs'
+        clicks are drawn on each call, from a stream of their own, each
+        conditional on the class it was counted in, so that one
+        :func:`threefold_counts` call over these clicks gives the
+        acquisition's counts.  With ``histogram``, also the idler clicks of
+        the idler-only pairs outside N that fig7's histogram can meet with a
+        signal click, drawn on each call from a stream of their own."""
+        parts = [self.pairs.idler_clicks(self.period_ps), self.draw_lone()[0], self.stray_idler]
+        if histogram:
+            parts.append(self.draw_ring(self.signal_clicks()[0]))
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     def signal_clicks(self) -> tuple[np.ndarray, np.ndarray]:
         """(times in ps, ports) of every signal click, the recall delay
-        included: the pairs', then the stray ones."""
-        times, ports = self.pairs.signal_clicks(self.period_ps, self.delay_ps)
-        return np.concatenate([times, self.stray_signal[0]]), np.concatenate([ports, self.stray_signal[1]])
+        included: the explicit pairs', the lone pairs', then the stray ones."""
+        parts = [self.pairs.signal_clicks(self.period_ps, self.delay_ps), self.draw_lone()[1], self.stray_signal]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _alone_in_cycle(cycles: np.ndarray, busy: np.ndarray) -> np.ndarray:
+    """Whether each of the sorted ``cycles`` is the only one of its value
+    and not one of the ``busy`` cycles."""
+    lone = np.ones(cycles.size, dtype=bool)
+    if cycles.size:
+        alone = cycles[1:] != cycles[:-1]
+        lone[1:] = alone
+        lone[:-1] &= alone
+        del alone
+        at = np.searchsorted(cycles, busy)
+        # a cycle held twice is not alone already, so the first of a busy
+        # cycle is the one to clear
+        lone[at[cycles.take(at, mode="clip") == busy]] = False
+    return lone
 
 
 def _jittered(slots_ps: np.ndarray, sigma_ps: float, rng: np.random.Generator) -> np.ndarray:
@@ -279,6 +408,18 @@ def _jittered(slots_ps: np.ndarray, sigma_ps: float, rng: np.random.Generator) -
     return offsets
 
 
+def _pair_clicks(cfg: ExperimentConfig, cycles, cells, rng: np.random.Generator) -> PairClicks:
+    """The clicks of the signal-click pairs of ``cycles`` and flat
+    ``cells``: each idler clicks with probability eta, and each click is
+    its photon's slot offset plus jitter."""
+    det = cfg.detectors
+    slot_ps = cfg.source.pump.pulse_interval_ns * 1e3 * np.asarray(_OUTCOME_INDEX, dtype=float)
+    idler_pairs = np.flatnonzero(rng.random(cycles.size) < det.efficiency)
+    signal_off = _jittered(slot_ps[3].take(cells), det.jitter_sigma_ps, rng)
+    idler_off = _jittered(slot_ps[1].take(cells.take(idler_pairs)), det.jitter_sigma_ps, rng)
+    return PairClicks(cycles, cells, signal_off, idler_pairs, idler_off)
+
+
 def _detect_side(times: np.ndarray, ports: np.ndarray, cfg: ExperimentConfig, duration_ps, seed: int):
     """:func:`detect` of the arrivals at one side's two detectors: (times,
     int8 ports) of the port 1 clicks, then the port 2 clicks."""
@@ -287,6 +428,15 @@ def _detect_side(times: np.ndarray, ports: np.ndarray, cfg: ExperimentConfig, du
     streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, seed)
     one, two = streams["1"], streams["2"]
     return np.concatenate([one, two]), np.repeat(np.int8([0, 1]), [one.size, two.size])
+
+
+def _classified_cycles(cfg: ExperimentConfig, clicks, ref_ps: float) -> np.ndarray:
+    """The sorted cycles of the classified ``(times, ports)`` clicks, times
+    taken after ``ref_ps``."""
+    geometry = (cfg.clock_period_ns, cfg.source.pump.pulse_interval_ns, cfg.coincidence.window_ps)
+    keys, _ = _slot_keys(clicks[0], ref_ps, clicks[1], (3, 1), *geometry)
+    keys >>= 6
+    return keys
 
 
 def acquire_threefold(
@@ -311,69 +461,74 @@ def acquire_threefold(
     the signal photons independently, so by Poisson splitting the pairs
     form two independent processes, sampled one after the other:
 
-    1. The signal-click pairs: a share s eta of the signal-band pairs, drawn
-       over the whole run at s eta times the band's rate.  Each gets one
-       flat outcome cell; its signal photon clicks, displaced by jitter
-       alone, and its idler clicks with probability eta.  Their clicks are
-       carried in cycle coordinates (:class:`PairClicks`): the pair's cycle
-       c, and an offset of slot times spacing plus jitter.  The memory noise
-       and the signal dark counts pass through :func:`detect`.  The signal
-       clicks fix S, the cycles that hold one: c plus the offset's whole
-       periods for a pair.
+    1. The signal-click pairs: a share s eta of the signal-band pairs,
+       whose cycles are drawn over the whole run at s eta times the band's
+       rate.  Each has one outcome cell; its signal photon clicks, displaced
+       by jitter alone, and its idler clicks with probability eta.  The
+       memory noise and the signal dark counts pass through :func:`detect`.
     2. The idler-only pairs (:func:`_idler_only`): the pairs in the idler
        filter's fringe outside the signal band, and the share 1 - s eta of
        the signal-band pairs that the memory loses or the signal detector
-       misses.  No signal click of theirs exists, so an idler click of
-       theirs is counted or histogrammed only next to a signal click.  They
-       are drawn only in N, S widened by w cycles on each side
-       (:func:`_neighbour_cycles`): over ``len(N)`` cycles, mapped through
+       misses.  Their idler clicks count only in a cycle that holds a
+       classified signal click, so they are drawn only in N: S, the cycles
+       of the classified signal clicks (every pair's own cycle where w is
+       0), widened by the landing reach w (:func:`_landing_reach`; 0 at
+       the calibration) on each side, over ``len(N)`` cycles mapped through
        N.  Their idlers and the idler dark counts pass through
        :func:`detect`.
 
     The second process is independent of S, so drawing it only in N gives
-    every count and every fig7 histogram entry the distribution that
-    drawing it in full gives, for every idler click whose jitter stays below
-    wP - max(P/2 + s, H) (at least 10 sigma; :func:`_neighbour_cycles`).
-    The counts are :func:`pair_threefold_counts`: a pair alone in its
-    cycle adds one count from its own cells, and every other click goes
-    through :func:`threefold_counts`, with the counts one call over every
-    click gives.
+    every count the distribution that drawing it in full gives, for every
+    idler click whose jitter stays below 10 sigma.
+
+    A signal-click pair is lone when no click may count toward another
+    cycle (w = 0; at 4 ns jitter none is lone), no other
+    signal-click pair shares its cycle and no classified stray click falls
+    in it.  None of that depends on the pair's own marks (cell, idler
+    detection, jitter), which by Poisson colouring are independent draws,
+    so the numbers of lone pairs per class (cell, and where each click
+    lands: :func:`_lone_law`) are one Multinomial draw, and their counts
+    and unclassified tallies are read off it (:func:`_lone_counts`).  The
+    other pairs are explicit: each draws its cell, idler detection and
+    jitter, and their clicks, with the stray ones, are counted by
+    :func:`pair_threefold_counts`.  Lone cycles hold no other classified
+    click, so the sum is the count of every click.
     """
     n_cycles = _stage_cycles(n_cycles, stored)
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
-    det = cfg.detectors
     rho = analytic_state(cfg.source)
 
     survival, delay_ps, noise_t, noise_port = _recall(cfg, channel, tags, stored, duration_ps)
-    share = survival * det.efficiency
+    share = survival * cfg.detectors.efficiency
     rng_em = derive_rng(cfg.seed, *tags, "emission")
     sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    cycles, _ = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)
-    n_pairs = cycles.size
-    cells = _sample_cells(rho, alpha_rad, beta_rad, n_pairs, derive_rng(cfg.seed, *tags, "outcome"))
-    # each side's slot offset per flat cell, then its jitter
-    slot_ps = spacing_ps * np.asarray(_OUTCOME_INDEX, dtype=float)
+    cycles = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)[0]
+    rng_cells = derive_rng(cfg.seed, *tags, "outcome")
     rng_click = derive_rng(cfg.seed, *tags, "pair-detector")
-    idler_pairs = np.flatnonzero(rng_click.random(n_pairs) < det.efficiency)
-    signal_off = _jittered(slot_ps[3].take(cells), det.jitter_sigma_ps, rng_click)
-    idler_off = _jittered(slot_ps[1].take(cells.take(idler_pairs)), det.jitter_sigma_ps, rng_click)
-    pairs = PairClicks(cycles, cells, signal_off, idler_pairs, idler_off)
     stray_signal = _detect_side(
         noise_t, noise_port, cfg, duration_ps, _seed(cfg, *tags, "signal-detector")
     )
     del noise_t, noise_port
 
-    # S: a pair's signal click lies in cycle c plus its offset's whole periods
-    clicked = np.concatenate([cycles, _click_cycles(stray_signal[0], delay_ps, period_ps)])
-    outside = np.flatnonzero((signal_off < 0) | (signal_off >= period_ps))
-    clicked[outside] += np.floor(signal_off[outside] / period_ps).astype(np.int64)
-    del outside
-    # a few nearly sorted runs, the stable sort's fast case
-    clicked.sort(kind="stable")
-    n_near, near = _near_cycles(clicked, _neighbour_cycles(cfg), n_cycles)
+    # S: the cycles toward which a signal click may count
+    reach = _landing_reach(*_click_geometry(cfg))
+    stray_busy = _classified_cycles(cfg, stray_signal, delay_ps)
+    if reach:  # every pair is explicit; a click may count toward another cycle
+        cells = _sample_cells(rho, alpha_rad, beta_rad, cycles.size, rng_cells)
+        pairs = _pair_clicks(cfg, cycles, cells, rng_click)
+        geometry_ps = (period_ps, spacing_ps, cfg.coincidence.window_ps)
+        moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *geometry_ps)
+        counted = cycles.copy()
+        counted[moved] += shift
+        counted = counted[ok]
+    else:
+        counted = cycles
+    counted = np.sort(np.concatenate([counted, stray_busy]), kind="stable")
+    n_near, near = _near_cycles(counted, reach, n_cycles)
     only_t, only_port = np.empty(0), np.empty(0, dtype=np.int8)
+    n_pairs = cycles.size
     if n_near:  # no signal click, no idler-only pair to draw
         rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
         only = near(_draw(cfg, _idler_only(cfg, channel, share), n_near, rng_fringe))
@@ -383,10 +538,28 @@ def acquire_threefold(
         only_t = only * period_ps
         only_t += only_slot * spacing_ps
         del only, only_slot
-    del near, clicked
+    del near
     stray_idler = _detect_side(only_t, only_port, cfg, duration_ps, _seed(cfg, *tags, "idler-detector"))
     del only_t, only_port
-    tf = pair_threefold_counts(
+
+    lone_cycles = cycles[:0]
+    draw = np.zeros(_LONE_SHAPE, dtype=np.int64)
+    if not reach:
+        busy = np.concatenate([stray_busy, _classified_cycles(cfg, stray_idler, 0.0)])
+        lone = _alone_in_cycle(cycles, busy)
+        lone_cycles = cycles[lone]
+        explicit = cycles[~lone]
+        del lone
+        cells = _sample_cells(rho, alpha_rad, beta_rad, explicit.size, rng_cells)
+        pairs = _pair_clicks(cfg, explicit, cells, rng_click)
+        law = _lone_law(cfg, rho, alpha_rad, beta_rad).ravel()
+        # the most likely class last, as the Multinomial gives the last
+        # class what the others leave
+        order = np.argsort(law, kind="stable")
+        draw.reshape(-1)[order] = rng_cells.multinomial(lone_cycles.size, law[order])
+    del cycles
+
+    explicit_tf = pair_threefold_counts(
         pairs,
         *stray_idler,
         *stray_signal,
@@ -395,14 +568,61 @@ def acquire_threefold(
         slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
         signal_ref_ps=delay_ps,
     )
+    lone_tf = _lone_counts(draw)
+
+    def draw_lone():
+        """((times, ports) of the idler clicks, then of the signal clicks)
+        of the lone pairs: the classes of ``draw`` in a random order, and
+        each click's jitter conditional on its class."""
+        rng = derive_rng(cfg.seed, *tags, "lone-clicks")
+        classes = np.repeat(np.arange(draw.size), draw.ravel())
+        rng.shuffle(classes)
+        i_port, i_slot, s_port, s_slot, s_class, i_class = np.unravel_index(classes, _LONE_SHAPE)
+        seen = np.flatnonzero(i_class < 4)
+        signal_t = lone_cycles * period_ps
+        signal_t += delay_ps
+        signal_t += _class_offsets(cfg, s_slot, s_class, rng)
+        idler_t = lone_cycles.take(seen) * period_ps
+        idler_t += _class_offsets(cfg, i_slot.take(seen), i_class.take(seen), rng)
+        return (idler_t, i_port.take(seen).astype(np.int8)), (signal_t, s_port.astype(np.int8))
+
+    def draw_ring(signal_t):
+        """(times, ports) of the idler clicks of the idler-only pairs outside
+        N whose clicks fig7's histogram may meet with a signal click at
+        ``signal_t``: those of the cycles within :func:`_neighbour_cycles`
+        of one, less N.  The idler-only processes are thinned by eta, the
+        idler clicks that :func:`detect` would keep."""
+        hist = np.sort(_click_cycles(signal_t, delay_ps, period_ps), kind="stable")
+        n_wide, wide = _near_cycles(hist, _neighbour_cycles(cfg), n_cycles)
+        if not n_wide:
+            return np.empty(0), np.empty(0, dtype=np.int8)
+        rng = derive_rng(cfg.seed, *tags, "ring")
+        eta = cfg.detectors.efficiency
+        ring = wide(_draw(cfg, [(band, f * eta) for band, f in _idler_only(cfg, channel, share)], n_wide, rng))
+        at = np.searchsorted(counted, ring - reach)
+        in_near = at < counted.size
+        in_near[in_near] = counted[at[in_near]] <= ring[in_near] + reach
+        ring = ring[~in_near]
+        ring_cells = _sample_cells(rho, alpha_rad, beta_rad, ring.size, rng)
+        times = _jittered(spacing_ps * _OUTCOME_INDEX[1].take(ring_cells), cfg.detectors.jitter_sigma_ps, rng)
+        times += ring * period_ps
+        return times, _IDLER_PORT.take(ring_cells)
+
     return Acquisition(
-        threefold=tf,
+        threefold=ThreefoldCounts(
+            counts=explicit_tf.counts + lone_tf.counts,
+            unclassified_idler=explicit_tf.unclassified_idler + lone_tf.unclassified_idler,
+            unclassified_signal=explicit_tf.unclassified_signal + lone_tf.unclassified_signal,
+        ),
         n_pairs_sampled=n_pairs,
         delay_ps=delay_ps,
         period_ps=period_ps,
         pairs=pairs,
+        lone_cycles=lone_cycles,
         stray_idler=stray_idler,
         stray_signal=stray_signal,
+        draw_lone=draw_lone,
+        draw_ring=draw_ring,
     )
 
 
@@ -424,7 +644,7 @@ def _landing_row(cfg: ExperimentConfig) -> np.ndarray:
     sigma_ps = cfg.detectors.jitter_sigma_ps
     if sigma_ps == 0:
         return np.ones(1)
-    w = math.floor((half_ps + _JITTER_REACH_SIGMAS * sigma_ps) / period_ps)
+    w = _reach_cycles(half_ps, sigma_ps, period_ps)
     scale = sigma_ps * math.sqrt(2)
     row = [
         math.erf((d * period_ps + half_ps) / scale) - math.erf((d * period_ps - half_ps) / scale)
@@ -595,37 +815,16 @@ def acquire_spec(cfg: ExperimentConfig, spec) -> Acquisition:
     return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored)
 
 
-def _worker_count(n_specs: int) -> int:
-    """Threads for ``n_specs`` acquisitions: one per CPU this process may
-    run on, and no more than the acquisitions."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_specs)
-
-
 def run_scans(cfg: ExperimentConfig, scans):
-    """Run the threefold scans ``[(scan, *args), ...]``: acquire the specs
-    of every ``scan(cfg, *args)`` on one thread pool, then yield each scan's
-    fit of its ``(len(specs), 2, 3, 2, 3)`` count stack, in scan order.
-
-    numpy releases the GIL in the bulk work.  A worker returns only the
-    count table, not the acquisition's click arrays.  Each acquisition
-    draws from generators derived from its own tags, so the counts do not
-    depend on the number of threads or on the order they finish in.  Each
-    fit runs on the calling thread when it is taken, so a caller can run
-    its own work (the g2 runs) between the fits in a fixed order."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    built = [scan(cfg, *args) for scan, *args in scans]
-    specs = [spec for scan_specs, _ in built for spec in scan_specs]
-    with ThreadPoolExecutor(_worker_count(len(specs))) as pool:
-        stack = np.array(list(pool.map(lambda s: acquire_spec(cfg, s).threefold.counts, specs)))
-    start = 0
-    for scan_specs, fit in built:
-        yield fit(stack[start : start + len(scan_specs)])
-        start += len(scan_specs)
+    """Run the threefold scans ``[(scan, *args), ...]``: yield each
+    ``scan(cfg, *args)``'s fit of its ``(len(specs), 2, 3, 2, 3)`` count
+    stack, in scan order, each spec acquired on the calling thread when its
+    scan's fit is taken.  Each acquisition draws from generators derived
+    from its own tags, so a caller can run its own work (the g2 runs)
+    between the fits."""
+    for scan, *args in scans:
+        specs, fit = scan(cfg, *args)
+        yield fit(np.array([acquire_spec(cfg, spec).threefold.counts for spec in specs]))
 
 
 def chsh_scan(cfg: ExperimentConfig, channel: int, stored: bool):

@@ -271,15 +271,16 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     Bins too wide to leave one 600 ps off every peak raise :class:`ConfigError`.
 
     The two-fold histogram pairs the acquisition's signal clicks with its
-    idler clicks: those of the signal-click pairs, of the idler-only pairs
-    drawn next to a signal click, and the idler dark counts.  The undrawn
-    idler clicks lie beyond the histogram span of every signal click
-    (:func:`afcsim.pipeline.acquire_threefold`), so the histogram is the one
-    every pair would give."""
+    idler clicks: those of the signal-click pairs (the lone pairs' drawn
+    on demand), of the idler-only pairs within the histogram's reach of a
+    signal click, and the idler dark counts
+    (:meth:`afcsim.pipeline.Acquisition.idler_clicks` with ``histogram``).
+    The undrawn idler clicks lie beyond the histogram span of every signal
+    click, so the histogram is the one every pair would give."""
     specs, _ = pl.tomography_scan(cfg, channel, True)
     acq = pl.acquire_spec(cfg, specs[0])  # the DD setting
     # each side's clicks are a few nearly sorted runs, the stable sort's fast case
-    idler = np.sort(acq.idler_clicks()[0], kind="stable")
+    idler = np.sort(acq.idler_clicks(histogram=True)[0], kind="stable")
     signal = np.sort(acq.signal_clicks()[0], kind="stable")
     centers, counts = coincidence_histogram(
         idler, signal - acq.delay_ps, cfg.coincidence, span_ns=pl.HISTOGRAM_SPAN_NS

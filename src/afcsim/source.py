@@ -140,6 +140,7 @@ def emission_arrays(
         raise ValueError(f"band {band_ghz} not inside the +-{half} GHz pair band")
     mu = fraction * pair_rate_per_cycle(model) * (hi - lo) / model.pair_bandwidth_ghz
     n_pairs = rng.poisson(mu * n_cycles)
-    cycles = np.sort(rng.integers(0, n_cycles, size=n_pairs))
+    cycles = rng.integers(0, n_cycles, size=n_pairs)
+    cycles.sort()
     offsets = rng.uniform(lo, hi, size=n_pairs)
     return cycles, offsets

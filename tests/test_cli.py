@@ -194,9 +194,8 @@ def _libc_without_mallopt(name):
 
 
 class TestKeepHeapMapped:
-    # M_MMAP_THRESHOLD (-3) = 32 MiB, then M_TRIM_THRESHOLD (-1) = 256 MiB,
-    # then M_ARENA_MAX (-8) = 1
-    POLICY = [(-3, 33_554_432), (-1, 268_435_456), (-8, 1)]
+    # M_MMAP_THRESHOLD (-3) = 32 MiB, then M_TRIM_THRESHOLD (-1) = 256 MiB
+    POLICY = [(-3, 33_554_432), (-1, 268_435_456)]
 
     @staticmethod
     def _libc(mallopt):

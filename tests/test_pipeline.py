@@ -5,7 +5,7 @@ import csv
 import dataclasses
 import json
 import math
-import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -109,29 +109,22 @@ class TestDeterminism:
         np.testing.assert_array_equal(a1.threefold.counts, a2.threefold.counts)
 
     @staticmethod
-    def _outputs(monkeypatch, out, worker_count):
-        monkeypatch.setattr(pl, "_worker_count", worker_count)
+    def _outputs(out):
         cfg = fast_config()
         report = json.dumps(pl.run_report(cfg, channels=[0, 1]), sort_keys=True)
         out.mkdir()
         reports.reproduce_fig4(cfg, out, 0)
         reports.reproduce_fig5(cfg, out, 0)
+        reports.reproduce_fig7(cfg, out, 0)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         return report, files
 
-    def test_serial_and_threaded_scans_give_the_same_bytes(self, monkeypatch, tmp_path):
-        serial = self._outputs(monkeypatch, tmp_path / "serial", lambda n_settings: 1)
-        assert serial[1]  # fig4 wrote its files
-        assert self._outputs(monkeypatch, tmp_path / "two", lambda n_settings: 2) == serial
-        # a thread per setting, more than the CPUs, switching often: a draw
-        # or a buffer shared between acquisitions would show here
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            every = self._outputs(monkeypatch, tmp_path / "every", lambda n_settings: n_settings)
-        finally:
-            sys.setswitchinterval(interval)
-        assert every == serial
+    def test_two_runs_give_the_same_bytes(self, tmp_path):
+        # the report, and fig7's histogram of the lone pairs' clicks and of
+        # the idler-only ring, each drawn on demand from its own stream
+        first = self._outputs(tmp_path / "first")
+        assert {"fig4_summary.json", "fig5_summary.json", "fig7_twofold_histogram.csv"} <= set(first[1])
+        assert self._outputs(tmp_path / "second") == first
 
 
 def _assert_same_fit(a, b):
@@ -163,15 +156,16 @@ class TestRunScans:
             _assert_same_fit(fit, alone)
 
     @pytest.mark.parametrize("call", ["channel_report", "fig4", "fig5"])
-    def test_one_pool_per_call(self, monkeypatch, tmp_path, call):
-        # every threefold acquisition of the call shares one pool
-        sizes = []
+    def test_one_acquisition_per_spec(self, monkeypatch, tmp_path, call):
+        # each spec of the call is acquired once, on the calling thread
+        acquired = []
+        original = pl.acquire_spec
 
-        def worker_count(n_specs):
-            sizes.append(n_specs)
-            return 2
+        def recording_acquire_spec(cfg, spec):
+            acquired.append((spec, threading.get_ident()))
+            return original(cfg, spec)
 
-        monkeypatch.setattr(pl, "_worker_count", worker_count)
+        monkeypatch.setattr(pl, "acquire_spec", recording_acquire_spec)
         cfg = fast_config()
         points = cfg.desk_scale.fringe_points
         run, n_specs = {
@@ -180,7 +174,9 @@ class TestRunScans:
             "fig5": (lambda: reports.reproduce_fig5(cfg, tmp_path, 0), 2 * 4),
         }[call]
         run()
-        assert sizes == [n_specs]
+        specs = [(kind, channel, stored, key) for (kind, channel, stored, key, *_), _ in acquired]
+        assert len(specs) == len(set(specs)) == n_specs
+        assert {thread for _, thread in acquired} == {threading.get_ident()}
 
     def test_fig7_histograms_the_tomography_dd_setting(self, tmp_path):
         cfg = fast_config()
@@ -211,6 +207,36 @@ def wide_jitter_config():
     )
 
 
+def _crowded_config():
+    """Cycles with several pairs: 9.2 pairs a cycle (a pair in all but
+    1e-4 of the cycles), of which the 4 GHz signal band gives 0.26 signal
+    clicks a cycle."""
+    cfg = fast_config()
+    return dataclasses.replace(
+        cfg,
+        source=dataclasses.replace(cfg.source, pair_emission_probability_per_cycle=0.9999),
+    )
+
+
+def _noisy_config():
+    """Dark counts and memory noise at 100 kHz: after storage most signal
+    clicks are noise."""
+    cfg = fast_config()
+    return dataclasses.replace(
+        cfg,
+        bank=dataclasses.replace(cfg.bank, noise_rate_hz=1e5),
+        detectors=dataclasses.replace(cfg.detectors, dark_count_rate_hz=1e5),
+    )
+
+
+def _jitter_400_config():
+    """400 ps detector jitter: no click leaves its cycle, so pairs are still
+    lone, but a click lands in its neighbour slot's window with chance
+    0.9% and outside every window with chance 45%."""
+    cfg = fast_config()
+    return dataclasses.replace(cfg, detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=400.0))
+
+
 def _recall_draw(cfg, channel, tags, n_signal, stored):
     """Which of ``n_signal`` signal photons the memory recalls: one keep
     draw per pair at the recall survival, from the tags' "storage" stream."""
@@ -220,12 +246,12 @@ def _recall_draw(cfg, channel, tags, n_signal, stored):
     return rng.random(n_signal) < storage_survival(cfg.bank, channel)
 
 
-def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
-    """Threefold counts of the event path that draws every pair of the idler
-    band over ``n_cycles`` cycles, stored or not, gives each a joint outcome
-    and sends each idler to a detector; the signal photon is kept in the
-    signal band when the memory recalls it, by a keep draw per pair
-    (``_recall_draw``)."""
+def _full_sampling_clicks(cfg, channel, alpha, beta, n_cycles, tags, stored):
+    """``(idler, signal, delay_ps)``: the (times, ports) of the clicks of the
+    event path that draws every pair of the idler band over ``n_cycles``
+    cycles, stored or not, gives each a joint outcome and sends each idler
+    to a detector; the signal photon is kept in the signal band when the
+    memory recalls it, by a keep draw per pair (``_recall_draw``)."""
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
@@ -249,13 +275,19 @@ def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
     }
     seed = pl._seed(cfg, *tags, "detector")
     streams = analyzer.detect(arrivals, cfg.detectors, duration_ps * 1e-12, seed)
-    sides = [(streams[a], streams[b]) for a, b in (("A1", "A2"), ("B1", "B2"))]
-    (i1, i2), (s1, s2) = sides
+    idler, signal = (
+        (np.concatenate([streams[a], streams[b]]), np.repeat([0, 1], [streams[a].size, streams[b].size]))
+        for a, b in (("A1", "A2"), ("B1", "B2"))
+    )
+    return idler, signal, delay_ps
+
+
+def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
+    """Threefold counts of the clicks of ``_full_sampling_clicks``."""
+    idler, signal, delay_ps = _full_sampling_clicks(cfg, channel, alpha, beta, n_cycles, tags, stored)
     return analyzer.threefold_counts(
-        np.concatenate([i1, i2]),
-        np.repeat([0, 1], [i1.size, i2.size]),
-        np.concatenate([s1, s2]),
-        np.repeat([0, 1], [s1.size, s2.size]),
+        *idler,
+        *signal,
         cfg.clock_period_ns,
         cfg.coincidence,
         slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
@@ -264,9 +296,12 @@ def _full_sampling_counts(cfg, channel, alpha, beta, n_cycles, tags, stored):
 
 
 class TestPoissonSplitting:
-    """acquire_threefold draws the idler-only pairs only next to a signal
-    click; its counts must have the distribution of the event path that
-    draws every pair (``_full_sampling_counts``)."""
+    """acquire_threefold draws the idler-only pairs only where a signal
+    click may count, and the lone pairs as one Multinomial; its counts must
+    have the distribution of the event path that draws every pair
+    (``_full_sampling_counts``).  ``fast_config`` differs from the
+    calibration only in its desk scale, which an acquisition does not
+    read, so the fast cases are the calibration's."""
 
     SEEDS = 16
 
@@ -330,8 +365,14 @@ class TestPoissonSplitting:
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     @pytest.mark.parametrize(
         "make_config, n_cycles",
-        [(fast_config, 3_000_000), (wide_jitter_config, 300_000)],
-        ids=["fast", "wide-jitter"],
+        [
+            (fast_config, 3_000_000),
+            (wide_jitter_config, 300_000),
+            (_jitter_400_config, 3_000_000),
+            (_crowded_config, 300_000),
+            (_noisy_config, 1_000_000),
+        ],
+        ids=["fast", "wide-jitter", "jitter-400ps", "crowded", "noisy"],
     )
     def test_split_matches_full_sampling(self, make_config, n_cycles, stored):
         # stored, at strong_memory's recall: the calibration's physical
@@ -339,6 +380,40 @@ class TestPoissonSplitting:
         cfg = strong_memory(make_config()) if stored else make_config()
         p, split, full = self._chi2_p(cfg, n_cycles, stored)
         assert p > 1e-3, (split, full)
+
+    @staticmethod
+    def _histogram(cfg, idler_t, signal_t, delay_ps):
+        """fig7's two-fold histogram of the clicks: (bin centers, counts)."""
+        return analyzer.coincidence_histogram(
+            np.sort(idler_t), np.sort(signal_t) - delay_ps, cfg.coincidence, span_ns=pl.HISTOGRAM_SPAN_NS
+        )
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
+    def test_histogram_matches_full_sampling(self, stored):
+        # fig7's histogram of the clicks an acquisition exposes: the lone
+        # pairs' drawn on demand and the idler-only pairs' outside N drawn
+        # for the histogram alone (the ring).  With memory noise and dark
+        # counts at 100 kHz, most signal clicks lie outside every window,
+        # and the idler-only clicks of their neighbouring cycles, drawn in
+        # the ring alone, fill the floor between the five peaks
+        cfg = strong_memory(_noisy_config()) if stored else _noisy_config()
+        n_cycles = 3_000_000
+        split, full = 0, 0
+        for k in range(self.SEEDS):
+            cfg_k = dataclasses.replace(cfg, seed=k)
+            acq = pl.acquire_threefold(cfg_k, 0, 0.0, 0.5, _desk_cycles(n_cycles, stored), ("split",), stored)
+            idler_t, signal_t = acq.idler_clicks(histogram=True)[0], acq.signal_clicks()[0]
+            centers, counts = self._histogram(cfg_k, idler_t, signal_t, acq.delay_ps)
+            split = split + counts
+            idler, signal, delay_ps = _full_sampling_clicks(cfg_k, 0, 0.0, 0.5, n_cycles, ("full",), stored)
+            full = full + self._histogram(cfg_k, idler[0], signal[0], delay_ps)[1]
+        spacing = cfg.source.pump.pulse_interval_ns * 1e3
+        floor = np.abs(centers[:, None] - spacing * np.arange(-2, 3)).min(axis=1) > cfg.coincidence.window_ps
+        assert split[floor].sum() > 1000
+        total = split + full
+        bins = total > 0
+        chi2 = np.sum((split - full)[bins] ** 2 / total[bins])
+        assert stats.chi2.sf(chi2, bins.sum()) > 1e-3, (split, full)
 
     def test_split_matches_full_sampling_at_physical_recall(self):
         # the calibration's recall over the same 3M cycles: about 150
@@ -364,28 +439,6 @@ class TestNearCycles:
                 assert near(picks).tolist() == [expected[k] for k in picks]
 
 
-def _crowded_config():
-    """Cycles with several pairs: 9.2 pairs a cycle (a pair in all but
-    1e-4 of the cycles), of which the 4 GHz signal band gives 0.26 signal
-    clicks a cycle."""
-    cfg = fast_config()
-    return dataclasses.replace(
-        cfg,
-        source=dataclasses.replace(cfg.source, pair_emission_probability_per_cycle=0.9999),
-    )
-
-
-def _noisy_config():
-    """Dark counts and memory noise at 100 kHz: after storage most signal
-    clicks are noise."""
-    cfg = fast_config()
-    return dataclasses.replace(
-        cfg,
-        bank=dataclasses.replace(cfg.bank, noise_rate_hz=1e5),
-        detectors=dataclasses.replace(cfg.detectors, dark_count_rate_hz=1e5),
-    )
-
-
 class TestPairCounting:
     """An acquisition counts its lone pairs from their own cells and every
     other click through threefold_counts; its counts and unclassified
@@ -406,6 +459,17 @@ class TestPairCounting:
         ids=["calibration", "fast", "wide-jitter", "crowded", "noisy"],
     )
     def test_counts_are_those_of_every_click(self, make_config, n_cycles, stored, seed):
+        self._assert_counts_are_those_of_every_click(make_config, n_cycles, stored, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
+    def test_counts_at_400ps_jitter_are_those_of_every_click(self, stored, seed):
+        # lone clicks drawn into a neighbour slot's window or outside every
+        # window, conditional on the class they were counted in
+        self._assert_counts_are_those_of_every_click(_jitter_400_config, 400_000, stored, seed)
+
+    @staticmethod
+    def _assert_counts_are_those_of_every_click(make_config, n_cycles, stored, seed):
         cfg = dataclasses.replace(make_config(), seed=seed)
         acq = pl.acquire_threefold(cfg, 0, 0.3, 1.1, _desk_cycles(n_cycles, stored), ("exact",), stored)
         every = analyzer.threefold_counts(
@@ -434,7 +498,141 @@ class TestPairCounting:
         pairs = pl.acquire_threefold(_crowded_config(), 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
         assert np.count_nonzero(np.diff(pairs.cycles) == 0) > 0.1 * pairs.cycles.size
         acq = pl.acquire_threefold(_noisy_config(), 0, 0.0, 0.0, 4_000, ("exact",), True)
-        assert acq.stray_signal[0].size > acq.pairs.cycles.size
+        assert acq.stray_signal[0].size > acq.pairs.cycles.size + acq.lone_cycles.size
+        # at the calibration before storage nearly every pair is lone; at
+        # 4 ns jitter clicks leave their cycle, and none is
+        acq = pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.0, 2_000_000, ("exact",), False)
+        assert acq.lone_cycles.size >= 0.9 * (acq.lone_cycles.size + acq.pairs.cycles.size)
+        acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False)
+        assert acq.lone_cycles.size == 0 < acq.pairs.cycles.size
+
+
+class TestLonePairs:
+    """The law of a lone pair's classes, the conditional jitter its clicks
+    are drawn with on demand, and how few pairs the scans draw one by one."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            reference_calibration_config(),
+            _jitter_400_config(),
+            dataclasses.replace(fast_config(), detectors=analyzer.DetectorConfig(jitter_sigma_ps=0.0)),
+        ],
+        ids=["calibration", "jitter-400ps", "no-jitter"],
+    )
+    def test_law_sums_to_one(self, cfg):
+        law = pl._lone_law(cfg, analytic_state(cfg.source), 0.3, 1.1)
+        assert law.shape == pl._LONE_SHAPE
+        assert law.min() >= 0
+        assert abs(law.sum() - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "make_config", [reference_calibration_config, _jitter_400_config], ids=["calibration", "jitter-400ps"]
+    )
+    def test_candidates_times_law_match_analytic_counts(self, make_config):
+        # the expected counts of a run's signal-click pairs, all counted by
+        # the law, against analytic_counts less its accidentals, each
+        # side's slots moved by the chance that a click lands in each
+        # window (scipy's normal CDF; a 600 ps window fits between slots)
+        cfg = make_config()
+        alpha, beta, n_cycles = 0.3, 1.1, 1_000_000
+        eta = cfg.detectors.efficiency
+        band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
+        n_pairs = pl._rate(cfg, [(band, eta)]) * n_cycles
+        law = pl._lone_law(cfg, analytic_state(cfg.source), alpha, beta)
+        counts = n_pairs * np.einsum("ijklmn->inkm", law)[:, :3, :, :3]
+
+        table = analyzer.project_pair(analytic_state(cfg.source), alpha, beta)
+        idler_band = cfg.filters.idler_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
+        lam_idl = pl._rate(cfg, [((0.0, idler_band * cfg.source.pair_bandwidth_ghz), 1.0)])
+        accidentals = n_cycles * np.multiply.outer(
+            lam_idl * eta * table.sum(axis=(2, 3)), pl._rate(cfg, [(band, eta)]) * table.sum(axis=(0, 1))
+        )
+        true = pl.analytic_counts(cfg, 0, alpha, beta, n_cycles, stored=False) - accidentals
+        spacing, sigma, half = 1250.0, cfg.detectors.jitter_sigma_ps, cfg.coincidence.window_ps / 2
+        jitter = stats.norm(scale=sigma)
+        # landing[k, j]: a click from slot k in slot j's window
+        shift = spacing * (np.arange(3)[None, :] - np.arange(3)[:, None])
+        landing = jitter.cdf(shift + half) - jitter.cdf(shift - half)
+        np.testing.assert_allclose(counts, np.einsum("abcd,bj,dk->ajck", true, landing, landing), rtol=1e-9)
+        if make_config is reference_calibration_config:
+            np.testing.assert_allclose(counts, true, rtol=1e-9)
+        else:  # the neighbour slot's window
+            assert landing[0, 1] == pytest.approx(0.0087, abs=2e-4)
+
+    @pytest.mark.parametrize(
+        "slot, cls, window",
+        [(0, 0, (-300.0, 300.0)), (0, 1, (950.0, 1550.0)), (2, 1, (950.0, 1550.0))],
+        ids=["own-window", "next-window", "previous-window"],
+    )
+    def test_window_jitter_is_the_truncated_normal(self, slot, cls, window):
+        cfg = _jitter_400_config()
+        n = 4000
+        offsets = pl._class_offsets(cfg, np.full(n, slot), np.full(n, cls), np.random.default_rng(3))
+        z = (offsets - slot * 1250.0) / 400.0
+        lo, hi = ((w - slot * 1250.0) / 400.0 for w in window)
+        assert z.min() >= lo and z.max() <= hi
+        assert stats.kstest(z, stats.truncnorm(lo, hi).cdf).pvalue > 1e-3
+
+    def test_tail_jitter_is_the_truncated_normal(self):
+        # at the calibration a middle-slot click is unclassified with chance
+        # 6.4e-14: 7.5 to 23.75 sigma from its slot, on either side (the
+        # class's other pieces lie beyond 38 sigma).  It is drawn by inverting
+        # the CDF, where a rejection loop would never end
+        cfg = reference_calibration_config()
+        landing = analyzer._landing_table(*pl._click_geometry(cfg))
+        assert landing[1, 3] == pytest.approx(2 * stats.norm.sf(7.5), rel=1e-9)
+        n = 4000
+        z = (pl._class_offsets(cfg, np.full(n, 1), np.full(n, 3), np.random.default_rng(4)) - 1250.0) / 40.0
+        assert np.abs(z).min() >= 7.5 and np.abs(z).max() <= 23.75
+        # CDF values near 1 would leave a few hundred distinct draws
+        assert np.unique(z).size == n
+        side = stats.norm.sf(7.5) - stats.norm.sf(23.75)
+
+        def cdf(x):
+            left = np.clip(stats.norm.sf(-np.minimum(x, -7.5)) - stats.norm.sf(23.75), 0.0, None)
+            right = np.where(x > 7.5, side - (stats.norm.sf(np.minimum(x, 23.75)) - stats.norm.sf(23.75)), 0.0)
+            return (left + right) / (2 * side)
+
+        assert stats.kstest(z, cdf).pvalue > 1e-3
+        assert 0.45 < np.mean(z > 0) < 0.55
+
+    def test_scans_draw_few_pairs_one_by_one(self, monkeypatch):
+        # a before-storage CHSH scan at the calibration: cells and jitter for
+        # at most a tenth of the signal-click pairs, every draw on the
+        # calling thread
+        cfg = reference_calibration_config()
+        emitted, drawn, threads = [], [], set()
+        emission, sample_cells, jittered = pl.emission_arrays, pl._sample_cells, pl._jittered
+
+        def recording_emission(model, n_cycles, rng, band_ghz, fraction=1.0):
+            out = emission(model, n_cycles, rng, band_ghz, fraction)
+            if fraction == cfg.detectors.efficiency:  # the signal-click pairs, bypassed
+                emitted.append(out[0].size)
+            threads.add(threading.get_ident())
+            return out
+
+        def recording_cells(rho, alpha, beta, n, rng):
+            drawn.append(n)
+            threads.add(threading.get_ident())
+            return sample_cells(rho, alpha, beta, n, rng)
+
+        def recording_jitter(slots_ps, sigma_ps, rng):
+            drawn.append(slots_ps.size)
+            return jittered(slots_ps, sigma_ps, rng)
+
+        monkeypatch.setattr(pl, "emission_arrays", recording_emission)
+        monkeypatch.setattr(pl, "_sample_cells", recording_cells)
+        monkeypatch.setattr(pl, "_jittered", recording_jitter)
+        ((result, _),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, False)])
+        assert len(emitted) == 4 and min(emitted) > 200_000
+        # per acquisition: cells for the explicit pairs, then their signal
+        # and idler jitter
+        explicit = drawn[::3]
+        assert drawn[1::3] == explicit
+        assert all(n <= 0.1 * m for n, m in zip(explicit, emitted))
+        assert threads == {threading.get_ident()}
+        assert result.s_value > 2
 
 
 def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags, stored):
@@ -620,10 +818,10 @@ class TestG2Memory:
 
 
 class TestAcquisitionMemory:
-    """An acquisition keeps its pairs in cycle coordinates and builds no
-    array as long as N, so the scans can run several at once.  Holding
-    every pair-level array to the end, as the event path once did, peaked
-    at ~158 bytes per sampled pair."""
+    """An acquisition keeps its lone pairs' cycles, its other pairs in cycle
+    coordinates, and builds no array as long as N.  Holding every
+    pair-level array to the end, as the event path once did, peaked at ~158
+    bytes per sampled pair."""
 
     MAX_BYTES_PER_PAIR = 80
 
@@ -673,36 +871,41 @@ class TestPinnedCounts:
     """Exact integer results of the event path at the shipped seed.  Every
     rewrite of sampling, detection or counting must keep each draw and each
     count; a changed RNG stream or an off-by-one cycle shows here.  The
-    threefold pins are those of the split acquisition: the signal-click
-    pairs, a share s eta of the signal band (s = 1 before storage), drawn in
-    full, and the idler-only pairs (the fringe, then the share 1 - s eta
-    the memory loses or the signal detector misses) drawn next to a signal
-    click.  Its pairs drawn differ by stage: after storage far fewer pairs
-    are recalled, over 100 times the cycles, and fewer signal clicks leave
-    fewer cycles to draw idler-only pairs in; the 100 times longer run holds
-    100 times the dark counts, most of them unclassified.  The g2 pins are
-    those of a stored same-channel run drawn as a law over cycle occupancy:
-    one Multinomial over the 40M integrated cycles, as no split pair occurs
-    at 40 ps jitter.  They replaced (996, 1388, 1411522), the pins of the
-    event path that drew the recalled pairs and detected their clicks; the
-    two differ at the Monte-Carlo level only."""
+    threefold pins are those of the acquisition that draws the lone
+    signal-click pairs' classes as one Multinomial and the other pairs one
+    by one, with the idler-only pairs (the fringe, then the share 1 - s eta
+    the memory loses or the signal detector misses) drawn only in the
+    cycles of a signal click.  Its pairs drawn differ by stage: after
+    storage far fewer pairs are recalled, over 100 times the cycles, and
+    fewer signal clicks leave fewer cycles to draw idler-only pairs in; the
+    100 times longer run holds 100 times the dark counts, most of them
+    unclassified.  They replaced the pins of the path that drew every
+    signal-click pair's cell and jitter and the idler-only pairs one cycle
+    either side of a signal click (stored: unclassified (11, 29), 1,583
+    pairs; bypassed: 10,046 pairs); the two differ at the Monte-Carlo level
+    only.  The g2 pins are those of a stored same-channel run drawn as a
+    law over cycle occupancy: one Multinomial over the 40M integrated
+    cycles, as no split pair occurs at 40 ps jitter.  They replaced (996,
+    1388, 1411522), the pins of the event path that drew the recalled pairs
+    and detected their clicks; the two differ at the Monte-Carlo level
+    only."""
 
     @pytest.mark.parametrize(
         "stored, counts, unclassified, n_pairs",
         [
             (
                 True,
-                [31, 24, 3, 35, 31, 4, 35, 98, 31, 21, 11, 27, 5, 34, 28, 2, 30, 32,
-                 26, 30, 1, 32, 31, 1, 23, 12, 33, 28, 135, 30, 1, 30, 30, 4, 17, 28],
-                (11, 29),
-                1_583,
+                [35, 45, 3, 34, 36, 1, 19, 120, 31, 26, 12, 38, 3, 37, 28, 2, 26, 38,
+                 36, 29, 0, 29, 25, 2, 39, 9, 30, 29, 121, 37, 1, 33, 23, 2, 29, 22],
+                (12, 29),
+                1_429,
             ),
             (
                 False,
-                [231, 200, 12, 197, 223, 14, 204, 755, 211, 195, 87, 230, 12, 226, 187, 10, 208, 209,
-                 199, 183, 14, 197, 217, 17, 221, 91, 261, 228, 763, 211, 12, 230, 201, 16, 203, 186],
+                [204, 223, 8, 188, 195, 13, 219, 780, 216, 219, 92, 218, 15, 225, 213, 13, 227, 211,
+                 190, 194, 17, 194, 194, 17, 198, 96, 217, 227, 765, 218, 9, 240, 215, 10, 198, 201],
                 (0, 0),
-                10_046,
+                9_569,
             ),
         ],
         ids=["stored", "bypassed"],
