@@ -132,9 +132,25 @@ def middle_middle(table) -> np.ndarray:
     return np.asarray(table)[..., :, SLOT_MIDDLE, :, SLOT_MIDDLE]
 
 
-def _sample_cells(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator):
-    """Sample n joint outcomes from the Born-rule table, as int8 flat cells
-    of the ``(2, 3, 2, 3)`` table.
+def _cell_lookup(rho, alpha_rad: float, beta_rad: float):
+    """The Born-rule table of one setting (:func:`project_pair`) as
+    :func:`_sample_cells` draws from it: ``(probs, cum, cell, split)``, the
+    table clipped at zero and normalized, shape ``(2, 3, 2, 3)``, its
+    cumulative flat table, and per bin of ``_BINS`` the cell of its left
+    edge and whether a cumulative value lies strictly inside it.  A caller
+    that draws several sets of cells at one setting builds it once."""
+    table = np.clip(project_pair(rho, alpha_rad, beta_rad), 0.0, None)
+    cum = np.cumsum(table.reshape(-1))
+    cum /= cum[-1]
+    edges = np.arange(_BINS + 1) / _BINS
+    cell = np.searchsorted(cum, edges[:-1], side="right").astype(np.int8)
+    split = np.searchsorted(cum, edges[1:], side="left") != cell
+    return table / table.sum(), cum, cell, split
+
+
+def _sample_cells(lookup, n: int, rng: np.random.Generator):
+    """Sample n joint outcomes from the Born-rule table of ``lookup``
+    (:func:`_cell_lookup`), as int8 flat cells of the ``(2, 3, 2, 3)`` table.
 
     A uniform draw u selects the flat cell ``searchsorted(cum, u,
     side="right")`` of the cumulative table.  That lookup goes through
@@ -145,13 +161,7 @@ def _sample_cells(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random
     most 35 of them) fall back to ``searchsorted``, on the draws themselves
     (``u * _BINS / _BINS`` is u again).
     """
-    table = project_pair(rho, alpha_rad, beta_rad)
-    probs = np.clip(table.reshape(-1), 0.0, None)
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    edges = np.arange(_BINS + 1) / _BINS
-    cell = np.searchsorted(cum, edges[:-1], side="right").astype(np.int8)
-    split = np.searchsorted(cum, edges[1:], side="left") != cell
+    _, cum, cell, split = lookup
     u = rng.random(n)
     u *= _BINS
     bins = u.astype(np.intp)
@@ -163,12 +173,14 @@ def _sample_cells(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random
     return cells
 
 
-def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator):
-    """Sample n joint outcomes from the Born-rule table (:func:`_sample_cells`).
+def sample_pair_outcomes(rho, alpha_rad: float, beta_rad: float, n: int, rng: np.random.Generator, lookup=None):
+    """Sample n joint outcomes from the Born-rule table (:func:`_sample_cells`),
+    from ``lookup`` when the caller has built it for this setting
+    (:func:`_cell_lookup`).
 
     Returns (idler_port, idler_slot, signal_port, signal_slot) int arrays.
     """
-    cells = _sample_cells(rho, alpha_rad, beta_rad, n, rng)
+    cells = _sample_cells(lookup or _cell_lookup(rho, alpha_rad, beta_rad), n, rng)
     return tuple(index.take(cells) for index in _OUTCOME_INDEX)
 
 

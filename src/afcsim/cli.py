@@ -18,18 +18,20 @@ Exit codes: 0 success, 1 a tolerance check failed, 2 configuration error.
 
 Allocator policy: ``main`` keeps the heap that the event path frees mapped
 for the next acquisition (``_keep_heap_mapped``).  Each acquisition builds
-and frees arrays of up to 2 MB (the emission cycles and their sorted copy,
-the lone pairs' cycles, masks); glibc's dynamic thresholds serve such
-blocks with ``mmap`` or trim them off the top of the heap, so the next
-acquisition zero-fills their pages again.  ``main`` sets glibc's
-``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD`` to 256 MiB; with
-both, ``simulate --channels 1 --trials 20`` takes about 3.1k minor page
-faults instead of about 8.9k and spends 0.012 s instead of 0.032 s in the
-kernel (getrusage of the verb), and its wall time is about 4% lower, at
-the cost of a peak RSS of about 50 MB instead of 45 MB (``ru_maxrss``).
-The mmap threshold alone leaves 7.5k faults, and the trim threshold alone
-makes 26k.  ``reproduce fig4`` and ``reproduce fig3`` move by less than
-their run-to-run spread either way.  The policy applies to glibc only:
+and frees about 1.5 MB of arrays (the explicit pairs' clicks, their
+counting keys, the idler-only pairs); under glibc's dynamic thresholds
+freed blocks are trimmed off the top of the heap, so the next acquisition
+zero-fills their pages again.  ``main`` sets glibc's ``M_MMAP_THRESHOLD``
+to 32 MiB and ``M_TRIM_THRESHOLD`` to 256 MiB; with both, ``simulate
+--channels 1 --trials 20`` takes about 0.5k minor page faults instead of
+about 1.1k (getrusage of the verb; neither spends measurable system time)
+and 0.113 s instead of 0.116 s (medians of 10), at a peak RSS of 42.5 MB instead of 42.0 MB
+(``ru_maxrss``).  The trim threshold alone gives the same faults, and the
+mmap threshold alone the same as none.  Under ``bench/run.py`` the wall
+times of ``simulate``, ``reproduce fig4`` and ``reproduce fig3`` move by
+less than their run-to-run spread either way, and without the policy
+``reproduce fig4`` peaks at 43.0 MB instead of 42.8 MB in every round.
+The policy applies to glibc only:
 where ``mallopt`` is missing or refuses the value, the allocator is left as
 it is.  It changes no number, and code that imports ``afcsim`` as a
 library keeps its own allocator; only ``main`` sets it.

@@ -17,28 +17,32 @@ specs and a fit of their counts; :func:`run_scans` acquires each spec and
 fits each scan on the calling thread, as every other acquisition (the g2
 runs, the DD acquisition whose clicks fig7 histograms) runs.
 
-A threefold acquisition (:func:`acquire_threefold`) draws, over the whole
-run, only the cycles of the pairs whose signal photon clicks: detection
-thins the recalled pairs once more, at the detector efficiency.  Where no
-click can count toward another cycle (at the calibration; not at several
-ns of jitter), a pair alone in a cycle that no classified stray click falls in
-is lone, and by Poisson colouring the lone pairs' classes (outcome cell,
-idler detection, and the slot window or none each click lands in) are one
-Multinomial draw, from which their counts are read: no cell, keep or
-jitter is drawn for them.  Only the other pairs, about 4% at the
-calibration before storage, are drawn one by one and counted with the stray
-clicks.  The idler-only pairs, whose signal photon gives no click, are
-drawn only in the cycles toward which a signal click may count.  A before-
-storage CHSH acquisition peaks at about 6.1 MB (tracemalloc), against
-14 MB when every signal-click pair drew its cell and jitter.  The clicks
-no count needs (the lone pairs', and the idler-only pairs' that only
-fig7's histogram can meet) are drawn on demand (:class:`Acquisition`).  A
-g2 run (:func:`acquire_g2`) draws no pair, click or time: it counts only
-whether each cycle's signal and idler windows hold a click, and by Poisson
-colouring those occupancies are independent draws from one law, except
-where a pair's two clicks count toward different cycles.  So a run is one
-Multinomial draw over the cycles, and those rare split pairs (none at the
-calibration) are drawn one by one.
+A threefold acquisition (:func:`acquire_threefold`) follows only the
+pairs whose signal photon clicks: detection thins the recalled pairs once
+more, at the detector efficiency.  Where no click can count toward another
+cycle (at the calibration; not at several ns of jitter), cycles are
+independent, and by Poisson colouring the number of signal-click pairs in a
+cycle is all that is drawn about most of them, as counts: how many cycles
+hold one pair, and how many hold each larger number.  A pair alone in a
+cycle with no other classified click is lone, and the lone pairs' classes
+(outcome cell, idler detection, and the slot window or none each click
+lands in) are one Multinomial draw, from which their counts are read: no
+cycle, cell, keep or jitter is drawn for them.  Only the other pairs, about
+4% at the calibration before storage, are drawn one by one, in cycle
+coordinates, and counted with the stray clicks.  The idler-only pairs,
+whose signal photon gives no click, are drawn only in the cycles toward
+which a signal click may count.  A before-storage CHSH acquisition peaks at
+about 1.5 MB (tracemalloc), against 6.2 MB when every signal-click pair's
+cycle was drawn.  The run's positions of the cycles drawn as counts, and
+the clicks no count needs (the lone pairs', and the idler-only pairs' that
+only fig7's histogram can meet), are drawn on demand
+(:class:`Acquisition`).  A g2 run (:func:`acquire_g2`) draws no pair,
+click or time: it counts only whether each cycle's signal and idler
+windows hold a click, and by Poisson colouring those occupancies are
+independent draws from one law, except where a pair's two clicks count
+toward different cycles.  So a run is one Multinomial draw over the
+cycles, and those rare split pairs (none at the calibration) are drawn one
+by one.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,8 +60,10 @@ from afcsim.analyzer import (
     _IDLER_PORT,
     _JITTER_REACH_SIGMAS,
     _OUTCOME_INDEX,
+    DetectorConfig,
     PairClicks,
     ThreefoldCounts,
+    _cell_lookup,
     _gauss_mass,
     _landing_reach,
     _landing_table,
@@ -263,18 +269,68 @@ def _click_geometry(cfg: ExperimentConfig):
 _LONE_SHAPE = (2, 3, 2, 3, 4, 5)
 
 
-def _lone_law(cfg: ExperimentConfig, rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
+def _lone_law(cfg: ExperimentConfig, cells: np.ndarray) -> np.ndarray:
     """The chances of a lone pair's classes, shape ``_LONE_SHAPE``: its
-    Born-rule cell (:func:`project_pair`, clipped and normalized as
-    :func:`afcsim.analyzer._sample_cells` takes it), times each side's
-    landing chance (:func:`_landing_table`), the idler's times eta or, for
-    no idler click, 1 - eta."""
-    cells = np.clip(project_pair(rho, alpha_rad, beta_rad), 0.0, None)
-    cells /= cells.sum()
+    Born-rule cell (``cells``, the clipped and normalized table of
+    :func:`afcsim.analyzer._cell_lookup`), times each side's landing chance
+    (:func:`_landing_table`), the idler's times eta or, for no idler click,
+    1 - eta."""
     landing = _landing_table(*_click_geometry(cfg))
     eta = cfg.detectors.efficiency
     idler = np.hstack([eta * landing, np.full((3, 1), 1.0 - eta)])
     return cells[..., None, None] * landing[:, :, None] * idler[:, None, None, None, :]
+
+
+def _multinomial(rng: np.random.Generator, n: int, law: np.ndarray) -> np.ndarray:
+    """The numbers per class of ``n`` draws from ``law``, one Multinomial
+    draw with the most likely class last, as the Multinomial gives the last
+    class what the others leave."""
+    order = np.argsort(law, kind="stable")
+    numbers = np.empty(law.size, dtype=np.int64)
+    numbers[order] = rng.multinomial(n, law[order])
+    return numbers
+
+
+def _pairs_law(mu: float) -> np.ndarray:
+    """P(K = k), k = 0, 1, ...: the Poisson law of a cycle's number K of
+    signal-click pairs, of mean ``mu``, up to the first k >= mu of chance
+    below 2**-64; the tail beyond it falls to the most likely k
+    (:func:`_multinomial`)."""
+    law = []
+    while True:
+        k = len(law)
+        law.append(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1)) if mu else float(k == 0))
+        if k >= mu and law[-1] < 2.0**-64:
+            return np.array(law)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, sorted: one sort and a mask, where numpy
+    2.4's hashing ``np.unique`` takes about 40 times as long on 232k
+    cycles."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _placement(n_free: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform placement of ``n`` items in ``range(n_free)``: n distinct
+    values in a random order.  Where they fill over half the range, the
+    first n of a permutation, at a cost of at most 2n.  Otherwise values
+    drawn with replacement, their repeats drawn again until n are distinct:
+    every step is unchanged by relabelling the values, so the set is a
+    uniform n-subset, and each round leaves under half its draws repeated,
+    so the cost grows with n, not with ``n_free``."""
+    if not n:
+        return np.empty(0, dtype=np.int64)
+    if 2 * n > n_free:
+        return rng.permutation(n_free)[:n]
+    picked = _distinct(rng.integers(0, n_free, n))
+    while picked.size < n:
+        picked = _distinct(np.concatenate([picked, rng.integers(0, n_free, n - picked.size)]))
+    rng.shuffle(picked)
+    return picked
 
 
 def _lone_counts(draw: np.ndarray) -> ThreefoldCounts:
@@ -340,37 +396,51 @@ class Acquisition:
     """One analyzer acquisition: port/slot-resolved threefold counts, the
     clicks they were counted from and bookkeeping.
 
-    The signal-click pairs are either lone, counted from their classes (see
-    :func:`acquire_threefold`), of which only the cycles are kept
-    (``lone_cycles``), or explicit, with their clicks in cycle coordinates
-    (``pairs``).  The stray clicks are times and ports: on the idler side
-    the idler-only pairs drawn in N and the dark counts, on the signal side
-    the memory noise and the dark counts.  ``n_pairs_sampled`` counts the
-    pairs drawn: the signal-click pairs of the whole run, and the
-    idler-only pairs drawn in N.  ``draw_lone`` and ``draw_ring`` build the
-    clicks no count needs a time of (see :meth:`idler_clicks`)."""
+    The clicks are kept as they were counted (see :func:`acquire_threefold`).
+    The explicit signal-click pairs (``pairs``) and the idler clicks of the
+    idler-only pairs (``idler_only``: cycles, offsets after the cycle's
+    reference, ports) lie in cycle coordinates, which ``real_cycles`` maps
+    to the run's cycles.  The stray clicks are times and ports: the idler
+    dark counts, and on the signal side the memory noise and the dark
+    counts.  The lone pairs are counted from their classes and have no
+    click until one is asked for.  ``n_pairs_sampled`` counts the pairs the
+    acquisition stands for: the signal-click pairs of the whole run, and
+    the idler-only pairs drawn in N.  ``draw_lone`` and ``draw_ring`` build
+    the clicks no count needs a time of (see :meth:`idler_clicks`)."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
     delay_ps: float
     period_ps: float
     pairs: PairClicks
-    lone_cycles: np.ndarray
+    idler_only: tuple[np.ndarray, np.ndarray, np.ndarray]
     stray_idler: tuple[np.ndarray, np.ndarray]
     stray_signal: tuple[np.ndarray, np.ndarray]
+    real_cycles: Callable = field(repr=False)
     draw_lone: Callable = field(repr=False)
     draw_ring: Callable = field(repr=False)
 
+    def _pairs_in_run(self) -> PairClicks:
+        return replace(self.pairs, cycles=self.real_cycles(self.pairs.cycles))
+
     def idler_clicks(self, histogram: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(times in ps, ports) of every idler click counted: the explicit
-        pairs', the lone pairs', then the stray ones.  The lone pairs'
-        clicks are drawn on each call, from a stream of their own, each
+        pairs', the idler-only pairs', the lone pairs', then the dark
+        counts.  The cycles no count needed a position of are placed on the
+        first call (``real_cycles``), and the lone pairs' clicks are drawn
+        on each call, both from streams of their own, each click
         conditional on the class it was counted in, so that one
         :func:`threefold_counts` call over these clicks gives the
         acquisition's counts.  With ``histogram``, also the idler clicks of
         the idler-only pairs outside N that fig7's histogram can meet with a
         signal click, drawn on each call from a stream of their own."""
-        parts = [self.pairs.idler_clicks(self.period_ps), self.draw_lone()[0], self.stray_idler]
+        cycles, offsets, ports = self.idler_only
+        parts = [
+            self._pairs_in_run().idler_clicks(self.period_ps),
+            (self.real_cycles(cycles) * self.period_ps + offsets, ports),
+            self.draw_lone()[0],
+            self.stray_idler,
+        ]
         if histogram:
             parts.append(self.draw_ring(self.signal_clicks()[0]))
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
@@ -378,24 +448,12 @@ class Acquisition:
     def signal_clicks(self) -> tuple[np.ndarray, np.ndarray]:
         """(times in ps, ports) of every signal click, the recall delay
         included: the explicit pairs', the lone pairs', then the stray ones."""
-        parts = [self.pairs.signal_clicks(self.period_ps, self.delay_ps), self.draw_lone()[1], self.stray_signal]
+        parts = [
+            self._pairs_in_run().signal_clicks(self.period_ps, self.delay_ps),
+            self.draw_lone()[1],
+            self.stray_signal,
+        ]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _alone_in_cycle(cycles: np.ndarray, busy: np.ndarray) -> np.ndarray:
-    """Whether each of the sorted ``cycles`` is the only one of its value
-    and not one of the ``busy`` cycles."""
-    lone = np.ones(cycles.size, dtype=bool)
-    if cycles.size:
-        alone = cycles[1:] != cycles[:-1]
-        lone[1:] = alone
-        lone[:-1] &= alone
-        del alone
-        at = np.searchsorted(cycles, busy)
-        # a cycle held twice is not alone already, so the first of a busy
-        # cycle is the one to clear
-        lone[at[cycles.take(at, mode="clip") == busy]] = False
-    return lone
 
 
 def _jittered(slots_ps: np.ndarray, sigma_ps: float, rng: np.random.Generator) -> np.ndarray:
@@ -420,12 +478,12 @@ def _pair_clicks(cfg: ExperimentConfig, cycles, cells, rng: np.random.Generator)
     return PairClicks(cycles, cells, signal_off, idler_pairs, idler_off)
 
 
-def _detect_side(times: np.ndarray, ports: np.ndarray, cfg: ExperimentConfig, duration_ps, seed: int):
+def _detect_side(times: np.ndarray, ports: np.ndarray, det: DetectorConfig, duration_ps, seed: int):
     """:func:`detect` of the arrivals at one side's two detectors: (times,
     int8 ports) of the port 1 clicks, then the port 2 clicks."""
     first = ports == 0
     arrivals = {"1": np.compress(first, times), "2": np.compress(~first, times)}
-    streams = detect(arrivals, cfg.detectors, duration_ps * 1e-12, seed)
+    streams = detect(arrivals, det, duration_ps * 1e-12, seed)
     one, two = streams["1"], streams["2"]
     return np.concatenate([one, two]), np.repeat(np.int8([0, 1]), [one.size, two.size])
 
@@ -451,117 +509,166 @@ def acquire_threefold(
     """Simulate one UMZI-analyzed acquisition at phases (alpha, beta).
 
     Pairs are emitted in the channel's idler-filter band, joint (port, slot)
-    outcomes are Born-rule sampled from the source state, the signal photon
-    is thinned by the memory band and (when stored) the recall survival s,
-    and both sides pass the click-level detector model (efficiency eta,
-    Gaussian jitter, dark counts) before clock-triggered threefold counting
-    over :func:`_stage_cycles` cycles.
+    outcomes are Born-rule sampled from one table per acquisition
+    (:func:`afcsim.analyzer._cell_lookup`), the signal photon is thinned by
+    the memory band and (when stored) the recall survival s, and both sides
+    pass the click-level detector model (efficiency eta, Gaussian jitter,
+    dark counts) before clock-triggered threefold counting over
+    :func:`_stage_cycles` cycles.
 
-    Per-cycle pair numbers are Poissonian, and recall and detection thin
-    the signal photons independently, so by Poisson splitting the pairs
-    form two independent processes, sampled one after the other:
+    By Poisson splitting the pairs form two independent processes: the
+    signal-click pairs, mu = s eta lambda_sig per cycle, and the idler-only
+    pairs (:func:`_idler_only`).  An idler-only click counts only in a cycle
+    that holds a classified signal click, so those pairs are drawn only in
+    N: S, the cycles that hold a signal click (a pair's, or a classified
+    stray one), widened by the landing reach w (:func:`_landing_reach`) on
+    each side, and their idlers pass :func:`detect` with no dark count.  The
+    stray clicks (memory noise, dark counts) are drawn in the run's time by
+    :func:`detect`.
 
-    1. The signal-click pairs: a share s eta of the signal-band pairs,
-       whose cycles are drawn over the whole run at s eta times the band's
-       rate.  Each has one outcome cell; its signal photon clicks, displaced
-       by jitter alone, and its idler clicks with probability eta.  The
-       memory noise and the signal dark counts pass through :func:`detect`.
-    2. The idler-only pairs (:func:`_idler_only`): the pairs in the idler
-       filter's fringe outside the signal band, and the share 1 - s eta of
-       the signal-band pairs that the memory loses or the signal detector
-       misses.  Their idler clicks count only in a cycle that holds a
-       classified signal click, so they are drawn only in N: S, the cycles
-       of the classified signal clicks (every pair's own cycle where w is
-       0), widened by the landing reach w (:func:`_landing_reach`; 0 at
-       the calibration) on each side, over ``len(N)`` cycles mapped through
-       N.  Their idlers and the idler dark counts pass through
-       :func:`detect`.
-
-    The second process is independent of S, so drawing it only in N gives
-    every count the distribution that drawing it in full gives, for every
-    idler click whose jitter stays below 10 sigma.
-
-    A signal-click pair is lone when no click may count toward another
-    cycle (w = 0; at 4 ns jitter none is lone), no other
-    signal-click pair shares its cycle and no classified stray click falls
-    in it.  None of that depends on the pair's own marks (cell, idler
-    detection, jitter), which by Poisson colouring are independent draws,
-    so the numbers of lone pairs per class (cell, and where each click
-    lands: :func:`_lone_law`) are one Multinomial draw, and their counts
-    and unclassified tallies are read off it (:func:`_lone_counts`).  The
-    other pairs are explicit: each draws its cell, idler detection and
-    jitter, and their clicks, with the stray ones, are counted by
-    :func:`pair_threefold_counts`.  Lone cycles hold no other classified
-    click, so the sum is the count of every click.
+    Where w > 0 (4 ns jitter), each signal-click pair is drawn at its cycle
+    of the run (:func:`emission_arrays`).  Where w = 0 (the calibration,
+    400 ps jitter), cycles are independent and, by Poisson colouring, most
+    are counts, not positions.  A cycle that holds a classified stray click
+    draws its own K ~ Poisson(mu) pairs at its cycle of the run; the others
+    are one Multinomial over K (:func:`_pairs_law`), and those with K >= 1
+    take cycle coordinates after every cycle a stray click is classified
+    in.  A K = 1 pair is lone unless an idler-only click is classified in
+    its cycle; being lone does not depend on its own marks, so the lone
+    pairs' classes are one Multinomial over :func:`_lone_law`, read off by
+    :func:`_lone_counts`.  The other pairs are explicit: each draws its
+    cell, idler keep and jitter, and their clicks, with the idler-only and
+    stray ones, are counted in cycle coordinates by
+    :func:`pair_threefold_counts`.  Only the clicks' times need the run's
+    cycle of a coordinate: ``real_cycles`` places those cycles uniformly
+    among the run's cycles with no classified stray click, on first use.
     """
     n_cycles = _stage_cycles(n_cycles, stored)
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
     rho = analytic_state(cfg.source)
+    lookup = _cell_lookup(rho, alpha_rad, beta_rad)
 
     survival, delay_ps, noise_t, noise_port = _recall(cfg, channel, tags, stored, duration_ps)
     share = survival * cfg.detectors.efficiency
-    rng_em = derive_rng(cfg.seed, *tags, "emission")
-    sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    cycles = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)[0]
-    rng_cells = derive_rng(cfg.seed, *tags, "outcome")
-    rng_click = derive_rng(cfg.seed, *tags, "pair-detector")
     stray_signal = _detect_side(
-        noise_t, noise_port, cfg, duration_ps, _seed(cfg, *tags, "signal-detector")
+        noise_t, noise_port, cfg.detectors, duration_ps, _seed(cfg, *tags, "signal-detector")
     )
     del noise_t, noise_port
+    # the idler dark counts: the detector model with no arrival
+    stray_idler = _detect_side(
+        np.empty(0), np.empty(0, dtype=np.int8), cfg.detectors, duration_ps, _seed(cfg, *tags, "idler-detector")
+    )
+    signal_busy = _classified_cycles(cfg, stray_signal, delay_ps)
+    rng_em = derive_rng(cfg.seed, *tags, "emission")
+    rng_cells = derive_rng(cfg.seed, *tags, "outcome")
+    rng_click = derive_rng(cfg.seed, *tags, "pair-detector")
+    sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
 
-    # S: the cycles toward which a signal click may count
     reach = _landing_reach(*_click_geometry(cfg))
-    stray_busy = _classified_cycles(cfg, stray_signal, delay_ps)
-    if reach:  # every pair is explicit; a click may count toward another cycle
-        cells = _sample_cells(rho, alpha_rad, beta_rad, cycles.size, rng_cells)
-        pairs = _pair_clicks(cfg, cycles, cells, rng_click)
-        geometry_ps = (period_ps, spacing_ps, cfg.coincidence.window_ps)
-        moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *geometry_ps)
+    if reach:  # every pair is explicit, at its cycle of the run
+        cycles = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)[0]
+        n_signal = cycles.size
+        pairs = _pair_clicks(cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), rng_click)
+        moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *_click_geometry(cfg)[:3])
         counted = cycles.copy()
         counted[moved] += shift
-        counted = counted[ok]
+        s_cycles = np.sort(np.concatenate([counted[ok], signal_busy]), kind="stable")
+        del cycles, counted
+        n_near, near = _near_cycles(s_cycles, reach, n_cycles)
+        n_single, single, hit = 0, 0, np.empty(0, dtype=np.int64)
+
+        def real_cycles(cycles):
+            return cycles
+
+        def near_in_run():
+            return s_cycles
+
     else:
-        counted = cycles
-    counted = np.sort(np.concatenate([counted, stray_busy]), kind="stable")
-    n_near, near = _near_cycles(counted, reach, n_cycles)
-    only_t, only_port = np.empty(0), np.empty(0, dtype=np.int8)
-    n_pairs = cycles.size
+        busy = _distinct(np.concatenate([signal_busy, _classified_cycles(cfg, stray_idler, 0.0)]))
+        in_run = busy[(busy >= 0) & (busy < n_cycles)]
+        mu = _rate(cfg, [(sig_band, share)])
+        busy_k = rng_em.poisson(mu, in_run.size)
+        per_k = _multinomial(rng_em, n_cycles - in_run.size, _pairs_law(mu))
+        crowded_k = np.repeat(np.arange(2, per_k.size), per_k[2:])
+        n_single = int(per_k[1])
+        n_signal = int(busy_k.sum() + crowded_k.sum()) + n_single
+        # S: the stray-busy cycles with a pair or a classified signal click,
+        # then the K >= 2 cycles and the K = 1 cycles, whose coordinates
+        # start at base
+        in_signal = signal_busy[(signal_busy >= 0) & (signal_busy < n_cycles)]
+        s_busy = _distinct(np.concatenate([in_run[busy_k > 0], in_signal]))
+        base = max(n_cycles, int(busy[-1]) + 1) if busy.size else n_cycles
+        single = base + crowded_k.size
+        n_drawn = crowded_k.size + n_single
+        n_near = s_busy.size + n_drawn
+
+        def near(index):
+            cycles = index + (base - s_busy.size)
+            busy_index = np.flatnonzero(index < s_busy.size)
+            cycles[busy_index] = s_busy.take(index.take(busy_index))
+            return cycles
+
+        placed = []
+
+        def real_cycles(cycles):
+            """The run's cycles of the cycle coordinates ``cycles``: a
+            stray-busy cycle is its own, and the cycles drawn as counts are
+            placed among the others, on the first call."""
+            if not placed:
+                ranks = _placement(n_cycles - in_run.size, n_drawn, derive_rng(cfg.seed, *tags, "placement"))
+                # the rank-th cycle of the run that is not stray-busy
+                placed.append(ranks + np.searchsorted(in_run - np.arange(in_run.size), ranks, side="right"))
+            in_run_cycles = cycles.copy()
+            drawn = (cycles >= base) & (cycles < base + n_drawn)
+            in_run_cycles[drawn] = placed[0].take(cycles[drawn] - base)
+            return in_run_cycles
+
+        def near_in_run():
+            return np.sort(np.concatenate([s_busy, real_cycles(np.arange(base, base + n_drawn))]))
+
+    only = np.empty(0, dtype=np.int64)
     if n_near:  # no signal click, no idler-only pair to draw
         rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
         only = near(_draw(cfg, _idler_only(cfg, channel, share), n_near, rng_fringe))
-        n_pairs += only.size
-        rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
-        only_port, only_slot, _, _ = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only)
-        only_t = only * period_ps
-        only_t += only_slot * spacing_ps
-        del only, only_slot
-    del near
-    stray_idler = _detect_side(only_t, only_port, cfg, duration_ps, _seed(cfg, *tags, "idler-detector"))
-    del only_t, only_port
+    rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
+    only_port, only_slot = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only, lookup)[:2]
+    n_only = only.size
+    # their idlers pass the detector model in cycle coordinates, seeded from
+    # the same stream, with no dark count: the idler detectors' are the
+    # stray clicks'
+    only_t = only_slot * spacing_ps
+    only_t += only * period_ps
+    del only, only_slot
+    only_t, only_port = _detect_side(
+        only_t,
+        only_port,
+        replace(cfg.detectors, dark_count_rate_hz=0.0),
+        duration_ps,
+        int(rng_only.integers(2**31)),
+    )
+    # a click's cycle: the one whose middle slot lies nearest, the cycle a
+    # classified click counts toward (:func:`afcsim.analyzer._slot_keys`)
+    only_cycles = np.floor((only_t - spacing_ps) / period_ps + 0.5).astype(np.int64)
+    only_t -= only_cycles * period_ps
+    idler_only = (only_cycles, only_t, only_port)
+    only_t = only_cycles * period_ps
+    only_t += idler_only[1]
 
-    lone_cycles = cycles[:0]
     draw = np.zeros(_LONE_SHAPE, dtype=np.int64)
     if not reach:
-        busy = np.concatenate([stray_busy, _classified_cycles(cfg, stray_idler, 0.0)])
-        lone = _alone_in_cycle(cycles, busy)
-        lone_cycles = cycles[lone]
-        explicit = cycles[~lone]
-        del lone
-        cells = _sample_cells(rho, alpha_rad, beta_rad, explicit.size, rng_cells)
-        pairs = _pair_clicks(cfg, explicit, cells, rng_click)
-        law = _lone_law(cfg, rho, alpha_rad, beta_rad).ravel()
-        # the most likely class last, as the Multinomial gives the last
-        # class what the others leave
-        order = np.argsort(law, kind="stable")
-        draw.reshape(-1)[order] = rng_cells.multinomial(lone_cycles.size, law[order])
-    del cycles
+        # the K = 1 cycles in which an idler-only click is classified
+        hit = _classified_cycles(cfg, (only_t, idler_only[2]), 0.0)
+        hit = _distinct(hit[(hit >= single) & (hit < single + n_single)])
+        cycles = np.concatenate([np.repeat(in_run, busy_k), np.repeat(np.arange(base, single), crowded_k), hit])
+        pairs = _pair_clicks(cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), rng_click)
+        draw = _multinomial(rng_cells, n_single - hit.size, _lone_law(cfg, lookup[0]).ravel()).reshape(_LONE_SHAPE)
 
     explicit_tf = pair_threefold_counts(
         pairs,
-        *stray_idler,
+        np.concatenate([only_t, stray_idler[0]]),
+        np.concatenate([idler_only[2], stray_idler[1]]),
         *stray_signal,
         cfg.clock_period_ns,
         cfg.coincidence,
@@ -579,6 +686,9 @@ def acquire_threefold(
         rng.shuffle(classes)
         i_port, i_slot, s_port, s_slot, s_class, i_class = np.unravel_index(classes, _LONE_SHAPE)
         seen = np.flatnonzero(i_class < 4)
+        lone = np.ones(n_single, dtype=bool)
+        lone[hit - single] = False
+        lone_cycles = real_cycles(single + np.flatnonzero(lone))
         signal_t = lone_cycles * period_ps
         signal_t += delay_ps
         signal_t += _class_offsets(cfg, s_slot, s_class, rng)
@@ -591,7 +701,7 @@ def acquire_threefold(
         N whose clicks fig7's histogram may meet with a signal click at
         ``signal_t``: those of the cycles within :func:`_neighbour_cycles`
         of one, less N.  The idler-only processes are thinned by eta, the
-        idler clicks that :func:`detect` would keep."""
+        idler clicks that are kept."""
         hist = np.sort(_click_cycles(signal_t, delay_ps, period_ps), kind="stable")
         n_wide, wide = _near_cycles(hist, _neighbour_cycles(cfg), n_cycles)
         if not n_wide:
@@ -599,11 +709,12 @@ def acquire_threefold(
         rng = derive_rng(cfg.seed, *tags, "ring")
         eta = cfg.detectors.efficiency
         ring = wide(_draw(cfg, [(band, f * eta) for band, f in _idler_only(cfg, channel, share)], n_wide, rng))
-        at = np.searchsorted(counted, ring - reach)
-        in_near = at < counted.size
-        in_near[in_near] = counted[at[in_near]] <= ring[in_near] + reach
+        known = near_in_run()
+        at = np.searchsorted(known, ring - reach)
+        in_near = at < known.size
+        in_near[in_near] = known[at[in_near]] <= ring[in_near] + reach
         ring = ring[~in_near]
-        ring_cells = _sample_cells(rho, alpha_rad, beta_rad, ring.size, rng)
+        ring_cells = _sample_cells(lookup, ring.size, rng)
         times = _jittered(spacing_ps * _OUTCOME_INDEX[1].take(ring_cells), cfg.detectors.jitter_sigma_ps, rng)
         times += ring * period_ps
         return times, _IDLER_PORT.take(ring_cells)
@@ -614,13 +725,14 @@ def acquire_threefold(
             unclassified_idler=explicit_tf.unclassified_idler + lone_tf.unclassified_idler,
             unclassified_signal=explicit_tf.unclassified_signal + lone_tf.unclassified_signal,
         ),
-        n_pairs_sampled=n_pairs,
+        n_pairs_sampled=n_signal + n_only,
         delay_ps=delay_ps,
         period_ps=period_ps,
         pairs=pairs,
-        lone_cycles=lone_cycles,
+        idler_only=idler_only,
         stray_idler=stray_idler,
         stray_signal=stray_signal,
+        real_cycles=real_cycles,
         draw_lone=draw_lone,
         draw_ring=draw_ring,
     )

@@ -229,6 +229,33 @@ def _noisy_config():
     )
 
 
+def _busy_config():
+    """Dark counts at 10 MHz and memory noise at 100 kHz (10 MHz in
+    strong_memory's stored runs): a classified stray click in about 7% of
+    the cycles, so that many signal-click pairs share a cycle with one and
+    are drawn there one by one."""
+    cfg = fast_config()
+    return dataclasses.replace(
+        cfg,
+        bank=dataclasses.replace(cfg.bank, noise_rate_hz=1e5),
+        detectors=dataclasses.replace(cfg.detectors, dark_count_rate_hz=1e7),
+    )
+
+
+def _dense_config():
+    """34.5 pairs a cycle in a 64 GHz pair band with matching 4 GHz filters:
+    1.5 signal clicks a cycle, so 78% of the cycles hold one and the
+    placement of the cycles drawn as counts fills most of the run."""
+    cfg = fast_config()
+    return dataclasses.replace(
+        cfg,
+        source=dataclasses.replace(
+            cfg.source, pair_emission_probability_per_cycle=1 - 1e-15, pair_bandwidth_ghz=64.0
+        ),
+        filters=dataclasses.replace(cfg.filters, idler_bandwidth_ghz=4.0),
+    )
+
+
 def _jitter_400_config():
     """400 ps detector jitter: no click leaves its cycle, so pairs are still
     lone, but a click lands in its neighbour slot's window with chance
@@ -318,7 +345,8 @@ class TestPoissonSplitting:
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     def test_no_signal_click_draws_no_idler_only_pair(self, monkeypatch, stored):
         # no pair, memory noise or dark count: N is empty, and a draw over
-        # no cycle would raise
+        # no cycle would raise.  The signal-click pairs are numbers per
+        # cycle class, not an emission draw, so no emission draw is made
         cfg = config_from_dict(
             {
                 "source": {"pair_emission_probability_per_cycle": 0.0},
@@ -334,10 +362,7 @@ class TestPoissonSplitting:
 
         monkeypatch.setattr(pl, "emission_arrays", recording_emission)
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
-        survival = storage_survival(cfg.bank, 0) if stored else 1.0
-        # the signal-click pairs: recalled, then detected
-        share = survival * cfg.detectors.efficiency
-        assert draws == [(pl.channel_band(0, cfg.filters.signal_bandwidth_ghz), share)]
+        assert draws == []
         assert acq.n_pairs_sampled == 0
         assert acq.idler_clicks()[0].size == acq.signal_clicks()[0].size == 0
         assert not acq.threefold.counts.any()
@@ -371,8 +396,9 @@ class TestPoissonSplitting:
             (_jitter_400_config, 3_000_000),
             (_crowded_config, 300_000),
             (_noisy_config, 1_000_000),
+            (_busy_config, 1_000_000),
         ],
-        ids=["fast", "wide-jitter", "jitter-400ps", "crowded", "noisy"],
+        ids=["fast", "wide-jitter", "jitter-400ps", "crowded", "noisy", "stray-busy"],
     )
     def test_split_matches_full_sampling(self, make_config, n_cycles, stored):
         # stored, at strong_memory's recall: the calibration's physical
@@ -455,8 +481,9 @@ class TestPairCounting:
             (wide_jitter_config, 100_000),
             (_crowded_config, 100_000),
             (_noisy_config, 400_000),
+            (_busy_config, 400_000),
         ],
-        ids=["calibration", "fast", "wide-jitter", "crowded", "noisy"],
+        ids=["calibration", "fast", "wide-jitter", "crowded", "noisy", "stray-busy"],
     )
     def test_counts_are_those_of_every_click(self, make_config, n_cycles, stored, seed):
         self._assert_counts_are_those_of_every_click(make_config, n_cycles, stored, seed)
@@ -488,9 +515,19 @@ class TestPairCounting:
             every.unclassified_signal,
         )
 
+    def test_counts_at_dense_placement_are_those_of_every_click(self):
+        # before storage the cycles drawn as counts fill 78% of the cycles
+        # with no classified stray click, and are placed as one permutation
+        self._assert_counts_are_those_of_every_click(_dense_config, 50_000, False, 0)
+
     def test_configs_reach_the_cases(self):
         # clicks that leave their pair's cycle, cycles with several pairs,
-        # and signal clicks that are mostly stray
+        # signal clicks that are mostly stray, and many pairs in stray-busy
+        # cycles.  A lone pair has a signal click and no other trace: its
+        # number is that of the lone signal clicks
+        def n_lone(acq):
+            return acq.draw_lone()[1][0].size
+
         cfg = wide_jitter_config()
         pairs = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
         moved, *_ = analyzer._offset_slots(pairs.signal_offsets_ps, 16000.0, 1250.0, 16000.0)
@@ -498,13 +535,19 @@ class TestPairCounting:
         pairs = pl.acquire_threefold(_crowded_config(), 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
         assert np.count_nonzero(np.diff(pairs.cycles) == 0) > 0.1 * pairs.cycles.size
         acq = pl.acquire_threefold(_noisy_config(), 0, 0.0, 0.0, 4_000, ("exact",), True)
-        assert acq.stray_signal[0].size > acq.pairs.cycles.size + acq.lone_cycles.size
+        assert acq.stray_signal[0].size > acq.pairs.cycles.size + n_lone(acq)
+        # a stray-busy cycle keeps its cycle of the run; every other cycle
+        # takes a coordinate after the run
+        n_cycles = 100_000
+        acq = pl.acquire_threefold(_busy_config(), 0, 0.0, 0.0, n_cycles, ("exact",), False)
+        in_busy = np.count_nonzero(acq.pairs.cycles < n_cycles)
+        assert in_busy > 0.05 * (acq.pairs.cycles.size + n_lone(acq))
         # at the calibration before storage nearly every pair is lone; at
         # 4 ns jitter clicks leave their cycle, and none is
         acq = pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.0, 2_000_000, ("exact",), False)
-        assert acq.lone_cycles.size >= 0.9 * (acq.lone_cycles.size + acq.pairs.cycles.size)
+        assert n_lone(acq) >= 0.9 * (n_lone(acq) + acq.pairs.cycles.size)
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False)
-        assert acq.lone_cycles.size == 0 < acq.pairs.cycles.size
+        assert n_lone(acq) == 0 < acq.pairs.cycles.size
 
 
 class TestLonePairs:
@@ -521,7 +564,7 @@ class TestLonePairs:
         ids=["calibration", "jitter-400ps", "no-jitter"],
     )
     def test_law_sums_to_one(self, cfg):
-        law = pl._lone_law(cfg, analytic_state(cfg.source), 0.3, 1.1)
+        law = pl._lone_law(cfg, analyzer._cell_lookup(analytic_state(cfg.source), 0.3, 1.1)[0])
         assert law.shape == pl._LONE_SHAPE
         assert law.min() >= 0
         assert abs(law.sum() - 1) < 1e-12
@@ -539,7 +582,7 @@ class TestLonePairs:
         eta = cfg.detectors.efficiency
         band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
         n_pairs = pl._rate(cfg, [(band, eta)]) * n_cycles
-        law = pl._lone_law(cfg, analytic_state(cfg.source), alpha, beta)
+        law = pl._lone_law(cfg, analyzer._cell_lookup(analytic_state(cfg.source), alpha, beta)[0])
         counts = n_pairs * np.einsum("ijklmn->inkm", law)[:, :3, :, :3]
 
         table = analyzer.project_pair(analytic_state(cfg.source), alpha, beta)
@@ -598,41 +641,99 @@ class TestLonePairs:
         assert 0.45 < np.mean(z > 0) < 0.55
 
     def test_scans_draw_few_pairs_one_by_one(self, monkeypatch):
-        # a before-storage CHSH scan at the calibration: cells and jitter for
-        # at most a tenth of the signal-click pairs, every draw on the
-        # calling thread
+        # a before-storage CHSH scan at the calibration: over 200k
+        # signal-click pairs an acquisition, of which cells and jitter are
+        # drawn for at most a tenth, and no emission draw but the idler-only
+        # pairs', a few percent as many; every draw on the calling thread
         cfg = reference_calibration_config()
-        emitted, drawn, threads = [], [], set()
-        emission, sample_cells, jittered = pl.emission_arrays, pl._sample_cells, pl._jittered
+        acquired, threads = [], set()
+        acquire, emission = pl.acquire_threefold, pl.emission_arrays
+        sample_cells, jittered = pl._sample_cells, pl._jittered
+
+        def recording_acquire(*args):
+            acquired.append({"emitted": 0, "cells": 0, "jitter": 0})
+            acquired[-1]["acq"] = acquire(*args)
+            return acquired[-1]["acq"]
 
         def recording_emission(model, n_cycles, rng, band_ghz, fraction=1.0):
             out = emission(model, n_cycles, rng, band_ghz, fraction)
-            if fraction == cfg.detectors.efficiency:  # the signal-click pairs, bypassed
-                emitted.append(out[0].size)
+            acquired[-1]["emitted"] += out[0].size
             threads.add(threading.get_ident())
             return out
 
-        def recording_cells(rho, alpha, beta, n, rng):
-            drawn.append(n)
+        def recording_cells(lookup, n, rng):
+            acquired[-1]["cells"] += n
             threads.add(threading.get_ident())
-            return sample_cells(rho, alpha, beta, n, rng)
+            return sample_cells(lookup, n, rng)
 
         def recording_jitter(slots_ps, sigma_ps, rng):
-            drawn.append(slots_ps.size)
+            acquired[-1]["jitter"] += slots_ps.size
             return jittered(slots_ps, sigma_ps, rng)
 
+        monkeypatch.setattr(pl, "acquire_threefold", recording_acquire)
         monkeypatch.setattr(pl, "emission_arrays", recording_emission)
         monkeypatch.setattr(pl, "_sample_cells", recording_cells)
         monkeypatch.setattr(pl, "_jittered", recording_jitter)
         ((result, _),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, False)])
-        assert len(emitted) == 4 and min(emitted) > 200_000
-        # per acquisition: cells for the explicit pairs, then their signal
-        # and idler jitter
-        explicit = drawn[::3]
-        assert drawn[1::3] == explicit
-        assert all(n <= 0.1 * m for n, m in zip(explicit, emitted))
+        assert len(acquired) == 4
+        for record in acquired:
+            acq = record["acq"]
+            # every pair drawn is an idler-only pair; the rest are the
+            # signal-click pairs, drawn as numbers per cycle class
+            n_signal = acq.n_pairs_sampled - record["emitted"]
+            assert n_signal > 200_000
+            assert record["emitted"] < 0.1 * n_signal
+            # cells for the explicit pairs, then their signal and idler
+            # jitter; the idler-only clicks are jittered by the detector model
+            assert record["cells"] == acq.pairs.cycles.size <= 0.1 * n_signal
+            assert record["jitter"] == record["cells"] + acq.pairs.idler_pairs.size
         assert threads == {threading.get_ident()}
         assert result.s_value > 2
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("n_free, n", [(1000, 10), (1000, 499), (1000, 501), (1000, 1000), (7, 6)])
+    def test_distinct_values_in_range(self, n_free, n):
+        picked = pl._placement(n_free, n, np.random.default_rng(n))
+        assert picked.size == np.unique(picked).size == n
+        assert 0 <= picked.min() and picked.max() < n_free
+
+    @pytest.mark.parametrize("n", [2, 4], ids=["sparse", "dense"])
+    def test_uniform_subset_in_random_order(self, n):
+        # each value is picked, and comes first, equally often
+        rng = np.random.default_rng(3)
+        draws = np.array([pl._placement(5, n, rng) for _ in range(20_000)])
+        picked = np.bincount(draws.ravel(), minlength=5)
+        first = np.bincount(draws[:, 0], minlength=5)
+        assert stats.chisquare(picked).pvalue > 1e-3
+        assert stats.chisquare(first).pvalue > 1e-3
+
+    def test_a_full_run_is_one_permutation(self):
+        # 200 of 2M free cycles left: redrawing the repeats would take
+        # thousands of rounds, each a sort of 2M values
+        n_free = 2_000_000
+        picked = pl._placement(n_free, n_free - 200, np.random.default_rng(0))
+        assert np.unique(picked).size == n_free - 200
+
+
+class TestBornTable:
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
+    @pytest.mark.parametrize("make_config", [fast_config, wide_jitter_config], ids=["fast", "wide-jitter"])
+    def test_one_table_per_acquisition(self, monkeypatch, make_config, stored):
+        # the explicit pairs' cells, the idler-only pairs' outcomes, the lone
+        # pairs' law and fig7's ring all read one Born-rule table
+        calls = []
+        original = analyzer.project_pair
+
+        def counting_project_pair(rho, alpha, beta):
+            calls.append((alpha, beta))
+            return original(rho, alpha, beta)
+
+        monkeypatch.setattr(analyzer, "project_pair", counting_project_pair)
+        monkeypatch.setattr(pl, "project_pair", counting_project_pair)
+        acq = pl.acquire_threefold(make_config(), 0, 0.3, 1.1, 100_000, ("born",), stored)
+        acq.idler_clicks(histogram=True)
+        assert calls == [(0.3, 1.1)]
 
 
 def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags, stored):
@@ -818,10 +919,11 @@ class TestG2Memory:
 
 
 class TestAcquisitionMemory:
-    """An acquisition keeps its lone pairs' cycles, its other pairs in cycle
-    coordinates, and builds no array as long as N.  Holding every
-    pair-level array to the end, as the event path once did, peaked at ~158
-    bytes per sampled pair."""
+    """An acquisition keeps its explicit pairs in cycle coordinates, draws
+    its lone pairs as numbers per class, and builds no array as long as N
+    or as its signal-click pairs.  Holding every pair-level array to the
+    end, as the event path once did, peaked at ~158 bytes per sampled
+    pair."""
 
     MAX_BYTES_PER_PAIR = 80
 
@@ -837,6 +939,25 @@ class TestAcquisitionMemory:
             tracemalloc.stop()
         assert acq.n_pairs_sampled >= 100_000
         assert peak / acq.n_pairs_sampled < self.MAX_BYTES_PER_PAIR
+
+    def test_no_array_as_long_as_the_signal_click_pairs(self):
+        # a calibrated before-storage CHSH acquisition: the cycles of its
+        # ~232k signal-click pairs alone, as int64, would take 8 bytes a
+        # pair.  Drawing them, sorting them and splitting the lone ones off
+        # peaked at 6.2 MB, ~27 bytes a pair
+        cfg = reference_calibration_config()
+        n_cycles = cfg.desk_scale.chsh_cycles_per_setting
+        band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
+        n_signal = pl._rate(cfg, [(band, cfg.detectors.efficiency)]) * n_cycles
+        pl.acquire_threefold(cfg, 0, 0.0, 0.5, 10_000, ("warm-up",), stored=False)
+        tracemalloc.start()
+        try:
+            acq = pl.acquire_threefold(cfg, 0, 0.0, 0.5, n_cycles, ("memory",), stored=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acq.n_pairs_sampled > n_signal > 200_000
+        assert peak < 8 * n_signal
 
 
 class TestCountingMemory:
@@ -871,41 +992,50 @@ class TestPinnedCounts:
     """Exact integer results of the event path at the shipped seed.  Every
     rewrite of sampling, detection or counting must keep each draw and each
     count; a changed RNG stream or an off-by-one cycle shows here.  The
-    threefold pins are those of the acquisition that draws the lone
-    signal-click pairs' classes as one Multinomial and the other pairs one
-    by one, with the idler-only pairs (the fringe, then the share 1 - s eta
-    the memory loses or the signal detector misses) drawn only in the
-    cycles of a signal click.  Its pairs drawn differ by stage: after
-    storage far fewer pairs are recalled, over 100 times the cycles, and
-    fewer signal clicks leave fewer cycles to draw idler-only pairs in; the
-    100 times longer run holds 100 times the dark counts, most of them
-    unclassified.  They replaced the pins of the path that drew every
-    signal-click pair's cell and jitter and the idler-only pairs one cycle
-    either side of a signal click (stored: unclassified (11, 29), 1,583
-    pairs; bypassed: 10,046 pairs); the two differ at the Monte-Carlo level
-    only.  The g2 pins are those of a stored same-channel run drawn as a
-    law over cycle occupancy: one Multinomial over the 40M integrated
-    cycles, as no split pair occurs at 40 ps jitter.  They replaced (996,
-    1388, 1411522), the pins of the event path that drew the recalled pairs
-    and detected their clicks; the two differ at the Monte-Carlo level
-    only."""
+    threefold pins are those of the position-free acquisition: the
+    signal-click pairs are numbers of cycles per pair count K (each
+    stray-busy cycle drawing its own K), the lone pairs' classes one
+    Multinomial, and only the explicit pairs (K >= 2, stray-busy, or hit by
+    a classified idler-only click) drawn one by one, with the idler-only
+    pairs (the fringe, then the share 1 - s eta the memory loses or the
+    signal detector misses) drawn only in the cycles of a signal click.
+    Its pairs drawn differ by stage: after storage far fewer pairs are
+    recalled, over 100 times the cycles, and fewer signal clicks leave
+    fewer cycles to draw idler-only pairs in; the 100 times longer run
+    holds 100 times the dark counts, most of them unclassified.  They
+    replaced the pins of the acquisition that drew every signal-click
+    pair's cycle and split the lone ones off by position (stored: counts
+    [35, 45, 3, 34, 36, 1, 19, 120, 31, 26, 12, 38, 3, 37, 28, 2, 26, 38,
+    36, 29, 0, 29, 25, 2, 39, 9, 30, 29, 121, 37, 1, 33, 23, 2, 29, 22],
+    unclassified (12, 29), 1,429 pairs; bypassed: counts [204, 223, 8,
+    188, 195, 13, 219, 780, 216, 219, 92, 218, 15, 225, 213, 13, 227, 211,
+    190, 194, 17, 194, 194, 17, 198, 96, 217, 227, 765, 218, 9, 240, 215,
+    10, 198, 201], unclassified (0, 0), 9,569 pairs), which had replaced
+    those of the path that drew every signal-click pair's cell and jitter
+    (stored: unclassified (11, 29), 1,583 pairs; bypassed: 10,046 pairs);
+    each differs from the last at the Monte-Carlo level only.  The g2 pins
+    are those of a stored same-channel run drawn as a law over cycle
+    occupancy: one Multinomial over the 40M integrated cycles, as no split
+    pair occurs at 40 ps jitter.  They replaced (996, 1388, 1411522), the
+    pins of the event path that drew the recalled pairs and detected their
+    clicks; the two differ at the Monte-Carlo level only."""
 
     @pytest.mark.parametrize(
         "stored, counts, unclassified, n_pairs",
         [
             (
                 True,
-                [35, 45, 3, 34, 36, 1, 19, 120, 31, 26, 12, 38, 3, 37, 28, 2, 26, 38,
-                 36, 29, 0, 29, 25, 2, 39, 9, 30, 29, 121, 37, 1, 33, 23, 2, 29, 22],
+                [22, 30, 1, 31, 26, 2, 33, 120, 36, 24, 18, 37, 1, 34, 23, 1, 35, 31,
+                 20, 22, 0, 37, 23, 3, 30, 12, 40, 33, 108, 33, 1, 32, 25, 4, 26, 30],
                 (12, 29),
-                1_429,
+                1_395,
             ),
             (
                 False,
-                [204, 223, 8, 188, 195, 13, 219, 780, 216, 219, 92, 218, 15, 225, 213, 13, 227, 211,
-                 190, 194, 17, 194, 194, 17, 198, 96, 217, 227, 765, 218, 9, 240, 215, 10, 198, 201],
+                [172, 216, 14, 205, 211, 18, 210, 751, 215, 213, 99, 224, 14, 219, 228, 8, 216, 175,
+                 188, 218, 13, 184, 187, 18, 208, 101, 219, 218, 761, 232, 9, 205, 224, 15, 194, 235],
                 (0, 0),
-                9_569,
+                9_539,
             ),
         ],
         ids=["stored", "bypassed"],
