@@ -19,10 +19,18 @@ six (port, slot) outcomes form a complete POVM:
 with |u_k> unnormalized; the six elements sum to the identity.  The middle
 slot of port 2 projects onto (|e> + e^{-i phi}|l>)/sqrt(2), the "energy
 basis" used for tomography.
+
+What depends only on a phase or on the click geometry is built once per
+process (:func:`_memoized`): a phase's POVM, the landing table and the
+landing reach.  That is safe because each is a pure function of the values
+it is keyed by (floats, never an object's identity), its arrays are
+read-only, and at most 64 are kept in a thread-safe ``lru_cache``; the
+Born-rule table of a setting is built per acquisition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +66,9 @@ _OUTCOME_INDEX = np.unravel_index(np.arange(36), (2, 3, 2, 3))
 # power-of-two bin count of the outcome lookup in ``sample_pair_outcomes``
 _BINS = 2**12
 
+# the flat cells of the (2, 3, 2, 3) outcome table, as the lookup's int8
+_CELL_INDEX = np.arange(36, dtype=np.int8)
+
 # signal events per block of the pair walk in ``threefold_counts``
 _WALK_BLOCK = 2**16
 
@@ -85,12 +96,37 @@ class CoincidenceConfig:
             raise ValueError("require window >= histogram bin > 0")
 
 
+def _memoized(build):
+    """``build``, a pure function of hashable values, memoized by the
+    values of its arguments (:func:`functools.lru_cache`, safe to share
+    across threads): each result is built once and is read-only where it
+    is an array or a tuple of arrays, and the 64 most recently used are
+    kept.  ``__wrapped__`` is ``build`` itself."""
+
+    def read_only(*key):
+        value = build(*key)
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        return value
+
+    return functools.update_wrapper(functools.lru_cache(maxsize=64)(read_only), build)
+
+
 def umzi_povm(phase_rad: float) -> np.ndarray:
     """The six POVM elements, shape (2, 3, 2, 2) indexed [port, slot].
 
     Ports are 0-indexed (index k-1 for port k); slots follow SLOT_EARLY,
-    SLOT_MIDDLE, SLOT_LATE.
+    SLOT_MIDDLE, SLOT_LATE.  The elements of a phase are built once
+    (:func:`_memoized`, keyed by the phase's exact float value, so -0.0 is
+    not 0.0) and are read-only.
     """
+    return _umzi_povm(float(phase_rad).hex())
+
+
+@_memoized
+def _umzi_povm(phase_hex: str) -> np.ndarray:
+    phase_rad = float.fromhex(phase_hex)
     e = np.array([1.0, 0.0], dtype=complex)
     l = np.array([0.0, 1.0], dtype=complex)
     out = np.zeros((2, 3, 2, 2), dtype=complex)
@@ -138,13 +174,23 @@ def _cell_lookup(rho, alpha_rad: float, beta_rad: float):
     table clipped at zero and normalized, shape ``(2, 3, 2, 3)``, its
     cumulative flat table, and per bin of ``_BINS`` the cell of its left
     edge and whether a cumulative value lies strictly inside it.  A caller
-    that draws several sets of cells at one setting builds it once."""
-    table = np.clip(project_pair(rho, alpha_rad, beta_rad), 0.0, None)
-    cum = np.cumsum(table.reshape(-1))
+    that draws several sets of cells at one setting builds it once.
+
+    Both come from the scaled values x_j = cum_j * _BINS, exact as a
+    power-of-two scaling, with no search: bin b's left edge b / _BINS lies
+    at or past cum_j when ceil(x_j) <= b, so cell j fills the bins from
+    ceil(x_(j-1)) up to ceil(x_j) (x_35 = _BINS, as cum ends at 1), the
+    ``searchsorted(cum, b / _BINS, side="right")`` of each; and cum_j lies
+    strictly inside bin floor(x_j) when x_j is not whole."""
+    table = project_pair(rho, alpha_rad, beta_rad).clip(0.0, None)
+    cum = table.reshape(-1).cumsum()
     cum /= cum[-1]
-    edges = np.arange(_BINS + 1) / _BINS
-    cell = np.searchsorted(cum, edges[:-1], side="right").astype(np.int8)
-    split = np.searchsorted(cum, edges[1:], side="left") != cell
+    scaled = cum * _BINS
+    top = np.ceil(scaled)
+    edge = top.astype(np.intp)
+    cell = _CELL_INDEX.repeat(edge - np.concatenate(([0], edge[:-1])))
+    split = np.zeros(_BINS, dtype=bool)
+    split[scaled[top != scaled].astype(np.intp)] = True
     return table / table.sum(), cum, cell, split
 
 
@@ -165,8 +211,8 @@ def _sample_cells(lookup, n: int, rng: np.random.Generator):
     u = rng.random(n)
     u *= _BINS
     bins = u.astype(np.intp)
-    fallback = np.flatnonzero(split.take(bins))
-    fallback_cell = np.searchsorted(cum, u[fallback] / _BINS, side="right")
+    fallback = split.take(bins).nonzero()[0]
+    fallback_cell = cum.searchsorted(u[fallback] / _BINS, side="right")
     del u
     cells = cell.take(bins)
     cells[fallback] = fallback_cell
@@ -195,21 +241,33 @@ def detect(
     Each photon arrival (ps timestamps per detector) is kept with the
     detector efficiency and smeared by Gaussian jitter.  A detector's stream,
     not time sorted, is its kept arrivals in input order, then Poisson dark
-    counts spread uniformly over the duration.  Deterministic per seed.
+    counts spread uniformly over the duration.  Deterministic per seed, an
+    int in [0, 2**32) (numpy raises OverflowError outside it).
+
+    A draw of no value, or a Poisson draw of mean 0, leaves a generator as
+    it was, so a detector with no arrival or no dark count skips it.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     streams: dict[str, np.ndarray] = {}
-    children = np.random.SeedSequence(seed).spawn(len(arrivals))
+    # child i of ``SeedSequence(seed).spawn`` mixes the words [seed, 0, 0,
+    # 0, i], its entropy padded to the 4-word pool and then its spawn key:
+    # given as a uint32 array, they skip the spawn's slow coercion
+    words = [int(seed), 0, 0, 0]
+    children = [np.random.SeedSequence(np.array(words + [i], dtype=np.uint32)) for i in range(len(arrivals))]
+    dark_mean = det.dark_count_rate_hz * duration_s
     for child, name in zip(children, sorted(arrivals)):
         rng = np.random.default_rng(child)
         times = np.asarray(arrivals[name], dtype=float)
-        kept = np.compress(rng.random(times.size) < det.efficiency, times)
-        if det.jitter_sigma_ps > 0:
-            kept += rng.normal(0.0, det.jitter_sigma_ps, size=kept.size)
-        n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
-        dark = rng.uniform(0.0, duration_s * 1e12, size=n_dark)
-        streams[name] = np.concatenate([kept, dark])
+        kept = np.empty(0)
+        if times.size:
+            kept = times.compress(rng.random(times.size) < det.efficiency)
+            if det.jitter_sigma_ps > 0 and kept.size:
+                kept += rng.normal(0.0, det.jitter_sigma_ps, size=kept.size)
+        if dark_mean:
+            dark = rng.uniform(0.0, duration_s * 1e12, size=rng.poisson(dark_mean))
+            kept = np.concatenate([kept, dark]) if kept.size else dark
+        streams[name] = kept
     return streams
 
 
@@ -249,7 +307,7 @@ def _pair_walk(lo: np.ndarray, n: np.ndarray):
     is built.
     """
     for rank in range(int(n.max(initial=0))):
-        rows = np.flatnonzero(n > rank)
+        rows = (n > rank).nonzero()[0]
         yield rows, lo.take(rows) + rank
 
 
@@ -284,7 +342,7 @@ def _fold_cycles(rel: np.ndarray, period_ps: float, slack_ps: float):
     np.multiply(k, period_ps, out=phase)
     np.subtract(rel, phase, out=phase)
     phase += 0.0  # a time of -0.0 gets np.mod's +0.0 phase
-    over = np.flatnonzero(phase < 0)
+    over = (phase < 0).nonzero()[0]
     k[over] -= 1
     phase[over] += period_ps
     return k, phase
@@ -345,7 +403,7 @@ def _slot_keys(
     cycle <<= 6
     cycle += ports.astype(np.int8) * weights[0]
     cycle += slot * weights[1]
-    key = np.compress(ok, cycle)
+    key = cycle.compress(ok)
     key.sort(kind="stable")
     return key, int(ok.size - np.count_nonzero(ok))
 
@@ -356,9 +414,9 @@ def _same_cycle(idler_keys: np.ndarray, signal_keys: np.ndarray, shift: int):
     the key without its low ``shift`` bits.  Sorted signal keys make the
     searches sweep the idler keys in order."""
     bound = signal_keys & (-1 << shift)
-    lo = np.searchsorted(idler_keys, bound, side="left")
+    lo = idler_keys.searchsorted(bound, side="left")
     bound += 1 << shift
-    n = np.searchsorted(idler_keys, bound, side="left")
+    n = idler_keys.searchsorted(bound, side="left")
     n -= lo
     return lo, n
 
@@ -551,6 +609,7 @@ def _slot_classes(period_ps: float, spacing_ps: float, window_ps: float):
     return [[window] for window in windows] + [gaps]
 
 
+@_memoized
 def _landing_reach(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float) -> int:
     """w: the cycles on each side of a photon's cycle toward which its
     click may count in a slot window.  A click lies at most
@@ -563,6 +622,7 @@ def _landing_reach(period_ps: float, spacing_ps: float, window_ps: float, sigma_
     return _reach_cycles(_slot_classes(period_ps, spacing_ps, window_ps)[2][0][1], sigma_ps, period_ps)
 
 
+@_memoized
 def _landing_table(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float) -> np.ndarray:
     """``table[k, j]``: the chance that the click of a photon in slot k
     counts toward class j of its own cycle (:func:`_slot_classes`).

@@ -43,6 +43,14 @@ independent draws from one law, except where a pair's two clicks count
 toward different cycles.  So a run is one Multinomial draw over the
 cycles, and those rare split pairs (none at the calibration) are drawn one
 by one.
+
+What depends only on a phase or on the config is built once per process
+(:func:`afcsim.analyzer._memoized`): a phase's POVM, the landing table,
+reach and lone-law factors, the Poisson law of K and the detectors with no
+dark count.  Each is a pure function keyed by value (floats, frozen
+configs), its arrays are read-only and at most 64 are kept, so any later
+acquisition gets what a fresh build gives.  The Born-rule table stays one
+per acquisition.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ from afcsim.analyzer import (
     _gauss_mass,
     _landing_reach,
     _landing_table,
+    _memoized,
     _offset_slots,
     _reach_cycles,
     _sample_cells,
@@ -103,8 +112,11 @@ __all__ = [
 
 
 def derive_rng(seed: int, *tags) -> np.random.Generator:
-    """Deterministic child generator for a (seed, tag...) path."""
-    entropy = [int(seed)] + [zlib.crc32(str(t).encode()) for t in tags]
+    """Deterministic child generator for a (seed, tag...) path, the seed an
+    int in [0, 2**32) as :class:`ExperimentConfig` requires."""
+    # the seed and the tags' CRCs as uint32 words, which numpy coerces far
+    # faster than a list of ints
+    entropy = np.array([int(seed)] + [zlib.crc32(str(t).encode()) for t in tags], dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -275,22 +287,30 @@ def _lone_law(cfg: ExperimentConfig, cells: np.ndarray) -> np.ndarray:
     :func:`afcsim.analyzer._cell_lookup`), times each side's landing chance
     (:func:`_landing_table`), the idler's times eta or, for no idler click,
     1 - eta."""
-    landing = _landing_table(*_click_geometry(cfg))
-    eta = cfg.detectors.efficiency
+    signal, idler = _lone_factors(*_click_geometry(cfg), cfg.detectors.efficiency)
+    return cells[..., None, None] * signal * idler
+
+
+@_memoized
+def _lone_factors(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float, eta: float):
+    """The landing factors of :func:`_lone_law`, broadcast to
+    ``_LONE_SHAPE``: the signal's landing chances, then the idler's."""
+    landing = _landing_table(period_ps, spacing_ps, window_ps, sigma_ps)
     idler = np.hstack([eta * landing, np.full((3, 1), 1.0 - eta)])
-    return cells[..., None, None] * landing[:, :, None] * idler[:, None, None, None, :]
+    return landing[:, :, None], idler[:, None, None, None, :]
 
 
 def _multinomial(rng: np.random.Generator, n: int, law: np.ndarray) -> np.ndarray:
     """The numbers per class of ``n`` draws from ``law``, one Multinomial
     draw with the most likely class last, as the Multinomial gives the last
     class what the others leave."""
-    order = np.argsort(law, kind="stable")
+    order = law.argsort(kind="stable")
     numbers = np.empty(law.size, dtype=np.int64)
     numbers[order] = rng.multinomial(n, law[order])
     return numbers
 
 
+@_memoized
 def _pairs_law(mu: float) -> np.ndarray:
     """P(K = k), k = 0, 1, ...: the Poisson law of a cycle's number K of
     signal-click pairs, of mean ``mu``, up to the first k >= mu of chance
@@ -471,30 +491,39 @@ def _pair_clicks(cfg: ExperimentConfig, cycles, cells, rng: np.random.Generator)
     ``cells``: each idler clicks with probability eta, and each click is
     its photon's slot offset plus jitter."""
     det = cfg.detectors
-    slot_ps = cfg.source.pump.pulse_interval_ns * 1e3 * np.asarray(_OUTCOME_INDEX, dtype=float)
-    idler_pairs = np.flatnonzero(rng.random(cycles.size) < det.efficiency)
-    signal_off = _jittered(slot_ps[3].take(cells), det.jitter_sigma_ps, rng)
-    idler_off = _jittered(slot_ps[1].take(cells.take(idler_pairs)), det.jitter_sigma_ps, rng)
+    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
+    idler_pairs = (rng.random(cycles.size) < det.efficiency).nonzero()[0]
+    signal_off = _jittered(spacing_ps * _OUTCOME_INDEX[3].take(cells), det.jitter_sigma_ps, rng)
+    idler_off = _jittered(spacing_ps * _OUTCOME_INDEX[1].take(cells.take(idler_pairs)), det.jitter_sigma_ps, rng)
     return PairClicks(cycles, cells, signal_off, idler_pairs, idler_off)
+
+
+# a side's two detectors, or the two sides, as int8 ports
+_SIDES = np.int8([0, 1])
 
 
 def _detect_side(times: np.ndarray, ports: np.ndarray, det: DetectorConfig, duration_ps, seed: int):
     """:func:`detect` of the arrivals at one side's two detectors: (times,
     int8 ports) of the port 1 clicks, then the port 2 clicks."""
     first = ports == 0
-    arrivals = {"1": np.compress(first, times), "2": np.compress(~first, times)}
-    streams = detect(arrivals, det, duration_ps * 1e-12, seed)
+    streams = detect({"1": times.compress(first), "2": times.compress(~first)}, det, duration_ps * 1e-12, seed)
     one, two = streams["1"], streams["2"]
-    return np.concatenate([one, two]), np.repeat(np.int8([0, 1]), [one.size, two.size])
+    return np.concatenate([one, two]), _SIDES.repeat([one.size, two.size])
 
 
-def _classified_cycles(cfg: ExperimentConfig, clicks, ref_ps: float) -> np.ndarray:
-    """The sorted cycles of the classified ``(times, ports)`` clicks, times
-    taken after ``ref_ps``."""
+@_memoized
+def _without_dark(det: DetectorConfig) -> DetectorConfig:
+    """The detectors ``det`` with no dark count."""
+    return replace(det, dark_count_rate_hz=0.0)
+
+
+def _classified_cycles(cfg: ExperimentConfig, times: np.ndarray, sides: np.ndarray):
+    """The sorted cycles of the classified clicks at ``times`` (after their
+    clock reference), and which of them lie on side 1: ``sides`` (0 or 1)
+    is classified in place of the clicks' ports."""
     geometry = (cfg.clock_period_ns, cfg.source.pump.pulse_interval_ns, cfg.coincidence.window_ps)
-    keys, _ = _slot_keys(clicks[0], ref_ps, clicks[1], (3, 1), *geometry)
-    keys >>= 6
-    return keys
+    keys, _ = _slot_keys(times, 0.0, sides, (3, 1), *geometry)
+    return keys >> 6, (keys & 63) >= 3
 
 
 def acquire_threefold(
@@ -560,13 +589,22 @@ def acquire_threefold(
     stray_idler = _detect_side(
         np.empty(0), np.empty(0, dtype=np.int8), cfg.detectors, duration_ps, _seed(cfg, *tags, "idler-detector")
     )
-    signal_busy = _classified_cycles(cfg, stray_signal, delay_ps)
+    reach = _landing_reach(*_click_geometry(cfg))
+    # the cycles of the classified stray clicks, the signal side's times
+    # after the recall delay; where w = 0 the idler side's too, in the same
+    # classification (elsewhere only the signal side's are read)
+    idler_t = stray_idler[0][:0] if reach else stray_idler[0]
+    busy, idler_side = _classified_cycles(
+        cfg,
+        np.concatenate([stray_signal[0] - delay_ps, idler_t]),
+        _SIDES.repeat([stray_signal[0].size, idler_t.size]),
+    )
+    signal_busy = busy[~idler_side]
     rng_em = derive_rng(cfg.seed, *tags, "emission")
     rng_cells = derive_rng(cfg.seed, *tags, "outcome")
     rng_click = derive_rng(cfg.seed, *tags, "pair-detector")
     sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
 
-    reach = _landing_reach(*_click_geometry(cfg))
     if reach:  # every pair is explicit, at its cycle of the run
         cycles = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)[0]
         n_signal = cycles.size
@@ -586,12 +624,12 @@ def acquire_threefold(
             return s_cycles
 
     else:
-        busy = _distinct(np.concatenate([signal_busy, _classified_cycles(cfg, stray_idler, 0.0)]))
+        busy = _distinct(busy)
         in_run = busy[(busy >= 0) & (busy < n_cycles)]
         mu = _rate(cfg, [(sig_band, share)])
         busy_k = rng_em.poisson(mu, in_run.size)
         per_k = _multinomial(rng_em, n_cycles - in_run.size, _pairs_law(mu))
-        crowded_k = np.repeat(np.arange(2, per_k.size), per_k[2:])
+        crowded_k = np.arange(2, per_k.size).repeat(per_k[2:])
         n_single = int(per_k[1])
         n_signal = int(busy_k.sum() + crowded_k.sum()) + n_single
         # S: the stray-busy cycles with a pair or a classified signal click,
@@ -606,7 +644,7 @@ def acquire_threefold(
 
         def near(index):
             cycles = index + (base - s_busy.size)
-            busy_index = np.flatnonzero(index < s_busy.size)
+            busy_index = (index < s_busy.size).nonzero()[0]
             cycles[busy_index] = s_busy.take(index.take(busy_index))
             return cycles
 
@@ -644,7 +682,7 @@ def acquire_threefold(
     only_t, only_port = _detect_side(
         only_t,
         only_port,
-        replace(cfg.detectors, dark_count_rate_hz=0.0),
+        _without_dark(cfg.detectors),
         duration_ps,
         int(rng_only.integers(2**31)),
     )
@@ -659,9 +697,9 @@ def acquire_threefold(
     draw = np.zeros(_LONE_SHAPE, dtype=np.int64)
     if not reach:
         # the K = 1 cycles in which an idler-only click is classified
-        hit = _classified_cycles(cfg, (only_t, idler_only[2]), 0.0)
+        hit = _classified_cycles(cfg, only_t, idler_only[2])[0]
         hit = _distinct(hit[(hit >= single) & (hit < single + n_single)])
-        cycles = np.concatenate([np.repeat(in_run, busy_k), np.repeat(np.arange(base, single), crowded_k), hit])
+        cycles = np.concatenate([in_run.repeat(busy_k), np.arange(base, single).repeat(crowded_k), hit])
         pairs = _pair_clicks(cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), rng_click)
         draw = _multinomial(rng_cells, n_single - hit.size, _lone_law(cfg, lookup[0]).ravel()).reshape(_LONE_SHAPE)
 

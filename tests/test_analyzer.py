@@ -55,6 +55,57 @@ class TestUmziPovm:
         assert p2 == pytest.approx(0.5, abs=1e-12)
 
 
+def _povm_reference(phase):
+    """The six POVM elements built from the phase as given, with no memo."""
+    e = np.array([1.0, 0.0], dtype=complex)
+    l = np.array([0.0, 1.0], dtype=complex)
+    out = np.zeros((2, 3, 2, 2), dtype=complex)
+    for k in (1, 2):
+        u = e + (-1) ** k * np.exp(-1j * phase) * l
+        out[k - 1, an.SLOT_EARLY] = 0.25 * np.outer(e, e.conj())
+        out[k - 1, an.SLOT_MIDDLE] = 0.25 * np.outer(u, u.conj())
+        out[k - 1, an.SLOT_LATE] = 0.25 * np.outer(l, l.conj())
+    return out
+
+
+class TestMemoized:
+    @given(
+        hst.floats(-10.0, 10.0)
+        | hst.floats(-10.0, 10.0).map(np.float64)
+        | hst.sampled_from([0.0, -0.0, math.pi, -math.pi / 2, 1, np.float64(-0.0)])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_povm_is_read_only_and_a_fresh_build(self, phase):
+        # a phase's elements, built once, are those of a build from the
+        # phase as given, whatever its type, bit for bit
+        povm = an.umzi_povm(phase)
+        assert an.umzi_povm(phase) is povm
+        fresh = _povm_reference(phase)
+        assert povm.dtype == fresh.dtype and povm.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            povm[1, an.SLOT_MIDDLE, 0, 1] = 0.0
+
+    def test_povm_of_minus_zero_is_its_own(self):
+        assert an.umzi_povm(-0.0) is not an.umzi_povm(0.0)
+        assert an.umzi_povm(-0.0).tobytes() == _povm_reference(-0.0).tobytes()
+
+    def test_keeps_the_64_latest_used_results(self):
+        builds = []
+        squares = an._memoized(lambda x: builds.append(x) or np.full(2, x * x))
+        for x in range(64):
+            squares(x)
+        squares(0)
+        squares(64)
+        assert builds == list(range(65))
+        # 1, the least recently used, was dropped and is built again; 0 was
+        # used again and is kept
+        assert squares(1).tolist() == [1, 1] and builds[-1] == 1 and len(builds) == 66
+        assert squares(0).tolist() == [0, 0] and len(builds) == 66
+        with pytest.raises(ValueError):
+            squares(3)[0] = 1
+        assert squares.__wrapped__(3).flags.writeable
+
+
 def _kron_loop_table(rho, alpha, beta):
     # one np.kron operator and one trace per (idler, signal) outcome pair
     m = np.asarray(rho, dtype=complex)
@@ -184,7 +235,33 @@ def _outcome_table_and_draws(draw):
     return probs.reshape(2, 3, 2, 3), np.array(draws)
 
 
+@hst.composite
+def _random_table(draw):
+    """A (2, 3, 2, 3) table of any nonnegative weights, some of them zero
+    or (as a Born-rule table may hold) a rounding error below zero."""
+    weight = hst.floats(0.0, 1.0) | hst.just(0.0) | hst.floats(-1e-15, 0.0)
+    weights = np.array(draw(hst.lists(weight, min_size=36, max_size=36)))
+    if not (weights > 0).any():
+        weights[draw(hst.integers(0, 35))] = draw(hst.floats(1e-300, 1.0))
+    return weights.reshape(2, 3, 2, 3)
+
+
 class TestBucketedOutcomes:
+    @given(_outcome_table_and_draws().map(lambda case: case[0]) | _random_table())
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_bins_match_searchsorted(self, table):
+        # the bins built by integer arithmetic, whose tables include zero
+        # cells and cumulative values exactly on multiples of 1 / 4096:
+        # each bin's cell at its left edge, and whether a cumulative value
+        # lies strictly inside it, as searches over the bin edges give them
+        with patch.object(an, "project_pair", return_value=table):
+            _, cum, cell, split = an._cell_lookup(None, 0.0, 0.0)
+        edges = np.arange(an._BINS + 1) / an._BINS
+        left = np.searchsorted(cum, edges[:-1], side="right")
+        assert cell.dtype == np.int8 and split.dtype == bool
+        np.testing.assert_array_equal(cell, left)
+        np.testing.assert_array_equal(split, np.searchsorted(cum, edges[1:], side="left") != left)
+
     @given(_outcome_table_and_draws())
     @settings(max_examples=300, deadline=None)
     def test_matches_searchsorted_and_unravel_index(self, case):
@@ -258,6 +335,25 @@ class TestDetect:
         b = an.detect(arrivals, det, 1.0, seed=11)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, np.int64(5)])
+    @pytest.mark.parametrize("dark_hz", [0.0, 1e5])
+    def test_streams_of_the_spawned_generators(self, seed, dark_hz):
+        # each detector's generator built from the words its spawned child
+        # mixes, and the draws of no value skipped: the streams of
+        # SeedSequence(seed).spawn with every draw made
+        det = an.DetectorConfig(dark_count_rate_hz=dark_hz)
+        arrivals = {"B2": np.arange(300) * 1e4, "A1": np.empty(0), "B1": np.arange(5.0)}
+        duration_s = 1e-3
+        got = an.detect(arrivals, det, duration_s, seed)
+        children = np.random.SeedSequence(seed).spawn(len(arrivals))
+        for child, name in zip(children, sorted(arrivals)):
+            rng = np.random.default_rng(child)
+            kept = np.compress(rng.random(arrivals[name].size) < det.efficiency, arrivals[name])
+            kept += rng.normal(0.0, det.jitter_sigma_ps, size=kept.size)
+            dark = rng.uniform(0.0, duration_s * 1e12, size=rng.poisson(dark_hz * duration_s))
+            want = np.concatenate([kept, dark])
+            assert got[name].dtype == want.dtype and got[name].tobytes() == want.tobytes()
 
     def test_kept_arrivals_in_input_order_then_dark_counts(self):
         # arrivals 1 ns apart in falling time order, after the 1 ms over

@@ -5,8 +5,13 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,18 +429,21 @@ class TestPoissonSplitting:
         # the ring alone, fill the floor between the five peaks
         cfg = strong_memory(_noisy_config()) if stored else _noisy_config()
         n_cycles = 3_000_000
-        split, full = 0, 0
+        split, ringless, full = 0, 0, 0
         for k in range(self.SEEDS):
             cfg_k = dataclasses.replace(cfg, seed=k)
             acq = pl.acquire_threefold(cfg_k, 0, 0.0, 0.5, _desk_cycles(n_cycles, stored), ("split",), stored)
-            idler_t, signal_t = acq.idler_clicks(histogram=True)[0], acq.signal_clicks()[0]
-            centers, counts = self._histogram(cfg_k, idler_t, signal_t, acq.delay_ps)
+            signal_t = acq.signal_clicks()[0]
+            centers, counts = self._histogram(cfg_k, acq.idler_clicks(histogram=True)[0], signal_t, acq.delay_ps)
             split = split + counts
+            ringless = ringless + self._histogram(cfg_k, acq.idler_clicks()[0], signal_t, acq.delay_ps)[1]
             idler, signal, delay_ps = _full_sampling_clicks(cfg_k, 0, 0.0, 0.5, n_cycles, ("full",), stored)
             full = full + self._histogram(cfg_k, idler[0], signal[0], delay_ps)[1]
         spacing = cfg.source.pump.pulse_interval_ns * 1e3
         floor = np.abs(centers[:, None] - spacing * np.arange(-2, 3)).min(axis=1) > cfg.coincidence.window_ps
-        assert split[floor].sum() > 1000
+        # the ring's clicks, the same lone clicks drawn with and without
+        # them, raise the floor by far more than its Poisson spread
+        assert split[floor].sum() - ringless[floor].sum() > 5 * math.sqrt(split[floor].sum())
         total = split + full
         bins = total > 0
         chi2 = np.sum((split - full)[bins] ** 2 / total[bins])
@@ -734,6 +742,95 @@ class TestBornTable:
         acq = pl.acquire_threefold(make_config(), 0, 0.3, 1.1, 100_000, ("born",), stored)
         acq.idler_clicks(histogram=True)
         assert calls == [(0.3, 1.1)]
+
+
+def _no_jitter_config():
+    return dataclasses.replace(fast_config(), detectors=analyzer.DetectorConfig(jitter_sigma_ps=0.0))
+
+
+class TestMemoizedTables:
+    @pytest.mark.parametrize(
+        "make_config",
+        [reference_calibration_config, _jitter_400_config, wide_jitter_config, _no_jitter_config],
+        ids=["calibration", "jitter-400ps", "wide-jitter", "no-jitter"],
+    )
+    def test_read_only_and_a_fresh_build(self, make_config):
+        # what an acquisition reads of a config's click geometry and rates,
+        # built once: the landing table, the lone law's landing factors and
+        # the Poisson law of K, each array read-only and bit for bit a fresh
+        # build; and the lone law, multiplied in the order it always was
+        cfg = make_config()
+        geometry = pl._click_geometry(cfg)
+        eta = cfg.detectors.efficiency
+        mu = pl._rate(cfg, [(pl.channel_band(0, cfg.filters.signal_bandwidth_ghz), 0.0016 * eta)])
+        for table, args in [
+            (analyzer._landing_table, geometry),
+            (pl._lone_factors, (*geometry, eta)),
+            (pl._pairs_law, (mu,)),
+        ]:
+            got, fresh = table(*args), table.__wrapped__(*args)
+            assert table(*args) is got
+            for g, f in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, fresh)), strict=True):
+                assert g.dtype == f.dtype and g.shape == f.shape and g.tobytes() == f.tobytes()
+                with pytest.raises(ValueError):
+                    g[(0,) * g.ndim] = 0.5
+        cells = analyzer._cell_lookup(analytic_state(cfg.source), 0.3, 1.1)[0]
+        landing = analyzer._landing_table.__wrapped__(*geometry)
+        idler = np.hstack([eta * landing, np.full((3, 1), 1.0 - eta)])
+        want = cells[..., None, None] * landing[:, :, None] * idler[:, None, None, None, :]
+        assert pl._lone_law(cfg, cells).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 20260810, 2**32 - 1, np.int64(5)])
+    def test_derived_generators_mix_the_entropy_words(self, seed):
+        # the seed and the tags' CRCs as a uint32 array: the generator of
+        # the same words as a list of ints
+        tags = ("fringe", 0, "after", 0.0, 3, "emission")
+        entropy = [int(seed)] + [zlib.crc32(str(t).encode()) for t in tags]
+        want = np.random.default_rng(np.random.SeedSequence(entropy))
+        assert pl.derive_rng(seed, *tags).bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_a_seed_outside_the_config_range_raises(self, seed):
+        with pytest.raises(OverflowError):
+            pl.derive_rng(seed, "emission")
+        with pytest.raises(OverflowError):
+            analyzer.detect({"1": np.arange(3.0)}, analyzer.DetectorConfig(), 1e-6, seed)
+
+
+def test_a_warm_process_gives_the_outputs_of_a_cold_one(tmp_path, monkeypatch):
+    # acquisitions at other configs and seeds first fill every memoized
+    # table (a phase's POVM, the landing table and factors, the law of K,
+    # the detectors with no dark count); the verbs' files must still be
+    # those of a fresh process
+    for cfg in (wide_jitter_config(), dataclasses.replace(fast_config(), seed=11)):
+        for stored in (True, False):
+            pl.acquire_threefold(cfg, 0, 0.3, 1.1, 200_000, ("warm",), stored)
+    code = (
+        "import dataclasses, sys\n"
+        "from pathlib import Path\n"
+        "from afcsim import reports\n"
+        "from afcsim.config import reference_calibration_config\n"
+        "cfg = reference_calibration_config()\n"
+        "cfg = dataclasses.replace(cfg, seed=7, desk_scale=dataclasses.replace(cfg.desk_scale, mc_trials=5))\n"
+        "out = Path(sys.argv[1])\n"
+        "(out / 'fig4').mkdir(parents=True)\n"
+        "(out / 'simulate').mkdir()\n"
+        "reports.reproduce_fig4(cfg, out / 'fig4')\n"
+        "reports.write_simulation_report(cfg, out / 'simulate', [0])\n"
+    )
+    monkeypatch.setattr(sys, "argv", ["-c", str(tmp_path / "warm")])
+    exec(code, {})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cold = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cold")], env=env, capture_output=True, text=True)
+    assert cold.returncode == 0, cold.stderr
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    warm = files(tmp_path / "warm")
+    assert {Path("fig4/fig4_summary.json"), Path("simulate/report.json")} <= set(warm)
+    assert warm == files(tmp_path / "cold")
 
 
 def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags, stored):
