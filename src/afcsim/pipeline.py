@@ -33,16 +33,20 @@ coordinates, and counted with the stray clicks.  The idler-only pairs,
 whose signal photon gives no click, are drawn only in the cycles toward
 which a signal click may count.  A before-storage CHSH acquisition peaks at
 about 1.5 MB (tracemalloc), against 6.2 MB when every signal-click pair's
-cycle was drawn.  The run's positions of the cycles drawn as counts, and
-the clicks no count needs (the lone pairs', and the idler-only pairs' that
-only fig7's histogram can meet), are drawn on demand
-(:class:`Acquisition`).  A g2 run (:func:`acquire_g2`) draws no pair,
-click or time: it counts only whether each cycle's signal and idler
-windows hold a click, and by Poisson colouring those occupancies are
-independent draws from one law, except where a pair's two clicks count
-toward different cycles.  So a run is one Multinomial draw over the
-cycles, and those rare split pairs (none at the calibration) are drawn one
-by one.
+cycle was drawn.  Such an acquisition has counts, not clicks.  Click times
+come from one place, :func:`acquire_clicks`, which draws every
+signal-click pair at its cycle of the run: the way
+:func:`acquire_threefold` acquires where a click may count toward another
+cycle, and the acquisition whose clicks fig7 histograms, at every config.
+Only the idler-only pairs' clicks that fig7's histogram alone can meet are
+drawn on demand (:class:`ClickAcquisition`).
+
+A g2 run (:func:`acquire_g2`) draws no pair, click or time: it counts
+only whether each cycle's signal and idler windows hold a click, and by
+Poisson colouring those occupancies are independent draws from one law,
+except where a pair's two clicks count toward different cycles.  So a
+run is one Multinomial draw over the cycles, and those rare split pairs
+(none at the calibration) are drawn one by one.
 
 What depends only on a phase or on the config is built once per process
 (:func:`afcsim.analyzer._memoized`): a phase's POVM, the landing table,
@@ -72,14 +76,12 @@ from afcsim.analyzer import (
     PairClicks,
     ThreefoldCounts,
     _cell_lookup,
-    _gauss_mass,
     _landing_reach,
     _landing_table,
     _memoized,
     _offset_slots,
     _reach_cycles,
     _sample_cells,
-    _slot_classes,
     _slot_keys,
     detect,
     g2_cross,
@@ -97,7 +99,9 @@ __all__ = [
     "HISTOGRAM_SPAN_NS",
     "channel_band",
     "Acquisition",
+    "ClickAcquisition",
     "acquire_threefold",
+    "acquire_clicks",
     "G2Run",
     "acquire_g2",
     "acquire_spec",
@@ -193,43 +197,11 @@ def _click_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float) -> n
     return np.floor(cycles, out=cycles).astype(np.int64)
 
 
-def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int):
-    """N, the sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
-    sorted int64 ``cycles``.  Returns the size of N and a function that
-    maps indices into N to their cycles, reading ``cycles``, which the
-    caller leaves unchanged; N itself, up to 2w + 1 times as long as
-    ``cycles``, is never built.
-
-    Window r, [c_r - w, c_r + w], adds to the windows before it its last
-    a_r = min(c_r - c_(r-1), 2w + 1) cycles, ending at e_r = c_r + w.  So
-    with L_r the cycles added up to window r, index k of the unclipped N
-    lies in the first window with L_r > k, and is e_r - (L_r - 1 - k).
-    """
-    added = np.empty_like(cycles)
-    added[:1] = 2 * w + 1
-    np.subtract(cycles[1:], cycles[:-1], out=added[1:])
-    np.minimum(added, 2 * w + 1, out=added)
-    last = np.cumsum(added, out=added)
-
-    def below(cycle: int) -> int:
-        """The cycles of the unclipped N below ``cycle``."""
-        r = int(np.searchsorted(cycles, cycle - w))  # the first window that reaches it
-        before = int(last[r - 1]) if r else 0
-        if r == cycles.size:
-            return before
-        return before + max(0, cycle - 1 - (int(cycles[r]) + w) + int(last[r]) - before)
-
-    start = below(0)
-
-    def take(index: np.ndarray) -> np.ndarray:
-        k = index + start
-        r = np.searchsorted(last, k, side="right")
-        k -= last.take(r)
-        k += 1 + w
-        k += cycles.take(r)
-        return k
-
-    return below(n_cycles) - start, take
+def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int) -> np.ndarray:
+    """The sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
+    int64 ``cycles``: at most 2w + 1 times as many."""
+    near = _distinct(np.add.outer(cycles, np.arange(-w, w + 1)).ravel())
+    return near[(near >= 0) & (near < n_cycles)]
 
 
 def _idler_only(cfg: ExperimentConfig, channel: int, share: float):
@@ -334,25 +306,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _placement(n_free: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniform placement of ``n`` items in ``range(n_free)``: n distinct
-    values in a random order.  Where they fill over half the range, the
-    first n of a permutation, at a cost of at most 2n.  Otherwise values
-    drawn with replacement, their repeats drawn again until n are distinct:
-    every step is unchanged by relabelling the values, so the set is a
-    uniform n-subset, and each round leaves under half its draws repeated,
-    so the cost grows with n, not with ``n_free``."""
-    if not n:
-        return np.empty(0, dtype=np.int64)
-    if 2 * n > n_free:
-        return rng.permutation(n_free)[:n]
-    picked = _distinct(rng.integers(0, n_free, n))
-    while picked.size < n:
-        picked = _distinct(np.concatenate([picked, rng.integers(0, n_free, n - picked.size)]))
-    rng.shuffle(picked)
-    return picked
-
-
 def _lone_counts(draw: np.ndarray) -> ThreefoldCounts:
     """The threefold counts of lone pairs drawn as ``draw``, their numbers
     per class: one count in the cell of each pair's two classified clicks.
@@ -365,114 +318,53 @@ def _lone_counts(draw: np.ndarray) -> ThreefoldCounts:
     )
 
 
-def _truncated_normal(bounds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws of a standard normal conditioned on the union of the
-    disjoint intervals ``bounds``: an interval by its mass, then the
-    inverse of the normal CDF on it, with no rejection.  An interval above
-    zero is drawn as the negative of its mirror image, so that its CDF
-    values are small numbers, exact to their last bits even 8 sigma out
-    (a class of chance 6e-14 at the calibration)."""
-    from scipy.special import ndtr, ndtri
-
-    mass = np.cumsum([_gauss_mass(lo, hi) for lo, hi in bounds])
-    piece = np.searchsorted(mass, rng.random(n) * mass[-1], side="right")
-    np.minimum(piece, len(bounds) - 1, out=piece)
-    z = np.empty(n)
-    for i, (lo, hi) in enumerate(bounds):
-        at = np.flatnonzero(piece == i)
-        mirrored = lo >= 0
-        if mirrored:
-            lo, hi = -hi, -lo
-        p_lo, p_hi = ndtr(lo), ndtr(hi)
-        draws = ndtri(p_lo + rng.random(at.size) * (p_hi - p_lo))
-        np.clip(draws, lo, hi, out=draws)
-        z[at] = -draws if mirrored else draws
-    return z
-
-
-def _class_offsets(cfg: ExperimentConfig, slots, classes, rng: np.random.Generator) -> np.ndarray:
-    """Click offsets of photons in ``slots`` whose clicks count toward
-    ``classes`` of their cycle (:func:`_slot_classes`): slot times spacing
-    plus a jitter drawn conditional on that class, slot and class pair by
-    slot and class pair."""
-    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
-    sigma_ps = cfg.detectors.jitter_sigma_ps
-    offsets = slots * spacing_ps
-    if sigma_ps == 0:
-        return offsets
-    slot_classes = _slot_classes(*_click_geometry(cfg)[:3])
-    for slot in range(3):
-        for cls, pieces in enumerate(slot_classes):
-            at = np.flatnonzero((slots == slot) & (classes == cls))
-            if at.size:
-                center = slot * spacing_ps
-                bounds = [((lo - center) / sigma_ps, (hi - center) / sigma_ps) for lo, hi in pieces]
-                offsets[at] += sigma_ps * _truncated_normal(bounds, at.size, rng)
-    return offsets
-
-
 @dataclass(frozen=True)
 class Acquisition:
-    """One analyzer acquisition: port/slot-resolved threefold counts, the
-    clicks they were counted from and bookkeeping.
-
-    The clicks are kept as they were counted (see :func:`acquire_threefold`).
-    The explicit signal-click pairs (``pairs``) and the idler clicks of the
-    idler-only pairs (``idler_only``: cycles, offsets after the cycle's
-    reference, ports) lie in cycle coordinates, which ``real_cycles`` maps
-    to the run's cycles.  The stray clicks are times and ports: the idler
-    dark counts, and on the signal side the memory noise and the dark
-    counts.  The lone pairs are counted from their classes and have no
-    click until one is asked for.  ``n_pairs_sampled`` counts the pairs the
-    acquisition stands for: the signal-click pairs of the whole run, and
-    the idler-only pairs drawn in N.  ``draw_lone`` and ``draw_ring`` build
-    the clicks no count needs a time of (see :meth:`idler_clicks`)."""
+    """One analyzer acquisition: port/slot-resolved threefold counts and
+    bookkeeping (see :func:`acquire_threefold`).  ``pairs`` are the
+    signal-click pairs drawn one by one, in cycle coordinates.
+    ``n_pairs_sampled`` counts the pairs the acquisition stands for: the
+    signal-click pairs of the whole run, and the idler-only pairs drawn in
+    N."""
 
     threefold: ThreefoldCounts
     n_pairs_sampled: int
+    pairs: PairClicks
+
+
+@dataclass(frozen=True)
+class ClickAcquisition(Acquisition):
+    """An acquisition with every click it counted (:func:`acquire_clicks`).
+
+    Its cycles are the run's: ``pairs`` holds every signal-click pair.  The
+    idler clicks of the idler-only pairs and the stray clicks (the idler
+    dark counts, and on the signal side the memory noise and the dark
+    counts) are times and ports.  ``draw_ring`` draws the idler clicks only
+    fig7's histogram can meet (see :meth:`idler_clicks`)."""
+
     delay_ps: float
     period_ps: float
-    pairs: PairClicks
-    idler_only: tuple[np.ndarray, np.ndarray, np.ndarray]
+    idler_only: tuple[np.ndarray, np.ndarray]
     stray_idler: tuple[np.ndarray, np.ndarray]
     stray_signal: tuple[np.ndarray, np.ndarray]
-    real_cycles: Callable = field(repr=False)
-    draw_lone: Callable = field(repr=False)
     draw_ring: Callable = field(repr=False)
 
-    def _pairs_in_run(self) -> PairClicks:
-        return replace(self.pairs, cycles=self.real_cycles(self.pairs.cycles))
-
     def idler_clicks(self, histogram: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(times in ps, ports) of every idler click counted: the explicit
-        pairs', the idler-only pairs', the lone pairs', then the dark
-        counts.  The cycles no count needed a position of are placed on the
-        first call (``real_cycles``), and the lone pairs' clicks are drawn
-        on each call, both from streams of their own, each click
-        conditional on the class it was counted in, so that one
+        """(times in ps, ports) of every idler click counted: the pairs',
+        the idler-only pairs', then the dark counts, so that one
         :func:`threefold_counts` call over these clicks gives the
         acquisition's counts.  With ``histogram``, also the idler clicks of
         the idler-only pairs outside N that fig7's histogram can meet with a
         signal click, drawn on each call from a stream of their own."""
-        cycles, offsets, ports = self.idler_only
-        parts = [
-            self._pairs_in_run().idler_clicks(self.period_ps),
-            (self.real_cycles(cycles) * self.period_ps + offsets, ports),
-            self.draw_lone()[0],
-            self.stray_idler,
-        ]
+        parts = [self.pairs.idler_clicks(self.period_ps), self.idler_only, self.stray_idler]
         if histogram:
             parts.append(self.draw_ring(self.signal_clicks()[0]))
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     def signal_clicks(self) -> tuple[np.ndarray, np.ndarray]:
         """(times in ps, ports) of every signal click, the recall delay
-        included: the explicit pairs', the lone pairs', then the stray ones."""
-        parts = [
-            self._pairs_in_run().signal_clicks(self.period_ps, self.delay_ps),
-            self.draw_lone()[1],
-            self.stray_signal,
-        ]
+        included: the pairs', then the stray ones."""
+        parts = [self.pairs.signal_clicks(self.period_ps, self.delay_ps), self.stray_signal]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -526,6 +418,70 @@ def _classified_cycles(cfg: ExperimentConfig, times: np.ndarray, sides: np.ndarr
     return keys >> 6, (keys & 63) >= 3
 
 
+def _stray_clicks(cfg: ExperimentConfig, channel: int, tags, stored: bool, duration_ps):
+    """The recall and the stray clicks of an acquisition: (s eta, the share
+    of the signal-band pairs whose signal photon clicks; the recall delay;
+    the signal side's and the idler side's stray clicks as (times, int8
+    ports)).  On the signal side they are the memory noise and the dark
+    counts, on the idler side the dark counts, drawn in the run's time."""
+    survival, delay_ps, noise_t, noise_port = _recall(cfg, channel, tags, stored, duration_ps)
+    stray_signal = _detect_side(
+        noise_t, noise_port, cfg.detectors, duration_ps, _seed(cfg, *tags, "signal-detector")
+    )
+    # the idler dark counts: the detector model with no arrival
+    stray_idler = _detect_side(
+        np.empty(0), np.empty(0, dtype=np.int8), cfg.detectors, duration_ps, _seed(cfg, *tags, "idler-detector")
+    )
+    return survival * cfg.detectors.efficiency, delay_ps, stray_signal, stray_idler
+
+
+def _idler_only_clicks(cfg: ExperimentConfig, processes, setting, n_near: int, near: Callable, tags, duration_ps):
+    """The idler-only pairs of the ``processes`` (:func:`_idler_only`) drawn
+    in N, whose ``n_near`` cycles ``near`` maps indices to: (their number,
+    (times in ps, int8 ports) of their idler clicks).  ``setting`` is the
+    ``(rho, alpha, beta, lookup)`` of their outcomes.  Their idlers pass the
+    detector model in cycle coordinates, seeded from the outcomes' stream,
+    with no dark count: the idler detectors' are the stray clicks'."""
+    period_ps = cfg.clock_period_ns * 1e3
+    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
+    only = np.empty(0, dtype=np.int64)
+    if n_near:  # no signal click, no idler-only pair to draw
+        only = near(_draw(cfg, processes, n_near, derive_rng(cfg.seed, *tags, "fringe")))
+    rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
+    rho, alpha_rad, beta_rad, lookup = setting
+    only_port, only_slot = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only, lookup)[:2]
+    only_t = only_slot * spacing_ps
+    only_t += only * period_ps
+    only_t, only_port = _detect_side(
+        only_t, only_port, _without_dark(cfg.detectors), duration_ps, int(rng_only.integers(2**31))
+    )
+    # each click as its cycle's reference plus its offset after it, its
+    # cycle the one whose middle slot lies nearest (the cycle a classified
+    # click counts toward, :func:`afcsim.analyzer._slot_keys`).  The sum is
+    # the detected time but for an ulp, and only below cycle 0; the counts
+    # are pinned to the sum
+    only_cycles = np.floor((only_t - spacing_ps) / period_ps + 0.5).astype(np.int64)
+    only_t -= only_cycles * period_ps
+    times = only_cycles * period_ps
+    times += only_t
+    return only.size, (times, only_port)
+
+
+def _counts(cfg: ExperimentConfig, pairs: PairClicks, idler_only, stray_idler, stray_signal, delay_ps):
+    """:func:`pair_threefold_counts` of the pairs with the idler-only and
+    stray clicks."""
+    return pair_threefold_counts(
+        pairs,
+        np.concatenate([idler_only[0], stray_idler[0]]),
+        np.concatenate([idler_only[1], stray_idler[1]]),
+        *stray_signal,
+        cfg.clock_period_ns,
+        cfg.coincidence,
+        slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
+        signal_ref_ps=delay_ps,
+    )
+
+
 def acquire_threefold(
     cfg: ExperimentConfig,
     channel: int,
@@ -535,7 +491,8 @@ def acquire_threefold(
     tags: tuple,
     stored: bool,
 ) -> Acquisition:
-    """Simulate one UMZI-analyzed acquisition at phases (alpha, beta).
+    """Simulate one UMZI-analyzed acquisition at phases (alpha, beta): its
+    counts, with no click time.
 
     Pairs are emitted in the channel's idler-filter band, joint (port, slot)
     outcomes are Born-rule sampled from one table per acquisition
@@ -555,208 +512,79 @@ def acquire_threefold(
     stray clicks (memory noise, dark counts) are drawn in the run's time by
     :func:`detect`.
 
-    Where w > 0 (4 ns jitter), each signal-click pair is drawn at its cycle
-    of the run (:func:`emission_arrays`).  Where w = 0 (the calibration,
-    400 ps jitter), cycles are independent and, by Poisson colouring, most
-    are counts, not positions.  A cycle that holds a classified stray click
-    draws its own K ~ Poisson(mu) pairs at its cycle of the run; the others
-    are one Multinomial over K (:func:`_pairs_law`), and those with K >= 1
-    take cycle coordinates after every cycle a stray click is classified
-    in.  A K = 1 pair is lone unless an idler-only click is classified in
-    its cycle; being lone does not depend on its own marks, so the lone
-    pairs' classes are one Multinomial over :func:`_lone_law`, read off by
-    :func:`_lone_counts`.  The other pairs are explicit: each draws its
-    cell, idler keep and jitter, and their clicks, with the idler-only and
-    stray ones, are counted in cycle coordinates by
-    :func:`pair_threefold_counts`.  Only the clicks' times need the run's
-    cycle of a coordinate: ``real_cycles`` places those cycles uniformly
-    among the run's cycles with no classified stray click, on first use.
+    Where w > 0 (4 ns jitter), this is :func:`acquire_clicks`: each
+    signal-click pair is drawn at its cycle of the run.  Where w = 0 (the
+    calibration, 400 ps jitter), cycles are independent and, by Poisson
+    colouring, most are counts, not positions.  A cycle that holds a
+    classified stray click draws its own K ~ Poisson(mu) pairs at its cycle
+    of the run; the others are one Multinomial over K (:func:`_pairs_law`),
+    and those with K >= 1 take cycle coordinates after every cycle a stray
+    click is classified in.  A K = 1 pair is lone unless an idler-only
+    click is classified in its cycle; being lone does not depend on its own
+    marks, so the lone pairs' classes are one Multinomial over
+    :func:`_lone_law`, read off by :func:`_lone_counts`.  The other pairs
+    are explicit: each draws its cell, idler keep and jitter, and their
+    clicks, with the idler-only and stray ones, are counted in cycle
+    coordinates by :func:`pair_threefold_counts`.
     """
+    if _landing_reach(*_click_geometry(cfg)):
+        return acquire_clicks(cfg, channel, alpha_rad, beta_rad, n_cycles, tags, stored)
     n_cycles = _stage_cycles(n_cycles, stored)
-    period_ps = cfg.clock_period_ns * 1e3
-    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
-    duration_ps = n_cycles * period_ps
+    duration_ps = n_cycles * cfg.clock_period_ns * 1e3
     rho = analytic_state(cfg.source)
     lookup = _cell_lookup(rho, alpha_rad, beta_rad)
-
-    survival, delay_ps, noise_t, noise_port = _recall(cfg, channel, tags, stored, duration_ps)
-    share = survival * cfg.detectors.efficiency
-    stray_signal = _detect_side(
-        noise_t, noise_port, cfg.detectors, duration_ps, _seed(cfg, *tags, "signal-detector")
-    )
-    del noise_t, noise_port
-    # the idler dark counts: the detector model with no arrival
-    stray_idler = _detect_side(
-        np.empty(0), np.empty(0, dtype=np.int8), cfg.detectors, duration_ps, _seed(cfg, *tags, "idler-detector")
-    )
-    reach = _landing_reach(*_click_geometry(cfg))
+    share, delay_ps, stray_signal, stray_idler = _stray_clicks(cfg, channel, tags, stored, duration_ps)
     # the cycles of the classified stray clicks, the signal side's times
-    # after the recall delay; where w = 0 the idler side's too, in the same
-    # classification (elsewhere only the signal side's are read)
-    idler_t = stray_idler[0][:0] if reach else stray_idler[0]
+    # after the recall delay, and which of them lie on the idler side
     busy, idler_side = _classified_cycles(
         cfg,
-        np.concatenate([stray_signal[0] - delay_ps, idler_t]),
-        _SIDES.repeat([stray_signal[0].size, idler_t.size]),
+        np.concatenate([stray_signal[0] - delay_ps, stray_idler[0]]),
+        _SIDES.repeat([stray_signal[0].size, stray_idler[0].size]),
     )
     signal_busy = busy[~idler_side]
+    busy = _distinct(busy)
+    in_run = busy[(busy >= 0) & (busy < n_cycles)]
     rng_em = derive_rng(cfg.seed, *tags, "emission")
-    rng_cells = derive_rng(cfg.seed, *tags, "outcome")
-    rng_click = derive_rng(cfg.seed, *tags, "pair-detector")
-    sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
+    mu = _rate(cfg, [(channel_band(channel, cfg.filters.signal_bandwidth_ghz), share)])
+    busy_k = rng_em.poisson(mu, in_run.size)
+    per_k = _multinomial(rng_em, n_cycles - in_run.size, _pairs_law(mu))
+    crowded_k = np.arange(2, per_k.size).repeat(per_k[2:])
+    n_single = int(per_k[1])
+    n_signal = int(busy_k.sum() + crowded_k.sum()) + n_single
+    # S: the stray-busy cycles with a pair or a classified signal click,
+    # then the K >= 2 cycles and the K = 1 cycles, whose coordinates start
+    # at base
+    in_signal = signal_busy[(signal_busy >= 0) & (signal_busy < n_cycles)]
+    s_busy = _distinct(np.concatenate([in_run[busy_k > 0], in_signal]))
+    base = max(n_cycles, int(busy[-1]) + 1) if busy.size else n_cycles
+    single = base + crowded_k.size
 
-    if reach:  # every pair is explicit, at its cycle of the run
-        cycles = emission_arrays(cfg.source, n_cycles, rng_em, sig_band, share)[0]
-        n_signal = cycles.size
-        pairs = _pair_clicks(cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), rng_click)
-        moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *_click_geometry(cfg)[:3])
-        counted = cycles.copy()
-        counted[moved] += shift
-        s_cycles = np.sort(np.concatenate([counted[ok], signal_busy]), kind="stable")
-        del cycles, counted
-        n_near, near = _near_cycles(s_cycles, reach, n_cycles)
-        n_single, single, hit = 0, 0, np.empty(0, dtype=np.int64)
+    def near(index):
+        cycles = index + (base - s_busy.size)
+        busy_index = (index < s_busy.size).nonzero()[0]
+        cycles[busy_index] = s_busy.take(index.take(busy_index))
+        return cycles
 
-        def real_cycles(cycles):
-            return cycles
-
-        def near_in_run():
-            return s_cycles
-
-    else:
-        busy = _distinct(busy)
-        in_run = busy[(busy >= 0) & (busy < n_cycles)]
-        mu = _rate(cfg, [(sig_band, share)])
-        busy_k = rng_em.poisson(mu, in_run.size)
-        per_k = _multinomial(rng_em, n_cycles - in_run.size, _pairs_law(mu))
-        crowded_k = np.arange(2, per_k.size).repeat(per_k[2:])
-        n_single = int(per_k[1])
-        n_signal = int(busy_k.sum() + crowded_k.sum()) + n_single
-        # S: the stray-busy cycles with a pair or a classified signal click,
-        # then the K >= 2 cycles and the K = 1 cycles, whose coordinates
-        # start at base
-        in_signal = signal_busy[(signal_busy >= 0) & (signal_busy < n_cycles)]
-        s_busy = _distinct(np.concatenate([in_run[busy_k > 0], in_signal]))
-        base = max(n_cycles, int(busy[-1]) + 1) if busy.size else n_cycles
-        single = base + crowded_k.size
-        n_drawn = crowded_k.size + n_single
-        n_near = s_busy.size + n_drawn
-
-        def near(index):
-            cycles = index + (base - s_busy.size)
-            busy_index = (index < s_busy.size).nonzero()[0]
-            cycles[busy_index] = s_busy.take(index.take(busy_index))
-            return cycles
-
-        placed = []
-
-        def real_cycles(cycles):
-            """The run's cycles of the cycle coordinates ``cycles``: a
-            stray-busy cycle is its own, and the cycles drawn as counts are
-            placed among the others, on the first call."""
-            if not placed:
-                ranks = _placement(n_cycles - in_run.size, n_drawn, derive_rng(cfg.seed, *tags, "placement"))
-                # the rank-th cycle of the run that is not stray-busy
-                placed.append(ranks + np.searchsorted(in_run - np.arange(in_run.size), ranks, side="right"))
-            in_run_cycles = cycles.copy()
-            drawn = (cycles >= base) & (cycles < base + n_drawn)
-            in_run_cycles[drawn] = placed[0].take(cycles[drawn] - base)
-            return in_run_cycles
-
-        def near_in_run():
-            return np.sort(np.concatenate([s_busy, real_cycles(np.arange(base, base + n_drawn))]))
-
-    only = np.empty(0, dtype=np.int64)
-    if n_near:  # no signal click, no idler-only pair to draw
-        rng_fringe = derive_rng(cfg.seed, *tags, "fringe")
-        only = near(_draw(cfg, _idler_only(cfg, channel, share), n_near, rng_fringe))
-    rng_only = derive_rng(cfg.seed, *tags, "idler-outcome")
-    only_port, only_slot = sample_pair_outcomes(rho, alpha_rad, beta_rad, only.size, rng_only, lookup)[:2]
-    n_only = only.size
-    # their idlers pass the detector model in cycle coordinates, seeded from
-    # the same stream, with no dark count: the idler detectors' are the
-    # stray clicks'
-    only_t = only_slot * spacing_ps
-    only_t += only * period_ps
-    del only, only_slot
-    only_t, only_port = _detect_side(
-        only_t,
-        only_port,
-        _without_dark(cfg.detectors),
+    n_only, idler_only = _idler_only_clicks(
+        cfg,
+        _idler_only(cfg, channel, share),
+        (rho, alpha_rad, beta_rad, lookup),
+        s_busy.size + crowded_k.size + n_single,
+        near,
+        tags,
         duration_ps,
-        int(rng_only.integers(2**31)),
     )
-    # a click's cycle: the one whose middle slot lies nearest, the cycle a
-    # classified click counts toward (:func:`afcsim.analyzer._slot_keys`)
-    only_cycles = np.floor((only_t - spacing_ps) / period_ps + 0.5).astype(np.int64)
-    only_t -= only_cycles * period_ps
-    idler_only = (only_cycles, only_t, only_port)
-    only_t = only_cycles * period_ps
-    only_t += idler_only[1]
-
-    draw = np.zeros(_LONE_SHAPE, dtype=np.int64)
-    if not reach:
-        # the K = 1 cycles in which an idler-only click is classified
-        hit = _classified_cycles(cfg, only_t, idler_only[2])[0]
-        hit = _distinct(hit[(hit >= single) & (hit < single + n_single)])
-        cycles = np.concatenate([in_run.repeat(busy_k), np.arange(base, single).repeat(crowded_k), hit])
-        pairs = _pair_clicks(cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), rng_click)
-        draw = _multinomial(rng_cells, n_single - hit.size, _lone_law(cfg, lookup[0]).ravel()).reshape(_LONE_SHAPE)
-
-    explicit_tf = pair_threefold_counts(
-        pairs,
-        np.concatenate([only_t, stray_idler[0]]),
-        np.concatenate([idler_only[2], stray_idler[1]]),
-        *stray_signal,
-        cfg.clock_period_ns,
-        cfg.coincidence,
-        slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
-        signal_ref_ps=delay_ps,
+    # the K = 1 cycles in which an idler-only click is classified
+    hit = _classified_cycles(cfg, *idler_only)[0]
+    hit = _distinct(hit[(hit >= single) & (hit < single + n_single)])
+    cycles = np.concatenate([in_run.repeat(busy_k), np.arange(base, single).repeat(crowded_k), hit])
+    rng_cells = derive_rng(cfg.seed, *tags, "outcome")
+    pairs = _pair_clicks(
+        cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), derive_rng(cfg.seed, *tags, "pair-detector")
     )
+    draw = _multinomial(rng_cells, n_single - hit.size, _lone_law(cfg, lookup[0]).ravel()).reshape(_LONE_SHAPE)
+    explicit_tf = _counts(cfg, pairs, idler_only, stray_idler, stray_signal, delay_ps)
     lone_tf = _lone_counts(draw)
-
-    def draw_lone():
-        """((times, ports) of the idler clicks, then of the signal clicks)
-        of the lone pairs: the classes of ``draw`` in a random order, and
-        each click's jitter conditional on its class."""
-        rng = derive_rng(cfg.seed, *tags, "lone-clicks")
-        classes = np.repeat(np.arange(draw.size), draw.ravel())
-        rng.shuffle(classes)
-        i_port, i_slot, s_port, s_slot, s_class, i_class = np.unravel_index(classes, _LONE_SHAPE)
-        seen = np.flatnonzero(i_class < 4)
-        lone = np.ones(n_single, dtype=bool)
-        lone[hit - single] = False
-        lone_cycles = real_cycles(single + np.flatnonzero(lone))
-        signal_t = lone_cycles * period_ps
-        signal_t += delay_ps
-        signal_t += _class_offsets(cfg, s_slot, s_class, rng)
-        idler_t = lone_cycles.take(seen) * period_ps
-        idler_t += _class_offsets(cfg, i_slot.take(seen), i_class.take(seen), rng)
-        return (idler_t, i_port.take(seen).astype(np.int8)), (signal_t, s_port.astype(np.int8))
-
-    def draw_ring(signal_t):
-        """(times, ports) of the idler clicks of the idler-only pairs outside
-        N whose clicks fig7's histogram may meet with a signal click at
-        ``signal_t``: those of the cycles within :func:`_neighbour_cycles`
-        of one, less N.  The idler-only processes are thinned by eta, the
-        idler clicks that are kept."""
-        hist = np.sort(_click_cycles(signal_t, delay_ps, period_ps), kind="stable")
-        n_wide, wide = _near_cycles(hist, _neighbour_cycles(cfg), n_cycles)
-        if not n_wide:
-            return np.empty(0), np.empty(0, dtype=np.int8)
-        rng = derive_rng(cfg.seed, *tags, "ring")
-        eta = cfg.detectors.efficiency
-        ring = wide(_draw(cfg, [(band, f * eta) for band, f in _idler_only(cfg, channel, share)], n_wide, rng))
-        known = near_in_run()
-        at = np.searchsorted(known, ring - reach)
-        in_near = at < known.size
-        in_near[in_near] = known[at[in_near]] <= ring[in_near] + reach
-        ring = ring[~in_near]
-        ring_cells = _sample_cells(lookup, ring.size, rng)
-        times = _jittered(spacing_ps * _OUTCOME_INDEX[1].take(ring_cells), cfg.detectors.jitter_sigma_ps, rng)
-        times += ring * period_ps
-        return times, _IDLER_PORT.take(ring_cells)
-
     return Acquisition(
         threefold=ThreefoldCounts(
             counts=explicit_tf.counts + lone_tf.counts,
@@ -764,14 +592,81 @@ def acquire_threefold(
             unclassified_signal=explicit_tf.unclassified_signal + lone_tf.unclassified_signal,
         ),
         n_pairs_sampled=n_signal + n_only,
+        pairs=pairs,
+    )
+
+
+def acquire_clicks(
+    cfg: ExperimentConfig,
+    channel: int,
+    alpha_rad: float,
+    beta_rad: float,
+    n_cycles: int,
+    tags: tuple,
+    stored: bool,
+) -> ClickAcquisition:
+    """The acquisition of :func:`acquire_threefold` with every click it
+    counts: each signal-click pair drawn at its cycle of the run
+    (:func:`emission_arrays`) with its cell, idler keep and jitter, the
+    idler-only pairs drawn in N, materialized as the sorted cycles within w
+    of S (:func:`_near_cycles`), and the stray clicks, all counted by one
+    :func:`pair_threefold_counts` call.
+
+    Where w > 0 this is how :func:`acquire_threefold` acquires.  Where w =
+    0 it draws every signal-click pair that :func:`acquire_threefold` counts
+    by class, so the two draw one law, not one sample.
+    """
+    n_cycles = _stage_cycles(n_cycles, stored)
+    period_ps = cfg.clock_period_ns * 1e3
+    spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
+    rho = analytic_state(cfg.source)
+    lookup = _cell_lookup(rho, alpha_rad, beta_rad)
+    share, delay_ps, stray_signal, stray_idler = _stray_clicks(cfg, channel, tags, stored, n_cycles * period_ps)
+    processes = _idler_only(cfg, channel, share)
+    reach = _landing_reach(*_click_geometry(cfg))
+    # the cycles of the classified signal stray clicks, after the recall delay
+    signal_t = stray_signal[0] - delay_ps
+    signal_busy = _classified_cycles(cfg, signal_t, np.zeros(signal_t.size, dtype=np.int8))[0]
+    sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
+    cycles = emission_arrays(cfg.source, n_cycles, derive_rng(cfg.seed, *tags, "emission"), sig_band, share)[0]
+    cells = _sample_cells(lookup, cycles.size, derive_rng(cfg.seed, *tags, "outcome"))
+    pairs = _pair_clicks(cfg, cycles, cells, derive_rng(cfg.seed, *tags, "pair-detector"))
+    moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *_click_geometry(cfg)[:3])
+    counted = cycles.copy()
+    counted[moved] += shift
+    near = _near_cycles(np.concatenate([counted[ok], signal_busy]), reach, n_cycles)
+    del counted
+    n_only, idler_only = _idler_only_clicks(
+        cfg, processes, (rho, alpha_rad, beta_rad, lookup), near.size, near.take, tags, n_cycles * period_ps
+    )
+
+    def draw_ring(signal_t):
+        """(times, ports) of the idler clicks of the idler-only pairs outside
+        N whose clicks fig7's histogram may meet with a signal click at
+        ``signal_t``: those of the cycles within :func:`_neighbour_cycles`
+        of one, less N.  The idler-only processes are thinned by eta, the
+        idler clicks that are kept."""
+        wide = _near_cycles(_click_cycles(signal_t, delay_ps, period_ps), _neighbour_cycles(cfg), n_cycles)
+        if not wide.size:
+            return np.empty(0), np.empty(0, dtype=np.int8)
+        rng = derive_rng(cfg.seed, *tags, "ring")
+        eta = cfg.detectors.efficiency
+        ring = wide.take(_draw(cfg, [(band, f * eta) for band, f in processes], wide.size, rng))
+        ring = ring[~np.isin(ring, near)]
+        ring_cells = _sample_cells(lookup, ring.size, rng)
+        times = _jittered(spacing_ps * _OUTCOME_INDEX[1].take(ring_cells), cfg.detectors.jitter_sigma_ps, rng)
+        times += ring * period_ps
+        return times, _IDLER_PORT.take(ring_cells)
+
+    return ClickAcquisition(
+        threefold=_counts(cfg, pairs, idler_only, stray_idler, stray_signal, delay_ps),
+        n_pairs_sampled=cycles.size + n_only,
+        pairs=pairs,
         delay_ps=delay_ps,
         period_ps=period_ps,
-        pairs=pairs,
         idler_only=idler_only,
         stray_idler=stray_idler,
         stray_signal=stray_signal,
-        real_cycles=real_cycles,
-        draw_lone=draw_lone,
         draw_ring=draw_ring,
     )
 
@@ -957,12 +852,17 @@ def _stage(stored: bool) -> str:
     return "after" if stored else "before"
 
 
-def acquire_spec(cfg: ExperimentConfig, spec) -> Acquisition:
-    """:func:`acquire_threefold` of one scan spec ``(kind, channel, stored,
-    key, alpha, beta, n_cycles)``, tagged ``(kind, channel, stage, *key)``."""
+def _spec_args(spec) -> tuple:
+    """The arguments after the config of an acquisition of one scan spec
+    ``(kind, channel, stored, key, alpha, beta, n_cycles)``, tagged
+    ``(kind, channel, stage, *key)``."""
     kind, channel, stored, key, alpha, beta, n_cycles = spec
-    tags = (kind, channel, _stage(stored), *key)
-    return acquire_threefold(cfg, channel, alpha, beta, n_cycles, tags, stored)
+    return channel, alpha, beta, n_cycles, (kind, channel, _stage(stored), *key), stored
+
+
+def acquire_spec(cfg: ExperimentConfig, spec) -> Acquisition:
+    """:func:`acquire_threefold` of one scan spec (:func:`_spec_args`)."""
+    return acquire_threefold(cfg, *_spec_args(spec))
 
 
 def run_scans(cfg: ExperimentConfig, scans):

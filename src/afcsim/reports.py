@@ -270,15 +270,18 @@ def reproduce_fig7(cfg: ExperimentConfig, out_dir: Path, channel: int = 0) -> tu
     the five-peak two-fold histogram plus the slot-resolved threefold grid.
     Bins too wide to leave one 600 ps off every peak raise :class:`ConfigError`.
 
-    The two-fold histogram pairs the acquisition's signal clicks with its
-    idler clicks: those of the signal-click pairs (the lone pairs' drawn
-    on demand), of the idler-only pairs within the histogram's reach of a
-    signal click, and the idler dark counts
-    (:meth:`afcsim.pipeline.Acquisition.idler_clicks` with ``histogram``).
-    The undrawn idler clicks lie beyond the histogram span of every signal
-    click, so the histogram is the one every pair would give."""
+    Both come from one acquisition of the DD setting after storage with
+    every click it counts (:func:`afcsim.pipeline.acquire_clicks`), under
+    the tags of the tomography scan's.  The two-fold histogram pairs its
+    signal clicks with its idler clicks: those of the signal-click pairs,
+    of the idler-only pairs within the histogram's reach of a signal click,
+    and the idler dark counts
+    (:meth:`afcsim.pipeline.ClickAcquisition.idler_clicks` with
+    ``histogram``).  The undrawn idler clicks lie beyond the histogram span
+    of every signal click, so the histogram is the one every pair would
+    give."""
     specs, _ = pl.tomography_scan(cfg, channel, True)
-    acq = pl.acquire_spec(cfg, specs[0])  # the DD setting
+    acq = pl.acquire_clicks(cfg, *pl._spec_args(specs[0]))  # the DD setting
     # each side's clicks are a few nearly sorted runs, the stable sort's fast case
     idler = np.sort(acq.idler_clicks(histogram=True)[0], kind="stable")
     signal = np.sort(acq.signal_clicks()[0], kind="stable")

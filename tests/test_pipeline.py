@@ -125,8 +125,8 @@ class TestDeterminism:
         return report, files
 
     def test_two_runs_give_the_same_bytes(self, tmp_path):
-        # the report, and fig7's histogram of the lone pairs' clicks and of
-        # the idler-only ring, each drawn on demand from its own stream
+        # the report, and fig7's histogram of its click acquisition and of
+        # the idler-only ring, drawn on demand from a stream of its own
         first = self._outputs(tmp_path / "first")
         assert {"fig4_summary.json", "fig5_summary.json", "fig7_twofold_histogram.csv"} <= set(first[1])
         assert self._outputs(tmp_path / "second") == first
@@ -184,7 +184,9 @@ class TestRunScans:
         assert {thread for _, thread in acquired} == {threading.get_ident()}
 
     def test_fig7_histograms_the_tomography_dd_setting(self, tmp_path):
-        cfg = fast_config()
+        # at 4 ns jitter the scan's acquisitions and fig7's both draw every
+        # signal-click pair, so fig7's grid is the scan's DD record
+        cfg = wide_jitter_config()
         reports.reproduce_fig7(cfg, tmp_path, 0)
         (record,) = pl.run_scans(cfg, [(pl.tomography_scan, 0, True)])
         slots = ("early", "middle", "late")
@@ -195,6 +197,45 @@ class TestRunScans:
             # the DD setting's basis of this (signal slot, idler slot) cell
             v = tom.SLOT_BASIS[0, slots.index(row["signal_slot"]), slots.index(row["idler_slot"])]
             assert int(row["count"]) == record[0, v]
+
+    def test_fig7_grid_counts_the_clicks_it_histograms(self, tmp_path):
+        # at the calibration fig7's grid is the port-2 grid of its own click
+        # acquisition of the DD setting, whose counts are those of one
+        # threefold_counts call over its clicks
+        cfg = fast_config()
+        reports.reproduce_fig7(cfg, tmp_path, 0)
+        specs, _ = pl.tomography_scan(cfg, 0, True)
+        acq = pl.acquire_clicks(cfg, *pl._spec_args(specs[0]))
+        with open(tmp_path / "fig7_threefold_slots.csv") as f:
+            grid = [int(row["count"]) for row in csv.DictReader(f)]
+        assert grid == acq.threefold.counts[1, :, 1, :].reshape(-1).tolist()
+        assert sum(grid) > 0
+        every = analyzer.threefold_counts(
+            *acq.idler_clicks(),
+            *acq.signal_clicks(),
+            cfg.clock_period_ns,
+            cfg.coincidence,
+            slot_spacing_ns=cfg.source.pump.pulse_interval_ns,
+            signal_ref_ps=acq.delay_ps,
+        )
+        np.testing.assert_array_equal(acq.threefold.counts, every.counts)
+
+
+def test_fig7_does_not_import_scipy(tmp_path):
+    # fig7 draws its clicks with numpy alone, and its histogram needs no fit
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from afcsim import reports\n"
+        "from afcsim.config import reference_calibration_config\n"
+        "reports.reproduce_fig7(reference_calibration_config(), Path(sys.argv[1]))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "fig7_twofold_histogram.csv").stat().st_size > 0
 
 
 def wide_jitter_config():
@@ -249,8 +290,8 @@ def _busy_config():
 
 def _dense_config():
     """34.5 pairs a cycle in a 64 GHz pair band with matching 4 GHz filters:
-    1.5 signal clicks a cycle, so 78% of the cycles hold one and the
-    placement of the cycles drawn as counts fills most of the run."""
+    1.5 signal clicks a cycle, so 78% of the cycles hold one and most
+    cycles drawn as counts hold several pairs."""
     cfg = fast_config()
     return dataclasses.replace(
         cfg,
@@ -351,7 +392,8 @@ class TestPoissonSplitting:
     def test_no_signal_click_draws_no_idler_only_pair(self, monkeypatch, stored):
         # no pair, memory noise or dark count: N is empty, and a draw over
         # no cycle would raise.  The signal-click pairs are numbers per
-        # cycle class, not an emission draw, so no emission draw is made
+        # cycle class, not an emission draw, so no emission draw is made;
+        # the click path draws them, and nothing else
         cfg = config_from_dict(
             {
                 "source": {"pair_emission_probability_per_cycle": 0.0},
@@ -369,28 +411,42 @@ class TestPoissonSplitting:
         acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
         assert draws == []
         assert acq.n_pairs_sampled == 0
-        assert acq.idler_clicks()[0].size == acq.signal_clicks()[0].size == 0
         assert not acq.threefold.counts.any()
+        clicks = pl.acquire_clicks(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
+        assert [band for band, _ in draws] == [pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)]
+        assert clicks.n_pairs_sampled == 0
+        assert clicks.idler_clicks(histogram=True)[0].size == clicks.signal_clicks()[0].size == 0
+        assert not clicks.threefold.counts.any()
 
     @staticmethod
-    def _chi2_p(cfg, n_cycles, stored):
-        """p of the two-sample chi-square over the 36 cells, each summed over
-        seeds, of split acquisitions against the reference over the same
-        ``n_cycles`` integrated cycles: given X + Y, X is binomial(X + Y,
-        1/2) when both have one mean."""
-        split = np.zeros(36)
-        full = np.zeros(36)
+    def _per_seed(cfg, n_cycles, stored):
+        """The 36 cells of the split acquisition and of the reference, over
+        the same ``n_cycles`` integrated cycles, one row per seed."""
+        split, full = [], []
         for k in range(TestPoissonSplitting.SEEDS):
             cfg_k = dataclasses.replace(cfg, seed=k)
             acq = pl.acquire_threefold(
                 cfg_k, 0, 0.0, 0.5, _desk_cycles(n_cycles, stored), ("split",), stored
             )
-            split += acq.threefold.counts.reshape(-1)
-            full += _full_sampling_counts(cfg_k, 0, 0.0, 0.5, n_cycles, ("full",), stored).reshape(-1)
+            split.append(acq.threefold.counts.reshape(-1))
+            full.append(_full_sampling_counts(cfg_k, 0, 0.0, 0.5, n_cycles, ("full",), stored).reshape(-1))
+        return np.array(split, dtype=float), np.array(full, dtype=float)
+
+    @staticmethod
+    def _chi2(split, full):
+        """The two-sample chi-square of two sets of cell counts, and its
+        degrees of freedom: given X + Y, X is binomial(X + Y, 1/2) when both
+        have one mean."""
         total = split + full
         cells = total > 0
-        chi2 = np.sum((split - full)[cells] ** 2 / total[cells])
-        return stats.chi2.sf(chi2, cells.sum()), split, full
+        return np.sum((split - full)[cells] ** 2 / total[cells]), cells.sum()
+
+    @staticmethod
+    def _chi2_p(cfg, n_cycles, stored):
+        """p of the two-sample chi-square over the 36 cells, each summed over
+        seeds, of split acquisitions against the reference."""
+        split, full = (x.sum(axis=0) for x in TestPoissonSplitting._per_seed(cfg, n_cycles, stored))
+        return stats.chi2.sf(*TestPoissonSplitting._chi2(split, full)), split, full
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     @pytest.mark.parametrize(
@@ -412,6 +468,27 @@ class TestPoissonSplitting:
         p, split, full = self._chi2_p(cfg, n_cycles, stored)
         assert p > 1e-3, (split, full)
 
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
+    def test_split_matches_full_sampling_when_dense(self, stored):
+        # _dense_config: 2.2 idler-band pairs a cycle, and 1.5 signal clicks
+        # a cycle before storage.  The clicks of a cycle pair with each
+        # other, so one cycle adds several counts and the cells spread wider
+        # than Poisson: the chi-square above rejects the reference against
+        # itself (p = 4e-4, stored, at these seeds under another tag).  The
+        # same statistic is referred instead to its distribution over the
+        # relabellings of the 2 x 16 acquisitions, exchangeable when both
+        # paths have one law whatever the cells' spread
+        cfg = strong_memory(_dense_config()) if stored else _dense_config()
+        split, full = self._per_seed(cfg, 300_000, stored)
+        observed, _ = self._chi2(split.sum(axis=0), full.sum(axis=0))
+        rows = np.concatenate([split, full])
+        rng = np.random.default_rng(0)
+        n_relabel, above = 9_999, 0
+        for _ in range(n_relabel):
+            first = rng.permutation(rows.shape[0]) < self.SEEDS
+            above += self._chi2(rows[first].sum(axis=0), rows[~first].sum(axis=0))[0] >= observed
+        assert (1 + above) / (1 + n_relabel) > 1e-3, (split.sum(axis=0), full.sum(axis=0))
+
     @staticmethod
     def _histogram(cfg, idler_t, signal_t, delay_ps):
         """fig7's two-fold histogram of the clicks: (bin centers, counts)."""
@@ -421,9 +498,9 @@ class TestPoissonSplitting:
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     def test_histogram_matches_full_sampling(self, stored):
-        # fig7's histogram of the clicks an acquisition exposes: the lone
-        # pairs' drawn on demand and the idler-only pairs' outside N drawn
-        # for the histogram alone (the ring).  With memory noise and dark
+        # fig7's histogram of the clicks of acquire_clicks, with the
+        # idler-only pairs' outside N drawn for the histogram alone (the
+        # ring).  With memory noise and dark
         # counts at 100 kHz, most signal clicks lie outside every window,
         # and the idler-only clicks of their neighbouring cycles, drawn in
         # the ring alone, fill the floor between the five peaks
@@ -432,7 +509,7 @@ class TestPoissonSplitting:
         split, ringless, full = 0, 0, 0
         for k in range(self.SEEDS):
             cfg_k = dataclasses.replace(cfg, seed=k)
-            acq = pl.acquire_threefold(cfg_k, 0, 0.0, 0.5, _desk_cycles(n_cycles, stored), ("split",), stored)
+            acq = pl.acquire_clicks(cfg_k, 0, 0.0, 0.5, _desk_cycles(n_cycles, stored), ("split",), stored)
             signal_t = acq.signal_clicks()[0]
             centers, counts = self._histogram(cfg_k, acq.idler_clicks(histogram=True)[0], signal_t, acq.delay_ps)
             split = split + counts
@@ -441,8 +518,8 @@ class TestPoissonSplitting:
             full = full + self._histogram(cfg_k, idler[0], signal[0], delay_ps)[1]
         spacing = cfg.source.pump.pulse_interval_ns * 1e3
         floor = np.abs(centers[:, None] - spacing * np.arange(-2, 3)).min(axis=1) > cfg.coincidence.window_ps
-        # the ring's clicks, the same lone clicks drawn with and without
-        # them, raise the floor by far more than its Poisson spread
+        # the ring's clicks, the same acquisition histogrammed with and
+        # without them, raise the floor by far more than its Poisson spread
         assert split[floor].sum() - ringless[floor].sum() > 5 * math.sqrt(split[floor].sum())
         total = split + full
         bins = total > 0
@@ -463,21 +540,19 @@ class TestNearCycles:
         rng = np.random.default_rng(0)
         for _ in range(2000):
             n, w = int(rng.integers(1, 60)), int(rng.integers(0, 4))
-            cycles = np.sort(rng.integers(-5, n + 5, int(rng.integers(0, 40))))
+            cycles = rng.integers(-5, n + 5, int(rng.integers(0, 40)))
             expected = [k for k in range(n) if np.any(np.abs(cycles - k) <= w)]
-            size, near = pl._near_cycles(cycles.copy(), w, n)
-            assert size == len(expected)
-            assert near(np.arange(size)).tolist() == expected
-            if size:  # indices in any order, as several processes draw them
-                picks = rng.integers(0, size, 5)
-                assert near(picks).tolist() == [expected[k] for k in picks]
+            near = pl._near_cycles(cycles, w, n)
+            assert near.dtype == np.int64
+            assert near.tolist() == expected
 
 
 class TestPairCounting:
-    """An acquisition counts its lone pairs from their own cells and every
-    other click through threefold_counts; its counts and unclassified
-    tallies must be those of one threefold_counts call over all its
-    clicks."""
+    """acquire_clicks counts its pairs in cycle coordinates, with the
+    idler-only and stray clicks; its counts and unclassified tallies must
+    be those of one threefold_counts call over all the clicks it exposes.
+    The counts of acquire_threefold's cycle classes are checked against
+    full sampling (TestPoissonSplitting)."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
@@ -499,14 +574,13 @@ class TestPairCounting:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     def test_counts_at_400ps_jitter_are_those_of_every_click(self, stored, seed):
-        # lone clicks drawn into a neighbour slot's window or outside every
-        # window, conditional on the class they were counted in
+        # clicks drawn into a neighbour slot's window or outside every window
         self._assert_counts_are_those_of_every_click(_jitter_400_config, 400_000, stored, seed)
 
     @staticmethod
     def _assert_counts_are_those_of_every_click(make_config, n_cycles, stored, seed):
         cfg = dataclasses.replace(make_config(), seed=seed)
-        acq = pl.acquire_threefold(cfg, 0, 0.3, 1.1, _desk_cycles(n_cycles, stored), ("exact",), stored)
+        acq = pl.acquire_clicks(cfg, 0, 0.3, 1.1, _desk_cycles(n_cycles, stored), ("exact",), stored)
         every = analyzer.threefold_counts(
             *acq.idler_clicks(),
             *acq.signal_clicks(),
@@ -524,43 +598,44 @@ class TestPairCounting:
         )
 
     def test_counts_at_dense_placement_are_those_of_every_click(self):
-        # before storage the cycles drawn as counts fill 78% of the cycles
-        # with no classified stray click, and are placed as one permutation
+        # before storage 78% of the cycles hold a signal click
         self._assert_counts_are_those_of_every_click(_dense_config, 50_000, False, 0)
 
     def test_configs_reach_the_cases(self):
         # clicks that leave their pair's cycle, cycles with several pairs,
         # signal clicks that are mostly stray, and many pairs in stray-busy
-        # cycles.  A lone pair has a signal click and no other trace: its
-        # number is that of the lone signal clicks
-        def n_lone(acq):
-            return acq.draw_lone()[1][0].size
+        # cycles, against the mean number of signal-click pairs of a run
+        def n_signal(cfg, n_cycles, stored=False):
+            survival = storage_survival(cfg.bank, 0) if stored else 1.0
+            band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
+            return pl._rate(cfg, [(band, survival * cfg.detectors.efficiency)]) * pl._stage_cycles(n_cycles, stored)
 
         cfg = wide_jitter_config()
-        pairs = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
+        pairs = pl.acquire_clicks(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
         moved, *_ = analyzer._offset_slots(pairs.signal_offsets_ps, 16000.0, 1250.0, 16000.0)
         assert moved.size > 0.01 * pairs.cycles.size
-        pairs = pl.acquire_threefold(_crowded_config(), 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
+        pairs = pl.acquire_clicks(_crowded_config(), 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
         assert np.count_nonzero(np.diff(pairs.cycles) == 0) > 0.1 * pairs.cycles.size
-        acq = pl.acquire_threefold(_noisy_config(), 0, 0.0, 0.0, 4_000, ("exact",), True)
-        assert acq.stray_signal[0].size > acq.pairs.cycles.size + n_lone(acq)
-        # a stray-busy cycle keeps its cycle of the run; every other cycle
-        # takes a coordinate after the run
+        acq = pl.acquire_clicks(_noisy_config(), 0, 0.0, 0.0, 4_000, ("exact",), True)
+        assert acq.stray_signal[0].size > acq.pairs.cycles.size > 0
+        # the class path: a stray-busy cycle keeps its cycle of the run, and
+        # every other cycle takes a coordinate after the run
         n_cycles = 100_000
-        acq = pl.acquire_threefold(_busy_config(), 0, 0.0, 0.0, n_cycles, ("exact",), False)
-        in_busy = np.count_nonzero(acq.pairs.cycles < n_cycles)
-        assert in_busy > 0.05 * (acq.pairs.cycles.size + n_lone(acq))
-        # at the calibration before storage nearly every pair is lone; at
-        # 4 ns jitter clicks leave their cycle, and none is
-        acq = pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.0, 2_000_000, ("exact",), False)
-        assert n_lone(acq) >= 0.9 * (n_lone(acq) + acq.pairs.cycles.size)
-        acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False)
-        assert n_lone(acq) == 0 < acq.pairs.cycles.size
+        pairs = pl.acquire_threefold(_busy_config(), 0, 0.0, 0.0, n_cycles, ("exact",), False).pairs
+        assert np.count_nonzero(pairs.cycles < n_cycles) > 0.05 * n_signal(_busy_config(), n_cycles)
+        # at the calibration before storage nearly every pair is lone, not
+        # drawn one by one; at 4 ns jitter clicks leave their cycle, and
+        # every pair is drawn
+        n_cycles = 2_000_000
+        acq = pl.acquire_threefold(reference_calibration_config(), 0, 0.0, 0.0, n_cycles, ("exact",), False)
+        assert acq.pairs.cycles.size <= 0.1 * n_signal(reference_calibration_config(), n_cycles)
+        pairs = pl.acquire_threefold(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
+        assert abs(pairs.cycles.size - n_signal(cfg, 100_000)) < 5 * math.sqrt(n_signal(cfg, 100_000))
 
 
 class TestLonePairs:
-    """The law of a lone pair's classes, the conditional jitter its clicks
-    are drawn with on demand, and how few pairs the scans draw one by one."""
+    """The law of a lone pair's classes, and how few pairs the scans draw
+    one by one."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -610,43 +685,6 @@ class TestLonePairs:
             np.testing.assert_allclose(counts, true, rtol=1e-9)
         else:  # the neighbour slot's window
             assert landing[0, 1] == pytest.approx(0.0087, abs=2e-4)
-
-    @pytest.mark.parametrize(
-        "slot, cls, window",
-        [(0, 0, (-300.0, 300.0)), (0, 1, (950.0, 1550.0)), (2, 1, (950.0, 1550.0))],
-        ids=["own-window", "next-window", "previous-window"],
-    )
-    def test_window_jitter_is_the_truncated_normal(self, slot, cls, window):
-        cfg = _jitter_400_config()
-        n = 4000
-        offsets = pl._class_offsets(cfg, np.full(n, slot), np.full(n, cls), np.random.default_rng(3))
-        z = (offsets - slot * 1250.0) / 400.0
-        lo, hi = ((w - slot * 1250.0) / 400.0 for w in window)
-        assert z.min() >= lo and z.max() <= hi
-        assert stats.kstest(z, stats.truncnorm(lo, hi).cdf).pvalue > 1e-3
-
-    def test_tail_jitter_is_the_truncated_normal(self):
-        # at the calibration a middle-slot click is unclassified with chance
-        # 6.4e-14: 7.5 to 23.75 sigma from its slot, on either side (the
-        # class's other pieces lie beyond 38 sigma).  It is drawn by inverting
-        # the CDF, where a rejection loop would never end
-        cfg = reference_calibration_config()
-        landing = analyzer._landing_table(*pl._click_geometry(cfg))
-        assert landing[1, 3] == pytest.approx(2 * stats.norm.sf(7.5), rel=1e-9)
-        n = 4000
-        z = (pl._class_offsets(cfg, np.full(n, 1), np.full(n, 3), np.random.default_rng(4)) - 1250.0) / 40.0
-        assert np.abs(z).min() >= 7.5 and np.abs(z).max() <= 23.75
-        # CDF values near 1 would leave a few hundred distinct draws
-        assert np.unique(z).size == n
-        side = stats.norm.sf(7.5) - stats.norm.sf(23.75)
-
-        def cdf(x):
-            left = np.clip(stats.norm.sf(-np.minimum(x, -7.5)) - stats.norm.sf(23.75), 0.0, None)
-            right = np.where(x > 7.5, side - (stats.norm.sf(np.minimum(x, 23.75)) - stats.norm.sf(23.75)), 0.0)
-            return (left + right) / (2 * side)
-
-        assert stats.kstest(z, cdf).pvalue > 1e-3
-        assert 0.45 < np.mean(z > 0) < 0.55
 
     def test_scans_draw_few_pairs_one_by_one(self, monkeypatch):
         # a before-storage CHSH scan at the calibration: over 200k
@@ -699,37 +737,13 @@ class TestLonePairs:
         assert result.s_value > 2
 
 
-class TestPlacement:
-    @pytest.mark.parametrize("n_free, n", [(1000, 10), (1000, 499), (1000, 501), (1000, 1000), (7, 6)])
-    def test_distinct_values_in_range(self, n_free, n):
-        picked = pl._placement(n_free, n, np.random.default_rng(n))
-        assert picked.size == np.unique(picked).size == n
-        assert 0 <= picked.min() and picked.max() < n_free
-
-    @pytest.mark.parametrize("n", [2, 4], ids=["sparse", "dense"])
-    def test_uniform_subset_in_random_order(self, n):
-        # each value is picked, and comes first, equally often
-        rng = np.random.default_rng(3)
-        draws = np.array([pl._placement(5, n, rng) for _ in range(20_000)])
-        picked = np.bincount(draws.ravel(), minlength=5)
-        first = np.bincount(draws[:, 0], minlength=5)
-        assert stats.chisquare(picked).pvalue > 1e-3
-        assert stats.chisquare(first).pvalue > 1e-3
-
-    def test_a_full_run_is_one_permutation(self):
-        # 200 of 2M free cycles left: redrawing the repeats would take
-        # thousands of rounds, each a sort of 2M values
-        n_free = 2_000_000
-        picked = pl._placement(n_free, n_free - 200, np.random.default_rng(0))
-        assert np.unique(picked).size == n_free - 200
-
-
 class TestBornTable:
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     @pytest.mark.parametrize("make_config", [fast_config, wide_jitter_config], ids=["fast", "wide-jitter"])
     def test_one_table_per_acquisition(self, monkeypatch, make_config, stored):
-        # the explicit pairs' cells, the idler-only pairs' outcomes, the lone
-        # pairs' law and fig7's ring all read one Born-rule table
+        # the explicit pairs' cells, the idler-only pairs' outcomes and the
+        # lone pairs' law read one Born-rule table, and so do the click
+        # path's pairs, idler-only pairs and fig7's ring
         calls = []
         original = analyzer.project_pair
 
@@ -739,8 +753,10 @@ class TestBornTable:
 
         monkeypatch.setattr(analyzer, "project_pair", counting_project_pair)
         monkeypatch.setattr(pl, "project_pair", counting_project_pair)
-        acq = pl.acquire_threefold(make_config(), 0, 0.3, 1.1, 100_000, ("born",), stored)
-        acq.idler_clicks(histogram=True)
+        pl.acquire_threefold(make_config(), 0, 0.3, 1.1, 100_000, ("born",), stored)
+        assert calls == [(0.3, 1.1)]
+        calls.clear()
+        pl.acquire_clicks(make_config(), 0, 0.3, 1.1, 100_000, ("born",), stored).idler_clicks(histogram=True)
         assert calls == [(0.3, 1.1)]
 
 
@@ -1067,7 +1083,7 @@ class TestCountingMemory:
 
     def test_peak_memory_per_click(self):
         cfg = reference_calibration_config()
-        acq = pl.acquire_threefold(
+        acq = pl.acquire_clicks(
             cfg, 0, 0.0, 0.5, cfg.desk_scale.chsh_cycles_per_setting, ("memory",), stored=False
         )
         (idler_t, idler_p), (signal_t, signal_p) = acq.idler_clicks(), acq.signal_clicks()
@@ -1196,7 +1212,7 @@ class TestMemoryNoise:
     def test_noise_clicks_track_the_noise_rate(self):
         cfg = config_from_dict(self.NOISE_ONLY)
         n_cycles = 1_000_000
-        acq = pl.acquire_threefold(cfg, 0, 0.0, 0.0, n_cycles, ("noise",), True)
+        acq = pl.acquire_clicks(cfg, 0, 0.0, 0.0, n_cycles, ("noise",), True)
         assert acq.n_pairs_sampled == 0
         expected = (
             cfg.bank.noise_rate_hz
