@@ -1,5 +1,5 @@
-"""Time-bin qubit analyzers: UMZI projection POVMs, the click-level detector
-model, and two-/three-fold coincidence counting.
+"""Time-bin qubit analyzers: Born-rule outcome sampling, the click-level
+detector model, and two-/three-fold coincidence counting.
 
 Each analyzer is an unbalanced Mach-Zehnder interferometer whose arm
 imbalance equals the time-bin separation (the source pulse interval),
@@ -18,23 +18,17 @@ six (port, slot) outcomes form a complete POVM:
 
 with |u_k> unnormalized; the six elements sum to the identity.  The middle
 slot of port 2 projects onto (|e> + e^{-i phi}|l>)/sqrt(2), the "energy
-basis" used for tomography.
-
-What depends only on a phase or on the click geometry is built once per
-process (:func:`_memoized`): a phase's POVM, the landing table and the
-landing reach.  That is safe because each is a pure function of the values
-it is keyed by (floats, never an object's identity), its arrays are
-read-only, and at most 64 are kept in a thread-safe ``lru_cache``; the
-Born-rule table of a setting is built per acquisition.
+basis" used for tomography.  The POVM and the Born-rule table are
+:mod:`afcsim.model`'s; this module samples from the table and counts.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from afcsim.model import SLOT_EARLY, SLOT_LATE, SLOT_MIDDLE, project_pair
 
 __all__ = [
     "DetectorConfig",
@@ -42,8 +36,6 @@ __all__ = [
     "SLOT_EARLY",
     "SLOT_MIDDLE",
     "SLOT_LATE",
-    "umzi_povm",
-    "project_pair",
     "middle_middle",
     "sample_pair_outcomes",
     "detect",
@@ -54,8 +46,6 @@ __all__ = [
     "pair_threefold_counts",
     "g2_cross",
 ]
-
-SLOT_EARLY, SLOT_MIDDLE, SLOT_LATE = 0, 1, 2
 
 # (idler_port, idler_slot, signal_port, signal_slot) of each flat index
 # into a (2, 3, 2, 3) outcome table, the layout shared by the Born-rule
@@ -94,70 +84,6 @@ class CoincidenceConfig:
     def __post_init__(self):
         if not self.window_ps >= self.histogram_bin_ps > 0:
             raise ValueError("require window >= histogram bin > 0")
-
-
-def _memoized(build):
-    """``build``, a pure function of hashable values, memoized by the
-    values of its arguments (:func:`functools.lru_cache`, safe to share
-    across threads): each result is built once and is read-only where it
-    is an array or a tuple of arrays, and the 64 most recently used are
-    kept.  ``__wrapped__`` is ``build`` itself."""
-
-    def read_only(*key):
-        value = build(*key)
-        for array in value if isinstance(value, tuple) else (value,):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-        return value
-
-    return functools.update_wrapper(functools.lru_cache(maxsize=64)(read_only), build)
-
-
-def umzi_povm(phase_rad: float) -> np.ndarray:
-    """The six POVM elements, shape (2, 3, 2, 2) indexed [port, slot].
-
-    Ports are 0-indexed (index k-1 for port k); slots follow SLOT_EARLY,
-    SLOT_MIDDLE, SLOT_LATE.  The elements of a phase are built once
-    (:func:`_memoized`, keyed by the phase's exact float value, so -0.0 is
-    not 0.0) and are read-only.
-    """
-    return _umzi_povm(float(phase_rad).hex())
-
-
-@_memoized
-def _umzi_povm(phase_hex: str) -> np.ndarray:
-    phase_rad = float.fromhex(phase_hex)
-    e = np.array([1.0, 0.0], dtype=complex)
-    l = np.array([0.0, 1.0], dtype=complex)
-    out = np.zeros((2, 3, 2, 2), dtype=complex)
-    for k in (1, 2):
-        u = e + (-1) ** k * np.exp(-1j * phase_rad) * l
-        out[k - 1, SLOT_EARLY] = 0.25 * np.outer(e, e.conj())
-        out[k - 1, SLOT_MIDDLE] = 0.25 * np.outer(u, u.conj())
-        out[k - 1, SLOT_LATE] = 0.25 * np.outer(l, l.conj())
-    return out
-
-
-def project_pair(rho, alpha_rad: float, beta_rad: float) -> np.ndarray:
-    """Joint outcome probabilities, shape (2, 3, 2, 3) indexed
-    [idler_port, idler_slot, signal_port, signal_slot].
-
-    alpha is the idler-side UMZI phase, beta the signal side.  The state
-    lives in the (signal x idler) tensor ordering of the ee/el/le/ll basis,
-    so the joint element is kron(E_signal, E_idler).  Entries sum to 1.
-
-    All 36 joint elements are one broadcast product, entry for entry the
-    single multiply ``np.kron`` makes, and one batched ``matmul`` and trace.
-    """
-    m = np.asarray(rho, dtype=complex)
-    e_idler = umzi_povm(alpha_rad)
-    e_signal = umzi_povm(beta_rad)
-    # [ip, isl, sp, ssl, i, k, j, l] = E_signal[sp, ssl][i, j] * E_idler[ip, isl][k, l]
-    ops = (
-        e_signal[None, None, :, :, :, None, :, None]
-        * e_idler[:, :, None, None, None, :, None, :]
-    ).reshape(2, 3, 2, 3, 4, 4)
-    return np.trace(m @ ops, axis1=-2, axis2=-1).real.copy()
 
 
 def middle_middle(table) -> np.ndarray:
@@ -558,90 +484,6 @@ def _offset_slots(offsets_ps: np.ndarray, period_ps: float, spacing_ps: float, w
     distance = slot * spacing_ps
     distance -= offsets
     return moved, shift, slot, np.abs(distance, out=distance) <= window_ps / 2.0
-
-
-# detector jitter is Gaussian: the click geometry below, and the callers
-# that bound how far a click may land from its photon, reach clicks
-# displaced by up to this many standard deviations, beyond which lies a
-# share of 1.5e-23 of the clicks
-_JITTER_REACH_SIGMAS = 10
-
-
-def _reach_cycles(extent_ps: float, sigma_ps: float, period_ps: float) -> int:
-    """The cycles d > 0 with dP <= extent + 10 sigma, P the period: how far
-    a click whose photon lies within ``extent_ps`` of a region may land from
-    it in whole periods, its jitter below ``_JITTER_REACH_SIGMAS`` sigma."""
-    return math.floor((extent_ps + _JITTER_REACH_SIGMAS * sigma_ps) / period_ps)
-
-
-def _gauss_mass(lo: float, hi: float) -> float:
-    """P(lo <= Z < hi) for a standard normal Z, from :func:`math.erfc` on
-    the side of zero away from the interval, so that a tail interval keeps
-    its relative precision."""
-    root2 = math.sqrt(2)
-    if lo >= 0:
-        return (math.erfc(lo / root2) - math.erfc(hi / root2)) / 2
-    if hi <= 0:
-        return (math.erfc(-hi / root2) - math.erfc(-lo / root2)) / 2
-    return 1 - (math.erfc(-lo / root2) + math.erfc(hi / root2)) / 2
-
-
-def _slot_classes(period_ps: float, spacing_ps: float, window_ps: float):
-    """The click offsets after a cycle's reference that count toward each
-    class of that cycle, as lists of ``(lo, hi)`` pieces: class k < 3 is
-    slot k's window, class 3 (unclassified) the offsets outside them that
-    lie between the previous cycle's last window and the next cycle's
-    first.
-
-    As :func:`_slot_keys` and :func:`_offset_slots` classify a click: the
-    nearest slot center, 0, s or 2s for the slot spacing s, within the
-    cycle's edges at -(P/2 - s) and P/2 + s for the period P, and within
-    W/2 of it for the window W.
-    """
-    half_ps = window_ps / 2
-    edges = (spacing_ps - period_ps / 2, spacing_ps / 2, 1.5 * spacing_ps, period_ps / 2 + spacing_ps)
-    windows = [
-        (max(k * spacing_ps - half_ps, edges[k]), min(k * spacing_ps + half_ps, edges[k + 1]))
-        for k in range(3)
-    ]
-    bounds = [windows[2][1] - period_ps, *(x for window in windows for x in window), windows[0][0] + period_ps]
-    gaps = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
-    return [[window] for window in windows] + [gaps]
-
-
-@_memoized
-def _landing_reach(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float) -> int:
-    """w: the cycles on each side of a photon's cycle toward which its
-    click may count in a slot window.  A click lies at most
-    ``_JITTER_REACH_SIGMAS`` sigma from its slot, 0, s or 2s, and the
-    windows of the cycle d later span the offsets [dP - b, dP + b'] with b'
-    = min(2s + W/2, P/2 + s) (:func:`_slot_classes`) and 2s + b = b', so it
-    reaches them when |d| P <= b' + 10 sigma.  Within w = 0 (at the
-    calibration, and at 400 ps jitter) a click counts in its own cycle's
-    classes or in none."""
-    return _reach_cycles(_slot_classes(period_ps, spacing_ps, window_ps)[2][0][1], sigma_ps, period_ps)
-
-
-@_memoized
-def _landing_table(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float) -> np.ndarray:
-    """``table[k, j]``: the chance that the click of a photon in slot k
-    counts toward class j of its own cycle (:func:`_slot_classes`).
-
-    The jitter is Gaussian of deviation sigma, so an entry is the
-    :func:`_gauss_mass` of the class's pieces less the slot's offset.
-    Where :func:`_landing_reach` is 0, a row misses 1 only by the clicks
-    beyond 10 sigma.  With no jitter every click counts toward its own slot.
-    """
-    if sigma_ps == 0:
-        return np.eye(3, 4)
-    classes = _slot_classes(period_ps, spacing_ps, window_ps)
-    return np.array(
-        [
-            [sum(_gauss_mass((lo - k * spacing_ps) / sigma_ps, (hi - k * spacing_ps) / sigma_ps) for lo, hi in pieces)
-             for pieces in classes]
-            for k in range(3)
-        ]
-    )
 
 
 def pair_threefold_counts(

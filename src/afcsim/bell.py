@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from afcsim.analyzer import middle_middle, project_pair
-
 __all__ = [
     "COMBO_LABELS",
     "COMBO_SIGNS",
@@ -31,7 +29,6 @@ __all__ = [
     "fit_visibility",
     "monte_carlo_errors",
     "bell_violation_sigmas",
-    "analytic_chsh",
 ]
 
 COMBO_LABELS = ("A1B1", "A1B2", "A2B1", "A2B2")
@@ -304,13 +301,3 @@ def fit_visibility(
         converged=bool(ok),
     )
 
-
-# --- analytic (infinite statistics) path ---------------------------------
-
-
-def analytic_chsh(rho) -> float:
-    """CHSH S at ``DEFAULT_CHSH_PHASES``, from the correlation coefficients
-    of the exact Born-rule rates."""
-    a, ap, b, bp = DEFAULT_CHSH_PHASES
-    settings = ((a, b), (ap, b), (a, bp), (ap, bp))
-    return chsh_s([correlation_e(middle_middle(project_pair(rho, *s))) for s in settings])

@@ -15,32 +15,11 @@ for a single-channel figure (fig4, fig5, fig7).  Every option is checked
 before ``--out`` is created.
 
 Exit codes: 0 success, 1 a tolerance check failed, 2 configuration error.
-
-Allocator policy: ``main`` keeps the heap that the event path frees mapped
-for the next acquisition (``_keep_heap_mapped``).  Each acquisition builds
-and frees about 1.5 MB of arrays (the explicit pairs' clicks, their
-counting keys, the idler-only pairs); under glibc's dynamic thresholds
-freed blocks are trimmed off the top of the heap, so the next acquisition
-zero-fills their pages again.  ``main`` sets glibc's ``M_MMAP_THRESHOLD``
-to 32 MiB and ``M_TRIM_THRESHOLD`` to 256 MiB; with both, ``simulate
---channels 1 --trials 20`` takes about 0.5k minor page faults instead of
-about 1.1k (getrusage of the verb; neither spends measurable system time)
-and 0.113 s instead of 0.116 s (medians of 10), at a peak RSS of 42.5 MB instead of 42.0 MB
-(``ru_maxrss``).  The trim threshold alone gives the same faults, and the
-mmap threshold alone the same as none.  Under ``bench/run.py`` the wall
-times of ``simulate``, ``reproduce fig4`` and ``reproduce fig3`` move by
-less than their run-to-run spread either way, and without the policy
-``reproduce fig4`` peaks at 43.0 MB instead of 42.8 MB in every round.
-The policy applies to glibc only:
-where ``mallopt`` is missing or refuses the value, the allocator is left as
-it is.  It changes no number, and code that imports ``afcsim`` as a
-library keeps its own allocator; only ``main`` sets it.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -50,15 +29,6 @@ from afcsim.config import ConfigError, ExperimentConfig, load_config, reference_
 from afcsim.datasets import FixtureError
 
 _RUN_OPTIONS = ("config", "seed", "channels", "trials")
-
-# glibc mallopt parameters (malloc.h) and the values main sets; 32 MiB is
-# the largest mmap threshold every 64-bit glibc accepts
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_HEAP_POLICY = (
-    (_M_MMAP_THRESHOLD, 32 << 20),
-    (_M_TRIM_THRESHOLD, 256 << 20),
-)
 
 # Every artifact, keyed by (verb, artifact): the options it reads, whether
 # it takes one channel, and the call that writes it.  An artifact that reads
@@ -179,23 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_heap_mapped() -> None:
-    """Keep freed heap mapped for the next acquisition (see the module
-    docstring).  The mmap threshold, the only value glibc can refuse, is set
-    first, so a refusal leaves the allocator as it was."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_POLICY:
-        if mallopt(param, value) == 0:
-            return
-
-
 def main(argv=None) -> int:
-    _keep_heap_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,5 +1,5 @@
-"""End-to-end simulated acquisitions: source -> memory -> analyzers ->
-detectors -> counting, plus per-channel run reports.
+"""End-to-end simulated acquisitions: each draws from the per-cycle laws
+of :mod:`afcsim.model`, counts, and reports; per-channel run reports.
 
 Acquisitions come in two flavors: ``stored=True`` sends the signal photon
 through its memory channel (recall by the survival s of
@@ -23,38 +23,25 @@ more, at the detector efficiency.  Where no click can count toward another
 cycle (at the calibration; not at several ns of jitter), cycles are
 independent, and by Poisson colouring the number of signal-click pairs in a
 cycle is all that is drawn about most of them, as counts: how many cycles
-hold one pair, and how many hold each larger number.  A pair alone in a
-cycle with no other classified click is lone, and the lone pairs' classes
-(outcome cell, idler detection, and the slot window or none each click
-lands in) are one Multinomial draw, from which their counts are read: no
-cycle, cell, keep or jitter is drawn for them.  Only the other pairs, about
-4% at the calibration before storage, are drawn one by one, in cycle
-coordinates, and counted with the stray clicks.  The idler-only pairs,
-whose signal photon gives no click, are drawn only in the cycles toward
-which a signal click may count.  A before-storage CHSH acquisition peaks at
-about 1.5 MB (tracemalloc), against 6.2 MB when every signal-click pair's
-cycle was drawn.  Such an acquisition has counts, not clicks.  Click times
-come from one place, :func:`acquire_clicks`, which draws every
-signal-click pair at its cycle of the run: the way
+hold one pair, and how many hold each larger number (:func:`model.pairs_law`).
+A pair alone in a cycle with no other classified click is lone, and the
+lone pairs' classes are one Multinomial draw over :func:`model.lone_law`, from
+which their counts are read.  Only the other pairs are drawn one by one,
+in cycle coordinates, and counted with the stray clicks.  The idler-only
+pairs, whose signal photon gives no click, are drawn only in the cycles
+toward which a signal click may count.  Such an acquisition has counts,
+not clicks.  Click times come from one place, :func:`acquire_clicks`,
+which draws every signal-click pair at its cycle of the run: the way
 :func:`acquire_threefold` acquires where a click may count toward another
 cycle, and the acquisition whose clicks fig7 histograms, at every config.
 Only the idler-only pairs' clicks that fig7's histogram alone can meet are
 drawn on demand (:class:`ClickAcquisition`).
 
-A g2 run (:func:`acquire_g2`) draws no pair, click or time: it counts
-only whether each cycle's signal and idler windows hold a click, and by
-Poisson colouring those occupancies are independent draws from one law,
-except where a pair's two clicks count toward different cycles.  So a
-run is one Multinomial draw over the cycles, and those rare split pairs
-(none at the calibration) are drawn one by one.
-
-What depends only on a phase or on the config is built once per process
-(:func:`afcsim.analyzer._memoized`): a phase's POVM, the landing table,
-reach and lone-law factors, the Poisson law of K and the detectors with no
-dark count.  Each is a pure function keyed by value (floats, frozen
-configs), its arrays are read-only and at most 64 are kept, so any later
-acquisition gets what a fresh build gives.  The Born-rule table stays one
-per acquisition.
+A g2 run (:func:`acquire_g2`) draws no pair, click or time: each cycle's
+signal and idler window occupancy follows one law (:func:`model.g2_rates`,
+:func:`model.occupancy_law`), except where a pair's two clicks count toward
+different cycles.  So a run is one Multinomial draw over the cycles, and
+those rare split pairs (none at the calibration) are drawn one by one.
 """
 
 from __future__ import annotations
@@ -66,38 +53,31 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from afcsim import bell
+from afcsim import bell, model
 from afcsim import tomography as tom
 from afcsim.analyzer import (
     _IDLER_PORT,
-    _JITTER_REACH_SIGMAS,
     _OUTCOME_INDEX,
     DetectorConfig,
     PairClicks,
     ThreefoldCounts,
     _cell_lookup,
-    _landing_reach,
-    _landing_table,
-    _memoized,
     _offset_slots,
-    _reach_cycles,
     _sample_cells,
     _slot_keys,
     detect,
     g2_cross,
     middle_middle,
     pair_threefold_counts,
-    project_pair,
     sample_pair_outcomes,
 )
 from afcsim.config import ConfigError, ExperimentConfig
-from afcsim.memory import CHANNEL_OFFSETS_GHZ, storage_survival
-from afcsim.source import analytic_state, emission_arrays, pair_rate_per_cycle
+from afcsim.memory import storage_survival
+from afcsim.source import analytic_state, emission_arrays
 
 __all__ = [
     "derive_rng",
     "HISTOGRAM_SPAN_NS",
-    "channel_band",
     "Acquisition",
     "ClickAcquisition",
     "acquire_threefold",
@@ -109,7 +89,6 @@ __all__ = [
     "chsh_scan",
     "fringe_scan",
     "tomography_scan",
-    "analytic_counts",
     "channel_report",
     "run_report",
 ]
@@ -127,11 +106,6 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 def _seed(cfg: ExperimentConfig, *tags) -> int:
     """Integer seed drawn from the (config seed, tag...) path."""
     return int(derive_rng(cfg.seed, *tags).integers(2**31))
-
-
-def channel_band(channel: int, bandwidth_ghz: float):
-    center = CHANNEL_OFFSETS_GHZ[channel]
-    return (center - bandwidth_ghz / 2.0, center + bandwidth_ghz / 2.0)
 
 
 _STORED_CYCLES_FACTOR = 100
@@ -180,13 +154,13 @@ def _neighbour_cycles(cfg: ExperimentConfig) -> int:
     pair emitted in cycle c arrives at cP + {0, s, 2s} plus its jitter j.  For
     |j| <= J, once wP >= max(P/2 + s, H) + J only cycles c up to f + w land
     there, and, as max(P/2 - s, H) + 2s < max(P/2 + s, H) + P, only cycles c
-    from f - w.  J is ``_JITTER_REACH_SIGMAS`` detector jitter sigmas.  At
+    from f - w.  J is ``model.JITTER_REACH_SIGMAS`` detector jitter sigmas.  At
     the calibration (P = 16 ns, s = 1.25 ns, H = 4.05 ns, J = 0.4 ns) w = 1.
     """
     period_ps = cfg.clock_period_ns * 1e3
     wrap_ps = period_ps / 2 + cfg.source.pump.pulse_interval_ns * 1e3
     histogram_ps = HISTOGRAM_SPAN_NS * 1e3 + cfg.coincidence.histogram_bin_ps / 2
-    jitter_ps = _JITTER_REACH_SIGMAS * cfg.detectors.jitter_sigma_ps
+    jitter_ps = model.JITTER_REACH_SIGMAS * cfg.detectors.jitter_sigma_ps
     return math.ceil((max(wrap_ps, histogram_ps) + jitter_ps) / period_ps)
 
 
@@ -199,25 +173,21 @@ def _click_cycles(clicks_ps: np.ndarray, delay_ps: float, period_ps: float) -> n
 
 def _near_cycles(cycles: np.ndarray, w: int, n_cycles: int) -> np.ndarray:
     """The sorted cycles of ``[0, n_cycles)`` within ``w`` of one of the
-    int64 ``cycles``: at most 2w + 1 times as many."""
-    near = _distinct(np.add.outer(cycles, np.arange(-w, w + 1)).ravel())
-    return near[(near >= 0) & (near < n_cycles)]
-
-
-def _idler_only(cfg: ExperimentConfig, channel: int, share: float):
-    """The ``(band, fraction)`` processes of the pairs of a channel that
-    give no signal click, in draw order: the idler filter's fringe below
-    and above the signal band (none when the two filters match), then a
-    share 1 - ``share`` of the signal-band pairs (none, and no draw, when
-    ``share`` is 1).  A g2 run passes the recall survival, whose lost pairs
-    have no signal photon to detect; a threefold acquisition passes the
-    recall survival times the detector efficiency."""
-    sig = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
-    processes = [(sig, 1.0 - share)]
-    if cfg.filters.idler_bandwidth_ghz > cfg.filters.signal_bandwidth_ghz:
-        full = channel_band(channel, cfg.filters.idler_bandwidth_ghz)
-        processes[:0] = [((full[0], sig[0]), 1.0), ((sig[1], full[1]), 1.0)]
-    return processes
+    int64 ``cycles``: the union of the intervals [c - w, c + w] over the
+    distinct cycles c, each less what its predecessor's covers and clipped
+    to the run, expanded one after the other, so that no array is longer
+    than the cycles or the result."""
+    cycles = _distinct(cycles)
+    lo = np.maximum(cycles - w, 0)
+    lo[1:] = np.maximum(lo[1:], cycles[:-1] + w + 1)
+    hi = np.minimum(cycles + w + 1, n_cycles)
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    # steps of 1, but from each interval's last cycle to the next one's first
+    near = np.ones(int((hi - lo).sum()), dtype=np.int64)
+    if near.size:
+        near[0] = lo[0]
+        near[(hi - lo).cumsum()[:-1]] = lo[1:] - hi[:-1] + 1
+    return near.cumsum(out=near)
 
 
 def _draw(cfg: ExperimentConfig, processes, n_cycles: int, rng) -> np.ndarray:
@@ -225,51 +195,6 @@ def _draw(cfg: ExperimentConfig, processes, n_cycles: int, rng) -> np.ndarray:
     over ``n_cycles`` cycles by :func:`emission_arrays`, one process after
     the other."""
     return np.concatenate([emission_arrays(cfg.source, n_cycles, rng, *p)[0] for p in processes])
-
-
-def _rate(cfg: ExperimentConfig, processes) -> float:
-    """The mean pairs per cycle of the ``(band, fraction)`` processes, the
-    rates :func:`emission_arrays` draws them at."""
-    mu = pair_rate_per_cycle(cfg.source)
-    return sum(f * mu * (hi - lo) / cfg.source.pair_bandwidth_ghz for (lo, hi), f in processes)
-
-
-def _click_geometry(cfg: ExperimentConfig):
-    """(period, slot spacing, coincidence window, detector jitter sigma) in
-    ps: the arguments of the analyzer's click geometry
-    (:func:`afcsim.analyzer._slot_classes`, :func:`_landing_table`,
-    :func:`_landing_reach`)."""
-    return (
-        cfg.clock_period_ns * 1e3,
-        cfg.source.pump.pulse_interval_ns * 1e3,
-        cfg.coincidence.window_ps,
-        cfg.detectors.jitter_sigma_ps,
-    )
-
-
-# a lone pair's classes: [idler port, idler slot, signal port, signal slot,
-# the class its signal click counts toward, the class its idler click counts
-# toward or 4 when the idler detector misses it]
-_LONE_SHAPE = (2, 3, 2, 3, 4, 5)
-
-
-def _lone_law(cfg: ExperimentConfig, cells: np.ndarray) -> np.ndarray:
-    """The chances of a lone pair's classes, shape ``_LONE_SHAPE``: its
-    Born-rule cell (``cells``, the clipped and normalized table of
-    :func:`afcsim.analyzer._cell_lookup`), times each side's landing chance
-    (:func:`_landing_table`), the idler's times eta or, for no idler click,
-    1 - eta."""
-    signal, idler = _lone_factors(*_click_geometry(cfg), cfg.detectors.efficiency)
-    return cells[..., None, None] * signal * idler
-
-
-@_memoized
-def _lone_factors(period_ps: float, spacing_ps: float, window_ps: float, sigma_ps: float, eta: float):
-    """The landing factors of :func:`_lone_law`, broadcast to
-    ``_LONE_SHAPE``: the signal's landing chances, then the idler's."""
-    landing = _landing_table(period_ps, spacing_ps, window_ps, sigma_ps)
-    idler = np.hstack([eta * landing, np.full((3, 1), 1.0 - eta)])
-    return landing[:, :, None], idler[:, None, None, None, :]
 
 
 def _multinomial(rng: np.random.Generator, n: int, law: np.ndarray) -> np.ndarray:
@@ -280,20 +205,6 @@ def _multinomial(rng: np.random.Generator, n: int, law: np.ndarray) -> np.ndarra
     numbers = np.empty(law.size, dtype=np.int64)
     numbers[order] = rng.multinomial(n, law[order])
     return numbers
-
-
-@_memoized
-def _pairs_law(mu: float) -> np.ndarray:
-    """P(K = k), k = 0, 1, ...: the Poisson law of a cycle's number K of
-    signal-click pairs, of mean ``mu``, up to the first k >= mu of chance
-    below 2**-64; the tail beyond it falls to the most likely k
-    (:func:`_multinomial`)."""
-    law = []
-    while True:
-        k = len(law)
-        law.append(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1)) if mu else float(k == 0))
-        if k >= mu and law[-1] < 2.0**-64:
-            return np.array(law)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -403,7 +314,7 @@ def _detect_side(times: np.ndarray, ports: np.ndarray, det: DetectorConfig, dura
     return np.concatenate([one, two]), _SIDES.repeat([one.size, two.size])
 
 
-@_memoized
+@model.memoized
 def _without_dark(det: DetectorConfig) -> DetectorConfig:
     """The detectors ``det`` with no dark count."""
     return replace(det, dark_count_rate_hz=0.0)
@@ -436,12 +347,13 @@ def _stray_clicks(cfg: ExperimentConfig, channel: int, tags, stored: bool, durat
 
 
 def _idler_only_clicks(cfg: ExperimentConfig, processes, setting, n_near: int, near: Callable, tags, duration_ps):
-    """The idler-only pairs of the ``processes`` (:func:`_idler_only`) drawn
-    in N, whose ``n_near`` cycles ``near`` maps indices to: (their number,
-    (times in ps, int8 ports) of their idler clicks).  ``setting`` is the
-    ``(rho, alpha, beta, lookup)`` of their outcomes.  Their idlers pass the
-    detector model in cycle coordinates, seeded from the outcomes' stream,
-    with no dark count: the idler detectors' are the stray clicks'."""
+    """The idler-only pairs of the ``processes``
+    (:func:`model.idler_only_processes`) drawn in N, whose ``n_near`` cycles
+    ``near`` maps indices to: (their number, (times in ps, int8 ports) of
+    their idler clicks).  ``setting`` is the ``(rho, alpha, beta, lookup)``
+    of their outcomes.  Their idlers pass the detector model in cycle
+    coordinates, seeded from the outcomes' stream, with no dark count: the
+    idler detectors' are the stray clicks'."""
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     only = np.empty(0, dtype=np.int64)
@@ -504,30 +416,30 @@ def acquire_threefold(
 
     By Poisson splitting the pairs form two independent processes: the
     signal-click pairs, mu = s eta lambda_sig per cycle, and the idler-only
-    pairs (:func:`_idler_only`).  An idler-only click counts only in a cycle
-    that holds a classified signal click, so those pairs are drawn only in
-    N: S, the cycles that hold a signal click (a pair's, or a classified
-    stray one), widened by the landing reach w (:func:`_landing_reach`) on
-    each side, and their idlers pass :func:`detect` with no dark count.  The
-    stray clicks (memory noise, dark counts) are drawn in the run's time by
-    :func:`detect`.
+    pairs (:func:`model.idler_only_processes`).  An idler-only click counts
+    only in a cycle that holds a classified signal click, so those pairs
+    are drawn only in N: S, the cycles that hold a signal click (a pair's,
+    or a classified stray one), widened by the landing reach w
+    (:func:`model.landing_reach`) on each side, and their idlers pass
+    :func:`detect` with no dark count.  The stray clicks (memory noise,
+    dark counts) are drawn in the run's time by :func:`detect`.
 
     Where w > 0 (4 ns jitter), this is :func:`acquire_clicks`: each
     signal-click pair is drawn at its cycle of the run.  Where w = 0 (the
     calibration, 400 ps jitter), cycles are independent and, by Poisson
     colouring, most are counts, not positions.  A cycle that holds a
     classified stray click draws its own K ~ Poisson(mu) pairs at its cycle
-    of the run; the others are one Multinomial over K (:func:`_pairs_law`),
-    and those with K >= 1 take cycle coordinates after every cycle a stray
-    click is classified in.  A K = 1 pair is lone unless an idler-only
-    click is classified in its cycle; being lone does not depend on its own
-    marks, so the lone pairs' classes are one Multinomial over
-    :func:`_lone_law`, read off by :func:`_lone_counts`.  The other pairs
-    are explicit: each draws its cell, idler keep and jitter, and their
+    of the run; the others are one Multinomial over K
+    (:func:`model.pairs_law`), and those with K >= 1 take cycle coordinates
+    after every cycle a stray click is classified in.  A K = 1 pair is lone
+    unless an idler-only click is classified in its cycle; being lone does
+    not depend on its own marks, so the lone pairs' classes are one
+    Multinomial over :func:`model.lone_law`, read off by
+    :func:`_lone_counts`.  The other pairs are explicit: each draws its cell, idler keep and jitter, and their
     clicks, with the idler-only and stray ones, are counted in cycle
     coordinates by :func:`pair_threefold_counts`.
     """
-    if _landing_reach(*_click_geometry(cfg)):
+    if model.landing_reach(*model.click_geometry(cfg)):
         return acquire_clicks(cfg, channel, alpha_rad, beta_rad, n_cycles, tags, stored)
     n_cycles = _stage_cycles(n_cycles, stored)
     duration_ps = n_cycles * cfg.clock_period_ns * 1e3
@@ -545,9 +457,9 @@ def acquire_threefold(
     busy = _distinct(busy)
     in_run = busy[(busy >= 0) & (busy < n_cycles)]
     rng_em = derive_rng(cfg.seed, *tags, "emission")
-    mu = _rate(cfg, [(channel_band(channel, cfg.filters.signal_bandwidth_ghz), share)])
+    mu = model.process_rate(cfg, [(model.channel_band(channel, cfg.filters.signal_bandwidth_ghz), share)])
     busy_k = rng_em.poisson(mu, in_run.size)
-    per_k = _multinomial(rng_em, n_cycles - in_run.size, _pairs_law(mu))
+    per_k = _multinomial(rng_em, n_cycles - in_run.size, model.pairs_law(mu))
     crowded_k = np.arange(2, per_k.size).repeat(per_k[2:])
     n_single = int(per_k[1])
     n_signal = int(busy_k.sum() + crowded_k.sum()) + n_single
@@ -567,7 +479,7 @@ def acquire_threefold(
 
     n_only, idler_only = _idler_only_clicks(
         cfg,
-        _idler_only(cfg, channel, share),
+        model.idler_only_processes(cfg, channel, share),
         (rho, alpha_rad, beta_rad, lookup),
         s_busy.size + crowded_k.size + n_single,
         near,
@@ -582,7 +494,8 @@ def acquire_threefold(
     pairs = _pair_clicks(
         cfg, cycles, _sample_cells(lookup, cycles.size, rng_cells), derive_rng(cfg.seed, *tags, "pair-detector")
     )
-    draw = _multinomial(rng_cells, n_single - hit.size, _lone_law(cfg, lookup[0]).ravel()).reshape(_LONE_SHAPE)
+    law = model.lone_law(cfg, lookup[0])
+    draw = _multinomial(rng_cells, n_single - hit.size, law.ravel()).reshape(law.shape)
     explicit_tf = _counts(cfg, pairs, idler_only, stray_idler, stray_signal, delay_ps)
     lone_tf = _lone_counts(draw)
     return Acquisition(
@@ -622,16 +535,16 @@ def acquire_clicks(
     rho = analytic_state(cfg.source)
     lookup = _cell_lookup(rho, alpha_rad, beta_rad)
     share, delay_ps, stray_signal, stray_idler = _stray_clicks(cfg, channel, tags, stored, n_cycles * period_ps)
-    processes = _idler_only(cfg, channel, share)
-    reach = _landing_reach(*_click_geometry(cfg))
+    processes = model.idler_only_processes(cfg, channel, share)
+    reach = model.landing_reach(*model.click_geometry(cfg))
     # the cycles of the classified signal stray clicks, after the recall delay
     signal_t = stray_signal[0] - delay_ps
     signal_busy = _classified_cycles(cfg, signal_t, np.zeros(signal_t.size, dtype=np.int8))[0]
-    sig_band = channel_band(channel, cfg.filters.signal_bandwidth_ghz)
+    sig_band = model.channel_band(channel, cfg.filters.signal_bandwidth_ghz)
     cycles = emission_arrays(cfg.source, n_cycles, derive_rng(cfg.seed, *tags, "emission"), sig_band, share)[0]
     cells = _sample_cells(lookup, cycles.size, derive_rng(cfg.seed, *tags, "outcome"))
     pairs = _pair_clicks(cfg, cycles, cells, derive_rng(cfg.seed, *tags, "pair-detector"))
-    moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *_click_geometry(cfg)[:3])
+    moved, shift, _, ok = _offset_slots(pairs.signal_offsets_ps, *model.click_geometry(cfg)[:3])
     counted = cycles.copy()
     counted[moved] += shift
     near = _near_cycles(np.concatenate([counted[ok], signal_busy]), reach, n_cycles)
@@ -671,83 +584,6 @@ def acquire_clicks(
     )
 
 
-def _landing_row(cfg: ExperimentConfig) -> np.ndarray:
-    """p(d) for d in [-w - 1, w + 1]: the chance that the jitter of a click
-    whose photon arrives at a cycle's clock reference makes it count toward
-    the cycle d later.
-
-    A click at time t after the clock reference counts toward cycle k when
-    |t - kP| <= h, with h = min(W, P) / 2 for the coincidence window W and
-    the period P, so p(d) = (erf((dP + h) / sigma sqrt 2) - erf((dP - h) /
-    sigma sqrt 2)) / 2 for the detector jitter sigma.  Beyond w = floor((h +
-    10 sigma) / P) cycles lies a jitter of more than ``_JITTER_REACH_SIGMAS``
-    sigmas, a share of 1.5e-23 of the clicks.  At the calibration (P = 16 ns,
-    W = 600 ps, sigma = 40 ps) w = 0; with no jitter p = [1].
-    """
-    period_ps = cfg.clock_period_ns * 1e3
-    half_ps = min(cfg.coincidence.window_ps, period_ps) / 2
-    sigma_ps = cfg.detectors.jitter_sigma_ps
-    if sigma_ps == 0:
-        return np.ones(1)
-    w = _reach_cycles(half_ps, sigma_ps, period_ps)
-    scale = sigma_ps * math.sqrt(2)
-    row = [
-        math.erf((d * period_ps + half_ps) / scale) - math.erf((d * period_ps - half_ps) / scale)
-        for d in range(-w - 1, w + 2)
-    ]
-    return np.array(row) / 2
-
-
-def _g2_rates(cfg: ExperimentConfig, signal_channel: int, idler_channel: int, stored: bool):
-    """(A, B, C, split): the per-cycle Poisson means of the processes that
-    fill a g2 run's signal and idler windows (see :func:`acquire_g2`).
-
-    A counts the clicks of pairs whose two clicks count toward the cycle, B
-    the signal clicks and C the idler clicks with no partner click in any
-    cycle.  ``split[i, j]`` is the mean number per cycle of the pairs
-    emitted in it whose signal click counts toward the cycle d_s = i - w - 1
-    later and whose idler click toward d_i = j - w - 1 later, d_s != d_i
-    (:func:`_landing_row`); its diagonal is zero.
-    """
-    det = cfg.detectors
-    p = _landing_row(cfg)
-    q = det.efficiency * p.sum()  # a photon's click counts toward some cycle
-    survival = storage_survival(cfg.bank, signal_channel) if stored else 1.0
-    noise_hz = cfg.bank.noise_rate_hz if stored else 0.0
-    recalled = _rate(cfg, [(channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz), survival)])
-    split = np.zeros((p.size, p.size))
-    if idler_channel == signal_channel:
-        np.multiply.outer(p, p, out=split)
-        both = recalled * det.efficiency**2 * np.trace(split)
-        np.fill_diagonal(split, 0.0)
-        split *= recalled * det.efficiency**2
-        signal_only = recalled * q * (1 - q)
-        idler_only = (recalled * (1 - q) + _rate(cfg, _idler_only(cfg, idler_channel, survival))) * q
-    else:
-        both, signal_only = 0.0, recalled * q
-        idler_only = _rate(cfg, [(channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz), 1.0)]) * q
-    # dark counts and memory noise are uniform in time: a window of 2h holds
-    # the rate times 2h of them
-    window_s = min(cfg.coincidence.window_ps, cfg.clock_period_ns * 1e3) * 1e-12
-    signal_only += (det.dark_count_rate_hz + det.efficiency * noise_hz) * window_s
-    idler_only += det.dark_count_rate_hz * window_s
-    return both, signal_only, idler_only, split
-
-
-def _occupancy_law(a: float, b: float, c: float) -> np.ndarray:
-    """The chances that a cycle's (signal, idler) windows hold (a click, a
-    click), (a click, none), (none, a click) and (none, none), for
-    independent Poisson numbers of clicks of means A, B and C as in
-    :func:`_g2_rates`.  The last is the remainder, as
-    :meth:`numpy.random.Generator.multinomial` takes it."""
-    law = [
-        -math.expm1(-a) + math.exp(-a) * math.expm1(-b) * math.expm1(-c),
-        math.exp(-a - c) * -math.expm1(-b),
-        math.exp(-a - b) * -math.expm1(-c),
-    ]
-    return np.array(law + [max(0.0, 1.0 - sum(law))])
-
-
 @dataclass(frozen=True)
 class G2Run:
     g2: float
@@ -777,23 +613,10 @@ def acquire_g2(
 
     A run counts, per cycle, whether its signal window and its idler window
     hold a click, so it is drawn as a law over cycle occupancy, not as
-    events.  Pair numbers are Poissonian and every mark of a pair (recall,
-    detection, jitter) is independent, so by Poisson colouring (Kingman,
-    *Poisson Processes*, 1993) the clicks that count toward each cycle form
-    independent Poisson processes (:func:`_g2_rates`):
-
-    - A: the pairs whose two clicks count toward the cycle, r eta^2 sum
-      p(d)^2 for one channel and none for two, r = lambda_sig s being the
-      recalled pairs per cycle and p the landing row
-      (:func:`_landing_row`);
-    - B: signal clicks alone, r q (1 - q) for one channel and r q for two,
-      q = eta sum p, plus the memory noise (thinned by eta) and the dark
-      counts that fall in the window;
-    - C: idler clicks alone, r (1 - q) q plus the idler-only pairs
-      (:func:`_idler_only`) times q for one channel, the idler channel's
-      pairs times q for two, plus the dark counts in the window.
-
-    Given them, each cycle's occupancy follows :func:`_occupancy_law`,
+    events: by Poisson colouring the clicks that count toward each cycle
+    form independent Poisson processes of means A, B and C
+    (:func:`model.g2_rates`).
+    Given them, each cycle's occupancy follows :func:`model.occupancy_law`,
     independently of the other cycles, except for the split pairs: those
     whose two clicks count toward different cycles, r eta^2 ((sum p)^2 -
     sum p^2) per cycle, which couple two cycles.  They are drawn one by one:
@@ -806,8 +629,8 @@ def acquire_g2(
     clicks count toward its first or last cycles.
     """
     n_cycles = _stage_cycles(n_cycles, stored)
-    both, signal_only, idler_only, split = _g2_rates(cfg, signal_channel, idler_channel, stored)
-    law = _occupancy_law(both, signal_only, idler_only)
+    both, signal_only, idler_only, split = model.g2_rates(cfg, signal_channel, idler_channel, stored)
+    law = model.occupancy_law(both, signal_only, idler_only)
     rng = derive_rng(cfg.seed, *tags, "occupancy")
     # cycles with both windows occupied, the signal window only, the idler
     # window only, neither
@@ -967,40 +790,6 @@ def _stage_scans(channel: int, stored: bool) -> list:
         (fringe_scan, channel, 0.0, stored),
         (tomography_scan, channel, stored),
     ]
-
-
-def analytic_counts(
-    cfg: ExperimentConfig,
-    channel: int,
-    alpha_rad: float,
-    beta_rad: float,
-    n_cycles: int,
-    stored: bool,
-) -> np.ndarray:
-    """Expected threefold counts, shape ``(2, 3, 2, 3)`` in the layout of
-    :func:`project_pair`, including the leading double-pair accidental term.
-
-    True coincidences come from the signal-band pairs whose two photons are
-    detected, at the Born-rule rate of each (port, slot) cell.  Accidentals
-    pair an idler click and a signal click of two different pairs in one
-    cycle, at the product of the per-(port, slot) marginals of the two
-    sides.  This is the infinite-statistics prediction for the same
-    :func:`acquire_threefold` call without dark counts or memory noise; with
-    negligible pair rate it reduces to the bare Born-rule rates of
-    project_pair.
-    """
-    mu_full = pair_rate_per_cycle(cfg.source)
-    lam_sig = mu_full * cfg.filters.signal_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
-    lam_idl = mu_full * cfg.filters.idler_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
-    eff = cfg.detectors.efficiency
-    cs = eff * (storage_survival(cfg.bank, channel) if stored else 1.0)
-
-    table = project_pair(analytic_state(cfg.source), alpha_rad, beta_rad)
-    p_idler = table.sum(axis=(2, 3))  # per idler (port, slot)
-    p_signal = table.sum(axis=(0, 1))  # per signal (port, slot)
-    true = lam_sig * cs * eff * table
-    acc = np.multiply.outer(lam_idl * eff * p_idler, lam_sig * cs * p_signal)
-    return _stage_cycles(n_cycles, stored) * (true + acc)
 
 
 # --- reports --------------------------------------------------------------

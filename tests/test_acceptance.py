@@ -17,13 +17,13 @@ from afcsim import memory as mem
 from afcsim import pipeline as pl
 from afcsim import states as st
 from afcsim import tomography as tom
-from afcsim.analyzer import project_pair, umzi_povm
 from afcsim.config import reference_calibration_config
 from afcsim.datasets import (
     load_density_matrices,
     load_efficiency_grid,
     load_tomography_counts,
 )
+from afcsim.model import chsh_rates, project_pair, umzi_povm
 
 BELL_PROJ = st.projector(st.bell_psi_plus())
 
@@ -109,12 +109,17 @@ def test_criterion_05_golden_tomography():
     )
 
 
+def _exact_s(rho):
+    """CHSH S of the exact Born-rule rates at ``bell.DEFAULT_CHSH_PHASES``."""
+    return bell.chsh_s([bell.correlation_e(rates) for rates in chsh_rates(rho, bell.DEFAULT_CHSH_PHASES)])
+
+
 def test_criterion_06_chsh_analytic_ceiling():
-    s_bell = bell.analytic_chsh(BELL_PROJ)
+    s_bell = _exact_s(BELL_PROJ)
     assert abs(s_bell - 2 * math.sqrt(2)) < 1e-9, s_bell
     worst = 0.0
     for v in np.linspace(0.0, 1.0, 21):
-        s = bell.analytic_chsh(st.werner_state(v))
+        s = _exact_s(st.werner_state(v))
         worst = max(worst, abs(s - 2 * math.sqrt(2) * v))
     assert worst < 1e-9, worst
     _report(6, f"S(Bell) = 2*sqrt(2) and Werner S = 2*sqrt(2)*V, worst dev {worst:.1e}")

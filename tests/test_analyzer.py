@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from afcsim import analyzer as an
+from afcsim import model
 from afcsim import states as st
 from afcsim.config import ExperimentConfig
 from afcsim.source import analytic_state
@@ -21,14 +22,14 @@ class TestUmziPovm:
     @given(hst.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_completeness(self, phase):
-        elems = an.umzi_povm(phase)
+        elems = model.umzi_povm(phase)
         total = elems.sum(axis=(0, 1))
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     @given(hst.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=30, deadline=None)
     def test_positive_semidefinite(self, phase):
-        elems = an.umzi_povm(phase)
+        elems = model.umzi_povm(phase)
         for port in range(2):
             for slot in range(3):
                 vals = np.linalg.eigvalsh(elems[port, slot])
@@ -37,7 +38,7 @@ class TestUmziPovm:
     def test_early_input_distribution(self):
         # |e> photon: short arm -> early (1/2 total), long arm -> middle
         # (1/2 total, 1/4 per port), never late
-        elems = an.umzi_povm(0.7)
+        elems = model.umzi_povm(0.7)
         rho_e = np.array([[1, 0], [0, 0]], dtype=complex)
         probs = np.einsum("psij,ji->ps", elems, rho_e).real
         np.testing.assert_allclose(probs.sum(axis=0), [0.5, 0.5, 0.0], atol=1e-12)
@@ -46,7 +47,7 @@ class TestUmziPovm:
     def test_diagonal_input_interference(self):
         # (|e>+|l>)/sqrt(2) with phi = 0 interferes fully: the (-) port 1
         # middle slot goes dark, port 2 takes the whole middle probability
-        elems = an.umzi_povm(0.0)
+        elems = model.umzi_povm(0.0)
         d = np.array([1, 1], dtype=complex) / np.sqrt(2)
         rho = np.outer(d, d.conj())
         p1 = np.trace(rho @ elems[0, an.SLOT_MIDDLE]).real
@@ -78,20 +79,20 @@ class TestMemoized:
     def test_povm_is_read_only_and_a_fresh_build(self, phase):
         # a phase's elements, built once, are those of a build from the
         # phase as given, whatever its type, bit for bit
-        povm = an.umzi_povm(phase)
-        assert an.umzi_povm(phase) is povm
+        povm = model.umzi_povm(phase)
+        assert model.umzi_povm(phase) is povm
         fresh = _povm_reference(phase)
         assert povm.dtype == fresh.dtype and povm.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             povm[1, an.SLOT_MIDDLE, 0, 1] = 0.0
 
     def test_povm_of_minus_zero_is_its_own(self):
-        assert an.umzi_povm(-0.0) is not an.umzi_povm(0.0)
-        assert an.umzi_povm(-0.0).tobytes() == _povm_reference(-0.0).tobytes()
+        assert model.umzi_povm(-0.0) is not model.umzi_povm(0.0)
+        assert model.umzi_povm(-0.0).tobytes() == _povm_reference(-0.0).tobytes()
 
     def test_keeps_the_64_latest_used_results(self):
         builds = []
-        squares = an._memoized(lambda x: builds.append(x) or np.full(2, x * x))
+        squares = model.memoized(lambda x: builds.append(x) or np.full(2, x * x))
         for x in range(64):
             squares(x)
         squares(0)
@@ -109,7 +110,7 @@ class TestMemoized:
 def _kron_loop_table(rho, alpha, beta):
     # one np.kron operator and one trace per (idler, signal) outcome pair
     m = np.asarray(rho, dtype=complex)
-    e_idler, e_signal = an.umzi_povm(alpha), an.umzi_povm(beta)
+    e_idler, e_signal = model.umzi_povm(alpha), model.umzi_povm(beta)
     table = np.empty((2, 3, 2, 3))
     for ip in range(2):
         for isl in range(3):
@@ -130,7 +131,7 @@ class TestProjectPair:
             rho = shipped if k % 3 == 0 else st.random_density_matrix(rng)
             cases.append((rho, *rng.uniform(-10.0, 10.0, 2)))
         for rho, alpha, beta in cases:
-            table = an.project_pair(rho, alpha, beta)
+            table = model.project_pair(rho, alpha, beta)
             assert table.dtype == np.float64 and table.flags.c_contiguous
             assert np.array_equal(table, _kron_loop_table(rho, alpha, beta))
 
@@ -138,14 +139,14 @@ class TestProjectPair:
         rng = np.random.default_rng(0)
         for _ in range(25):
             rho = st.random_density_matrix(rng)
-            table = an.project_pair(rho, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+            table = model.project_pair(rho, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
             assert table.min() >= -1e-12
 
     def test_franson_law_for_bell_state(self):
         rho = st.projector(st.bell_psi_plus())
         for alpha, beta in [(0.0, 0.0), (0.3, 0.4), (1.0, -0.25)]:
-            table = an.project_pair(rho, alpha, beta)
+            table = model.project_pair(rho, alpha, beta)
             c = np.cos(alpha + beta)
             for k in range(2):
                 for m in range(2):
@@ -154,14 +155,14 @@ class TestProjectPair:
                     assert table[k, 1, m, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_maximally_mixed_symmetric(self):
-        table = an.project_pair(np.eye(4) / 4, 0.9, 0.3)
+        table = model.project_pair(np.eye(4) / 4, 0.9, 0.3)
         mm = table[:, 1, :, 1].reshape(-1)
         np.testing.assert_allclose(mm, mm[0], atol=1e-14)
 
     def test_balance_point(self):
         # alpha = 0, beta = pi/2: cos = 0, all four port combos equal
         rho = st.projector(st.bell_psi_plus())
-        table = an.project_pair(rho, 0.0, np.pi / 2)
+        table = model.project_pair(rho, 0.0, np.pi / 2)
         assert table[0, 1, 0, 1] == pytest.approx(table[0, 1, 1, 1], abs=1e-12)
 
     def test_sampling_matches_table(self):
@@ -169,7 +170,7 @@ class TestProjectPair:
         rng = np.random.default_rng(5)
         n = 200_000
         idx = an.sample_pair_outcomes(rho, 0.0, np.pi / 4, n, rng)
-        table = an.project_pair(rho, 0.0, np.pi / 4)
+        table = model.project_pair(rho, 0.0, np.pi / 4)
         counts = np.zeros_like(table)
         np.add.at(counts, idx, 1)
         # 5-sigma binomial agreement per cell
@@ -181,7 +182,7 @@ class TestProjectPair:
         rho = st.werner_state(0.8)
         n = 10_000
         got = an.sample_pair_outcomes(rho, 0.4, -1.2, n, np.random.default_rng(9))
-        table = an.project_pair(rho, 0.4, -1.2)
+        table = model.project_pair(rho, 0.4, -1.2)
         cum = np.cumsum(np.clip(table.reshape(-1), 0.0, None))
         cum /= cum[-1]
         flat = np.searchsorted(cum, np.random.default_rng(9).random(n), side="right")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 from scipy import optimize
 
-from afcsim import bell
+from afcsim import bell, model
 from afcsim import states as st
 
 
@@ -22,6 +22,11 @@ def synthetic_scan(alpha=0.0, v=0.9, amplitude=300.0, n_points=12, phi0=0.0, rng
     if rng is not None:
         counts = rng.poisson(counts).astype(float)
     return bell.FringeScan(alpha_rad=alpha, beta_rad=beta, counts=counts)
+
+
+def _exact_s(rho):
+    """CHSH S of the exact Born-rule rates at ``bell.DEFAULT_CHSH_PHASES``."""
+    return bell.chsh_s([bell.correlation_e(rates) for rates in model.chsh_rates(rho, bell.DEFAULT_CHSH_PHASES)])
 
 
 class TestCorrelationE:
@@ -67,13 +72,13 @@ class TestChshS:
     @given(hst.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
     def test_werner_scaling_analytic(self, v):
-        s = bell.analytic_chsh(st.werner_state(v))
+        s = _exact_s(st.werner_state(v))
         assert s == pytest.approx(bell.TSIRELSON_BOUND * v, abs=1e-9)
 
     def test_tsirelson_bound_random_states(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            s = bell.analytic_chsh(st.random_density_matrix(rng))
+            s = _exact_s(st.random_density_matrix(rng))
             assert s <= bell.TSIRELSON_BOUND + 1e-9
 
 

@@ -1,16 +1,12 @@
 """CLI surface tests: verbs, artifacts, exit codes."""
 
 import argparse
-import ctypes
-import importlib
 import itertools
 import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 
@@ -170,72 +166,6 @@ def test_simulate_does_not_import_scipy_optimize(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-
-
-class _RecordingMallopt:
-    """Stands in for libc's ``mallopt``: records each call, returns ``result``."""
-
-    def __init__(self, result=1):
-        self.result = result
-        self.calls = []
-
-    def __call__(self, param, value):
-        self.calls.append((param, value))
-        return self.result
-
-
-def _no_libc(name):
-    raise OSError("cannot load the C library")
-
-
-def _libc_without_mallopt(name):
-    # macOS's and musl's C libraries have no mallopt
-    return types.SimpleNamespace()
-
-
-class TestKeepHeapMapped:
-    # M_MMAP_THRESHOLD (-3) = 32 MiB, then M_TRIM_THRESHOLD (-1) = 256 MiB
-    POLICY = [(-3, 33_554_432), (-1, 268_435_456)]
-
-    @staticmethod
-    def _libc(mallopt):
-        def cdll(name):
-            assert name is None
-            return types.SimpleNamespace(mallopt=mallopt)
-
-        return cdll
-
-    @staticmethod
-    def _table4(tmp_path):
-        return cli.main(["analyze-golden", "table4", "--out", str(tmp_path / "o")])
-
-    def test_import_sets_nothing(self):
-        mallopt = _RecordingMallopt()
-        with patch.object(ctypes, "CDLL", self._libc(mallopt)):
-            importlib.reload(cli)
-        assert mallopt.calls == []
-
-    def test_main_sets_both_thresholds(self, tmp_path):
-        mallopt = _RecordingMallopt()
-        with patch.object(ctypes, "CDLL", self._libc(mallopt)):
-            assert self._table4(tmp_path) == 0
-        assert mallopt.calls == self.POLICY
-        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
-        assert mallopt.restype is ctypes.c_int
-
-    def test_refused_value_stops_the_policy(self, tmp_path):
-        # glibc returns 0 for an mmap threshold above its maximum
-        mallopt = _RecordingMallopt(result=0)
-        with patch.object(ctypes, "CDLL", self._libc(mallopt)):
-            assert self._table4(tmp_path) == 0
-        assert mallopt.calls == self.POLICY[:1]
-        assert (tmp_path / "o").is_dir()
-
-    @pytest.mark.parametrize("cdll", [_no_libc, _libc_without_mallopt])
-    def test_missing_mallopt_runs_the_verb(self, tmp_path, cdll):
-        with patch.object(ctypes, "CDLL", cdll):
-            assert self._table4(tmp_path) == 0
-        assert (tmp_path / "o").is_dir()
 
 
 class TestAnalyzeGolden:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from afcsim import analyzer, bell, reports
+from afcsim import analyzer, bell, model, reports
 from afcsim import pipeline as pl
 from afcsim import states as st
 from afcsim import tomography as tom
@@ -328,7 +328,7 @@ def _full_sampling_clicks(cfg, channel, alpha, beta, n_cycles, tags, stored):
     period_ps = cfg.clock_period_ns * 1e3
     spacing_ps = cfg.source.pump.pulse_interval_ns * 1e3
     duration_ps = n_cycles * period_ps
-    band = pl.channel_band(channel, cfg.filters.idler_bandwidth_ghz)
+    band = model.channel_band(channel, cfg.filters.idler_bandwidth_ghz)
     rng_em = pl.derive_rng(cfg.seed, *tags, "emission")
     cycles, offsets = emission_arrays(cfg.source, n_cycles, rng_em, band)
     in_band = np.abs(offsets - CHANNEL_OFFSETS_GHZ[channel]) <= cfg.filters.signal_bandwidth_ghz / 2
@@ -413,7 +413,7 @@ class TestPoissonSplitting:
         assert acq.n_pairs_sampled == 0
         assert not acq.threefold.counts.any()
         clicks = pl.acquire_clicks(cfg, 0, 0.0, 0.0, 100_000, ("empty",), stored)
-        assert [band for band, _ in draws] == [pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)]
+        assert [band for band, _ in draws] == [model.channel_band(0, cfg.filters.signal_bandwidth_ghz)]
         assert clicks.n_pairs_sampled == 0
         assert clicks.idler_clicks(histogram=True)[0].size == clicks.signal_clicks()[0].size == 0
         assert not clicks.threefold.counts.any()
@@ -444,9 +444,23 @@ class TestPoissonSplitting:
     @staticmethod
     def _chi2_p(cfg, n_cycles, stored):
         """p of the two-sample chi-square over the 36 cells, each summed over
-        seeds, of split acquisitions against the reference."""
-        split, full = (x.sum(axis=0) for x in TestPoissonSplitting._per_seed(cfg, n_cycles, stored))
-        return stats.chi2.sf(*TestPoissonSplitting._chi2(split, full)), split, full
+        seeds, of split acquisitions against the reference, and those sums.
+
+        The statistic is referred to its distribution over 9,999 random
+        relabellings of the 2 x 16 per-seed rows, which are exchangeable
+        when both paths have one law.  That holds whatever the cells'
+        spread: where a cycle holds several clicks on both sides, one cycle
+        adds several counts and the cells spread wider than Poisson, so the
+        chi-square law would reject the reference against itself."""
+        split, full = TestPoissonSplitting._per_seed(cfg, n_cycles, stored)
+        observed, _ = TestPoissonSplitting._chi2(split.sum(axis=0), full.sum(axis=0))
+        rows = np.concatenate([split, full])
+        rng = np.random.default_rng(0)
+        n_relabel, above = 9_999, 0
+        for _ in range(n_relabel):
+            first = rng.permutation(rows.shape[0]) < TestPoissonSplitting.SEEDS
+            above += TestPoissonSplitting._chi2(rows[first].sum(axis=0), rows[~first].sum(axis=0))[0] >= observed
+        return (1 + above) / (1 + n_relabel), split.sum(axis=0), full.sum(axis=0)
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "bypassed"])
     @pytest.mark.parametrize(
@@ -472,22 +486,12 @@ class TestPoissonSplitting:
     def test_split_matches_full_sampling_when_dense(self, stored):
         # _dense_config: 2.2 idler-band pairs a cycle, and 1.5 signal clicks
         # a cycle before storage.  The clicks of a cycle pair with each
-        # other, so one cycle adds several counts and the cells spread wider
-        # than Poisson: the chi-square above rejects the reference against
-        # itself (p = 4e-4, stored, at these seeds under another tag).  The
-        # same statistic is referred instead to its distribution over the
-        # relabellings of the 2 x 16 acquisitions, exchangeable when both
-        # paths have one law whatever the cells' spread
+        # other, so the cells spread wider than Poisson: a chi-square law
+        # rejects the reference against itself (p = 4e-4, stored, at these
+        # seeds under another tag), and the relabelling p does not
         cfg = strong_memory(_dense_config()) if stored else _dense_config()
-        split, full = self._per_seed(cfg, 300_000, stored)
-        observed, _ = self._chi2(split.sum(axis=0), full.sum(axis=0))
-        rows = np.concatenate([split, full])
-        rng = np.random.default_rng(0)
-        n_relabel, above = 9_999, 0
-        for _ in range(n_relabel):
-            first = rng.permutation(rows.shape[0]) < self.SEEDS
-            above += self._chi2(rows[first].sum(axis=0), rows[~first].sum(axis=0))[0] >= observed
-        assert (1 + above) / (1 + n_relabel) > 1e-3, (split.sum(axis=0), full.sum(axis=0))
+        p, split, full = self._chi2_p(cfg, 300_000, stored)
+        assert p > 1e-3, (split, full)
 
     @staticmethod
     def _histogram(cfg, idler_t, signal_t, delay_ps):
@@ -607,8 +611,9 @@ class TestPairCounting:
         # cycles, against the mean number of signal-click pairs of a run
         def n_signal(cfg, n_cycles, stored=False):
             survival = storage_survival(cfg.bank, 0) if stored else 1.0
-            band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
-            return pl._rate(cfg, [(band, survival * cfg.detectors.efficiency)]) * pl._stage_cycles(n_cycles, stored)
+            band = model.channel_band(0, cfg.filters.signal_bandwidth_ghz)
+            rate = model.process_rate(cfg, [(band, survival * cfg.detectors.efficiency)])
+            return rate * pl._stage_cycles(n_cycles, stored)
 
         cfg = wide_jitter_config()
         pairs = pl.acquire_clicks(cfg, 0, 0.0, 0.0, 100_000, ("exact",), False).pairs
@@ -647,8 +652,8 @@ class TestLonePairs:
         ids=["calibration", "jitter-400ps", "no-jitter"],
     )
     def test_law_sums_to_one(self, cfg):
-        law = pl._lone_law(cfg, analyzer._cell_lookup(analytic_state(cfg.source), 0.3, 1.1)[0])
-        assert law.shape == pl._LONE_SHAPE
+        law = model.lone_law(cfg, analyzer._cell_lookup(analytic_state(cfg.source), 0.3, 1.1)[0])
+        assert law.shape == model.LONE_SHAPE
         assert law.min() >= 0
         assert abs(law.sum() - 1) < 1e-12
 
@@ -657,24 +662,24 @@ class TestLonePairs:
     )
     def test_candidates_times_law_match_analytic_counts(self, make_config):
         # the expected counts of a run's signal-click pairs, all counted by
-        # the law, against analytic_counts less its accidentals, each
+        # the law, against threefold_rates less its accidentals, each
         # side's slots moved by the chance that a click lands in each
         # window (scipy's normal CDF; a 600 ps window fits between slots)
         cfg = make_config()
         alpha, beta, n_cycles = 0.3, 1.1, 1_000_000
         eta = cfg.detectors.efficiency
-        band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
-        n_pairs = pl._rate(cfg, [(band, eta)]) * n_cycles
-        law = pl._lone_law(cfg, analyzer._cell_lookup(analytic_state(cfg.source), alpha, beta)[0])
+        band = model.channel_band(0, cfg.filters.signal_bandwidth_ghz)
+        n_pairs = model.process_rate(cfg, [(band, eta)]) * n_cycles
+        law = model.lone_law(cfg, analyzer._cell_lookup(analytic_state(cfg.source), alpha, beta)[0])
         counts = n_pairs * np.einsum("ijklmn->inkm", law)[:, :3, :, :3]
 
-        table = analyzer.project_pair(analytic_state(cfg.source), alpha, beta)
+        table = model.project_pair(analytic_state(cfg.source), alpha, beta)
         idler_band = cfg.filters.idler_bandwidth_ghz / cfg.source.pair_bandwidth_ghz
-        lam_idl = pl._rate(cfg, [((0.0, idler_band * cfg.source.pair_bandwidth_ghz), 1.0)])
+        lam_idl = model.process_rate(cfg, [((0.0, idler_band * cfg.source.pair_bandwidth_ghz), 1.0)])
         accidentals = n_cycles * np.multiply.outer(
-            lam_idl * eta * table.sum(axis=(2, 3)), pl._rate(cfg, [(band, eta)]) * table.sum(axis=(0, 1))
+            lam_idl * eta * table.sum(axis=(2, 3)), model.process_rate(cfg, [(band, eta)]) * table.sum(axis=(0, 1))
         )
-        true = pl.analytic_counts(cfg, 0, alpha, beta, n_cycles, stored=False) - accidentals
+        true = n_cycles * model.threefold_rates(cfg, 0, alpha, beta, stored=False) - accidentals
         spacing, sigma, half = 1250.0, cfg.detectors.jitter_sigma_ps, cfg.coincidence.window_ps / 2
         jitter = stats.norm(scale=sigma)
         # landing[k, j]: a click from slot k in slot j's window
@@ -752,7 +757,7 @@ class TestBornTable:
             return original(rho, alpha, beta)
 
         monkeypatch.setattr(analyzer, "project_pair", counting_project_pair)
-        monkeypatch.setattr(pl, "project_pair", counting_project_pair)
+        monkeypatch.setattr(model, "project_pair", counting_project_pair)
         pl.acquire_threefold(make_config(), 0, 0.3, 1.1, 100_000, ("born",), stored)
         assert calls == [(0.3, 1.1)]
         calls.clear()
@@ -776,13 +781,13 @@ class TestMemoizedTables:
         # the Poisson law of K, each array read-only and bit for bit a fresh
         # build; and the lone law, multiplied in the order it always was
         cfg = make_config()
-        geometry = pl._click_geometry(cfg)
+        geometry = model.click_geometry(cfg)
         eta = cfg.detectors.efficiency
-        mu = pl._rate(cfg, [(pl.channel_band(0, cfg.filters.signal_bandwidth_ghz), 0.0016 * eta)])
+        mu = model.process_rate(cfg, [(model.channel_band(0, cfg.filters.signal_bandwidth_ghz), 0.0016 * eta)])
         for table, args in [
-            (analyzer._landing_table, geometry),
-            (pl._lone_factors, (*geometry, eta)),
-            (pl._pairs_law, (mu,)),
+            (model.landing_table, geometry),
+            (model.lone_factors, (*geometry, eta)),
+            (model.pairs_law, (mu,)),
         ]:
             got, fresh = table(*args), table.__wrapped__(*args)
             assert table(*args) is got
@@ -791,10 +796,10 @@ class TestMemoizedTables:
                 with pytest.raises(ValueError):
                     g[(0,) * g.ndim] = 0.5
         cells = analyzer._cell_lookup(analytic_state(cfg.source), 0.3, 1.1)[0]
-        landing = analyzer._landing_table.__wrapped__(*geometry)
+        landing = model.landing_table.__wrapped__(*geometry)
         idler = np.hstack([eta * landing, np.full((3, 1), 1.0 - eta)])
         want = cells[..., None, None] * landing[:, :, None] * idler[:, None, None, None, :]
-        assert pl._lone_law(cfg, cells).tobytes() == want.tobytes()
+        assert model.lone_law(cfg, cells).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 20260810, 2**32 - 1, np.int64(5)])
     def test_derived_generators_mix_the_entropy_words(self, seed):
@@ -856,8 +861,8 @@ def _full_sampling_g2_tallies(cfg, signal_channel, idler_channel, n_cycles, tags
     of them, recalled or lost, with the idler filter's fringe pairs."""
     period_ps = cfg.clock_period_ns * 1e3
     duration_ps = n_cycles * period_ps
-    signal_band = pl.channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
-    idler_band = pl.channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
+    signal_band = model.channel_band(signal_channel, cfg.filters.signal_bandwidth_ghz)
+    idler_band = model.channel_band(idler_channel, cfg.filters.idler_bandwidth_ghz)
     sig_cycles, _ = emission_arrays(
         cfg.source, n_cycles, pl.derive_rng(cfg.seed, *tags, "sig-emission"), signal_band
     )
@@ -946,7 +951,7 @@ class TestG2PoissonSplitting:
         # third of the level
         cfg = wide_jitter_config()
         n_cycles = 20_000
-        assert pl._g2_rates(cfg, 0, 0, False)[3].sum() * n_cycles > 50
+        assert model.g2_rates(cfg, 0, 0, False)[3].sum() * n_cycles > 50
         split, full = [], []
         for k in range(120):
             cfg_k = dataclasses.replace(cfg, seed=k)
@@ -962,14 +967,14 @@ class TestG2PoissonSplitting:
         # 40 ps jitter never moves a click 15.7 ns into a neighbour's window
         cfg = reference_calibration_config()
         for stored in (True, False):
-            assert pl._g2_rates(cfg, 0, 0, stored)[3].sum() < 1e-20
+            assert model.g2_rates(cfg, 0, 0, stored)[3].sum() < 1e-20
 
     def test_reach(self):
         # the landing row spans d in [-w - 1, w + 1], w = floor((W / 2 + 10
         # sigma) / P): (300 + 400) / 16000 and (8000 + 40000) / 16000, windows
         # that hold all but the jitter tail
-        assert pl._landing_row(fast_config()).tolist() == [0.0, pytest.approx(1.0), 0.0]
-        row = pl._landing_row(wide_jitter_config())
+        assert model.landing_row(fast_config()).tolist() == [0.0, pytest.approx(1.0), 0.0]
+        row = model.landing_row(wide_jitter_config())
         assert row.size == 9
         assert row.sum() == pytest.approx(1.0)
         # an 8 ns window at 8 ns jitter: a click counts toward its pair's
@@ -980,7 +985,7 @@ class TestG2PoissonSplitting:
             detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=8000.0),
             coincidence=analyzer.CoincidenceConfig(window_ps=8000.0),
         )
-        row = pl._landing_row(cfg)
+        row = model.landing_row(cfg)
         assert row.size == 13  # w = 5
         centers = np.arange(-6, 7) * 16000.0
         jitter = stats.norm(scale=8000.0)
@@ -991,7 +996,7 @@ class TestG2PoissonSplitting:
         assert row.sum() > 1.3 * row[6]  # the neighbours' share
         # no jitter: every click counts toward its own cycle
         cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(cfg.detectors, jitter_sigma_ps=0.0))
-        assert pl._landing_row(cfg).tolist() == [1.0]
+        assert model.landing_row(cfg).tolist() == [1.0]
 
     def test_draw_streams_are_distinct(self, monkeypatch):
         # the run's draws and its Monte-Carlo draws on one stream would
@@ -1060,8 +1065,8 @@ class TestAcquisitionMemory:
         # peaked at 6.2 MB, ~27 bytes a pair
         cfg = reference_calibration_config()
         n_cycles = cfg.desk_scale.chsh_cycles_per_setting
-        band = pl.channel_band(0, cfg.filters.signal_bandwidth_ghz)
-        n_signal = pl._rate(cfg, [(band, cfg.detectors.efficiency)]) * n_cycles
+        band = model.channel_band(0, cfg.filters.signal_bandwidth_ghz)
+        n_signal = model.process_rate(cfg, [(band, cfg.detectors.efficiency)]) * n_cycles
         pl.acquire_threefold(cfg, 0, 0.0, 0.5, 10_000, ("warm-up",), stored=False)
         tracemalloc.start()
         try:
@@ -1177,7 +1182,8 @@ class TestAnalyticConsistency:
                 acq = pl.acquire_threefold(
                     cfg, 0, alpha, beta, n_cycles, ("cons", stored, alpha, beta), stored
                 )
-                expected = pl.analytic_counts(cfg, 0, alpha, beta, n_cycles, stored).reshape(-1)
+                rates = model.threefold_rates(cfg, 0, alpha, beta, stored)
+                expected = pl._stage_cycles(n_cycles, stored) * rates.reshape(-1)
                 observed = acq.threefold.counts.reshape(-1).astype(float)
                 for obs, exp in zip(observed, expected):
                     assert abs(obs - exp) < 5 * np.sqrt(max(exp, 1.0))
@@ -1193,7 +1199,8 @@ class TestAnalyticConsistency:
         ((result, _),) = pl.run_scans(cfg, [(pl.chsh_scan, 0, False)])
         from afcsim.source import analytic_state
 
-        s_exact = bell.analytic_chsh(analytic_state(cfg.source))
+        rates = model.chsh_rates(analytic_state(cfg.source), bell.DEFAULT_CHSH_PHASES)
+        s_exact = bell.chsh_s([bell.correlation_e(r) for r in rates])
         assert abs(result.s_value - s_exact) < 5 * result.sigma_s
 
 
@@ -1237,7 +1244,7 @@ class TestMemoryNoise:
         cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(cfg.detectors, dark_count_rate_hz=dark_hz))
         window_s = cfg.coincidence.window_ps * 1e-12
         for stored, noise_hz in ((True, cfg.bank.noise_rate_hz), (False, 0.0)):
-            both, signal_only, idler_only, split = pl._g2_rates(cfg, 0, 0, stored)
+            both, signal_only, idler_only, split = model.g2_rates(cfg, 0, 0, stored)
             assert both == split.sum() == 0.0
             assert signal_only == pytest.approx((dark_hz + eta * noise_hz) * window_s, rel=1e-12)
             assert idler_only == pytest.approx(dark_hz * window_s, rel=1e-12)
@@ -1356,7 +1363,7 @@ class TestChannelReport:
         rate = pl.channel_report(cfg, 0)["after"]["coincidence_rate_hz"]
         a, _, b, _ = bell.DEFAULT_CHSH_PHASES
         n_cycles = cfg.desk_scale.chsh_cycles_per_setting
-        expected = pl.analytic_counts(cfg, 0, a, b, n_cycles, True)[0, 1, 0, 1]
+        expected = pl._stage_cycles(n_cycles, True) * model.threefold_rates(cfg, 0, a, b, True)[0, 1, 0, 1]
         time_s = pl._stage_cycles(n_cycles, True) * cfg.clock_period_ns * 1e-9
         assert 100 < expected / time_s < 250
         assert abs(rate["A1B1_measure_window"] - expected / time_s) < 4 * np.sqrt(expected) / time_s
